@@ -53,7 +53,9 @@ from .ideal_units import (
     ab_general,
     decompose_Vpm1,
     reduce_singular_basis,
+    UnitSystem,
     singularity_condition,
+    unit_system,
 )
 from .spectra import SpectrumTable, analytic_overlaps, rho, spectrum_table, twirl, twirl_trace_identity
 

@@ -16,7 +16,6 @@ from . import matrix_units as mx
 from . import spectra
 from .ideal_units import (
     B_matrix,
-    G_sub,
     G_top,
     H_operator,
     ab_general,
@@ -24,10 +23,9 @@ from .ideal_units import (
     factored_V,
     reduce_singular_basis,
     singularity_condition,
-    sub_row_labels,
-    top_row_labels,
     trace_with_V_sub,
     trace_with_V_top,
+    unit_system,
 )
 from .lowrank import FactoredOperator
 from .partitions import (
@@ -355,41 +353,31 @@ def suite_coefficients(p: int, d: int, tol: float | None = None) -> list[CheckRe
     return out
 
 
+def _composition_worst(system) -> float:
+    """Worst Frobenius residual of G_ab G_b'c = delta_bb' G_ac over all unit pairs.
+
+    On cores, G_ab G_b'c - delta G_ac = Q_a (M_ab X_bb' M_b'c - delta M_ac) Q_c^T
+    with X_bb' = Q_b^T Q_b', and the orthonormal Q_a, Q_c keep the Frobenius
+    norm.  Units have spectral norm 1, so the distance of each unit from its
+    projection onto the bases enters the residual of a product at most three
+    times (to first order); it is added on.
+    """
+    m, x = system.cores, system.overlaps
+    worst = 0.0
+    for a in range(system.size):
+        for b in range(system.size):
+            res = (m[a, b] @ x[b])[:, None] @ m  # [b', c]: M_ab X_bb' M_b'c
+            res[b] -= m[a]
+            worst = max(worst, float(np.sqrt(np.sum(res**2, axis=(2, 3))).max()))
+    return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
+
+
 def suite_composition(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
     tol = 1e-9 if tol is None else tol
     out = []
-    rows = top_row_labels(p, d)
-    units = {}
-    for (mu, i, j) in rows:
-        for (nu, ip, jp) in rows:
-            u = G_top(mu, i, j, nu, ip, jp, p, d)
-            units[(u.row_key, u.col_key)] = u
-    worst = 0.0
-    for (ra, ca), ua in units.items():
-        for (rb, cb), ub in units.items():
-            prod = ua.op @ ub.op
-            if ca == rb:
-                dist = prod.distance(units[(ra, cb)].op)
-            else:
-                dist = prod.frobenius_norm()
-            worst = max(worst, dist)
-    out.append(_result(f"G_top_all_pairs_{len(units)}_units", worst, tol))
-    srows = sub_row_labels(p, d)
-    sunits = {}
-    for (mu, nu, i, j, beta) in srows:
-        for (mup, nup, ip, jp, betap) in srows:
-            u = G_sub(mu, nu, mup, nup, i, j, ip, jp, beta, betap, p, d)
-            sunits[(u.row_key, u.col_key)] = u
-    worst = 0.0
-    for (ra, ca), ua in sunits.items():
-        for (rb, cb), ub in sunits.items():
-            prod = ua.op @ ub.op
-            if ca == rb:
-                dist = prod.distance(sunits[(ra, cb)].op)
-            else:
-                dist = prod.frobenius_norm()
-            worst = max(worst, dist)
-    out.append(_result(f"G_sub_all_pairs_{len(sunits)}_units", worst, tol))
+    for name, ideal in (("G_top", p), ("G_sub", p - 1)):
+        system = unit_system(p, d, ideal)
+        out.append(_result(f"{name}_all_pairs_{system.size ** 2}_units", _composition_worst(system), tol))
     return out
 
 
@@ -422,38 +410,22 @@ def suite_eigenoperators(p: int, d: int, tol: float | None = None) -> list[Check
         for rec in spectra.analytic_overlaps(p, d)
         if rec.rho_level == p - 1
     }
+    top, sub = unit_system(p, d, p), unit_system(p, d, p - 1)
     worst = 0.0
-    for (mu, i, j) in top_row_labels(p, d):
-        unit = G_top(mu, i, j, mu, i, j, p, d)
-        lam = analytic[(p, mu, mu, None)].eigenvalue
-        shifted = unit.op.apply_dense_left(rho_sub) - lam * unit.op
-        worst = max(worst, shifted.frobenius_norm())
-    for (mu, nu, i, j, beta) in sub_row_labels(p, d):
-        unit = G_sub(mu, nu, mu, nu, i, j, i, j, beta, beta, p, d)
-        lam = analytic[(p - 1, mu, nu, beta)].eigenvalue
-        shifted = unit.op.apply_dense_left(rho_sub) - lam * unit.op
-        worst = max(worst, shifted.frobenius_norm())
+    for system, key in ((top, lambda r: (p, r[0], r[0], None)), (sub, lambda r: (p - 1, r[0], r[1], r[4]))):
+        for a, label in enumerate(system.labels):
+            q = system.bases[a]
+            lam = analytic[key(label)].eigenvalue
+            # (rho - lambda) G_aa = (rho Q_a - lambda Q_a) M_aa Q_a^T
+            worst = max(worst, float(np.linalg.norm((rho_sub @ q - lam * q) @ system.cores[a, a])))
     out.append(_result("eigen_operator_property", worst, tol))
-    worst = 0.0
-    srows = sub_row_labels(p, d)
-    for (mu, nu, i, j, beta) in srows:
-        for (mup, nup, ip, jp, betap) in srows:
-            unit = G_sub(mu, nu, mup, nup, i, j, ip, jp, beta, betap, p, d)
-            worst = max(worst, abs(unit.op.trace_against_dense(rho_top)))
+    worst = float(np.max(np.abs(sub.traces_with(rho_top)), initial=0.0))
     out.append(_result("rho_top_annihilates_second_ideal", worst, trace_tol))
     worst = 0.0
-    for (mu, nu, i, j, beta) in srows:
-        for (mup, nup, ip, jp, betap) in srows:
-            if (mu, nu, i, j, beta) == (mup, nup, ip, jp, betap):
-                continue
-            unit = G_sub(mu, nu, mup, nup, i, j, ip, jp, beta, betap, p, d)
-            worst = max(worst, abs(unit.op.trace_against_dense(rho_sub)))
-    for (mu, i, j) in top_row_labels(p, d):
-        for (nu, ip, jp) in top_row_labels(p, d):
-            if (mu, i, j) == (nu, ip, jp):
-                continue
-            unit = G_top(mu, i, j, nu, ip, jp, p, d)
-            worst = max(worst, abs(unit.op.trace_against_dense(rho_sub)))
+    for system in (sub, top):
+        traces = np.abs(system.traces_with(rho_sub))
+        np.fill_diagonal(traces, 0.0)
+        worst = max(worst, float(np.max(traces, initial=0.0)))
     out.append(_result("block_structure_off_diagonal_zero", worst, trace_tol))
     v = V_generator(p, p - 1, d)
     out.append(

@@ -17,8 +17,8 @@ import click
 import numpy as np
 
 from .checks import SUITES, run_suite
-from .errors import ResourceLimitError
-from .ideal_units import B_matrix, G_sub, G_top, singularity_condition, sub_row_labels, top_row_labels
+from .errors import ParameterError, ResourceLimitError
+from .ideal_units import B_matrix, GUnit, singularity_condition, unit_system
 from .partitions import Partition, dim_irrep, enumerate_partitions, multiplicity
 from .spectra import analytic_overlaps, spectrum_table
 
@@ -83,6 +83,9 @@ def guarded(fn):
         except ResourceLimitError as exc:
             click.echo(f"resource guard: {exc}", err=True)
             sys.exit(3)
+        except ParameterError as exc:
+            click.echo(f"usage error: {exc}", err=True)
+            sys.exit(2)
 
     return wrapper
 
@@ -189,36 +192,23 @@ def bmatrix(cfg: RunConfig, mu, nu):
 def units(cfg: RunConfig, ideal, dump):
     """Structured records for every constructed matrix unit at (p, d)."""
     p, d = cfg.p, cfg.d
-    records = []
-    ops = []
-    if ideal in ("top", "both"):
-        for (mu, i, j) in top_row_labels(p, d):
-            for (nu, ip, jp) in top_row_labels(p, d):
-                u = G_top(mu, i, j, nu, ip, jp, p, d)
-                records.append(
-                    {
-                        "ideal": p,
-                        "labels": [mu.to_json(), nu.to_json()],
-                        "indices": [i, j, ip, jp],
-                        "interior": None,
-                        "trace": f12(u.trace()),
-                    }
-                )
-                ops.append(u)
-    if ideal in ("sub", "both") and p >= 2:
-        for (mu, nu, i, j, beta) in sub_row_labels(p, d):
-            for (mup, nup, ip, jp, betap) in sub_row_labels(p, d):
-                u = G_sub(mu, nu, mup, nup, i, j, ip, jp, beta, betap, p, d)
-                records.append(
-                    {
-                        "ideal": p - 1,
-                        "labels": [mu.to_json(), nu.to_json(), mup.to_json(), nup.to_json()],
-                        "indices": [i, j, ip, jp],
-                        "interior": [beta, betap],
-                        "trace": f12(u.trace()),
-                    }
-                )
-                ops.append(u)
+    ideals = {"top": [p], "sub": [p - 1], "both": [p, p - 1]}[ideal]
+    ops = [
+        GUnit(system, a, c)
+        for system in (unit_system(p, d, k) for k in ideals)
+        for a in range(system.size)
+        for c in range(system.size)
+    ]
+    records = [
+        {
+            "ideal": u.ideal,
+            "labels": [lab.to_json() for lab in u.labels],
+            "indices": list(u.indices),
+            "interior": list(u.interior) if u.interior else None,
+            "trace": f12(u.trace()),
+        }
+        for u in ops
+    ]
     if cfg.fmt == "mm" and dump:
         for rec, u in zip(records, ops):
             emit_matrix_market(u.to_dense(), json.dumps(rec, sort_keys=True))

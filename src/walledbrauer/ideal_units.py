@@ -1,27 +1,34 @@
 """Spanning operators and irreducible matrix units of the two highest ideals.
 
-Families built here, all on 2p registers and carried in factored low-rank
-form:
+Objects built here, all on 2p registers:
 
 * F operators: matrix-unit sandwiches of the ideal generators V^(p) and
-  V^(p-1), the raw non-redundant spanning sets.
+  V^(p-1), the raw non-redundant spanning sets, in factored low-rank form.
 * The exact rational coefficient pair (a, b) of the V^(p-1) sandwich
   identity, and the symmetric coefficient matrix B built from the b values.
-* H operators (the almost-units of the second ideal) and the orthonormal
-  units G(p), G(p-1), including the reduction that discards zero modes of a
-  singular B.
+* H operators (the almost-units of the second ideal) and the reduction that
+  discards zero modes of a singular B.
+* Unit systems: the orthonormal units G(p) and G(p-1) of each ideal.  Every
+  unit in one row label of an ideal shares its range, and every unit in one
+  column label its co-range, so a system stores one orthonormal basis Q_r
+  per label and an r x r core M_rc per unit, G_rc = Q_r M_rc Q_c^T, with
+  r = 1 (top ideal) or d^2 - 1 (second ideal).  The system is built per
+  label straight from the B diagonalizer, without forming F or H operators;
+  F, H and their sums stay here as the paper's definitions and the oracle
+  the tests compare the systems against.  ``G_top`` and ``G_sub`` look single
+  units up in the cached systems.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import SemisimplicityError, ZeroMultiplicityError
+from .errors import ParameterError, SemisimplicityError, ZeroMultiplicityError
 from .lowrank import (
     FactoredOperator,
     fraction_determinant,
@@ -38,7 +45,7 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _check_dim, _digit_table
+from .tensorspace import _check_dim, _digit_table, _frozen
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -65,6 +72,7 @@ def factored_V(p: int, k: int, d: int) -> FactoredOperator:
     L = np.zeros((dim, d**n_free))
     idx = np.flatnonzero(paired)
     L[idx, cols[idx]] = 1.0
+    _frozen(L)
     return FactoredOperator(L, L.T)
 
 
@@ -180,6 +188,8 @@ class ABCoefficients:
 
 def _ab_from_traces(x: Fraction, y: Fraction, d: int, labels: tuple = ()) -> ABCoefficients:
     den = d * (d * d - 1)
+    if den == 0:
+        raise ParameterError(f"the second ideal needs d >= 2 (its coefficients divide by d(d^2-1)), got d = {d}")
     return ABCoefficients(Fraction(d * y - x, den), Fraction(d * x - y, den), labels)
 
 
@@ -350,7 +360,7 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
 
 
 # ----------------------------------------------------------------------------
-# H operators and G units
+# H operators
 
 
 @dataclass(frozen=True)
@@ -392,44 +402,211 @@ def H_operator(
     return HOperator((mu, nu, mup, nup), (i, j, ip, jp), (alpha, alphap), op, vanishing, p, d)
 
 
-@dataclass(frozen=True)
-class GUnit:
-    """An irreducible matrix unit of the top ideal (p) or the second ideal (p-1)."""
+# ----------------------------------------------------------------------------
+# unit systems: shared bases and small cores
 
-    ideal: int  # p or p - 1
-    labels: tuple[Partition, ...]
-    indices: tuple[int, int, int, int]
-    interior: tuple[int, int] | None  # eigenmode labels (beta, beta') for ideal p-1
-    op: FactoredOperator
+
+# The kept singular values of one row block are all equal in exact
+# arithmetic (every unit of a row maps onto the same subspace), and the
+# discarded ones are rounding noise, below 4e-15 of the kept ones up to
+# (p,d) = (4,3).  The threshold sits far from both.
+BASIS_RTOL = 1e-8
+
+
+def _top_factor(mu: Partition, i: int, j: int, p: int, d: int) -> np.ndarray:
+    """(E^mu_ij (x) 1) V^(p).L, a single column."""
+    return _apply_pair(left_side_matrix(mu, i, j, d), None, factored_V(p, p, d).L, d, p)
+
+
+def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int, d: int) -> np.ndarray:
+    """W_r / sqrt(d lambda_beta), with W_r = [sum_a w_a (E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1).L | (sum_a w_a) (E^mu_ij (x) 1) V^(p).L delta_{mu nu}].
+
+    w is row beta of the B^{mu nu} diagonalizer.  With D = diag(d, .., d, -1),
+    W_r D W_c^T = sum over (alpha, alpha') of w_a w'_a' H_{alpha alpha'},
+    since H = d F_sub - F_top delta^{mu nu} delta^{mu' nu'}.
+    """
+    b = B_matrix(mu, nu, d)
+    w = b.diagonalizer[beta - 1]
+    lam = b.eigenvalues[beta - 1]
+    if lam <= 0:
+        raise ArithmeticError(f"nonpositive eigenvalue under square root: {lam} of B^({mu},{nu})")
+    v = factored_V(p, p - 1, d).L
+    acc = np.zeros_like(v)
+    for w_a, alpha in zip(w, b.alphas):
+        r, r2 = prir_position(mu, alpha, 1), prir_position(nu, alpha, 1)
+        acc += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), v, d, p)
+    tail = w.sum() * _top_factor(mu, i, j, p, d) if mu == nu else np.zeros((v.shape[0], 1))
+    return np.hstack([acc, tail]) / math.sqrt(d * lam)
+
+
+@dataclass(frozen=True, eq=False)
+class UnitSystem:
+    """Every irreducible matrix unit of one ideal at (p, d), on shared bases.
+
+    Unit (a, c) is ``G_ac = Q_a M_ac Q_c^T``.  ``bases[a]`` (dim x r,
+    orthonormal columns) spans the range of every unit in row a, and
+    ``cores[a, c]`` is the r x r core, with r = 1 for the top ideal and
+    d^2 - 1 for the second.  The column labels are the row labels and
+    G_ca = G_ac^T, so the co-range basis P_c of column c is Q_c.
+    ``projection_residual[a]`` is the largest Frobenius distance, over the
+    units of row a, between the unit as its factors give it and the
+    projection ``Q_a M_ac Q_c^T``.  All arrays are read-only.
+    """
+
+    ideal: int
     p: int
     d: int
+    labels: tuple
+    bases: np.ndarray  # (n, dim, r)
+    cores: np.ndarray  # (n, n, r, r)
+    projection_residual: np.ndarray  # (n,)
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def index(self) -> dict:
+        return {label: a for a, label in enumerate(self.labels)}
+
+    def _flat_bases(self) -> np.ndarray:
+        """All bases side by side, dim x (n r)."""
+        n, dim, r = self.bases.shape
+        return self.bases.transpose(1, 0, 2).reshape(dim, n * r)
+
+    def _blocks(self, gram: np.ndarray) -> np.ndarray:
+        """An (n r) x (n r) matrix as its (n, n, r, r) blocks."""
+        n, _, r = self.bases.shape
+        return gram.reshape(n, r, n, r).transpose(0, 2, 1, 3)
+
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        """X[a, c] = Q_a^T Q_c."""
+        flat = self._flat_bases()
+        return _frozen(self._blocks(flat.T @ flat))
+
+    def operator(self, a: int, c: int) -> FactoredOperator:
+        return FactoredOperator(self.bases[a] @ self.cores[a, c], self.bases[c].T)
+
+    def traces_with(self, rho: np.ndarray) -> np.ndarray:
+        """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a)."""
+        flat = self._flat_bases()
+        return np.einsum("acij,caji->ac", self.cores, self._blocks(flat.T @ (rho @ flat)))
+
+
+@lru_cache(maxsize=None)
+def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
+    """All units of ideal p (top) or p - 1 (second) at (p, d), built per label.
+
+    Each row label r costs one factor W_r and one QR, W_r = Q0_r R0_r.  The
+    units are G_rc = W_r D W_c^T s_r s_c with D = (1) and s_r = 1/sqrt(m_mu)
+    for the top ideal, and D = diag(d, .., d, -1) and s_r = 1/sqrt(d
+    lambda_beta) for the second.  The range of row r over all columns is
+    Q0_r times the range of R0_r D [R0_1^T .. R0_n^T]; one QR of the
+    stacked R0 and one small SVD per label give it, and its rank must be r.
+    """
+    if ideal == p:
+        labels = top_row_labels(p, d)
+        factors = [_top_factor(mu, i, j, p, d) / math.sqrt(multiplicity(mu, d)) for (mu, i, j) in labels]
+        diag, rank = np.ones(1), 1
+    elif ideal == p - 1:
+        labels = sub_row_labels(p, d)
+        factors = [_sub_factor(*label, p, d) for label in labels]
+        diag, rank = np.array([float(d)] * (d * d) + [-1.0]), d * d - 1
+    else:
+        raise ValueError(f"ideal must be p = {p} or p - 1 = {p - 1}, got {ideal}")
+    n, k, dim = len(labels), diag.size, _check_dim(d, 2 * p)
+    if n == 0:
+        empty = (np.zeros((0, dim, rank)), np.zeros((0, 0, rank, rank)), np.zeros(0))
+        return UnitSystem(ideal, p, d, (), *map(_frozen, empty))
+    q0, r0 = np.linalg.qr(np.stack(factors))
+    stacked = np.linalg.qr(r0.reshape(n * k, k), mode="r")
+    u, s, _ = np.linalg.svd((r0 * diag) @ stacked.T)
+    kept = np.count_nonzero(s > BASIS_RTOL * s[:, :1], axis=1)
+    if np.any(kept != rank):
+        raise ArithmeticError(f"row ranks {sorted(set(kept.tolist()))} != {rank} for ideal {ideal} at (p,d)=({p},{d})")
+    u = u[:, :, :rank]
+    y = u.transpose(0, 2, 1) @ r0  # Q_a^T W_a in the Q0_a coordinates
+    cores = np.einsum("aik,k,cjk->acij", y, diag, y)
+    full = np.einsum("aik,k,cjk->acij", r0, diag, r0)
+    projected = np.einsum("aik,ackl,cjl->acij", u, cores, u)
+    residual = np.sqrt(np.sum((full - projected) ** 2, axis=(2, 3))).max(axis=1)
+    return UnitSystem(ideal, p, d, tuple(labels), _frozen(q0 @ u), _frozen(cores), _frozen(residual))
+
+
+@dataclass(frozen=True)
+class GUnit:
+    """An irreducible matrix unit of the top ideal (p) or the second ideal (p-1).
+
+    Entry (row, col) of its :class:`UnitSystem`; the operator is formed on
+    demand.
+    """
+
+    system: UnitSystem = field(repr=False)
+    row: int
+    col: int
+
+    @property
+    def ideal(self) -> int:
+        return self.system.ideal
+
+    @property
+    def p(self) -> int:
+        return self.system.p
+
+    @property
+    def d(self) -> int:
+        return self.system.d
+
+    @property
+    def row_key(self):
+        return self.system.labels[self.row]
+
+    @property
+    def col_key(self):
+        return self.system.labels[self.col]
+
+    @property
+    def labels(self) -> tuple[Partition, ...]:
+        n = 1 if self.ideal == self.p else 2
+        return self.row_key[:n] + self.col_key[:n]
+
+    @property
+    def indices(self) -> tuple[int, int, int, int]:
+        n = 1 if self.ideal == self.p else 2
+        return self.row_key[n : n + 2] + self.col_key[n : n + 2]
+
+    @property
+    def interior(self) -> tuple[int, int] | None:
+        """Eigenmode labels (beta, beta') for ideal p-1."""
+        return None if self.ideal == self.p else (self.row_key[4], self.col_key[4])
+
+    @property
+    def op(self) -> FactoredOperator:
+        return self.system.operator(self.row, self.col)
 
     def to_dense(self) -> np.ndarray:
         return self.op.to_dense()
 
     def trace(self) -> float:
-        return self.op.trace()
+        """tr(Q_a M_ac Q_c^T) = tr(M_ac Q_c^T Q_a), read off the core."""
+        s = self.system
+        return float(np.sum(s.cores[self.row, self.col] * s.overlaps[self.col, self.row].T))
 
-    @property
-    def row_key(self):
-        if self.ideal == self.p:
-            return (self.labels[0], self.indices[0], self.indices[1])
-        return (self.labels[0], self.labels[1], self.indices[0], self.indices[1], self.interior[0])
 
-    @property
-    def col_key(self):
-        if self.ideal == self.p:
-            return (self.labels[1], self.indices[2], self.indices[3])
-        return (self.labels[2], self.labels[3], self.indices[2], self.indices[3], self.interior[1])
+def _lookup(system: UnitSystem, row, col) -> GUnit:
+    try:
+        return GUnit(system, system.index[row], system.index[col])
+    except KeyError as exc:
+        raise IndexError(f"no unit label {exc.args[0]} at (p,d)=({system.p},{system.d})") from None
 
 
 def G_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int, d: int) -> GUnit:
-    """F_top rescaled by 1 / sqrt(m_mu m_nu)."""
+    """F_top / sqrt(m_mu m_nu), looked up in the top-ideal unit system."""
     m1, m2 = multiplicity(mu, d), multiplicity(nu, d)
     if m1 == 0 or m2 == 0:
         raise ZeroMultiplicityError(f"unit undefined: m_{mu} = {m1}, m_{nu} = {m2} at d = {d}")
-    f = F_top(mu, i, j, nu, ip, jp, p, d)
-    return GUnit(p, (mu, nu), (i, j, ip, jp), None, f.op * (1.0 / math.sqrt(m1 * m2)), p, d)
+    return _lookup(unit_system(p, d, p), (mu, i, j), (nu, ip, jp))
 
 
 def G_sub(
@@ -448,8 +625,11 @@ def G_sub(
 ) -> GUnit:
     """Unit of the second ideal for eigenmode labels (beta, beta').
 
-    beta indexes the eigenvalues of B^{mu nu} (ascending for mu = nu,
-    block-diagonal order otherwise); requesting a zero mode is an error.
+    Equals sum over (alpha, alpha') of w_{beta,alpha} w'_{beta',alpha'} H /
+    (d sqrt(lambda_beta lambda'_beta')), looked up in the second-ideal unit
+    system.  beta indexes the eigenvalues of B^{mu nu} (ascending for
+    mu = nu, block-diagonal order otherwise); requesting a zero mode is an
+    error.
     """
     b_row = B_matrix(mu, nu, d)
     b_col = B_matrix(mup, nup, d)
@@ -460,24 +640,7 @@ def G_sub(
         raise ZeroMultiplicityError(
             f"zero eigenvalue requested: beta={beta} of B^({mu},{nu}), beta'={betap} of B^({mup},{nup})"
         )
-    lam_row = b_row.eigenvalues[beta - 1]
-    lam_col = b_col.eigenvalues[betap - 1]
-    if lam_row <= 0 or lam_col <= 0:
-        raise ArithmeticError(f"nonpositive eigenvalue under square root: {lam_row}, {lam_col}")
-    dim = _check_dim(d, 2 * p)
-    acc = FactoredOperator.zero(dim)
-    for r, alpha in enumerate(b_row.alphas):
-        w_row = b_row.diagonalizer[beta - 1, r]
-        if w_row == 0.0:
-            continue
-        for c, alphap in enumerate(b_col.alphas):
-            w_col = b_col.diagonalizer[betap - 1, c]
-            if w_col == 0.0:
-                continue
-            h = H_operator(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
-            acc = acc + (w_row * w_col) * h.op
-    scale = 1.0 / (d * math.sqrt(lam_row * lam_col))
-    return GUnit(p - 1, (mu, nu, mup, nup), (i, j, ip, jp), (beta, betap), (scale * acc).compress(), p, d)
+    return _lookup(unit_system(p, d, p - 1), (mu, nu, i, j, beta), (mup, nup, ip, jp, betap))
 
 
 # ----------------------------------------------------------------------------
@@ -509,24 +672,6 @@ def sub_row_labels(p: int, d: int) -> list[tuple[Partition, Partition, int, int,
                     for j in range(1, dim_irrep(nu) + 1):
                         out.append((mu, nu, i, j, beta))
     return out
-
-
-def enumerate_G_top(p: int, d: int) -> list[GUnit]:
-    rows = top_row_labels(p, d)
-    return [
-        G_top(mu, i, j, nu, ip, jp, p, d)
-        for (mu, i, j) in rows
-        for (nu, ip, jp) in rows
-    ]
-
-
-def enumerate_G_sub(p: int, d: int) -> list[GUnit]:
-    rows = sub_row_labels(p, d)
-    return [
-        G_sub(mu, nu, mup, nup, i, j, ip, jp, beta, betap, p, d)
-        for (mu, nu, i, j, beta) in rows
-        for (mup, nup, ip, jp, betap) in rows
-    ]
 
 
 # ----------------------------------------------------------------------------
@@ -616,12 +761,8 @@ def decompose_Vpm1(p: int, d: int) -> Vpm1Decomposition:
     from .partitions import add_box, enumerate_partitions
     from .tensorspace import V_generator
 
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p == 1:
-        target = V_generator(1, 0, d)
-        residual = target.distance(target)
-        return Vpm1Decomposition((), residual)
+    if p < 2:
+        raise ParameterError(f"the expansion of V^(p-1) over H operators needs p >= 2, got p = {p}")
     dim = _check_dim(d, 2 * p)
     acc = np.zeros((dim, dim))
     terms = []

@@ -1,9 +1,12 @@
 """Rank-factored operators plus small exact/orthogonal eigen helpers.
 
-The ideal elements built in this package are products A V^(k) B where V^(k)
-has rank d^(2(p-k)), so they are carried as L @ R factor pairs.  Products,
-traces, and Frobenius distances then cost O(dim * rank^2) instead of
-O(dim^3), which is what makes the all-pairs composition suites cheap.
+The spanning elements of the ideals (F, H) are products A V^(k) B where
+V^(k) has rank d^(2(p-k)), so they are carried as L @ R factor pairs, and
+products, traces and Frobenius distances cost O(dim * rank^2) instead of
+O(dim^3).  The matrix units themselves are not stored one by one: each
+ideal's units form a unit system (see ``ideal_units.UnitSystem``) of one
+orthonormal basis per row label and an r x r core per unit, and a unit's
+``FactoredOperator`` is formed from those only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ class FactoredOperator:
     @classmethod
     def zero(cls, dim: int) -> "FactoredOperator":
         return cls(np.zeros((dim, 0)), np.zeros((0, dim)))
-
-    @classmethod
-    def rank_one(cls, left: np.ndarray, right: np.ndarray) -> "FactoredOperator":
-        return cls(left.reshape(-1, 1), right.reshape(1, -1))
 
     @property
     def dim(self) -> int:
@@ -62,10 +61,6 @@ class FactoredOperator:
 
     def trace(self) -> float:
         return float(np.sum(self.L * self.R.T))
-
-    def frobenius_inner(self, other: "FactoredOperator") -> float:
-        """tr(self @ other^T)."""
-        return float(np.sum((self.R @ other.R.T) * (self.L.T @ other.L)))
 
     def frobenius_norm(self) -> float:
         """Frobenius norm, stable also when the factors encode a near-zero sum.

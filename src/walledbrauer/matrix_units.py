@@ -25,6 +25,7 @@ from .partitions import Partition, add_box, dim_irrep, multiplicity, enumerate_p
 from .symgroup import PrirIndex, enumerate_group, prir_position, young_orthogonal_rep
 from .tensorspace import (
     DenseOperator,
+    _frozen,
     embed_operator,
     partial_trace,
     permutation_operator,
@@ -48,7 +49,7 @@ def _unit_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
     p = mu.total
     dim = d**p
     if multiplicity(mu, d) == 0:
-        return np.zeros((dim, dim))
+        return _frozen(np.zeros((dim, dim)))
     scale = dim_irrep(mu) / math.factorial(p)
     out = np.zeros((dim, dim))
     for sigma in enumerate_group(p):
@@ -56,7 +57,7 @@ def _unit_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
         w = young_orthogonal_rep(mu, sigma).matrix[i - 1, j - 1]
         if w != 0.0:
             out += w * permutation_operator(sigma, d, p).matrix
-    return scale * out
+    return _frozen(scale * out)
 
 
 def E_unit(mu: Partition, i: int, j: int, d: int) -> MatrixUnitE:
@@ -84,19 +85,19 @@ def young_projector(mu: Partition, d: int) -> DenseOperator:
     out = np.zeros((d**p, d**p))
     for i in range(1, dim_irrep(mu) + 1):
         out += _unit_matrix(mu, i, i, d)
-    return DenseOperator(d, p, out)
+    return DenseOperator(d, p, _frozen(out))
 
 
 @lru_cache(maxsize=None)
 def _reversal_matrix(p: int, d: int) -> np.ndarray:
-    return permutation_operator(register_reversal(p), d, p).matrix
+    return _frozen(permutation_operator(register_reversal(p), d, p).matrix)
 
 
 @lru_cache(maxsize=None)
 def left_side_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
     """E^mu_ij in the left-wall frame (basis built from register p down to 1)."""
     rev = _reversal_matrix(mu.total, d)
-    return rev @ _unit_matrix(mu, i, j, d) @ rev
+    return _frozen(rev @ _unit_matrix(mu, i, j, d) @ rev)
 
 
 def right_side_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ParameterError
 from .ideal_units import B_matrix
 from .partitions import (
     Partition,
@@ -23,7 +24,7 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import Permutation, enumerate_group
-from .tensorspace import DenseOperator, V_generator, permutation_operator
+from .tensorspace import DenseOperator, V_generator, _frozen, permutation_operator
 
 BIN_TOL = 1e-6
 
@@ -58,7 +59,9 @@ def rho(level: int, p: int, d: int) -> DenseOperator:
     """The twirled ideal generator twirl(V^(level)) on 2p registers."""
     if not 0 <= level <= p:
         raise ValueError(f"need 0 <= level <= p, got {level}")
-    return twirl(V_generator(p, level, d))
+    out = twirl(V_generator(p, level, d))
+    _frozen(out.matrix)
+    return out
 
 
 def twirl_trace_identity(
@@ -256,7 +259,7 @@ def spectrum_table(p: int, d: int, level: int, method: str = "analytic") -> Spec
     """
     if method == "analytic":
         if level != p and not (p >= 2 and level == p - 1):
-            raise ValueError("analytic path covers level in {p, p-1} (p >= 2) only")
+            raise ParameterError(f"the analytic path covers level p or p-1 with p >= 2, got p = {p}, level = {level}")
         rows = tuple(
             SpectrumRow(rec.eigenvalue, rec.eigen_multiplicity, rec.ideal, rec.mu, rec.nu, rec.interior)
             for rec in analytic_overlaps(p, d)

@@ -18,6 +18,12 @@ from .symgroup import Permutation, transposition
 MAX_HILBERT_DIM = 2**14
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so that no caller can change what later callers get."""
+    a.flags.writeable = False
+    return a
+
+
 def _check_dim(d: int, n: int) -> int:
     if d < 1 or n < 0:
         raise ValueError(f"bad register parameters d={d}, n={n}")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 from click.testing import CliRunner
 
+from walledbrauer.checks import suite_composition
 from walledbrauer.cli import main as cli_main
 from walledbrauer.ideal_units import (
     B_matrix,
@@ -137,44 +138,13 @@ def test_criterion_2_bmatrix_fixtures():
     report("criterion 2 (B-matrix fixtures and singularity verdicts)", ok)
 
 
-def _composition_worst(p, d):
-    rows = top_row_labels(p, d)
-    units = {}
-    for (mu, i, j) in rows:
-        for (nu, ip, jp) in rows:
-            u = G_top(mu, i, j, nu, ip, jp, p, d)
-            units[(u.row_key, u.col_key)] = u
-    worst = 0.0
-    for (ra, ca), ua in units.items():
-        for (rb, cb), ub in units.items():
-            prod = ua.op @ ub.op
-            if ca == rb:
-                worst = max(worst, prod.distance(units[(ra, cb)].op))
-            else:
-                worst = max(worst, prod.frobenius_norm())
-    srows = sub_row_labels(p, d)
-    sunits = {}
-    for (mu, nu, i, j, beta) in srows:
-        for (mup, nup, ip, jp, betap) in srows:
-            u = G_sub(mu, nu, mup, nup, i, j, ip, jp, beta, betap, p, d)
-            sunits[(u.row_key, u.col_key)] = u
-    for (ra, ca), ua in sunits.items():
-        for (rb, cb), ub in sunits.items():
-            prod = ua.op @ ub.op
-            if ca == rb:
-                worst = max(worst, prod.distance(sunits[(ra, cb)].op))
-            else:
-                worst = max(worst, prod.frobenius_norm())
-    return worst, len(units), len(sunits)
-
-
 def test_criterion_3_composition_suites():
     ok = True
     details = []
     for p, d in ((2, 2), (2, 3), (3, 3)):
-        worst, n_top, n_sub = _composition_worst(p, d)
-        ok &= worst <= 1e-9
-        details.append(f"({p},{d}): {n_top}+{n_sub} units, worst {worst:.2e}")
+        results = suite_composition(p, d, 1e-9)
+        ok &= len(results) == 2 and all(r.passed and r.tolerance == 1e-9 for r in results)
+        details.append(f"({p},{d}): " + ", ".join(f"{r.name} worst {r.residual:.2e}" for r in results))
     report("criterion 3 (unit composition suites)", ok, "; ".join(details))
 
 
@@ -319,9 +289,71 @@ def test_verify_command_runs_whole_suite():
     report("CLI verify --suite all at (2,2)", doc["passed"])
 
 
+CHECK_NAMES_2_3 = [
+    "hook_length_vs_tableau_count_p<=6",
+    "hook_content_vs_semistandard_count_p<=5_d<=4",
+    "schur_weyl_dimension_sum_p<=5_d<=4",
+    "add_remove_box_inverse_p<=5",
+    "orthogonality_S2",
+    "homomorphism_S2",
+    "orthogonality_relation_S2",
+    "subgroup_adaptation_p<=5",
+    "ping_pong_d<=4",
+    "generalized_ping_pong_p2_d2",
+    "sandwich_fact_p<=3",
+    "generator_products",
+    "sandwich_reduce_identity",
+    "unit_composition_and_trace_p<=3_d<=3",
+    "permutation_resolution_S3",
+    "projector_completeness",
+    "wall_embedding_identity_p2_d2",
+    "branching_and_partial_trace_forms",
+    "ad_plus_b_exact",
+    "sandwich_decomposition_50_random",
+    "trace_rules_exhaustive",
+    "G_top_all_pairs_4_units",
+    "G_sub_all_pairs_16_units",
+    "V_top_from_units",
+    "V_sub_from_H_terms_20_terms",
+    "eigen_operator_property",
+    "rho_top_annihilates_second_ideal",
+    "block_structure_off_diagonal_zero",
+    "twirl_trace_conservation",
+    "b_matrix_fixture_(2,1)_d3",
+    "appendix_examples_d3",
+    "integer_condition_vs_determinant_p<=6",
+    "determinant_symmetric_polynomial_identity",
+    "reduction_keeps_rank",
+    "reduced_units_composition",
+    "analytic_matches_brute_level_2",
+    "analytic_matches_brute_level_1",
+]
+RENAMED_AT_3_3 = {
+    "orthogonality_S2": "orthogonality_S3",
+    "homomorphism_S2": "homomorphism_S3",
+    "orthogonality_relation_S2": "orthogonality_relation_S3",
+    "G_top_all_pairs_4_units": "G_top_all_pairs_36_units",
+    "G_sub_all_pairs_16_units": "G_sub_all_pairs_289_units",
+    "V_sub_from_H_terms_20_terms": "V_sub_from_H_terms_80_terms",
+    "analytic_matches_brute_level_2": "analytic_matches_brute_level_3",
+    "analytic_matches_brute_level_1": "analytic_matches_brute_level_2",
+}
+CHECK_NAMES_3_3 = [RENAMED_AT_3_3.get(n, n) for n in CHECK_NAMES_2_3] + [
+    "printed_table_level_3",
+    "printed_table_level_2",
+]
+
+
+def test_verify_check_names_at_2_3():
+    result = CliRunner().invoke(cli_main, ["--p", "2", "--d", "3", "verify", "--suite", "all"])
+    assert result.exit_code == 0
+    assert [c["name"] for c in json.loads(result.output)["checks"]] == CHECK_NAMES_2_3
+
+
 def test_verify_all_suites_at_desk_scale():
     result = CliRunner().invoke(cli_main, ["--p", "3", "--d", "3", "verify", "--suite", "all"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
+    assert [c["name"] for c in doc["checks"]] == CHECK_NAMES_3_3
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     report("CLI verify --suite all at (3,3)", doc["passed"], f"{len(doc['checks'])} checks" + (f"; failed: {failed}" if failed else ""))

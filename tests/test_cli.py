@@ -82,6 +82,15 @@ def test_spectrum_analytic_level_guard():
     assert result.exit_code == 2
 
 
+def test_undefined_parameters_are_usage_errors():
+    # the second ideal's coefficients divide by d(d^2-1); the analytic spectrum needs p >= 2
+    for args in (["--p", "2", "--d", "1", "bmatrix", "--mu", "2"], ["--p", "1", "--d", "2", "spectrum"]):
+        result = run(args)
+        assert result.exit_code == 2, args
+        assert result.stdout == ""
+        assert len(result.stderr.strip().splitlines()) == 1 and "Traceback" not in result.stderr
+
+
 def test_resource_guard_exit_code():
     result = run(["--p", "5", "--d", "4", "spectrum", "--method", "brute"])
     assert result.exit_code == 3

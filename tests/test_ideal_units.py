@@ -23,6 +23,7 @@ from walledbrauer.ideal_units import (
     top_row_labels,
     trace_with_V_sub,
     trace_with_V_top,
+    unit_system,
 )
 from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
@@ -35,6 +36,7 @@ from walledbrauer.partitions import (
     remove_box,
     schur_weyl_partitions,
 )
+from walledbrauer.spectra import rho
 from walledbrauer.symgroup import prir_map, prir_position
 from walledbrauer.tensorspace import V_generator
 
@@ -390,6 +392,50 @@ def test_G_sub_composition_and_cross_block():
                 assert prod.frobenius_norm() <= 1e-9
 
 
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 3), (4, 2)])
+def test_unit_systems_match_the_paper_definitions(p, d):
+    """Every unit of both systems against F_top / sqrt(m m') and sum w w' H / (d sqrt(lambda lambda'))."""
+    dim = d ** (2 * p)
+    top = unit_system(p, d, p)
+    for a, (mu, i, j) in enumerate(top.labels):
+        for c, (nu, ip, jp) in enumerate(top.labels):
+            scale = 1.0 / np.sqrt(multiplicity(mu, d) * multiplicity(nu, d))
+            expected = scale * F_top(mu, i, j, nu, ip, jp, p, d).op
+            assert top.operator(a, c).distance(expected) <= 1e-12
+    sub = unit_system(p, d, p - 1)
+    assert sub.size == len(sub_row_labels(p, d)) > 0
+    assert sub.bases.shape[2] == d * d - 1
+    for a, (mu, nu, i, j, beta) in enumerate(sub.labels):
+        b = B_matrix(mu, nu, d)
+        for c, (mup, nup, ip, jp, betap) in enumerate(sub.labels):
+            bp = B_matrix(mup, nup, d)
+            expected = FactoredOperator.zero(dim)
+            for w, alpha in zip(b.diagonalizer[beta - 1], b.alphas):
+                for wp, alphap in zip(bp.diagonalizer[betap - 1], bp.alphas):
+                    h = H_operator(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
+                    expected = expected + (w * wp) * h.op
+            scale = 1.0 / (d * np.sqrt(b.eigenvalues[beta - 1] * bp.eigenvalues[betap - 1]))
+            assert sub.operator(a, c).distance(scale * expected) <= 1e-12
+
+
+def test_cached_arrays_are_read_only():
+    p, d = 2, 2
+    system = unit_system(p, d, p - 1)
+    arrays = [
+        system.bases,
+        system.cores,
+        system.overlaps,
+        system.projection_residual,
+        factored_V(p, p - 1, d).L,
+        factored_V(p, p - 1, d).R,
+        left_side_matrix(partition(2), 1, 1, d),
+        rho(p - 1, p, d).matrix,
+    ]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
 def test_G_sub_diagonal_trace_is_d_squared_minus_one():
     for p, d in ((2, 2), (3, 3)):
         for (mu, nu, i, j, beta) in sub_row_labels(p, d):
@@ -584,6 +630,10 @@ def test_singular_block_participates_after_reduction():
 
 @pytest.mark.parametrize("p,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_decompose_Vpm1(p, d):
+    if p == 1:
+        with pytest.raises(ValueError):
+            decompose_Vpm1(p, d)
+        return
     rec = decompose_Vpm1(p, d)
     assert rec.residual <= 1e-9
     if p > 1:

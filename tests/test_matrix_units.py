@@ -74,6 +74,13 @@ def test_vanishing_unit_is_zero_and_flagged():
     assert unit.vanishing and unit.operator.max_abs() == 0.0
 
 
+def test_cached_unit_cannot_be_overwritten():
+    mu = partition(2, 1)
+    with pytest.raises(ValueError):
+        E_unit(mu, 1, 1, 3).operator.matrix[...] = 0.0
+    assert abs(E_unit(mu, 1, 1, 3).operator.trace() - multiplicity(mu, 3)) <= 1e-12
+
+
 def test_unit_index_range():
     with pytest.raises(IndexError):
         E_unit(partition(2, 1), 3, 1, 3)
