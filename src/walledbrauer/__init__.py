@@ -49,7 +49,6 @@ from .ideal_units import (
     G_top,
     HOperator,
     H_operator,
-    ab_fixed,
     ab_general,
     decompose_Vpm1,
     reduce_singular_basis,

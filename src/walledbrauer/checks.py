@@ -14,13 +14,13 @@ import numpy as np
 
 from . import matrix_units as mx
 from . import spectra
+from .errors import ParameterError
 from .ideal_units import (
     B_matrix,
     G_top,
     H_operator,
     ab_general,
     decompose_Vpm1,
-    factored_V,
     reduce_singular_basis,
     singularity_condition,
     trace_with_V_sub,
@@ -41,7 +41,6 @@ from .partitions import (
 from .symgroup import (
     enumerate_group,
     prir_map,
-    prir_position,
     restriction_block_check,
     transposition,
     young_orthogonal_rep,
@@ -50,7 +49,9 @@ from .tensorspace import (
     DenseOperator,
     V_generator,
     V_outer_pair,
+    _apply_pair,
     embed_operator,
+    factored_V,
     permutation_operator,
     sandwich_reduce,
 )
@@ -288,69 +289,56 @@ def suite_matrix_units(p: int, d: int, tol: float | None = None) -> list[CheckRe
 
 
 def suite_coefficients(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    tol = 1e-10 if tol is None else tol
-    out = []
-    ok = True
-    for mu in schur_weyl_partitions(p, d):
-        for nu in schur_weyl_partitions(p, d):
-            for rm in prir_map(mu):
-                for cm in prir_map(mu):
-                    for rn in prir_map(nu):
-                        for cn in prir_map(nu):
-                            ab = ab_general(
-                                mu, nu,
-                                (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha),
-                                (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d,
-                            )
-                            same = (
-                                mu == nu
-                                and (rm.alpha, rm.i_alpha) == (rn.alpha, rn.i_alpha)
-                                and (cm.alpha, cm.i_alpha) == (cn.alpha, cn.i_alpha)
-                            )
-                            expected = Fraction(multiplicity(mu, d), d) if same else Fraction(0)
-                            ok &= ab.identity_value(d) == expected
-    out.append(_bool_result("ad_plus_b_exact", ok))
-    rng = np.random.default_rng(5)
-    from .matrix_units import left_side_matrix, right_side_matrix
+    """The V^(p-1) sandwich identity of every wall product X = A (x) B, on its core.
 
-    vpm1 = V_generator(p, p - 1, d).matrix
-    vp = V_generator(p, p, d).matrix
+    One pass over the label pairs forms K = L^T X L without the dense X
+    (``tensorspace.sandwich_reduce`` states why the core carries the whole
+    identity): tr K and phi^T K phi, with phi = vec(1_d), are the traces of
+    X against V^(p-1) and V^(p), and max|K - a phi phi^T - b 1| is the
+    max-abs residual of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1).
+    """
+    tol = 1e-10 if tol is None else tol
+    L = factored_V(p, p - 1, d).L
+    phi = np.eye(d).ravel()
     shapes = schur_weyl_partitions(p, d)
+    cores = {}  # (rm, cm, rn, cn) -> (K, exact (a, b))
+    exact_ok = True
+    trace_worst = 0.0
+    for mu in shapes:
+        for nu in shapes:
+            # prir_map lists the basis indices of a shape in order, so index i is position i
+            for (i, rm), (j, cm) in itertools.product(enumerate(prir_map(mu), 1), repeat=2):
+                a_mat = mx.left_side_matrix(mu, i, j, d)
+                for (k, rn), (l, cn) in itertools.product(enumerate(prir_map(nu), 1), repeat=2):
+                    args = (mu, nu, (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha), (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d)
+                    ab = ab_general(*args)
+                    same = mu == nu and args[2] == args[4] and args[3] == args[5]
+                    exact_ok &= ab.identity_value(d) == (Fraction(multiplicity(mu, d), d) if same else 0)
+                    xl = _apply_pair(a_mat, mx.right_side_matrix(nu, k, l, d), L, d, p)
+                    core = L.T @ xl
+                    # tr K summed as sum((X L) * L): the same terms, added pairwise
+                    trace_worst = max(
+                        trace_worst,
+                        abs(float(phi @ core @ phi) - float(trace_with_V_top(*args))),
+                        abs(float(np.sum(xl * L)) - float(trace_with_V_sub(*args))),
+                    )
+                    cores[rm, cm, rn, cn] = core, ab
+    rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(50):
         mu = shapes[rng.integers(len(shapes))]
         nu = shapes[rng.integers(len(shapes))]
         pm_mu, pm_nu = prir_map(mu), prir_map(nu)
-        rm, cm = pm_mu[rng.integers(len(pm_mu))], pm_mu[rng.integers(len(pm_mu))]
-        rn, cn = pm_nu[rng.integers(len(pm_nu))], pm_nu[rng.integers(len(pm_nu))]
-        a_mat = left_side_matrix(mu, prir_position(mu, rm.alpha, rm.i_alpha), prir_position(mu, cm.alpha, cm.i_alpha), d)
-        b_mat = right_side_matrix(nu, prir_position(nu, rn.alpha, rn.i_alpha), prir_position(nu, cn.alpha, cn.i_alpha), d)
-        x = np.kron(a_mat, b_mat)
-        ab = ab_general(
-            mu, nu,
-            (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha),
-            (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d,
-        )
-        res = np.max(np.abs(vpm1 @ x @ vpm1 - float(ab.a) * vp - float(ab.b) * vpm1))
+        key = (pm_mu[rng.integers(len(pm_mu))], pm_mu[rng.integers(len(pm_mu))])
+        key += (pm_nu[rng.integers(len(pm_nu))], pm_nu[rng.integers(len(pm_nu))])
+        core, ab = cores[key]
+        res = np.max(np.abs(core - float(ab.a) * np.outer(phi, phi) - float(ab.b) * np.eye(d * d)))
         worst = max(worst, float(res))
-    out.append(_result("sandwich_decomposition_50_random", worst, tol))
-    worst = 0.0
-    vp_f = factored_V(p, p, d)
-    vpm1_f = factored_V(p, p - 1, d)
-    for mu in shapes:
-        for nu in shapes:
-            for rm in prir_map(mu):
-                for cm in prir_map(mu):
-                    a_mat = left_side_matrix(mu, prir_position(mu, rm.alpha, rm.i_alpha), prir_position(mu, cm.alpha, cm.i_alpha), d)
-                    for rn in prir_map(nu):
-                        for cn in prir_map(nu):
-                            b_mat = right_side_matrix(nu, prir_position(nu, rn.alpha, rn.i_alpha), prir_position(nu, cn.alpha, cn.i_alpha), d)
-                            x = np.kron(a_mat, b_mat)
-                            args = (mu, nu, (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha), (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d)
-                            worst = max(worst, abs(vp_f.trace_against_dense(x) - float(trace_with_V_top(*args))))
-                            worst = max(worst, abs(vpm1_f.trace_against_dense(x) - float(trace_with_V_sub(*args))))
-    out.append(_result("trace_rules_exhaustive", worst, tol))
-    return out
+    return [
+        _bool_result("ad_plus_b_exact", exact_ok),
+        _result("sandwich_decomposition_50_random", worst, tol),
+        _result("trace_rules_exhaustive", trace_worst, tol),
+    ]
 
 
 def _composition_worst(system) -> float:
@@ -595,7 +583,7 @@ def run_suite(name: str, p: int, d: int, tol: float | None = None) -> list[Check
             results.extend(SUITES[key](p, d, tol))
         return results
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     if name in NEEDS_SECOND_IDEAL and p < 2:
-        raise ValueError(f"suite {name!r} needs p >= 2")
+        raise ParameterError(f"suite {name!r} needs p >= 2")
     return SUITES[name](p, d, tol)

@@ -29,12 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, SemisimplicityError, ZeroMultiplicityError
-from .lowrank import (
-    FactoredOperator,
-    fraction_determinant,
-    fraction_matrix_rank,
-    jacobi_eigh,
-)
+from .lowrank import FactoredOperator, fraction_rank_det, jacobi_eigh
 from .matrix_units import left_side_matrix, right_side_matrix
 from .partitions import (
     Partition,
@@ -45,46 +40,9 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _check_dim, _digit_table, _frozen
+from .tensorspace import _apply_pair, _check_dim, _frozen, factored_V
 
 ZERO_MODE_RTOL = 1e-10
-
-
-# ----------------------------------------------------------------------------
-# factored ideal generators
-
-
-@lru_cache(maxsize=None)
-def factored_V(p: int, k: int, d: int) -> FactoredOperator:
-    """V^(k) on 2p registers as a sum of d^(2(p-k)) rank-one projectors."""
-    if not 0 <= k <= p:
-        raise ValueError(f"need 0 <= k <= p, got k={k}")
-    dim = _check_dim(d, 2 * p)
-    digs = _digit_table(d, 2 * p)
-    paired = np.ones(dim, dtype=bool)
-    for j in range(1, k + 1):
-        paired &= digs[p - j] == digs[p + j - 1]
-    free = [r for r in range(1, p - k + 1)] + [r for r in range(p + k + 1, 2 * p + 1)]
-    n_free = len(free)
-    cols = np.zeros(dim, dtype=np.int64)
-    for reg in free:
-        cols = cols * d + digs[reg - 1]
-    L = np.zeros((dim, d**n_free))
-    idx = np.flatnonzero(paired)
-    L[idx, cols[idx]] = 1.0
-    _frozen(L)
-    return FactoredOperator(L, L.T)
-
-
-def _apply_pair(a: np.ndarray | None, b: np.ndarray | None, block: np.ndarray, d: int, p: int) -> np.ndarray:
-    """(a (x) b) applied to columns of ``block``, a on registers 1..p, b on p+1..2p."""
-    dp = d**p
-    out = block.reshape(dp, dp, -1)
-    if a is not None:
-        out = np.einsum("xy,yzk->xzk", a, out)
-    if b is not None:
-        out = np.einsum("zw,xwk->xzk", b, out)
-    return out.reshape(dp * dp, -1)
 
 
 # ----------------------------------------------------------------------------
@@ -180,17 +138,9 @@ class ABCoefficients:
 
     a: Fraction
     b: Fraction
-    labels: tuple = ()
 
     def identity_value(self, d: int) -> Fraction:
         return self.a * d + self.b
-
-
-def _ab_from_traces(x: Fraction, y: Fraction, d: int, labels: tuple = ()) -> ABCoefficients:
-    den = d * (d * d - 1)
-    if den == 0:
-        raise ParameterError(f"the second ideal needs d >= 2 (its coefficients divide by d(d^2-1)), got d = {d}")
-    return ABCoefficients(Fraction(d * y - x, den), Fraction(d * x - y, den), labels)
 
 
 def trace_with_V_top(
@@ -254,24 +204,17 @@ def ab_general(
     All four indices are subgroup-adapted labels (block shape, index inside
     the block).  Exact rationals.
     """
+    den = d * (d * d - 1)
+    if den == 0:
+        raise ParameterError(f"the second ideal needs d >= 2 (its coefficients divide by d(d^2-1)), got d = {d}")
     x = trace_with_V_sub(mu, nu, row_mu, col_mu, row_nu, col_nu, d)
     y = trace_with_V_top(mu, nu, row_mu, col_mu, row_nu, col_nu, d)
-    return _ab_from_traces(x, y, d, (mu, nu, row_mu, col_mu, row_nu, col_nu))
-
-
-def ab_fixed(mup: Partition, nup: Partition, alphap: Partition, beta: Partition, d: int) -> ABCoefficients:
-    """Fixed-interior coefficients a^{mu'nu'}(alpha', beta), b^{mu'nu'}(alpha', beta)."""
-    m1, m2 = multiplicity(mup, d), multiplicity(nup, d)
-    y = Fraction(m1) if mup == nup else Fraction(0)
-    x = Fraction(0)
-    if alphap == beta and m1 * m2 != 0:
-        x = Fraction(m1 * m2, multiplicity(alphap, d))
-    return _ab_from_traces(x, y, d, (mup, nup, alphap, beta))
+    return ABCoefficients(Fraction(d * y - x, den), Fraction(d * x - y, den))
 
 
 def b_entry(mu: Partition, nu: Partition, alpha: Partition, alphap: Partition, d: int) -> Fraction:
-    """One entry of the coefficient matrix B^{mu nu}."""
-    return ab_fixed(mu, nu, alpha, alphap, d).b
+    """One entry of the coefficient matrix B^{mu nu}: b at the first indices of blocks alpha, alpha'."""
+    return ab_general(mu, nu, (alpha, 1), (alphap, 1), (alpha, 1), (alphap, 1), d).b
 
 
 # ----------------------------------------------------------------------------
@@ -302,7 +245,7 @@ class BMatrix:
         return len(self.alphas)
 
     def determinant(self) -> Fraction:
-        return fraction_determinant([list(r) for r in self.entries])
+        return fraction_rank_det(self.entries)[1]
 
     def entry_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
@@ -339,7 +282,7 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
     else:
         vals = np.diag(dense).copy()
         u = np.eye(k)
-    nullity = k - fraction_matrix_rank([list(r) for r in entries])
+    nullity = k - fraction_rank_det(entries)[0]
     top = float(np.max(np.abs(vals))) if k else 0.0
     zero_modes = (
         tuple(b + 1 for b in range(k) if abs(vals[b]) <= ZERO_MODE_RTOL * max(top, 1e-300))

@@ -145,48 +145,26 @@ def jacobi_eigh(a: np.ndarray, sweep_tol: float = 1e-14, max_sweeps: int = 60):
     return vals, v
 
 
-def fraction_matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, n_rows):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == n_rows:
-            break
-    return rank
-
-
-def fraction_determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant over the rationals."""
+def fraction_rank_det(rows) -> tuple[int, Fraction]:
+    """Exact rank and determinant of a square rational matrix, by one Gaussian elimination."""
     m = [list(r) for r in rows]
     k = len(m)
     if any(len(r) != k for r in m):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
+        raise ValueError("rank and determinant need a square matrix")
+    rank, det = 0, Fraction(1)
     for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
+        pivot = next((r for r in range(rank, k) if m[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
             det = -det
-        pv = m[col][col]
+        pv = m[rank][col]
         det *= pv
-        for r in range(col + 1, k):
+        for r in range(rank + 1, k):
             if m[r][col] != 0:
                 f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank, det

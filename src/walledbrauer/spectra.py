@@ -9,13 +9,14 @@ are exposed through :func:`spectrum_table`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .ideal_units import B_matrix
 from .partitions import (
     Partition,
@@ -24,22 +25,36 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import Permutation, enumerate_group
-from .tensorspace import DenseOperator, V_generator, _frozen, permutation_operator
+from .tensorspace import DenseOperator, V_generator, _frozen, permutation_index
 
 BIN_TOL = 1e-6
+
+# The twirl keeps (p!)^2 int64 index maps of d^(2p) entries each.  2^26
+# entries (512 MiB) admit the brute-force oracles at (3,4), (4,3) and (5,2),
+# and refuse (6,2), whose maps alone would need 720^2 * 4096 * 8 B = 17 GB
+# although d^(2p) = 4096 passes the dimension guard.
+MAX_TWIRL_ENTRIES = 2**26
 
 
 @lru_cache(maxsize=None)
 def _pair_index_maps(p: int, d: int) -> tuple[np.ndarray, ...]:
-    """Index permutations of V_{s1} (x) V_{s2} for all (s1, s2), as one array."""
+    """Index permutations of V_{s1} (x) V_{s2} for all (s1, s2).
+
+    Row a of V_tau holds its 1 where column a of V_{tau^-1} = V_tau^T does,
+    so the map of tau is ``permutation_index(tau^-1)``.
+    """
+    entries = math.factorial(p) ** 2 * d ** (2 * p)
+    if entries > MAX_TWIRL_ENTRIES:
+        raise ResourceLimitError(
+            f"the twirl at (p,d)=({p},{d}) needs (p!)^2 d^(2p) = {entries} index entries, "
+            f"above the bound {MAX_TWIRL_ENTRIES}"
+        )
     group = enumerate_group(p)
-    maps = []
-    for s1 in group:
-        for s2 in group:
-            tau = Permutation(tuple(list(s1.images) + [p + v for v in s2.images]))
-            m = permutation_operator(tau, d, 2 * p).matrix
-            maps.append(np.argmax(m, axis=1))  # row a carries a 1 at column tau^-1(a)
-    return tuple(maps)
+    return tuple(
+        permutation_index(Permutation(tuple(list(s1.images) + [p + v for v in s2.images])).inverse(), d, 2 * p)
+        for s1 in group
+        for s2 in group
+    )
 
 
 def twirl(x: DenseOperator) -> DenseOperator:
@@ -59,6 +74,7 @@ def rho(level: int, p: int, d: int) -> DenseOperator:
     """The twirled ideal generator twirl(V^(level)) on 2p registers."""
     if not 0 <= level <= p:
         raise ValueError(f"need 0 <= level <= p, got {level}")
+    _pair_index_maps(p, d)  # the twirl's guard, before the dense generator is built
     out = twirl(V_generator(p, level, d))
     _frozen(out.matrix)
     return out

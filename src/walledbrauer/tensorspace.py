@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError
+from .lowrank import FactoredOperator
 from .symgroup import Permutation, transposition
 
 MAX_HILBERT_DIM = 2**14
@@ -114,16 +115,21 @@ def _digit_table(d: int, n: int) -> np.ndarray:
     return np.asarray(np.unravel_index(np.arange(dim), (d,) * n), dtype=np.int64)
 
 
-def permutation_operator(sigma: Permutation, d: int, n: int) -> DenseOperator:
-    """The 0/1 matrix sending |v_1 .. v_n> to |v_{sigma^-1(1)} .. v_{sigma^-1(n)}>."""
+def permutation_index(sigma: Permutation, d: int, n: int) -> np.ndarray:
+    """Row of the single 1 in each column of ``permutation_operator(sigma, d, n)``."""
     if sigma.degree != n:
         raise ValueError(f"permutation degree {sigma.degree} != n = {n}")
-    dim = _check_dim(d, n)
+    _check_dim(d, n)
     digs = _digit_table(d, n)
     inv = sigma.inverse()
-    rows = np.ravel_multi_index(tuple(digs[inv(i) - 1] for i in range(1, n + 1)), (d,) * n)
-    m = np.zeros((dim, dim))
-    m[rows, np.arange(dim)] = 1.0
+    return np.ravel_multi_index(tuple(digs[inv(i) - 1] for i in range(1, n + 1)), (d,) * n)
+
+
+def permutation_operator(sigma: Permutation, d: int, n: int) -> DenseOperator:
+    """The 0/1 matrix sending |v_1 .. v_n> to |v_{sigma^-1(1)} .. v_{sigma^-1(n)}>."""
+    rows = permutation_index(sigma, d, n)
+    m = np.zeros((rows.size, rows.size))
+    m[rows, np.arange(rows.size)] = 1.0
     return DenseOperator(d, n, m)
 
 
@@ -219,6 +225,43 @@ def V_generator(p: int, k: int, d: int) -> DenseOperator:
     return partial_transpose(base, range(p + 1, p + k + 1))
 
 
+@lru_cache(maxsize=None)
+def factored_V(p: int, k: int, d: int) -> FactoredOperator:
+    """V^(k) on 2p registers as L L^T, a sum of d^(2(p-k)) rank-one 0/1 projectors.
+
+    Column c of L is the indicator of the basis states whose k paired
+    registers agree and whose free registers (1..p-k, p+k+1..2p) spell c.
+    """
+    if not 0 <= k <= p:
+        raise ValueError(f"need 0 <= k <= p, got k={k}")
+    dim = _check_dim(d, 2 * p)
+    digs = _digit_table(d, 2 * p)
+    paired = np.ones(dim, dtype=bool)
+    for j in range(1, k + 1):
+        paired &= digs[p - j] == digs[p + j - 1]
+    free = [r for r in range(1, p - k + 1)] + [r for r in range(p + k + 1, 2 * p + 1)]
+    n_free = len(free)
+    cols = np.zeros(dim, dtype=np.int64)
+    for reg in free:
+        cols = cols * d + digs[reg - 1]
+    L = np.zeros((dim, d**n_free))
+    idx = np.flatnonzero(paired)
+    L[idx, cols[idx]] = 1.0
+    _frozen(L)
+    return FactoredOperator(L, L.T)
+
+
+def _apply_pair(a: np.ndarray | None, b: np.ndarray | None, block: np.ndarray, d: int, p: int) -> np.ndarray:
+    """(a (x) b) applied to columns of ``block``, a on registers 1..p, b on p+1..2p."""
+    dp = d**p
+    out = block.reshape(dp, dp, -1)
+    if a is not None:
+        out = np.einsum("xy,yzk->xzk", a, out)
+    if b is not None:
+        out = np.einsum("zw,xwk->xzk", b, out)
+    return out.reshape(dp * dp, -1)
+
+
 def V_outer_pair(p: int, d: int) -> DenseOperator:
     """The two-register ideal generator placed on the outermost pair (1, 2p).
 
@@ -239,14 +282,23 @@ def bell_projector(d: int) -> DenseOperator:
 
 
 def sandwich_reduce(x: DenseOperator) -> DenseOperator:
-    """Reduce a 2p-register operator to the 2-register core of its V^(p-1) sandwich.
+    """The sandwich core K = L^T X L of a 2p-register operator, on registers (1, 2p).
 
-    Returns Xt = tr_{2..p, p+1..2p-1}(X V^(p-1)), which satisfies
-    V^(p-1) X V^(p-1) = Xt (x) V^(p-1) with Xt on registers (1, 2p).
+    With V^(p-1) = L L^T from :func:`factored_V` and phi = vec(1_d), these
+    facts are exact:
+
+    * L^T L = d^(p-1) 1;
+    * L phi = factored_V(p, p, d).L, so V^(p) = L phi phi^T L^T;
+    * every row of L holds at most one 1, and every column at least one.
+
+    Hence V^(p-1) X V^(p-1) = L K L^T = (K (x) 1) V^(p-1), tr(X V^(p-1)) =
+    tr K and tr(X V^(p)) = phi^T K phi, and for any scalars a, b the
+    operator V^(p-1) X V^(p-1) - a V^(p) - b V^(p-1) = L (K - a phi phi^T -
+    b 1) L^T has exactly the entries of the d^2 x d^2 matrix in brackets
+    (each at least once, plus zeros), so both share their largest absolute
+    entry.
     """
     if x.n % 2 != 0:
         raise ValueError("operator must act on 2p registers")
-    p = x.n // 2
-    v = V_generator(p, p - 1, x.d)
-    middle = list(range(2, p + 1)) + list(range(p + 1, 2 * p))
-    return partial_trace(x @ v, middle)
+    L = factored_V(x.n // 2, x.n // 2 - 1, x.d).L
+    return DenseOperator(x.d, 2, L.T @ x.matrix @ L)

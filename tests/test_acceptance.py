@@ -8,20 +8,18 @@ from fractions import Fraction
 import numpy as np
 from click.testing import CliRunner
 
-from walledbrauer.checks import suite_composition
+from walledbrauer.checks import suite_coefficients, suite_composition
 from walledbrauer.cli import main as cli_main
 from walledbrauer.ideal_units import (
     B_matrix,
     G_sub,
     G_top,
-    ab_general,
     decompose_Vpm1,
     singularity_condition,
     sub_row_labels,
     top_row_labels,
 )
 from walledbrauer.lowrank import FactoredOperator
-from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
 from walledbrauer.partitions import (
     count_semistandard_tableaux,
     dim_irrep,
@@ -34,8 +32,6 @@ from walledbrauer.partitions import (
 from walledbrauer.spectra import analytic_overlaps, rho, spectrum_table
 from walledbrauer.symgroup import (
     enumerate_group,
-    prir_map,
-    prir_position,
     restriction_block_check,
     transposition,
     young_orthogonal_rep,
@@ -149,50 +145,13 @@ def test_criterion_3_composition_suites():
 
 
 def test_criterion_4_coefficient_identities():
-    p, d = 3, 3
     ok = True
-    for mu in schur_weyl_partitions(p, d):
-        for nu in schur_weyl_partitions(p, d):
-            for rm in prir_map(mu):
-                for cm in prir_map(mu):
-                    for rn in prir_map(nu):
-                        for cn in prir_map(nu):
-                            ab = ab_general(
-                                mu, nu,
-                                (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha),
-                                (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d,
-                            )
-                            same = (
-                                mu == nu
-                                and (rm.alpha, rm.i_alpha) == (rn.alpha, rn.i_alpha)
-                                and (cm.alpha, cm.i_alpha) == (cn.alpha, cn.i_alpha)
-                            )
-                            expected = Fraction(multiplicity(mu, d), d) if same else Fraction(0)
-                            ok &= ab.identity_value(d) == expected
-    rng = np.random.default_rng(123)
-    vpm1 = V_generator(p, p - 1, d).matrix
-    vp = V_generator(p, p, d).matrix
-    shapes = schur_weyl_partitions(p, d)
-    worst = 0.0
-    for _ in range(50):
-        mu = shapes[rng.integers(len(shapes))]
-        nu = shapes[rng.integers(len(shapes))]
-        pm_mu, pm_nu = prir_map(mu), prir_map(nu)
-        rm, cm = pm_mu[rng.integers(len(pm_mu))], pm_mu[rng.integers(len(pm_mu))]
-        rn, cn = pm_nu[rng.integers(len(pm_nu))], pm_nu[rng.integers(len(pm_nu))]
-        x = np.kron(
-            left_side_matrix(mu, prir_position(mu, rm.alpha, rm.i_alpha), prir_position(mu, cm.alpha, cm.i_alpha), d),
-            right_side_matrix(nu, prir_position(nu, rn.alpha, rn.i_alpha), prir_position(nu, cn.alpha, cn.i_alpha), d),
-        )
-        ab = ab_general(
-            mu, nu,
-            (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha),
-            (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d,
-        )
-        residual = np.max(np.abs(vpm1 @ x @ vpm1 - float(ab.a) * vp - float(ab.b) * vpm1))
-        worst = max(worst, float(residual))
-    ok &= worst <= 1e-10
-    report("criterion 4 (coefficient identities)", ok, f"sandwich worst {worst:.2e}")
+    details = []
+    for p, d in ((2, 2), (2, 3), (3, 3)):
+        results = suite_coefficients(p, d)
+        ok &= len(results) == 3 and all(r.passed for r in results)
+        details.append(f"({p},{d}): " + ", ".join(f"{r.name} {r.residual:.2e}" for r in results))
+    report("criterion 4 (coefficient identities)", ok, "; ".join(details))
 
 
 def test_criterion_5_generator_decompositions():

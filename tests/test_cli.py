@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from walledbrauer.cli import main
@@ -83,8 +84,15 @@ def test_spectrum_analytic_level_guard():
 
 
 def test_undefined_parameters_are_usage_errors():
-    # the second ideal's coefficients divide by d(d^2-1); the analytic spectrum needs p >= 2
-    for args in (["--p", "2", "--d", "1", "bmatrix", "--mu", "2"], ["--p", "1", "--d", "2", "spectrum"]):
+    # the second ideal's coefficients divide by d(d^2-1); the analytic spectrum and the
+    # second-ideal suites need p >= 2; a suite name must exist
+    for args in (
+        ["--p", "2", "--d", "1", "bmatrix", "--mu", "2"],
+        ["--p", "1", "--d", "2", "spectrum"],
+        ["--p", "1", "--d", "2", "verify", "--suite", "composition"],
+        ["--p", "2", "--d", "2", "verify", "--suite", "nosuch"],
+        ["--p", "2", "--d", "1", "verify"],
+    ):
         result = run(args)
         assert result.exit_code == 2, args
         assert result.stdout == ""
@@ -94,6 +102,20 @@ def test_undefined_parameters_are_usage_errors():
 def test_resource_guard_exit_code():
     result = run(["--p", "5", "--d", "4", "spectrum", "--method", "brute"])
     assert result.exit_code == 3
+
+
+def test_twirl_guard_exit_code():
+    # d^(2p) = 4096 passes the dimension guard, but the (6!)^2 index maps would not fit
+    result = run(["--p", "6", "--d", "2", "spectrum", "--method", "brute"])
+    assert result.exit_code == 3
+    assert result.stdout == "" and len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("p,d", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_verify_sweep_keeps_the_cli_contract(p, d):
+    result = run(["--p", str(p), "--d", str(d), "verify"])
+    assert result.exit_code in (0, 2)
+    assert len(result.stderr.strip().splitlines()) <= 1 and "Traceback" not in result.stderr
 
 
 def test_units_listing_and_mm_dump():

@@ -12,11 +12,9 @@ from walledbrauer.ideal_units import (
     G_sub,
     G_top,
     H_operator,
-    ab_fixed,
     ab_general,
     b_entry,
     decompose_Vpm1,
-    factored_V,
     reduce_singular_basis,
     singularity_condition,
     sub_row_labels,
@@ -38,7 +36,7 @@ from walledbrauer.partitions import (
 )
 from walledbrauer.spectra import rho
 from walledbrauer.symgroup import prir_map, prir_position
-from walledbrauer.tensorspace import V_generator
+from walledbrauer.tensorspace import V_generator, _apply_pair, factored_V
 
 rng = np.random.default_rng(99)
 
@@ -180,7 +178,8 @@ def test_ab_identity_exact():
 
 def test_b_entry_fixture():
     assert b_entry(partition(2, 1), partition(2, 1), partition(1, 1), partition(1, 1), 3) == Fraction(7, 3)
-    ab = ab_fixed(partition(2, 1), partition(2, 1), partition(1, 1), partition(1, 1), 3)
+    first = (partition(1, 1), 1)
+    ab = ab_general(partition(2, 1), partition(2, 1), first, first, first, first, 3)
     assert ab.a * 3 + ab.b == Fraction(8, 3)
 
 
@@ -210,6 +209,20 @@ def test_trace_rules_exhaustive(p, d):
                             )
                             assert abs(vp.trace_against_dense(x) - float(trace_with_V_top(*args))) <= 1e-10
                             assert abs(vpm1.trace_against_dense(x) - float(trace_with_V_sub(*args))) <= 1e-10
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
+def test_sandwich_core_reassembles_the_dense_sandwich(p, d):
+    """L K L^T, with the core K = L^T (A (x) B) L that suite_coefficients reads, is V^(p-1) (A (x) B) V^(p-1)."""
+    L = factored_V(p, p - 1, d).L
+    vpm1 = V_generator(p, p - 1, d).matrix
+    for mu, nu in itertools.product(schur_weyl_partitions(p, d), repeat=2):
+        for rm, cm, rn, cn in itertools.product(range(1, dim_irrep(mu) + 1), range(1, dim_irrep(mu) + 1),
+                                                range(1, dim_irrep(nu) + 1), range(1, dim_irrep(nu) + 1)):
+            a_mat, b_mat = left_side_matrix(mu, rm, cm, d), right_side_matrix(nu, rn, cn, d)
+            core = L.T @ _apply_pair(a_mat, b_mat, L, d, p)
+            dense = vpm1 @ np.kron(a_mat, b_mat) @ vpm1
+            assert np.max(np.abs(L @ core @ L.T - dense)) <= 1e-12
 
 
 def test_sandwich_decomposition_least_squares_oracle():
@@ -532,7 +545,7 @@ def test_composition_relations_top_sub_mixed():
                 k2, l2 = rand_idx(m2), rand_idx(n2)
                 f1 = F_sub(mu, nu, mt, nt, i, j, k, l, alpha, beta, p, d)
                 f2 = F_sub(mt, nt, m2, n2, k, l, k2, l2, beta, beta2, p, d)
-                ab = ab_fixed(mt, nt, beta, beta, d)
+                ab = ab_general(mt, nt, (beta, 1), (beta, 1), (beta, 1), (beta, 1), d)
                 expected = float(ab.b) * F_sub(mu, nu, m2, n2, i, j, k2, l2, alpha, beta2, p, d).op
                 if mu == nu and m2 == n2:
                     expected = expected + float(ab.a) * F_top(mu, i, j, m2, k2, l2, p, d).op

@@ -5,12 +5,7 @@ import pytest
 
 from walledbrauer.errors import SemisimplicityError
 from walledbrauer.ideal_units import B_matrix, reduce_singular_basis
-from walledbrauer.lowrank import (
-    FactoredOperator,
-    fraction_determinant,
-    fraction_matrix_rank,
-    jacobi_eigh,
-)
+from walledbrauer.lowrank import FactoredOperator, fraction_rank_det, jacobi_eigh
 from walledbrauer.partitions import partition
 
 rng = np.random.default_rng(404)
@@ -73,12 +68,18 @@ def test_exact_rank_and_determinant_against_reference():
         for _ in range(10):
             ints = rng.integers(-4, 5, size=(k, k))
             rows = [[Fraction(int(v)) for v in row] for row in ints]
-            assert fraction_matrix_rank(rows) == np.linalg.matrix_rank(ints.astype(float))
-            det = fraction_determinant(rows)
+            rank, det = fraction_rank_det(rows)
+            assert rank == np.linalg.matrix_rank(ints.astype(float))
             assert abs(float(det) - np.linalg.det(ints.astype(float))) <= 1e-6
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert fraction_matrix_rank(singular) == 1
-    assert fraction_determinant(singular) == 0
+    assert fraction_rank_det(singular) == (1, 0)
+    # a zero pivot column before a full one: rank 2, determinant 0, and one row swap gives -2
+    assert fraction_rank_det([[Fraction(0), Fraction(1), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)],
+                              [Fraction(0), Fraction(0), Fraction(0)]]) == (2, 0)
+    assert fraction_rank_det([[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]]) == (2, -2)
+    assert fraction_rank_det([]) == (0, 1)
+    with pytest.raises(ValueError):
+        fraction_rank_det([[Fraction(1), Fraction(2)]])
 
 
 def test_reduction_raises_when_zero_mode_does_not_vanish():

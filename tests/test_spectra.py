@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from walledbrauer.errors import ResourceLimitError
 from walledbrauer.ideal_units import G_sub, G_top, sub_row_labels, top_row_labels
 from walledbrauer.partitions import dim_irrep, partition, schur_weyl_partitions
 from walledbrauer.spectra import (
+    _pair_index_maps,
     analytic_overlaps,
     rho,
     spectrum_table,
@@ -190,3 +192,11 @@ def test_kernel_accounting():
     table = spectrum_table(3, 3, 3, "analytic")
     assert table.total_multiplicity() == sum(dim_irrep(mu) ** 2 for mu in schur_weyl_partitions(3, 3))
     assert table.kernel_dim == 729 - table.total_multiplicity()
+
+
+def test_twirl_guard_refuses_before_allocating():
+    # (6!)^2 maps of 4096 entries: 17 GB, although d^(2p) passes the dimension guard
+    with pytest.raises(ResourceLimitError):
+        _pair_index_maps(6, 2)
+    with pytest.raises(ResourceLimitError):
+        rho(5, 6, 2)

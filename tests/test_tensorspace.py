@@ -9,8 +9,10 @@ from walledbrauer.tensorspace import (
     V_outer_pair,
     bell_projector,
     embed_operator,
+    factored_V,
     partial_trace,
     partial_transpose,
+    permutation_index,
     permutation_operator,
     register_reversal,
     sandwich_reduce,
@@ -162,3 +164,20 @@ def test_sandwich_reduce_identity_cases():
             x = DenseOperator(d, 2 * p, rng.standard_normal((d ** (2 * p), d ** (2 * p))))
             rhs = embed_operator(sandwich_reduce(x), [1, 2 * p], 2 * p) @ v
             assert (v @ x @ v).distance(rhs) <= 1e-9
+
+
+@pytest.mark.parametrize("p,d", [(1, 2), (2, 2), (2, 3), (3, 3)])
+def test_factored_V_sub_facts_behind_the_sandwich_core(p, d):
+    L = factored_V(p, p - 1, d).L
+    phi = np.eye(d).ravel()
+    assert np.array_equal(L.T @ L, d ** (p - 1) * np.eye(d * d))
+    assert np.array_equal(L @ phi, factored_V(p, p, d).L[:, 0])
+    assert L.sum(axis=1).max() <= 1 and L.sum(axis=0).min() >= 1
+
+
+def test_permutation_index_is_the_operator_support():
+    for sigma in enumerate_group(3):
+        for d in (2, 3):
+            rows = permutation_index(sigma, d, 3)
+            m = permutation_operator(sigma, d, 3).matrix
+            assert np.array_equal(np.argmax(m, axis=0), rows)
