@@ -575,15 +575,16 @@ NEEDS_SECOND_IDEAL = {"coefficients", "composition", "generators", "eigenoperato
 
 
 def run_suite(name: str, p: int, d: int, tol: float | None = None) -> list[CheckResult]:
+    second_ideal = p >= 2 and d >= 2  # V^(p-1) needs a pair; its coefficients divide by d(d^2-1)
     if name == "all":
         results = []
         for key in SUITES:
-            if key in NEEDS_SECOND_IDEAL and p < 2:
+            if key in NEEDS_SECOND_IDEAL and not second_ideal:
                 continue
             results.extend(SUITES[key](p, d, tol))
         return results
     if name not in SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    if name in NEEDS_SECOND_IDEAL and p < 2:
-        raise ParameterError(f"suite {name!r} needs p >= 2")
+    if name in NEEDS_SECOND_IDEAL and not second_ideal:
+        raise ParameterError(f"suite {name!r} needs the second ideal, defined for p >= 2 and d >= 2")
     return SUITES[name](p, d, tol)

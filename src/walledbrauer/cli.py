@@ -45,7 +45,7 @@ def parse_partition(text: str) -> Partition:
     try:
         return Partition(tuple(int(v) for v in text.replace(" ", "").split(",")))
     except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
+        raise ParameterError(f"invalid shape {text!r}: {exc}") from exc
 
 
 def emit_json(doc: dict):
@@ -103,10 +103,11 @@ def guarded(fn):
 )
 @click.option("--tol", type=float, default=None, help="override verification tolerances")
 @click.pass_context
+@guarded
 def main(ctx, p, d, fmt, tol):
     """Matrix units of partially transposed permutation operators and their twirled spectra."""
     if p < 1 or d < 1:
-        raise click.UsageError("p and d must be positive")
+        raise ParameterError("p and d must be positive")
     ctx.obj = RunConfig(p, d, fmt, tol)
 
 
@@ -149,7 +150,7 @@ def bmatrix(cfg: RunConfig, mu, nu):
     mu_p = parse_partition(mu)
     nu_p = parse_partition(nu) if nu else mu_p
     if mu_p.total != cfg.p or nu_p.total != cfg.p:
-        raise click.UsageError(f"shapes must be partitions of p = {cfg.p}")
+        raise ParameterError(f"shapes must be partitions of p = {cfg.p}")
     b = B_matrix(mu_p, nu_p, cfg.d)
     det = b.determinant()
     doc = {
@@ -268,9 +269,7 @@ def spectrum(cfg: RunConfig, level, method, fig7):
     if level is None:
         level = p - 1
     if not 0 <= level <= p:
-        raise click.UsageError(f"level must lie in 0..{p}")
-    if method == "analytic" and level not in (p, p - 1):
-        raise click.UsageError("analytic method covers level in {p, p-1}; use --method brute")
+        raise ParameterError(f"level must lie in 0..{p}")
     table = spectrum_table(p, d, level, method)
     if fig7 and (level == p or (p >= 2 and level == p - 1)):
         click.echo(_fig_layout(p, d, level))

@@ -29,44 +29,41 @@ from .tensorspace import DenseOperator, V_generator, _frozen, permutation_index
 
 BIN_TOL = 1e-6
 
-# The twirl keeps (p!)^2 int64 index maps of d^(2p) entries each.  2^26
-# entries (512 MiB) admit the brute-force oracles at (3,4), (4,3) and (5,2),
-# and refuse (6,2), whose maps alone would need 720^2 * 4096 * 8 B = 17 GB
-# although d^(2p) = 4096 passes the dimension guard.
+# The twirl scatters each nonzero of X once per (s1, s2): (p!)^2 nnz(X) entries,
+# with nnz(V^(k)) = d^(2p).  2^26 admit the brute-force oracles at (3,4), (4,3)
+# and (5,2) (1.5e7 entries, about 2 s), and refuse (6,2), which would scatter
+# 720^2 * 4096 = 2.1e9 although d^(2p) = 4096 passes the dimension guard.
 MAX_TWIRL_ENTRIES = 2**26
 
 
-@lru_cache(maxsize=None)
-def _pair_index_maps(p: int, d: int) -> tuple[np.ndarray, ...]:
-    """Index permutations of V_{s1} (x) V_{s2} for all (s1, s2).
-
-    Row a of V_tau holds its 1 where column a of V_{tau^-1} = V_tau^T does,
-    so the map of tau is ``permutation_index(tau^-1)``.
-    """
-    entries = math.factorial(p) ** 2 * d ** (2 * p)
+def _check_twirl_work(p: int, d: int, nnz: int) -> None:
+    entries = math.factorial(p) ** 2 * nnz
     if entries > MAX_TWIRL_ENTRIES:
         raise ResourceLimitError(
-            f"the twirl at (p,d)=({p},{d}) needs (p!)^2 d^(2p) = {entries} index entries, "
+            f"the twirl at (p,d)=({p},{d}) scatters (p!)^2 nnz = {entries} entries, "
             f"above the bound {MAX_TWIRL_ENTRIES}"
         )
-    group = enumerate_group(p)
-    return tuple(
-        permutation_index(Permutation(tuple(list(s1.images) + [p + v for v in s2.images])).inverse(), d, 2 * p)
-        for s1 in group
-        for s2 in group
-    )
 
 
 def twirl(x: DenseOperator) -> DenseOperator:
-    """Average of (V_s1 (x) V_s2) X (V_s1 (x) V_s2)^-1 over S_p x S_p."""
+    """Average of (V_s1 (x) V_s2) X (V_s1 (x) V_s2)^-1 over S_p x S_p.
+
+    Conjugation by V_tau moves entry (r, c) to (idx[r], idx[c]), idx = permutation_index(tau).
+    """
     if x.n % 2 != 0:
         raise ValueError("twirl needs an operator on 2p registers")
-    p = x.n // 2
-    acc = np.zeros_like(x.matrix)
-    maps = _pair_index_maps(p, x.d)
-    for idx in maps:
-        acc += x.matrix[np.ix_(idx, idx)]
-    return DenseOperator(x.d, x.n, acc / len(maps))
+    p, dim = x.n // 2, x.dim
+    rows, cols = np.nonzero(x.matrix)
+    _check_twirl_work(p, x.d, rows.size)
+    vals = x.matrix[rows, cols]
+    acc = np.zeros(dim * dim, dtype=x.matrix.dtype)
+    group = enumerate_group(p)
+    for s1 in group:
+        for s2 in group:
+            idx = permutation_index(Permutation(s1.images + tuple(p + v for v in s2.images)), x.d, x.n)
+            np.add.at(acc, idx[rows] * dim + idx[cols], vals)
+    acc /= len(group) ** 2
+    return DenseOperator(x.d, x.n, acc.reshape(dim, dim))
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +71,7 @@ def rho(level: int, p: int, d: int) -> DenseOperator:
     """The twirled ideal generator twirl(V^(level)) on 2p registers."""
     if not 0 <= level <= p:
         raise ValueError(f"need 0 <= level <= p, got {level}")
-    _pair_index_maps(p, d)  # the twirl's guard, before the dense generator is built
+    _check_twirl_work(p, d, d ** (2 * p))  # nnz(V^(level)), before the dense generator is built
     out = twirl(V_generator(p, level, d))
     _frozen(out.matrix)
     return out
@@ -155,13 +152,13 @@ class OverlapRecord:
     nu: Partition
     interior: int | None  # eigenmode label beta of B^{mu nu}, 1-based
     overlap: float  # tr(rho G) per diagonal unit
-    unit_trace: float
+    unit_trace: int  # 1 for the rank-one top units, d^2 - 1 for the second ideal's
     eigenvalue: float
     unit_count: int
 
     @property
     def eigen_multiplicity(self) -> int:
-        return int(round(self.unit_count * self.unit_trace))
+        return self.unit_count * self.unit_trace
 
 
 def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
@@ -177,11 +174,11 @@ def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
     for mu in schur_weyl_partitions(p, d):
         m, dm = multiplicity(mu, d), dim_irrep(mu)
         records.append(
-            OverlapRecord(p, p, mu, mu, None, m / dm, 1.0, m / dm, dm * dm)
+            OverlapRecord(p, p, mu, mu, None, m / dm, 1, m / dm, dm * dm)
         )
         if p >= 2:
             records.append(
-                OverlapRecord(p - 1, p, mu, mu, None, m / (d * dm), 1.0, m / (d * dm), dm * dm)
+                OverlapRecord(p - 1, p, mu, mu, None, m / (d * dm), 1, m / (d * dm), dm * dm)
             )
     if p >= 2:
         shapes = schur_weyl_partitions(p, d)
@@ -200,7 +197,7 @@ def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
                 diag = b.diagonalizer @ t_h @ b.diagonalizer.T
                 for beta in b.kept_modes():
                     overlap = diag[beta - 1, beta - 1] / (d * b.eigenvalues[beta - 1])
-                    trace = float(d * d - 1)
+                    trace = d * d - 1
                     records.append(
                         OverlapRecord(
                             p - 1,

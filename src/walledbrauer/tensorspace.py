@@ -107,12 +107,13 @@ class DenseOperator:
         return self.distance(other) <= tol
 
 
+@lru_cache(maxsize=None)
 def _digit_table(d: int, n: int) -> np.ndarray:
     """(n, d^n) array: digit of each register for every basis index."""
     dim = d**n
     if n == 0:
-        return np.zeros((0, dim), dtype=np.int64)
-    return np.asarray(np.unravel_index(np.arange(dim), (d,) * n), dtype=np.int64)
+        return _frozen(np.zeros((0, dim), dtype=np.int64))
+    return _frozen(np.asarray(np.unravel_index(np.arange(dim), (d,) * n), dtype=np.int64))
 
 
 def permutation_index(sigma: Permutation, d: int, n: int) -> np.ndarray:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+from walledbrauer.checks import NEEDS_SECOND_IDEAL, SUITES
 from walledbrauer.cli import main
 
 
@@ -91,12 +93,18 @@ def test_undefined_parameters_are_usage_errors():
         ["--p", "1", "--d", "2", "spectrum"],
         ["--p", "1", "--d", "2", "verify", "--suite", "composition"],
         ["--p", "2", "--d", "2", "verify", "--suite", "nosuch"],
-        ["--p", "2", "--d", "1", "verify"],
+        ["--p", "2", "--d", "1", "verify", "--suite", "generators"],
+        ["--p", "2", "--d", "1", "verify", "--suite", "composition"],
     ):
         result = run(args)
         assert result.exit_code == 2, args
         assert result.stdout == ""
         assert len(result.stderr.strip().splitlines()) == 1 and "Traceback" not in result.stderr
+    # 'all' leaves out the suites of an undefined second ideal, at d = 1 as at p = 1
+    result = run(["--p", "2", "--d", "1", "verify"])
+    assert result.exit_code == 0 and result.stderr == ""
+    names = [c["name"] for c in json.loads(result.output)["checks"]]
+    assert names == [r.name for key in SUITES if key not in NEEDS_SECOND_IDEAL for r in SUITES[key](2, 1, None)]
 
 
 def test_resource_guard_exit_code():
@@ -105,7 +113,7 @@ def test_resource_guard_exit_code():
 
 
 def test_twirl_guard_exit_code():
-    # d^(2p) = 4096 passes the dimension guard, but the (6!)^2 index maps would not fit
+    # d^(2p) = 4096 passes the dimension guard, but the twirl would scatter 2.1e9 entries
     result = run(["--p", "6", "--d", "2", "spectrum", "--method", "brute"])
     assert result.exit_code == 3
     assert result.stdout == "" and len(result.stderr.strip().splitlines()) == 1
@@ -116,6 +124,43 @@ def test_verify_sweep_keeps_the_cli_contract(p, d):
     result = run(["--p", str(p), "--d", str(d), "verify"])
     assert result.exit_code in (0, 2)
     assert len(result.stderr.strip().splitlines()) <= 1 and "Traceback" not in result.stderr
+
+
+# past the twirl's work bound at (6,2) and (7,2), and the dimension bound at (5,4)
+GUARD_CASES = (
+    ["--p", "6", "--d", "2", "spectrum", "--method", "brute"],
+    ["--p", "7", "--d", "2", "spectrum", "--method", "brute"],
+    ["--p", "5", "--d", "4", "spectrum", "--method", "brute"],
+)
+NONPOSITIVE_CASES = (["--p", "0", "--d", "2", "dims"], ["--p", "2", "--d", "0", "units"])
+
+
+@st.composite
+def desk_command(draw):
+    p, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    command = draw(st.sampled_from(["dims", "bmatrix", "units", "spectrum", "verify"]))
+    args = ["--p", str(p), "--d", str(d), command]
+    if command == "bmatrix":
+        args += ["--mu", ",".join(map(str, draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))))]
+    elif command == "spectrum":
+        args += ["--method", draw(st.sampled_from(["analytic", "brute"])), "--level", str(draw(st.integers(0, p)))]
+    elif command == "verify":
+        args += ["--suite", draw(st.sampled_from([*SUITES, "all"]))]
+    return args
+
+
+@settings(derandomize=True, deadline=None)
+@given(args=st.one_of(desk_command(), st.sampled_from(GUARD_CASES + NONPOSITIVE_CASES)))
+def test_cli_contract_holds_on_drawn_commands(args):
+    result = run(args)
+    # CliRunner turns an escaping exception into exit code 1 and keeps it here
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert result.exit_code in (0, 1, 2, 3), args
+    assert "Traceback" not in result.stderr
+    if result.exit_code != 0:
+        assert len(result.stderr.strip().splitlines()) == 1, args
+    if args in GUARD_CASES:
+        assert result.exit_code == 3, args
 
 
 def test_units_listing_and_mm_dump():

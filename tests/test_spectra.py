@@ -5,14 +5,14 @@ from walledbrauer.errors import ResourceLimitError
 from walledbrauer.ideal_units import G_sub, G_top, sub_row_labels, top_row_labels
 from walledbrauer.partitions import dim_irrep, partition, schur_weyl_partitions
 from walledbrauer.spectra import (
-    _pair_index_maps,
     analytic_overlaps,
     rho,
     spectrum_table,
     twirl,
     twirl_trace_identity,
 )
-from walledbrauer.tensorspace import DenseOperator, V_generator
+from walledbrauer.symgroup import Permutation, enumerate_group
+from walledbrauer.tensorspace import DenseOperator, V_generator, permutation_operator
 
 rng = np.random.default_rng(31)
 
@@ -23,6 +23,28 @@ def test_twirl_identity_and_projector():
     x = DenseOperator(2, 4, rng.standard_normal((16, 16)))
     once = twirl(x)
     assert once.distance(twirl(once)) <= 1e-12
+
+
+def _dense_twirl(x: DenseOperator) -> np.ndarray:
+    """Sum over S_p x S_p of P_g X P_g^T / (p!)^2 with dense permutation matrices."""
+    p = x.n // 2
+    group = enumerate_group(p)
+    acc = np.zeros_like(x.matrix)
+    for s1 in group:
+        for s2 in group:
+            g = permutation_operator(Permutation(s1.images + tuple(p + v for v in s2.images)), x.d, x.n).matrix
+            acc += g @ x.matrix @ g.T
+    return acc / len(group) ** 2
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2)])
+def test_twirl_equals_dense_conjugation_average(p, d):
+    x = DenseOperator(d, 2 * p, np.random.default_rng(7).standard_normal((d ** (2 * p),) * 2))
+    assert np.max(np.abs(twirl(x).matrix - _dense_twirl(x))) <= 1e-12
+    for level in range(p + 1):
+        v = V_generator(p, level, d)
+        # 0/1 entries: every partial sum is an exact integer, so the averages agree bit for bit
+        assert np.array_equal(twirl(v).matrix, _dense_twirl(v))
 
 
 def test_twirl_preserves_trace():
@@ -64,7 +86,7 @@ def test_twirl_trace_identity_vpm1_pair():
     assert abs(lhs - rhs) <= 1e-10
 
 
-@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2)])
 def test_analytic_matches_brute(p, d):
     for level in (p, p - 1):
         brute = spectrum_table(p, d, level, "brute")
@@ -194,9 +216,18 @@ def test_kernel_accounting():
     assert table.kernel_dim == 729 - table.total_multiplicity()
 
 
+@pytest.mark.parametrize("p,d", [(30, 3), (40, 2)])
+def test_analytic_multiplicities_are_exact(p, d):
+    # dim_irrep products pass 2^53 here, where a float multiplicity would round
+    for rec in analytic_overlaps(p, d):
+        unit_trace = 1 if rec.ideal == p else d * d - 1
+        assert rec.eigen_multiplicity == dim_irrep(rec.mu) * dim_irrep(rec.nu) * unit_trace
+
+
 def test_twirl_guard_refuses_before_allocating():
-    # (6!)^2 maps of 4096 entries: 17 GB, although d^(2p) passes the dimension guard
+    # (6!)^2 conjugates of 4096 nonzeros: 2.1e9 scattered entries, although d^(2p)
+    # passes the dimension guard
     with pytest.raises(ResourceLimitError):
-        _pair_index_maps(6, 2)
+        twirl(V_generator(6, 5, 2))
     with pytest.raises(ResourceLimitError):
         rho(5, 6, 2)
