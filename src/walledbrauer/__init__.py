@@ -41,21 +41,20 @@ from .ideal_units import (
     ABCoefficients,
     BMatrix,
     B_matrix,
-    FOperator,
     F_sub,
     F_top,
     GUnit,
     G_sub,
     G_top,
-    HOperator,
     H_operator,
     ab_general,
     decompose_Vpm1,
+    has_second_ideal,
     reduce_singular_basis,
     UnitSystem,
     singularity_condition,
     unit_system,
 )
-from .spectra import SpectrumTable, analytic_overlaps, rho, spectrum_table, twirl, twirl_trace_identity
+from .spectra import SpectrumTable, analytic_levels, analytic_overlaps, rho, spectrum_table, twirl, twirl_trace_identity
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .ideal_units import (
     H_operator,
     ab_general,
     decompose_Vpm1,
+    has_second_ideal,
     reduce_singular_basis,
     singularity_condition,
     trace_with_V_sub,
@@ -88,7 +89,7 @@ def _bool_result(name: str, ok: bool, detail: str = "") -> CheckResult:
 # ----------------------------------------------------------------------------
 
 
-def suite_partitions(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
+def suite_partitions(p: int, d: int) -> list[CheckResult]:
     bad = sum(
         1
         for q in range(1, 7)
@@ -122,8 +123,8 @@ def suite_partitions(p: int, d: int, tol: float | None = None) -> list[CheckResu
     return out
 
 
-def suite_representations(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    tol = 1e-12 if tol is None else tol
+def suite_representations(p: int, d: int) -> list[CheckResult]:
+    tol = 1e-12
     q = min(p, 4)
     worst_orth = 0.0
     worst_hom = 0.0
@@ -171,8 +172,8 @@ def suite_representations(p: int, d: int, tol: float | None = None) -> list[Chec
     return out
 
 
-def suite_tensorspace(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    tol = 1e-10 if tol is None else tol
+def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
+    tol = 1e-10
     rng = np.random.default_rng(11)
     out = []
     worst = 0.0
@@ -224,8 +225,8 @@ def suite_tensorspace(p: int, d: int, tol: float | None = None) -> list[CheckRes
     return out
 
 
-def suite_matrix_units(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    tol = 1e-10 if tol is None else tol
+def suite_matrix_units(p: int, d: int) -> list[CheckResult]:
+    tol = 1e-10
     out = []
     worst = 0.0
     for pq in (2, min(p, 3)):
@@ -288,7 +289,7 @@ def suite_matrix_units(p: int, d: int, tol: float | None = None) -> list[CheckRe
     return out
 
 
-def suite_coefficients(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
+def suite_coefficients(p: int, d: int) -> list[CheckResult]:
     """The V^(p-1) sandwich identity of every wall product X = A (x) B, on its core.
 
     One pass over the label pairs forms K = L^T X L without the dense X
@@ -297,7 +298,7 @@ def suite_coefficients(p: int, d: int, tol: float | None = None) -> list[CheckRe
     X against V^(p-1) and V^(p), and max|K - a phi phi^T - b 1| is the
     max-abs residual of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1).
     """
-    tol = 1e-10 if tol is None else tol
+    tol = 1e-10
     L = factored_V(p, p - 1, d).L
     phi = np.eye(d).ravel()
     shapes = schur_weyl_partitions(p, d)
@@ -360,8 +361,8 @@ def _composition_worst(system) -> float:
     return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
 
 
-def suite_composition(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    tol = 1e-9 if tol is None else tol
+def suite_composition(p: int, d: int) -> list[CheckResult]:
+    tol = 1e-9
     out = []
     for name, ideal in (("G_top", p), ("G_sub", p - 1)):
         system = unit_system(p, d, ideal)
@@ -369,8 +370,8 @@ def suite_composition(p: int, d: int, tol: float | None = None) -> list[CheckRes
     return out
 
 
-def suite_generators(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    tol = 1e-9 if tol is None else tol
+def suite_generators(p: int, d: int) -> list[CheckResult]:
+    tol = 1e-9
     out = []
     shapes = schur_weyl_partitions(p, d)
     acc = FactoredOperator.zero(d ** (2 * p))
@@ -382,14 +383,14 @@ def suite_generators(p: int, d: int, tol: float | None = None) -> list[CheckResu
                     acc = acc + w * G_top(mu, i, i, nu, j, j, p, d).op
     res = float(np.max(np.abs(acc.to_dense() - V_generator(p, p, d).matrix)))
     out.append(_result("V_top_from_units", res, tol))
-    rec = decompose_Vpm1(p, d)
-    out.append(_result(f"V_sub_from_H_terms_{len(rec.terms)}_terms", rec.residual, tol))
+    terms, residual = decompose_Vpm1(p, d)
+    out.append(_result(f"V_sub_from_H_terms_{terms}_terms", residual, tol))
     return out
 
 
-def suite_eigenoperators(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    trace_tol = 1e-10 if tol is None else tol
-    tol = 1e-9 if tol is None else tol
+def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
+    trace_tol = 1e-10
+    tol = 1e-9
     out = []
     rho_sub = spectra.rho(p - 1, p, d).matrix
     rho_top = spectra.rho(p, p, d).matrix
@@ -422,7 +423,7 @@ def suite_eigenoperators(p: int, d: int, tol: float | None = None) -> list[Check
     return out
 
 
-def suite_bmatrix(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
+def suite_bmatrix(p: int, d: int) -> list[CheckResult]:
     out = []
     b = B_matrix(Partition((2, 1)), Partition((2, 1)), 3)
     fixture_ok = (
@@ -484,8 +485,7 @@ def suite_bmatrix(p: int, d: int, tol: float | None = None) -> list[CheckResult]
     return out
 
 
-def suite_table1(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    tol = 1e-6 if tol is None else tol
+def suite_table1(p: int, d: int) -> list[CheckResult]:
     out = []
     for level in (p, p - 1):
         brute = spectra.spectrum_table(p, d, level, "brute")
@@ -493,7 +493,7 @@ def suite_table1(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
         out.append(
             _bool_result(
                 f"analytic_matches_brute_level_{level}",
-                brute.matches(analytic, tol),
+                brute.matches(analytic, 1e-6),
                 f"brute={brute.merged()}",
             )
         )
@@ -520,8 +520,8 @@ def suite_table1(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
     return out
 
 
-def suite_reduction(p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    tol = 1e-9 if tol is None else tol
+def suite_reduction(p: int, d: int) -> list[CheckResult]:
+    tol = 1e-9
     out = []
     cases = [(Partition((2, 1)), 3, 3), (Partition((1, 1, 1)), 3, 3)]
     if p == 4 or (p, d) == (3, 3):
@@ -536,7 +536,7 @@ def suite_reduction(p: int, d: int, tol: float | None = None) -> list[CheckResul
             continue
         alphas = bm.alphas
         gens = [
-            [H_operator(mu, mu, mu, mu, 1, 1, 1, 1, a, ap, pp, dd).op for ap in alphas]
+            [H_operator(mu, mu, mu, mu, 1, 1, 1, 1, a, ap, pp, dd) for ap in alphas]
             for a in alphas
         ]
         reduced = reduce_singular_basis(bm, gens)
@@ -574,17 +574,17 @@ SUITES = {
 NEEDS_SECOND_IDEAL = {"coefficients", "composition", "generators", "eigenoperators", "table1", "reduction"}
 
 
-def run_suite(name: str, p: int, d: int, tol: float | None = None) -> list[CheckResult]:
-    second_ideal = p >= 2 and d >= 2  # V^(p-1) needs a pair; its coefficients divide by d(d^2-1)
+def run_suite(name: str, p: int, d: int) -> list[CheckResult]:
+    second_ideal = has_second_ideal(p, d)
     if name == "all":
         results = []
         for key in SUITES:
             if key in NEEDS_SECOND_IDEAL and not second_ideal:
                 continue
-            results.extend(SUITES[key](p, d, tol))
+            results.extend(SUITES[key](p, d))
         return results
     if name not in SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     if name in NEEDS_SECOND_IDEAL and not second_ideal:
         raise ParameterError(f"suite {name!r} needs the second ideal, defined for p >= 2 and d >= 2")
-    return SUITES[name](p, d, tol)
+    return SUITES[name](p, d)

@@ -3,12 +3,12 @@
 All numeric JSON output is printed with 12 significant digits and sorted
 keys, so a fixed configuration produces identical bytes across runs on one
 platform.  CSV output rounds to 6 decimals.  Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 resource guard.
+verification failure, 2 usage error, 3 resource guard.  Every refusal,
+click's own included, is one line on stderr, printed by ``Refusals.main``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from .checks import SUITES, run_suite
 from .errors import ParameterError, ResourceLimitError
 from .ideal_units import B_matrix, GUnit, singularity_condition, unit_system
 from .partitions import Partition, dim_irrep, enumerate_partitions, multiplicity
-from .spectra import analytic_overlaps, spectrum_table
+from .spectra import analytic_levels, analytic_overlaps, spectrum_table
 
 SCHEMA_VERSION = 1
 
@@ -30,7 +30,6 @@ class RunConfig:
     p: int
     d: int
     fmt: str
-    tol: float | None
 
 
 def f12(x) -> float:
@@ -75,24 +74,27 @@ def emit_matrix_market(matrix: np.ndarray, comment: str = ""):
         click.echo(f"{i} {j} {f12(v):.12g}")
 
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class Refusals(click.Group):
+    """The command group, whose ``main`` turns every refusal into one stderr line and an exit code."""
+
+    def main(self, *args, **kwargs):
         try:
-            return fn(*args, **kwargs)
-        except ResourceLimitError as exc:
-            click.echo(f"resource guard: {exc}", err=True)
-            sys.exit(3)
+            sys.exit(super().main(*args, standalone_mode=False, **kwargs))
+        except click.UsageError as exc:
+            refusal, code = f"usage error: {exc.format_message()}", 2
         except ParameterError as exc:
-            click.echo(f"usage error: {exc}", err=True)
-            sys.exit(2)
+            refusal, code = f"usage error: {exc}", 2
+        except ResourceLimitError as exc:
+            refusal, code = f"resource guard: {exc}", 3
+        except click.Abort:
+            refusal, code = "Aborted!", 1
+        click.echo(refusal, err=True)
+        sys.exit(code)
 
-    return wrapper
 
-
-@click.group()
-@click.option("--p", type=int, default=3, show_default=True, help="number of registers per wall side")
-@click.option("--d", type=int, default=3, show_default=True, help="local dimension")
+@click.group(cls=Refusals, no_args_is_help=False)
+@click.option("--p", type=click.IntRange(min=1), default=3, show_default=True, help="number of registers per wall side")
+@click.option("--d", type=click.IntRange(min=1), default=3, show_default=True, help="local dimension")
 @click.option(
     "--format",
     "fmt",
@@ -101,19 +103,14 @@ def guarded(fn):
     show_default=True,
     help="output format (mm dumps operators in Matrix Market coordinate form)",
 )
-@click.option("--tol", type=float, default=None, help="override verification tolerances")
 @click.pass_context
-@guarded
-def main(ctx, p, d, fmt, tol):
+def main(ctx, p, d, fmt):
     """Matrix units of partially transposed permutation operators and their twirled spectra."""
-    if p < 1 or d < 1:
-        raise ParameterError("p and d must be positive")
-    ctx.obj = RunConfig(p, d, fmt, tol)
+    ctx.obj = RunConfig(p, d, fmt)
 
 
 @main.command()
 @click.pass_obj
-@guarded
 def dims(cfg: RunConfig):
     """Irrep dimensions and multiplicities for all shapes, with the dimension sum check."""
     rows = []
@@ -144,7 +141,6 @@ def dims(cfg: RunConfig):
 @click.option("--mu", required=True, help="row shape, e.g. 2,1")
 @click.option("--nu", default=None, help="column shape; defaults to --mu")
 @click.pass_obj
-@guarded
 def bmatrix(cfg: RunConfig, mu, nu):
     """Coefficient matrix entries, eigenvalues, diagonalizer, and singularity verdict."""
     mu_p = parse_partition(mu)
@@ -189,7 +185,6 @@ def bmatrix(cfg: RunConfig, mu, nu):
 @click.option("--ideal", type=click.Choice(["top", "sub", "both"]), default="both", show_default=True)
 @click.option("--dump", is_flag=True, help="include dense operator entries (json) or emit mm blocks")
 @click.pass_obj
-@guarded
 def units(cfg: RunConfig, ideal, dump):
     """Structured records for every constructed matrix unit at (p, d)."""
     p, d = cfg.p, cfg.d
@@ -262,7 +257,6 @@ def _fig_layout(p: int, d: int, level: int) -> str:
 @click.option("--method", type=click.Choice(["analytic", "brute"]), default="analytic", show_default=True)
 @click.option("--fig7", is_flag=True, help="print the block-diagonal unit layout as text")
 @click.pass_obj
-@guarded
 def spectrum(cfg: RunConfig, level, method, fig7):
     """Nonzero spectrum of the twirled generator rho(level)."""
     p, d = cfg.p, cfg.d
@@ -271,7 +265,7 @@ def spectrum(cfg: RunConfig, level, method, fig7):
     if not 0 <= level <= p:
         raise ParameterError(f"level must lie in 0..{p}")
     table = spectrum_table(p, d, level, method)
-    if fig7 and (level == p or (p >= 2 and level == p - 1)):
+    if fig7 and level in analytic_levels(p, d):
         click.echo(_fig_layout(p, d, level))
     rows = [
         {
@@ -312,10 +306,9 @@ def spectrum(cfg: RunConfig, level, method, fig7):
     help=f"one of {', '.join(sorted(SUITES))}, or 'all'",
 )
 @click.pass_obj
-@guarded
 def verify(cfg: RunConfig, suite):
     """Run a named invariant suite; exit 0 iff every check passes."""
-    results = run_suite(suite, cfg.p, cfg.d, cfg.tol)
+    results = run_suite(suite, cfg.p, cfg.d)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "p": cfg.p,

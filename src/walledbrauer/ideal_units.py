@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,39 +46,25 @@ from .tensorspace import _apply_pair, _check_dim, _frozen, factored_V
 ZERO_MODE_RTOL = 1e-10
 
 
+def has_second_ideal(p: int, d: int) -> bool:
+    """Whether the second-highest ideal, generated by V^(p-1), exists at (p, d).
+
+    V^(p-1) pairs p - 1 registers across the wall and leaves one pair free,
+    so it needs p >= 2; the sandwich coefficients (a, b) of the second ideal
+    divide by d(d^2 - 1), so it needs d >= 2.
+    """
+    return p >= 2 and d >= 2
+
+
 # ----------------------------------------------------------------------------
 # F operators
 
 
-@dataclass(frozen=True)
-class FOperator:
-    """A spanning operator of an ideal, with its structured labels."""
-
-    kind: str  # "top" or "sub"
-    labels: tuple[Partition, ...]
-    indices: tuple[int, ...]
-    interior: tuple[Partition, ...] | None
-    op: FactoredOperator
-    vanishing: bool
-    p: int
-    d: int
-
-    def to_dense(self) -> np.ndarray:
-        return self.op.to_dense()
-
-
-def F_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int, d: int) -> FOperator:
+def F_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int, d: int) -> FactoredOperator:
     """(E^mu_ij (x) 1) V^(p) (E^nu_{jp,ip} (x) 1), a rank-one operator."""
-    dim = _check_dim(d, 2 * p)
-    vanishing = multiplicity(mu, d) == 0 or multiplicity(nu, d) == 0
-    if vanishing:
-        op = FactoredOperator.zero(dim)
-    else:
-        v = factored_V(p, p, d)
-        left = _apply_pair(left_side_matrix(mu, i, j, d), None, v.L, d, p)
-        right = _apply_pair(left_side_matrix(nu, ip, jp, d), None, v.R.T, d, p).T
-        op = FactoredOperator(left, right)
-    return FOperator("top", (mu, nu), (i, j, ip, jp), None, op, vanishing, p, d)
+    if multiplicity(mu, d) == 0 or multiplicity(nu, d) == 0:
+        return FactoredOperator.zero(_check_dim(d, 2 * p))
+    return FactoredOperator(_top_factor(mu, i, j, p, d), _top_factor(nu, ip, jp, p, d).T)
 
 
 def F_sub(
@@ -95,37 +82,29 @@ def F_sub(
     d: int,
     interior_row: int = 1,
     interior_col: int = 1,
-) -> FOperator:
+) -> FactoredOperator:
     """(E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1) (E^mup_{c_a',ip} (x) E^nup_{c_a',jp}).
 
     The interior labels r_a = (alpha, interior_row) and c_a' =
     (alphap, interior_col) default to the first index of their blocks; the
     operator does not depend on that choice.  An alpha outside the common
-    removals of the row (or column) pair yields a labelled zero.
+    removals of the row (or column) pair yields the zero operator.
     """
     dim = _check_dim(d, 2 * p)
-    labels = (mu, nu, mup, nup)
-    ok_row = alpha in common_removals(mu, nu)
-    ok_col = alphap in common_removals(mup, nup)
-    vanishing = (
-        not ok_row
-        or not ok_col
-        or any(multiplicity(m, d) == 0 for m in labels)
-    )
-    if vanishing:
-        op = FactoredOperator.zero(dim)
-    else:
-        r = prir_position(mu, alpha, interior_row)
-        r2 = prir_position(nu, alpha, interior_row)
-        c = prir_position(mup, alphap, interior_col)
-        c2 = prir_position(nup, alphap, interior_col)
-        v = factored_V(p, p - 1, d)
-        left = _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), v.L, d, p)
-        right = _apply_pair(
-            left_side_matrix(mup, ip, c, d), right_side_matrix(nup, jp, c2, d), v.R.T, d, p
-        ).T
-        op = FactoredOperator(left, right).compress()
-    return FOperator("sub", labels, (i, j, ip, jp), (alpha, alphap), op, vanishing, p, d)
+    if (
+        alpha not in common_removals(mu, nu)
+        or alphap not in common_removals(mup, nup)
+        or any(multiplicity(m, d) == 0 for m in (mu, nu, mup, nup))
+    ):
+        return FactoredOperator.zero(dim)
+    r = prir_position(mu, alpha, interior_row)
+    r2 = prir_position(nu, alpha, interior_row)
+    c = prir_position(mup, alphap, interior_col)
+    c2 = prir_position(nup, alphap, interior_col)
+    v = factored_V(p, p - 1, d)
+    left = _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), v.L, d, p)
+    right = _apply_pair(left_side_matrix(mup, ip, c, d), right_side_matrix(nup, jp, c2, d), v.R.T, d, p).T
+    return FactoredOperator(left, right).compress()
 
 
 # ----------------------------------------------------------------------------
@@ -228,6 +207,8 @@ def singularity_condition(mu: Partition, d: int) -> bool:
 
 @dataclass(frozen=True)
 class BMatrix:
+    """The coefficient matrix B^{mu nu}: exact entries, and read-only float eigen-data."""
+
     mu: Partition
     nu: Partition
     d: int
@@ -299,25 +280,11 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
             raise ArithmeticError(f"integer condition disagrees with exact rank for {mu}, d={d}")
     else:
         singular = nullity > 0
-    return BMatrix(mu, nu, d, alphas, entries, vals, u, nullity, zero_modes, singular, vanishing)
+    return BMatrix(mu, nu, d, alphas, entries, _frozen(vals), _frozen(u), nullity, zero_modes, singular, vanishing)
 
 
 # ----------------------------------------------------------------------------
 # H operators
-
-
-@dataclass(frozen=True)
-class HOperator:
-    labels: tuple[Partition, Partition, Partition, Partition]
-    indices: tuple[int, int, int, int]
-    interior: tuple[Partition, Partition]
-    op: FactoredOperator
-    vanishing: bool
-    p: int
-    d: int
-
-    def to_dense(self) -> np.ndarray:
-        return self.op.to_dense()
 
 
 @lru_cache(maxsize=None)
@@ -334,15 +301,15 @@ def H_operator(
     alphap: Partition,
     p: int,
     d: int,
-) -> HOperator:
-    """d F_sub - F_top delta^{mu nu} delta^{mu' nu'}; spans the second ideal."""
-    fs = F_sub(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
-    op = d * fs.op
+) -> FactoredOperator:
+    """d F_sub - F_top delta^{mu nu} delta^{mu' nu'}; spans the second ideal.  Its factors are read-only."""
+    op = d * F_sub(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
     if mu == nu and mup == nup:
-        op = op - F_top(mu, i, j, mup, ip, jp, p, d).op
+        op = op - F_top(mu, i, j, mup, ip, jp, p, d)
     op = op.compress()
-    vanishing = op.rank_bound == 0 or op.frobenius_norm() <= 1e-12
-    return HOperator((mu, nu, mup, nup), (i, j, ip, jp), (alpha, alphap), op, vanishing, p, d)
+    _frozen(op.L)
+    _frozen(op.R)
+    return op
 
 
 # ----------------------------------------------------------------------------
@@ -409,8 +376,8 @@ class UnitSystem:
         return len(self.labels)
 
     @cached_property
-    def index(self) -> dict:
-        return {label: a for a, label in enumerate(self.labels)}
+    def index(self) -> MappingProxyType:
+        return MappingProxyType({label: a for a, label in enumerate(self.labels)})
 
     def _flat_bases(self) -> np.ndarray:
         """All bases side by side, dim x (n r)."""
@@ -600,8 +567,8 @@ def top_row_labels(p: int, d: int) -> list[tuple[Partition, int, int]]:
 
 
 def sub_row_labels(p: int, d: int) -> list[tuple[Partition, Partition, int, int, int]]:
-    """Composite row labels (mu, nu, i, j, beta) of the second-ideal units."""
-    if p < 2:
+    """Composite row labels (mu, nu, i, j, beta) of the second-ideal units; none without that ideal."""
+    if not has_second_ideal(p, d):
         return []
     out = []
     shapes = schur_weyl_partitions(p, d)
@@ -675,41 +642,24 @@ def reduce_singular_basis(b: BMatrix, generators, tol: float = 1e-9) -> ReducedB
 # the generator of the second ideal in the constructed basis
 
 
-@dataclass(frozen=True)
-class Vpm1Term:
-    kind: str  # "H" or "F_top"
-    coefficient: Fraction
-    alpha: Partition
-    beta: Partition
-    labels: tuple[Partition, Partition, Partition, Partition]
-    outer: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Vpm1Decomposition:
-    terms: tuple[Vpm1Term, ...]
-    residual: float
-
-
-def decompose_Vpm1(p: int, d: int) -> Vpm1Decomposition:
+def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
     """Reassemble V^(p-1) from H operators plus top-ideal units.
 
     Sums, over all pairs of one-box-smaller shapes (alpha, beta), additions
     mu, mu' of alpha and nu, nu' of beta, and inner indices, the H operator
     with matching subgroup-adapted outer labels plus the diagonal top-ideal
-    term when mu = mu' and nu = nu'.  Every term carries coefficient 1/d.
-    The reported residual compares the sum against the directly constructed
-    V^(p-1).
+    term when mu = mu' and nu = nu', every term with coefficient 1/d.
+    Returns the number of terms and the max-abs residual of the sum against
+    the directly constructed V^(p-1).
     """
     from .partitions import add_box, enumerate_partitions
     from .tensorspace import V_generator
 
-    if p < 2:
-        raise ParameterError(f"the expansion of V^(p-1) over H operators needs p >= 2, got p = {p}")
+    if not has_second_ideal(p, d):
+        raise ParameterError(f"the expansion of V^(p-1) over H operators needs the second ideal, absent at (p,d)=({p},{d})")
     dim = _check_dim(d, 2 * p)
     acc = np.zeros((dim, dim))
-    terms = []
-    weight = Fraction(1, d)
+    terms, weight = 0, 1.0 / d
     smaller = [a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0]
     for alpha in smaller:
         for beta in smaller:
@@ -726,16 +676,9 @@ def decompose_Vpm1(p: int, d: int) -> Vpm1Decomposition:
                                     c1 = prir_position(nu, beta, jb)
                                     c2 = prir_position(nup, beta, jb)
                                     h = H_operator(mu, mup, nu, nup, r1, r2, c1, c2, alpha, beta, p, d)
-                                    acc += float(weight) * h.to_dense()
-                                    terms.append(
-                                        Vpm1Term("H", weight, alpha, beta, (mu, mup, nu, nup), (ia, jb))
-                                    )
+                                    acc += weight * h.to_dense()
+                                    terms += 1
                                     if mu == mup and nu == nup:
-                                        f = F_top(mu, r1, r1, nu, c1, c1, p, d)
-                                        acc += float(weight) * f.to_dense()
-                                        terms.append(
-                                            Vpm1Term("F_top", weight, alpha, beta, (mu, mu, nu, nu), (ia, jb))
-                                        )
-    target = V_generator(p, p - 1, d).matrix
-    residual = float(np.max(np.abs(acc - target)))
-    return Vpm1Decomposition(tuple(terms), residual)
+                                        acc += weight * F_top(mu, r1, r1, nu, c1, c1, p, d).to_dense()
+                                        terms += 1
+    return terms, float(np.max(np.abs(acc - V_generator(p, p - 1, d).matrix)))

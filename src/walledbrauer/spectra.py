@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .ideal_units import B_matrix
+from .ideal_units import B_matrix, has_second_ideal
 from .partitions import (
     Partition,
     dim_irrep,
@@ -161,26 +161,33 @@ class OverlapRecord:
         return self.unit_count * self.unit_trace
 
 
+def analytic_levels(p: int, d: int) -> tuple[int, ...]:
+    """The levels whose rho the analytic path covers: p, and p - 1 where the second ideal exists."""
+    return (p, p - 1) if has_second_ideal(p, d) else (p,)
+
+
 def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
     """All nonzero analytic overlaps of rho(p) and rho(p-1) with diagonal units.
 
     Top-ideal units are rank one, so overlap and eigenvalue coincide; the
     second-ideal units have trace d^2 - 1 and the eigenvalue divides it out.
     Units of the second ideal do not appear for rho(p): that overlap is zero.
+    Without a second ideal only the rho(p) records are returned.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    second = has_second_ideal(p, d)
     records = []
     for mu in schur_weyl_partitions(p, d):
         m, dm = multiplicity(mu, d), dim_irrep(mu)
         records.append(
             OverlapRecord(p, p, mu, mu, None, m / dm, 1, m / dm, dm * dm)
         )
-        if p >= 2:
+        if second:
             records.append(
                 OverlapRecord(p - 1, p, mu, mu, None, m / (d * dm), 1, m / (d * dm), dm * dm)
             )
-    if p >= 2:
+    if second:
         shapes = schur_weyl_partitions(p, d)
         for mu in shapes:
             for nu in shapes:
@@ -266,13 +273,14 @@ class SpectrumTable:
 def spectrum_table(p: int, d: int, level: int, method: str = "analytic") -> SpectrumTable:
     """Nonzero spectrum of rho(level) on 2p registers.
 
-    The analytic path covers level in {p, p-1}; the brute path diagonalizes
-    the dense twirled operator for any 0 <= level <= p and bins eigenvalues
-    at 1e-6.
+    The analytic path covers the levels of :func:`analytic_levels`; the
+    brute path diagonalizes the dense twirled operator for any
+    0 <= level <= p and bins eigenvalues at 1e-6.
     """
     if method == "analytic":
-        if level != p and not (p >= 2 and level == p - 1):
-            raise ParameterError(f"the analytic path covers level p or p-1 with p >= 2, got p = {p}, level = {level}")
+        if level not in analytic_levels(p, d):
+            covered = "level p or p-1 with p >= 2" if d > 1 else "level p only at d = 1"
+            raise ParameterError(f"the analytic path covers {covered}, got p = {p}, level = {level}")
         rows = tuple(
             SpectrumRow(rec.eigenvalue, rec.eigen_multiplicity, rec.ideal, rec.mu, rec.nu, rec.interior)
             for rec in analytic_overlaps(p, d)

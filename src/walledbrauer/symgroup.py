@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -133,6 +134,7 @@ def _adjacent_generator(mu: Partition, k: int) -> np.ndarray:
         if swapped.is_standard():
             j = index[swapped]
             m[i, j] = math.sqrt(1.0 - 1.0 / r**2)
+    m.flags.writeable = False  # cached: no caller may change what later callers get
     return m
 
 
@@ -145,6 +147,7 @@ def young_orthogonal_rep(mu: Partition, sigma: Permutation) -> IrrepMatrix:
     m = np.eye(n)
     for k in factor_adjacent(sigma):
         m = m @ _adjacent_generator(mu, k)
+    m.flags.writeable = False  # cached, as above
     return IrrepMatrix(mu, m)
 
 
@@ -181,14 +184,14 @@ def prir_map(mu: Partition) -> tuple[PrirIndex, ...]:
 
 
 @lru_cache(maxsize=None)
-def prir_block_offsets(mu: Partition) -> dict[Partition, int]:
-    """Start offset (0-based) of each alpha block inside the basis of mu."""
+def prir_block_offsets(mu: Partition) -> MappingProxyType[Partition, int]:
+    """Start offset (0-based) of each alpha block inside the basis of mu, as a read-only mapping."""
     offsets = {}
     pos = 0
     for alpha in remove_box(mu):
         offsets[alpha] = pos
         pos += dim_irrep(alpha)
-    return offsets
+    return MappingProxyType(offsets)
 
 
 def prir_position(mu: Partition, alpha: Partition, i_alpha: int) -> int:

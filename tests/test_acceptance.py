@@ -8,26 +8,21 @@ from fractions import Fraction
 import numpy as np
 from click.testing import CliRunner
 
-from walledbrauer.checks import suite_coefficients, suite_composition
+from walledbrauer.checks import suite_coefficients, suite_composition, suite_generators, suite_partitions
 from walledbrauer.cli import main as cli_main
 from walledbrauer.ideal_units import (
     B_matrix,
     G_sub,
     G_top,
-    decompose_Vpm1,
     singularity_condition,
     sub_row_labels,
     top_row_labels,
 )
-from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.partitions import (
-    count_semistandard_tableaux,
     dim_irrep,
     enumerate_partitions,
-    enumerate_standard_tableaux,
     multiplicity,
     partition,
-    schur_weyl_partitions,
 )
 from walledbrauer.spectra import analytic_overlaps, rho, spectrum_table
 from walledbrauer.symgroup import (
@@ -36,7 +31,6 @@ from walledbrauer.symgroup import (
     transposition,
     young_orthogonal_rep,
 )
-from walledbrauer.tensorspace import V_generator
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -138,7 +132,7 @@ def test_criterion_3_composition_suites():
     ok = True
     details = []
     for p, d in ((2, 2), (2, 3), (3, 3)):
-        results = suite_composition(p, d, 1e-9)
+        results = suite_composition(p, d)
         ok &= len(results) == 2 and all(r.passed and r.tolerance == 1e-9 for r in results)
         details.append(f"({p},{d}): " + ", ".join(f"{r.name} worst {r.residual:.2e}" for r in results))
     report("criterion 3 (unit composition suites)", ok, "; ".join(details))
@@ -158,18 +152,9 @@ def test_criterion_5_generator_decompositions():
     ok = True
     details = []
     for p, d in ((2, 2), (3, 3)):
-        shapes = schur_weyl_partitions(p, d)
-        acc = FactoredOperator.zero(d ** (2 * p))
-        for mu in shapes:
-            for nu in shapes:
-                w = float(np.sqrt(multiplicity(mu, d) * multiplicity(nu, d)))
-                for i in range(1, dim_irrep(mu) + 1):
-                    for j in range(1, dim_irrep(nu) + 1):
-                        acc = acc + w * G_top(mu, i, i, nu, j, j, p, d).op
-        top_residual = float(np.max(np.abs(acc.to_dense() - V_generator(p, p, d).matrix)))
-        sub_residual = decompose_Vpm1(p, d).residual
-        ok &= top_residual <= 1e-9 and sub_residual <= 1e-9
-        details.append(f"({p},{d}): top {top_residual:.2e}, sub {sub_residual:.2e}")
+        results = suite_generators(p, d)
+        ok &= len(results) == 2 and all(r.passed and r.tolerance == 1e-9 for r in results)
+        details.append(f"({p},{d}): " + ", ".join(f"{r.name} {r.residual:.2e}" for r in results))
     report("criterion 5 (generator decompositions)", ok, "; ".join(details))
 
 
@@ -207,16 +192,9 @@ def test_criterion_6_eigen_operator_property():
 
 
 def test_criterion_7_combinatorial_oracles():
-    ok = True
-    for p in range(1, 7):
-        for mu in enumerate_partitions(p):
-            ok &= dim_irrep(mu) == len(enumerate_standard_tableaux(mu))
-    for p in range(1, 6):
-        for d in range(1, 5):
-            for mu in enumerate_partitions(p):
-                ok &= multiplicity(mu, d) == count_semistandard_tableaux(mu, d)
-            ok &= sum(dim_irrep(mu) * multiplicity(mu, d) for mu in enumerate_partitions(p)) == d**p
-    report("criterion 7 (combinatorial oracles)", ok)
+    results = suite_partitions(3, 3)
+    ok = len(results) == 4 and all(r.passed for r in results)
+    report("criterion 7 (combinatorial oracles)", ok, ", ".join(r.name for r in results))
 
 
 def test_criterion_8_representation_suite():

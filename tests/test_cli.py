@@ -104,7 +104,7 @@ def test_undefined_parameters_are_usage_errors():
     result = run(["--p", "2", "--d", "1", "verify"])
     assert result.exit_code == 0 and result.stderr == ""
     names = [c["name"] for c in json.loads(result.output)["checks"]]
-    assert names == [r.name for key in SUITES if key not in NEEDS_SECOND_IDEAL for r in SUITES[key](2, 1, None)]
+    assert names == [r.name for key in SUITES if key not in NEEDS_SECOND_IDEAL for r in SUITES[key](2, 1)]
 
 
 def test_resource_guard_exit_code():
@@ -149,9 +149,40 @@ def desk_command(draw):
     return args
 
 
+@st.composite
+def malformed_command(draw):
+    """Malformed tokens: bad values, unknown options or commands, missing ones; each a usage error."""
+    bad = draw(st.sampled_from(["abc", "1.5", "", "0x3", "-1"]))
+    return draw(
+        st.sampled_from(
+            [
+                ["--p", bad, "dims"],
+                ["--d", bad, "units"],
+                ["spectrum", "--level", bad],
+                ["--tol", "1e-3", "verify"],
+                ["--bogus", "dims"],
+                ["dims", "--bogus"],
+                ["nosuch"],
+                ["bmatrix"],
+                ["--format", "xml", "dims"],
+                ["spectrum", "--method", "exact"],
+                [],
+            ]
+        )
+    )
+
+
 @settings(derandomize=True, deadline=None)
-@given(args=st.one_of(desk_command(), st.sampled_from(GUARD_CASES + NONPOSITIVE_CASES)))
-def test_cli_contract_holds_on_drawn_commands(args):
+@given(
+    case=st.one_of(
+        desk_command().map(lambda args: (args, None)),
+        st.sampled_from(GUARD_CASES).map(lambda args: (args, 3)),
+        st.sampled_from(NONPOSITIVE_CASES).map(lambda args: (args, 2)),
+        malformed_command().map(lambda args: (args, 2)),
+    )
+)
+def test_cli_contract_holds_on_drawn_commands(case):
+    args, expected = case
     result = run(args)
     # CliRunner turns an escaping exception into exit code 1 and keeps it here
     assert result.exception is None or isinstance(result.exception, SystemExit), args
@@ -159,8 +190,46 @@ def test_cli_contract_holds_on_drawn_commands(args):
     assert "Traceback" not in result.stderr
     if result.exit_code != 0:
         assert len(result.stderr.strip().splitlines()) == 1, args
-    if args in GUARD_CASES:
-        assert result.exit_code == 3, args
+    if expected is not None:
+        assert result.exit_code == expected, args
+        assert result.stdout == "", args
+    if expected == 2:
+        assert result.stderr.startswith("usage error: "), args
+
+
+def test_help_goes_to_stdout_with_exit_0():
+    for args in (["--help"], ["spectrum", "--help"]):
+        result = run(args)
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.startswith("Usage: ")
+
+
+def test_interrupt_keeps_aborted_and_exit_1(monkeypatch):
+    def interrupted(p):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("walledbrauer.cli.enumerate_partitions", interrupted)
+    result = run(["dims"])
+    assert result.exit_code == 1
+    assert result.stderr.strip() == "Aborted!"
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (1, 2), (1, 3)])
+def test_without_second_ideal_d1_behaves_as_p1(p, d):
+    """d = 1 (p >= 2) and p = 1 lack the same ideal, and the CLI treats them alike."""
+    g = ["--p", str(p), "--d", str(d)]
+    units = json.loads(run(g + ["units"]).output)["units"]
+    assert len(units) == 1 and units[0]["ideal"] == p and units[0]["trace"] == 1.0
+    sub = run(g + ["units", "--ideal", "sub"])
+    assert sub.exit_code == 0 and json.loads(sub.output)["units"] == []
+    analytic = run(g + ["spectrum", "--level", str(p), "--fig7"])
+    assert analytic.exit_code == 0 and analytic.output.startswith("block layout")
+    brute = json.loads(run(g + ["spectrum", "--level", str(p), "--method", "brute"]).output)
+    analytic_doc = json.loads(analytic.output.strip().splitlines()[-1])
+    assert analytic_doc["merged"] == brute["merged"] and analytic_doc["kernel_dim"] == brute["kernel_dim"]
+    refused = run(g + ["spectrum", "--level", str(p - 1)])
+    assert refused.exit_code == 2 and refused.stdout == ""
+    assert len(refused.stderr.splitlines()) == 1 and refused.stderr.startswith("usage error: ")
 
 
 def test_units_listing_and_mm_dump():
