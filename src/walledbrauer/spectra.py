@@ -1,10 +1,14 @@
-"""Twirl averaging, the twirled generators rho(p) and rho(p-1), and spectra.
+"""The twirled generators rho(p) and rho(p-1), and their spectra.
 
-The twirled operators are diagonal in the unit bases of the two highest
-ideals.  Their nonzero eigenvalues come out analytically from multiplicities
-and dimensions alone (plus the small diagonalizer of the B matrix), and can
-be cross-checked against a dense brute-force eigendecomposition; both paths
-are exposed through :func:`spectrum_table`.
+The twirl over S_p x S_p of the ideal generator V^(k) is the uniform average
+of V_pi over the C(p,k)^2 k! partial matchings pi in its orbit, and it
+conserves the U (x) conj(U) weight, so rho(k) is block diagonal over weight
+sectors.  The twirled operators are diagonal in the unit bases of the two
+highest ideals.  Their nonzero eigenvalues come out analytically from
+multiplicities and dimensions alone (plus the small diagonalizer of the B
+matrix), and can be cross-checked against a brute-force eigendecomposition of
+one dense block per weight sector; both paths are exposed through
+:func:`spectrum_table`.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -24,99 +29,160 @@ from .partitions import (
     multiplicity,
     schur_weyl_partitions,
 )
-from .symgroup import Permutation, enumerate_group
-from .tensorspace import DenseOperator, V_generator, _frozen, permutation_index
+from .tensorspace import DenseOperator, _digit_table, _frozen
 
 BIN_TOL = 1e-6
 
-# The twirl scatters each nonzero of X once per (s1, s2): (p!)^2 nnz(X) entries,
-# with nnz(V^(k)) = d^(2p).  2^26 admit the brute-force oracles at (3,4), (4,3)
-# and (5,2) (1.5e7 entries, about 2 s), and refuse (6,2), which would scatter
-# 720^2 * 4096 = 2.1e9 although d^(2p) = 4096 passes the dimension guard.
+# The brute path makes one vectorised pass over the d^(2p) basis indices for each
+# matching of the orbit (the scatter) and for each letter (the weight labelling).
+# The fixed cost of a pass's numpy calls, about 0.15 ms, is that of about
+# PASS_FLOOR entries, so a pass is charged max(d^(2p), PASS_FLOOR) entries.
+# 2^26 admit every level of (3,6), (4,3) and (6,2) (at most 2.2e7 entries, at
+# (6,2) level 4, about 1.5 s) and refuse (7,2) at level 6, which would scatter
+# 35 280 * 16 384 = 5.8e8, and d = 1 beyond p = 7.
 MAX_TWIRL_ENTRIES = 2**26
+PASS_FLOOR = 2**12
+
+# The weight sectors are stored as dense blocks, sum_s n_s^2 floats in all.
+# 2^24 floats (128 MiB) admit (3,6) at 8.8e6 and refuse (4,4) at 6.5e7 and
+# (5,3) at 1.4e8, whose largest blocks alone take 59 MB and 0.17 GB.
+MAX_BLOCK_ENTRIES = 2**24
 
 
-def _check_twirl_work(p: int, d: int, nnz: int) -> None:
-    entries = math.factorial(p) ** 2 * nnz
+def _orbit_size(p: int, level: int) -> int:
+    """The C(p,k)^2 k! partial matchings of size k = level between the two wall sides."""
+    return math.comb(p, level) ** 2 * math.factorial(level)
+
+
+def _check_twirl_work(p: int, d: int, level: int) -> None:
+    entries = (_orbit_size(p, level) + d) * max(d ** (2 * p), PASS_FLOOR)
     if entries > MAX_TWIRL_ENTRIES:
         raise ResourceLimitError(
-            f"the twirl at (p,d)=({p},{d}) scatters (p!)^2 nnz = {entries} entries, "
-            f"above the bound {MAX_TWIRL_ENTRIES}"
+            f"the twirl of V^({level}) at (p,d)=({p},{d}) touches {entries} entries "
+            f"(orbit of matchings and weight labelling), above the bound {MAX_TWIRL_ENTRIES}"
         )
 
 
-def twirl(x: DenseOperator) -> DenseOperator:
-    """Average of (V_s1 (x) V_s2) X (V_s1 (x) V_s2)^-1 over S_p x S_p.
+def _block_entries(p: int, d: int) -> int:
+    """sum_s n_s^2 over the weight sectors of (C^d)^(2p), counted without the basis.
 
-    Conjugation by V_tau moves entry (r, c) to (idx[r], idx[c]), idx = permutation_index(tau).
+    It counts the pairs (x y, x' y') of basis states of equal weight, where
+    x, x' are the left and y, y' the right words.  Equal weight means that the
+    words x y' and x' y of length 2p have the same letter counts v, so the sum
+    is sum_v multinomial(2p; v)^2, built letter by letter in g.
     """
-    if x.n % 2 != 0:
-        raise ValueError("twirl needs an operator on 2p registers")
-    p, dim = x.n // 2, x.dim
-    rows, cols = np.nonzero(x.matrix)
-    _check_twirl_work(p, x.d, rows.size)
-    vals = x.matrix[rows, cols]
-    acc = np.zeros(dim * dim, dtype=x.matrix.dtype)
-    group = enumerate_group(p)
-    for s1 in group:
-        for s2 in group:
-            idx = permutation_index(Permutation(s1.images + tuple(p + v for v in s2.images)), x.d, x.n)
-            np.add.at(acc, idx[rows] * dim + idx[cols], vals)
-    acc /= len(group) ** 2
-    return DenseOperator(x.d, x.n, acc.reshape(dim, dim))
+    g = [1] + [0] * (2 * p)  # g[j]: sum over the letter counts v of words of length j
+    for _ in range(d):
+        g = [sum(g[i] * math.comb(j, i) ** 2 for i in range(j + 1)) for j in range(2 * p + 1)]
+    return g[2 * p]
+
+
+def _check_block_memory(p: int, d: int) -> None:
+    entries = _block_entries(p, d)
+    if entries > MAX_BLOCK_ENTRIES:
+        raise ResourceLimitError(
+            f"the weight sectors at (p,d)=({p},{d}) hold {entries} block entries, "
+            f"above the bound {MAX_BLOCK_ENTRIES}"
+        )
+
+
+def _orbit_sum(acc: np.ndarray, p: int, d: int, level: int, row_key: np.ndarray, col_key: np.ndarray) -> None:
+    """Add V_pi to the flat ``acc`` for every matching pi in the orbit of V^(level).
+
+    Entry (r, c) of V_pi lands at acc[row_key[r] + col_key[c]].  V_pi is 1 at
+    the columns whose matched registers agree, in every row with the same free
+    digits and any equal digit pair (a, a) on each matched pair.  Its entries
+    are distinct, so a plain fancy-indexed add counts each once.
+    """
+    n = 2 * p
+    digs = _digit_table(d, n)
+    place = [d ** (n - 1 - reg) for reg in range(n)]
+    for left in combinations(range(p), level):
+        for right in permutations(range(p, n), level):
+            agree = np.ones(digs.shape[1], dtype=bool)
+            for l, r in zip(left, right):
+                agree &= digs[l] == digs[r]
+            cols = np.flatnonzero(agree)
+            base = cols.copy()
+            offsets = np.zeros(1, dtype=np.int64)
+            for l, r in zip(left, right):
+                step = place[l] + place[r]
+                base -= digs[l, cols] * step
+                offsets = (offsets[:, None] + np.arange(d) * step).ravel()
+            rows = (base[:, None] + offsets).ravel()
+            acc[row_key[rows] + col_key[np.repeat(cols, offsets.size)]] += 1.0
 
 
 @lru_cache(maxsize=None)
 def rho(level: int, p: int, d: int) -> DenseOperator:
-    """The twirled ideal generator twirl(V^(level)) on 2p registers."""
+    """The twirled ideal generator twirl(V^(level)) on 2p registers, as a dense operator.
+
+    The twirl over S_p x S_p of V^(k) is the uniform average of V_pi over the
+    partial matchings pi in its orbit, so every entry is an integer count over
+    the orbit size.
+    """
     if not 0 <= level <= p:
         raise ValueError(f"need 0 <= level <= p, got {level}")
-    _check_twirl_work(p, d, d ** (2 * p))  # nnz(V^(level)), before the dense generator is built
-    out = twirl(V_generator(p, level, d))
+    _check_twirl_work(p, d, level)
+    out = DenseOperator.zeros(d, 2 * p)  # refuses d^(2p) above MAX_HILBERT_DIM before allocating
+    dim = out.dim
+    flat = out.matrix.reshape(-1)
+    _orbit_sum(flat, p, d, level, np.arange(dim) * dim, np.arange(dim))
+    flat /= _orbit_size(p, level)
     _frozen(out.matrix)
     return out
 
 
-def twirl_trace_identity(
-    x: DenseOperator,
-    y: DenseOperator,
-    mu: Partition,
-    i: int,
-    j: int,
-    nu: Partition,
-    k: int,
-    l: int,
-    mup: Partition,
-    ip: int,
-    jp: int,
-    nup: Partition,
-    kp: int,
-    lp: int,
-    d: int,
-) -> tuple[float, float]:
-    """Both sides of the twirl-trace identity for sandwiched matrix units.
+def _weight_sectors(p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per basis index: its sector and its position there; and the sector sizes.
 
-    Left: tr(twirl(X) E^mu_ij (x) E^nu_kl Y E^mup_{ip jp} (x) E^nup_{kp lp}).
-    Right: the (1 / d_mu d_nu)-weighted sum over the free index pair, with
-    the label and index deltas.
+    The weight of an index is its letter counts on registers 1..p minus those
+    on registers p+1..2p; each twirled V^(k) conserves it.  Sectors are
+    numbered by size, so sectors of one size sit side by side in the buffer.
     """
-    from .matrix_units import embed_left, embed_right, E_unit
+    digs = _digit_table(d, 2 * p)
+    base = 2 * p + 1  # one digit per letter: its count difference lies in -p..p
+    # base^chunk <= 2^36, and the ranks stay below d^(2p) <= 2^26 (the work bound),
+    # so rank * base^chunk + key never leaves int64
+    chunk = max(1, int(36 / math.log2(base)))
+    sector = np.zeros(digs.shape[1], dtype=np.int64)
+    for first in range(0, d, chunk):
+        key = np.zeros_like(sector)
+        for a in range(first, min(first + chunk, d)):
+            count = np.count_nonzero(digs[:p] == a, axis=0) - np.count_nonzero(digs[p:] == a, axis=0)
+            key = key * base + count + p
+        _, sector, sizes = np.unique(sector * base**chunk + key, return_inverse=True, return_counts=True)
+    rank = np.empty_like(sizes)
+    rank[np.argsort(sizes, kind="stable")] = np.arange(sizes.size)
+    sector, sizes = rank[sector], np.sort(sizes)
+    order = np.argsort(sector, kind="stable")
+    pos = np.empty_like(sector)
+    pos[order] = np.arange(sector.size) - (np.cumsum(sizes) - sizes)[sector[order]]
+    return sector, pos, sizes
 
-    p = x.n // 2
-    left_unit = embed_left(E_unit(mu, i, j, d), p) @ embed_right(E_unit(nu, k, l, d), p)
-    right_unit = embed_left(E_unit(mup, ip, jp, d), p) @ embed_right(E_unit(nup, kp, lp, d), p)
-    lhs = float(np.trace(twirl(x).matrix @ left_unit.matrix @ y.matrix @ right_unit.matrix))
-    rhs = 0.0
-    if mu == mup and nu == nup and i == jp and k == lp:
-        dm, dn = dim_irrep(mu), dim_irrep(nu)
-        total = 0.0
-        for r in range(1, dm + 1):
-            for s in range(1, dn + 1):
-                a = embed_left(E_unit(mu, r, j, d), p) @ embed_right(E_unit(nu, s, l, d), p)
-                b = embed_left(E_unit(mu, ip, r, d), p) @ embed_right(E_unit(nu, kp, s, d), p)
-                total += float(np.trace(x.matrix @ a.matrix @ y.matrix @ b.matrix))
-        rhs = total / (dm * dn)
-    return lhs, rhs
+
+def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:
+    """The eigenvalues of rho(level), ascending, from one dense block per weight sector.
+
+    The orbit of matchings is scattered straight into the blocks; no array of
+    d^(2p) x d^(2p) entries is built.  Both bounds are checked first.
+    """
+    if not 0 <= level <= p:
+        raise ValueError(f"need 0 <= level <= p, got {level}")
+    _check_twirl_work(p, d, level)
+    _check_block_memory(p, d)
+    sector, pos, sizes = _weight_sectors(p, d)
+    offsets = np.cumsum(sizes**2) - sizes**2
+    acc = np.zeros(int(np.sum(sizes**2)))
+    _orbit_sum(acc, p, d, level, offsets[sector] + pos * sizes[sector], pos)
+    acc /= _orbit_size(p, level)
+    vals = []
+    for n in np.unique(sizes):
+        same = np.flatnonzero(sizes == n)  # consecutive sectors
+        start = offsets[same[0]]
+        stack = acc[start : start + same.size * n * n].reshape(same.size, n, n)
+        vals.append(np.linalg.eigvalsh(stack).ravel())
+    return np.sort(np.concatenate(vals))
 
 
 # ----------------------------------------------------------------------------
@@ -263,19 +329,28 @@ class SpectrumTable:
                 out.append((row.value, row.multiplicity))
         return out
 
-    def matches(self, other: "SpectrumTable", tol: float) -> bool:
+    def distance(self, other: "SpectrumTable") -> float:
+        """Largest difference of the merged eigenvalues; inf when the family
+        count, a multiplicity or the kernel dimension differ."""
         a, b = self.merged(), other.merged()
         if len(a) != len(b) or self.kernel_dim != other.kernel_dim:
-            return False
-        return all(abs(x - y) <= tol and mx == my for (x, mx), (y, my) in zip(a, b))
+            return math.inf
+        if any(mx != my for (_, mx), (_, my) in zip(a, b)):
+            return math.inf
+        return float(max((abs(x - y) for (x, _), (y, _) in zip(a, b)), default=0.0))
+
+    def matches(self, other: "SpectrumTable", tol: float) -> bool:
+        return self.distance(other) <= tol
 
 
 def spectrum_table(p: int, d: int, level: int, method: str = "analytic") -> SpectrumTable:
     """Nonzero spectrum of rho(level) on 2p registers.
 
     The analytic path covers the levels of :func:`analytic_levels`; the
-    brute path diagonalizes the dense twirled operator for any
-    0 <= level <= p and bins eigenvalues at 1e-6.
+    brute path takes the eigenvalues of :func:`rho_eigenvalues`, one dense
+    block per weight sector, for any 0 <= level <= p within its two bounds
+    (MAX_TWIRL_ENTRIES on the work, MAX_BLOCK_ENTRIES on the block storage),
+    and bins them at BIN_TOL = 1e-6.
     """
     if method == "analytic":
         if level not in analytic_levels(p, d):
@@ -289,8 +364,7 @@ def spectrum_table(p: int, d: int, level: int, method: str = "analytic") -> Spec
         kernel = d ** (2 * p) - sum(r.multiplicity for r in rows)
         return SpectrumTable(p, d, level, "analytic", rows, kernel)
     if method == "brute":
-        op = rho(level, p, d)
-        vals = np.linalg.eigvalsh(op.matrix)
+        vals = rho_eigenvalues(level, p, d)
         rows = []
         kernel = 0
         start = 0

@@ -113,8 +113,8 @@ def test_resource_guard_exit_code():
 
 
 def test_twirl_guard_exit_code():
-    # d^(2p) = 4096 passes the dimension guard, but the twirl would scatter 2.1e9 entries
-    result = run(["--p", "6", "--d", "2", "spectrum", "--method", "brute"])
+    # the orbit of 35 280 matchings of V^(6) would scatter 5.8e8 entries
+    result = run(["--p", "7", "--d", "2", "spectrum", "--method", "brute"])
     assert result.exit_code == 3
     assert result.stdout == "" and len(result.stderr.strip().splitlines()) == 1
 
@@ -126,10 +126,10 @@ def test_verify_sweep_keeps_the_cli_contract(p, d):
     assert len(result.stderr.strip().splitlines()) <= 1 and "Traceback" not in result.stderr
 
 
-# past the twirl's work bound at (6,2) and (7,2), and the dimension bound at (5,4)
+# past the twirl's work bound at (7,2) and (5,4), and the block bound at (4,4)
 GUARD_CASES = (
-    ["--p", "6", "--d", "2", "spectrum", "--method", "brute"],
     ["--p", "7", "--d", "2", "spectrum", "--method", "brute"],
+    ["--p", "4", "--d", "4", "spectrum", "--method", "brute"],
     ["--p", "5", "--d", "4", "spectrum", "--method", "brute"],
 )
 NONPOSITIVE_CASES = (["--p", "0", "--d", "2", "dims"], ["--p", "2", "--d", "0", "units"])

@@ -1,28 +1,86 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from walledbrauer.errors import ResourceLimitError
 from walledbrauer.ideal_units import G_sub, G_top, sub_row_labels, top_row_labels
-from walledbrauer.partitions import dim_irrep, partition, schur_weyl_partitions
+from walledbrauer.matrix_units import E_unit, embed_left, embed_right
+from walledbrauer.partitions import Partition, dim_irrep, partition, schur_weyl_partitions
 from walledbrauer.spectra import (
+    _block_entries,
+    _weight_sectors,
     analytic_overlaps,
     rho,
+    rho_eigenvalues,
     spectrum_table,
-    twirl,
-    twirl_trace_identity,
 )
 from walledbrauer.symgroup import Permutation, enumerate_group
-from walledbrauer.tensorspace import DenseOperator, V_generator, permutation_operator
+from walledbrauer.tensorspace import DenseOperator, V_generator, permutation_index, permutation_operator
 
 rng = np.random.default_rng(31)
 
 
-def test_twirl_identity_and_projector():
-    ident = DenseOperator.identity(2, 4)
-    assert twirl(ident).distance(ident) <= 1e-12
-    x = DenseOperator(2, 4, rng.standard_normal((16, 16)))
-    once = twirl(x)
-    assert once.distance(twirl(once)) <= 1e-12
+# ----------------------------------------------------------------------------
+# reference oracles: the twirl over the whole group S_p x S_p
+
+
+def twirl(x: DenseOperator) -> DenseOperator:
+    """Average of (V_s1 (x) V_s2) X (V_s1 (x) V_s2)^-1 over S_p x S_p.
+
+    Conjugation by V_tau moves entry (r, c) to (idx[r], idx[c]), idx = permutation_index(tau).
+    """
+    p, dim = x.n // 2, x.dim
+    rows, cols = np.nonzero(x.matrix)
+    vals = x.matrix[rows, cols]
+    acc = np.zeros(dim * dim, dtype=x.matrix.dtype)
+    group = enumerate_group(p)
+    for s1 in group:
+        for s2 in group:
+            idx = permutation_index(Permutation(s1.images + tuple(p + v for v in s2.images)), x.d, x.n)
+            np.add.at(acc, idx[rows] * dim + idx[cols], vals)
+    acc /= len(group) ** 2
+    return DenseOperator(x.d, x.n, acc.reshape(dim, dim))
+
+
+def twirl_trace_identity(
+    x: DenseOperator,
+    y: DenseOperator,
+    mu: Partition,
+    i: int,
+    j: int,
+    nu: Partition,
+    k: int,
+    l: int,
+    mup: Partition,
+    ip: int,
+    jp: int,
+    nup: Partition,
+    kp: int,
+    lp: int,
+    d: int,
+) -> tuple[float, float]:
+    """Both sides of the twirl-trace identity for sandwiched matrix units.
+
+    Left: tr(twirl(X) E^mu_ij (x) E^nu_kl Y E^mup_{ip jp} (x) E^nup_{kp lp}).
+    Right: the (1 / d_mu d_nu)-weighted sum over the free index pair, with
+    the label and index deltas.
+    """
+    p = x.n // 2
+    left_unit = embed_left(E_unit(mu, i, j, d), p) @ embed_right(E_unit(nu, k, l, d), p)
+    right_unit = embed_left(E_unit(mup, ip, jp, d), p) @ embed_right(E_unit(nup, kp, lp, d), p)
+    lhs = float(np.trace(twirl(x).matrix @ left_unit.matrix @ y.matrix @ right_unit.matrix))
+    rhs = 0.0
+    if mu == mup and nu == nup and i == jp and k == lp:
+        dm, dn = dim_irrep(mu), dim_irrep(nu)
+        total = 0.0
+        for r in range(1, dm + 1):
+            for s in range(1, dn + 1):
+                a = embed_left(E_unit(mu, r, j, d), p) @ embed_right(E_unit(nu, s, l, d), p)
+                b = embed_left(E_unit(mu, ip, r, d), p) @ embed_right(E_unit(nu, kp, s, d), p)
+                total += float(np.trace(x.matrix @ a.matrix @ y.matrix @ b.matrix))
+        rhs = total / (dm * dn)
+    return lhs, rhs
 
 
 def _dense_twirl(x: DenseOperator) -> np.ndarray:
@@ -37,14 +95,70 @@ def _dense_twirl(x: DenseOperator) -> np.ndarray:
     return acc / len(group) ** 2
 
 
-@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2)])
+def _weights(p: int, d: int) -> np.ndarray:
+    """Row i: letter counts of basis index i on registers 1..p minus those on p+1..2p."""
+    digits = np.array(np.unravel_index(np.arange(d ** (2 * p)), (d,) * (2 * p)))
+    return np.stack([(digits[:p] == a).sum(0) - (digits[p:] == a).sum(0) for a in range(d)], axis=1)
+
+
+# ----------------------------------------------------------------------------
+
+
+def test_twirl_identity_and_projector():
+    ident = DenseOperator.identity(2, 4)
+    assert twirl(ident).distance(ident) <= 1e-12
+    x = DenseOperator(2, 4, rng.standard_normal((16, 16)))
+    once = twirl(x)
+    assert once.distance(twirl(once)) <= 1e-12
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_twirl_equals_dense_conjugation_average(p, d):
-    x = DenseOperator(d, 2 * p, np.random.default_rng(7).standard_normal((d ** (2 * p),) * 2))
-    assert np.max(np.abs(twirl(x).matrix - _dense_twirl(x))) <= 1e-12
+    # the explicit products cost (p!)^2 d^(6p) flops; at (3,3) the scatter oracle stands alone
+    dense = d ** (2 * p) <= 81
+    if dense:
+        x = DenseOperator(d, 2 * p, np.random.default_rng(7).standard_normal((d ** (2 * p),) * 2))
+        assert np.max(np.abs(twirl(x).matrix - _dense_twirl(x))) <= 1e-12
     for level in range(p + 1):
         v = V_generator(p, level, d)
-        # 0/1 entries: every partial sum is an exact integer, so the averages agree bit for bit
-        assert np.array_equal(twirl(v).matrix, _dense_twirl(v))
+        group = twirl(v).matrix
+        # 0/1 entries: every partial sum is an exact integer, and the orbit average
+        # (count / orbit size) and the group average (count * stabilizer / (p!)^2)
+        # are the same rational, rounded once, so all three agree bit for bit
+        assert np.array_equal(rho(level, p, d).matrix, group)
+        if dense:
+            assert np.array_equal(group, _dense_twirl(v))
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 2), (3, 3)])
+def test_rho_conserves_the_weight(p, d):
+    w = _weights(p, d)
+    for level in range(p + 1):
+        rows, cols = np.nonzero(rho(level, p, d).matrix)
+        assert np.array_equal(w[rows], w[cols])
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 2), (3, 3), (1, 45)])
+def test_weight_sectors_are_labelled_and_counted(p, d):
+    # at (1,45) the 45 base-3 digits of the key pass 2^63, so the labelling re-ranks its keys
+    w = _weights(p, d)
+    _, sizes = np.unique(w, axis=0, return_counts=True)
+    sector, pos, labelled = _weight_sectors(p, d)
+    # one sector per weight, and one position per index inside its sector
+    assert np.unique(np.column_stack([sector, w]), axis=0).shape[0] == sizes.size == labelled.size
+    assert np.array_equal(np.sort(sizes), labelled)
+    assert np.unique(sector * w.shape[0] + pos).size == w.shape[0]
+    assert np.all(pos < labelled[sector])
+    # the block storage, counted without the basis
+    assert _block_entries(p, d) == int(np.sum(sizes**2))
+
+
+def test_sector_eigenvalues_equal_the_dense_ones():
+    p, d = 3, 3
+    for level in range(p + 1):
+        dense = np.linalg.eigvalsh(twirl(V_generator(p, level, d)).matrix)
+        scale = np.max(np.abs(dense))  # the spectral norm of rho
+        assert np.max(np.abs(rho_eigenvalues(level, p, d) - dense)) <= 1e-12 * scale
 
 
 def test_twirl_preserves_trace():
@@ -86,7 +200,22 @@ def test_twirl_trace_identity_vpm1_pair():
     assert abs(lhs - rhs) <= 1e-10
 
 
-@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2)])
+@pytest.mark.parametrize(
+    "p,d",
+    [
+        (2, 2),
+        (2, 3),
+        (2, 4),
+        (3, 2),
+        (4, 2),
+        (5, 2),
+        (3, 5),
+        (6, 2),
+        pytest.param(
+            4, 3, marks=pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 1")
+        ),
+    ],
+)
 def test_analytic_matches_brute(p, d):
     for level in (p, p - 1):
         brute = spectrum_table(p, d, level, "brute")
@@ -224,10 +353,28 @@ def test_analytic_multiplicities_are_exact(p, d):
         assert rec.eigen_multiplicity == dim_irrep(rec.mu) * dim_irrep(rec.nu) * unit_trace
 
 
+def _refusal_peak(p: int, d: int, level: int, reason: str) -> int:
+    """Peak traced allocation of a refused brute spectrum, whose refusal must name ``reason``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=reason):
+            spectrum_table(p, d, level, "brute")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_twirl_guard_refuses_before_allocating():
-    # (6!)^2 conjugates of 4096 nonzeros: 2.1e9 scattered entries, although d^(2p)
-    # passes the dimension guard
-    with pytest.raises(ResourceLimitError):
-        twirl(V_generator(6, 5, 2))
-    with pytest.raises(ResourceLimitError):
-        rho(5, 6, 2)
+    # (7,2) level 6: 35 280 matchings of 16 384 nonzeros, 5.8e8 scattered entries
+    assert _refusal_peak(7, 2, 6, "touches") < 2**20
+    with pytest.raises(ResourceLimitError, match="touches"):
+        rho(6, 7, 2)
+    # (4,4): the weight sectors hold 6.5e7 block entries, although the scatter is small
+    assert _refusal_peak(4, 4, 3, "block entries") < 2**20
+
+
+@pytest.mark.parametrize("p,d", [(5, 4), (7, 3)])
+def test_brute_refusal_builds_no_basis_array(p, d):
+    # d^(2p) is 1.0e6 and 4.8e6: one int64 array of that length would pass 1 MiB
+    assert _refusal_peak(p, d, p - 1, "touches") < 2**20
+    assert _refusal_peak(p, d, 0, "block entries") < 2**20
