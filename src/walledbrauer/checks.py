@@ -315,7 +315,7 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
                     ab = ab_general(*args)
                     same = mu == nu and args[2] == args[4] and args[3] == args[5]
                     exact_ok &= ab.identity_value(d) == (Fraction(multiplicity(mu, d), d) if same else 0)
-                    xl = _apply_pair(a_mat, mx.right_side_matrix(nu, k, l, d), L, d, p)
+                    xl = _apply_pair(a_mat, mx.right_side_matrix(nu, k, l, d), p, p - 1, d)
                     core = L.T @ xl
                     # tr K summed as sum((X L) * L): the same terms, added pairwise
                     trace_worst = max(
@@ -532,8 +532,6 @@ def suite_reduction(p: int, d: int) -> list[CheckResult]:
     worst = 0.0
     ok = True
     for mu, pp, dd in cases:
-        if dd ** (2 * pp) > 2**14:
-            continue
         bm = B_matrix(mu, mu, dd)
         if bm.vanishing or bm.size == 0:
             continue

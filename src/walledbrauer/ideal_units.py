@@ -41,7 +41,7 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _apply_pair, _check_dim, _frozen, factored_V
+from .tensorspace import _apply_pair, _check_dim, _frozen
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -67,6 +67,39 @@ def F_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int
     return FactoredOperator(_top_factor(mu, i, j, p, d), _top_factor(nu, ip, jp, p, d).T)
 
 
+def _sub_pair(
+    mu: Partition,
+    nu: Partition,
+    mup: Partition,
+    nup: Partition,
+    i: int,
+    j: int,
+    ip: int,
+    jp: int,
+    alpha: Partition,
+    alphap: Partition,
+    p: int,
+    d: int,
+    interior_row: int = 1,
+    interior_col: int = 1,
+) -> FactoredOperator:
+    """The raw factors of F_sub: two wall products of V^(p-1).L, rank d^2 or 0, not compressed."""
+    dim = _check_dim(d, 2 * p)
+    if (
+        alpha not in common_removals(mu, nu)
+        or alphap not in common_removals(mup, nup)
+        or any(multiplicity(m, d) == 0 for m in (mu, nu, mup, nup))
+    ):
+        return FactoredOperator.zero(dim)
+    r = prir_position(mu, alpha, interior_row)
+    r2 = prir_position(nu, alpha, interior_row)
+    c = prir_position(mup, alphap, interior_col)
+    c2 = prir_position(nup, alphap, interior_col)
+    left = _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
+    right = _apply_pair(left_side_matrix(mup, ip, c, d), right_side_matrix(nup, jp, c2, d), p, p - 1, d).T
+    return FactoredOperator(left, right)
+
+
 def F_sub(
     mu: Partition,
     nu: Partition,
@@ -83,28 +116,14 @@ def F_sub(
     interior_row: int = 1,
     interior_col: int = 1,
 ) -> FactoredOperator:
-    """(E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1) (E^mup_{c_a',ip} (x) E^nup_{c_a',jp}).
+    """(E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1) (E^mup_{c_a',ip} (x) E^nup_{c_a',jp}), compressed.
 
     The interior labels r_a = (alpha, interior_row) and c_a' =
     (alphap, interior_col) default to the first index of their blocks; the
     operator does not depend on that choice.  An alpha outside the common
     removals of the row (or column) pair yields the zero operator.
     """
-    dim = _check_dim(d, 2 * p)
-    if (
-        alpha not in common_removals(mu, nu)
-        or alphap not in common_removals(mup, nup)
-        or any(multiplicity(m, d) == 0 for m in (mu, nu, mup, nup))
-    ):
-        return FactoredOperator.zero(dim)
-    r = prir_position(mu, alpha, interior_row)
-    r2 = prir_position(nu, alpha, interior_row)
-    c = prir_position(mup, alphap, interior_col)
-    c2 = prir_position(nup, alphap, interior_col)
-    v = factored_V(p, p - 1, d)
-    left = _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), v.L, d, p)
-    right = _apply_pair(left_side_matrix(mup, ip, c, d), right_side_matrix(nup, jp, c2, d), v.R.T, d, p).T
-    return FactoredOperator(left, right).compress()
+    return _sub_pair(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d, interior_row, interior_col).compress()
 
 
 # ----------------------------------------------------------------------------
@@ -302,8 +321,12 @@ def H_operator(
     p: int,
     d: int,
 ) -> FactoredOperator:
-    """d F_sub - F_top delta^{mu nu} delta^{mu' nu'}; spans the second ideal.  Its factors are read-only."""
-    op = d * F_sub(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
+    """d F_sub - F_top delta^{mu nu} delta^{mu' nu'}; spans the second ideal.  Its factors are read-only.
+
+    One compression of the raw pair [d X | -t] [Y; t'^T], with X Y the
+    uncompressed F_sub factors and t t'^T the rank-one F_top.
+    """
+    op = d * _sub_pair(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
     if mu == nu and mup == nup:
         op = op - F_top(mu, i, j, mup, ip, jp, p, d)
     op = op.compress()
@@ -325,7 +348,7 @@ BASIS_RTOL = 1e-8
 
 def _top_factor(mu: Partition, i: int, j: int, p: int, d: int) -> np.ndarray:
     """(E^mu_ij (x) 1) V^(p).L, a single column."""
-    return _apply_pair(left_side_matrix(mu, i, j, d), None, factored_V(p, p, d).L, d, p)
+    return _apply_pair(left_side_matrix(mu, i, j, d), None, p, p, d)
 
 
 def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int, d: int) -> np.ndarray:
@@ -340,12 +363,11 @@ def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int,
     lam = b.eigenvalues[beta - 1]
     if lam <= 0:
         raise ArithmeticError(f"nonpositive eigenvalue under square root: {lam} of B^({mu},{nu})")
-    v = factored_V(p, p - 1, d).L
-    acc = np.zeros_like(v)
+    acc = np.zeros((_check_dim(d, 2 * p), d * d))
     for w_a, alpha in zip(w, b.alphas):
         r, r2 = prir_position(mu, alpha, 1), prir_position(nu, alpha, 1)
-        acc += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), v, d, p)
-    tail = w.sum() * _top_factor(mu, i, j, p, d) if mu == nu else np.zeros((v.shape[0], 1))
+        acc += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
+    tail = w.sum() * _top_factor(mu, i, j, p, d) if mu == nu else np.zeros((acc.shape[0], 1))
     return np.hstack([acc, tail]) / math.sqrt(d * lam)
 
 
@@ -648,7 +670,8 @@ def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
     Sums, over all pairs of one-box-smaller shapes (alpha, beta), additions
     mu, mu' of alpha and nu, nu' of beta, and inner indices, the H operator
     with matching subgroup-adapted outer labels plus the diagonal top-ideal
-    term when mu = mu' and nu = nu', every term with coefficient 1/d.
+    term when mu = mu' and nu = nu', every term with coefficient 1/d.  The
+    factors of all terms are stacked and the sum formed by one product.
     Returns the number of terms and the max-abs residual of the sum against
     the directly constructed V^(p-1).
     """
@@ -657,9 +680,8 @@ def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
 
     if not has_second_ideal(p, d):
         raise ParameterError(f"the expansion of V^(p-1) over H operators needs the second ideal, absent at (p,d)=({p},{d})")
-    dim = _check_dim(d, 2 * p)
-    acc = np.zeros((dim, dim))
-    terms, weight = 0, 1.0 / d
+    _check_dim(d, 2 * p)
+    terms = []
     smaller = [a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0]
     for alpha in smaller:
         for beta in smaller:
@@ -675,10 +697,8 @@ def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
                                     r2 = prir_position(mup, alpha, ia)
                                     c1 = prir_position(nu, beta, jb)
                                     c2 = prir_position(nup, beta, jb)
-                                    h = H_operator(mu, mup, nu, nup, r1, r2, c1, c2, alpha, beta, p, d)
-                                    acc += weight * h.to_dense()
-                                    terms += 1
+                                    terms.append(H_operator(mu, mup, nu, nup, r1, r2, c1, c2, alpha, beta, p, d))
                                     if mu == mup and nu == nup:
-                                        acc += weight * F_top(mu, r1, r1, nu, c1, c1, p, d).to_dense()
-                                        terms += 1
-    return terms, float(np.max(np.abs(acc - V_generator(p, p - 1, d).matrix)))
+                                        terms.append(F_top(mu, r1, r1, nu, c1, c1, p, d))
+    acc = (np.hstack([t.L for t in terms]) / d) @ np.vstack([t.R for t in terms])
+    return len(terms), float(np.max(np.abs(acc - V_generator(p, p - 1, d).matrix)))

@@ -4,6 +4,12 @@ Register 1 is the most significant digit of the computational-basis index,
 and this convention is used consistently on both sides of the wall.  All
 constructions here are real; complex storage is accepted by
 :class:`DenseOperator` but nothing in this package produces it.
+
+The generators V^(k) also come factored, V^(k) = L L^T with a 0/1 factor
+(:func:`factored_V`).  A wall product (A (x) B) L reaches L only through
+the k paired registers (the generalized ping-pong identity), so
+:func:`_apply_pair` forms it as one GEMM over those registers and never
+multiplies a d^p x d^p matrix into the whole of L.
 """
 
 from __future__ import annotations
@@ -252,15 +258,35 @@ def factored_V(p: int, k: int, d: int) -> FactoredOperator:
     return FactoredOperator(L, L.T)
 
 
-def _apply_pair(a: np.ndarray | None, b: np.ndarray | None, block: np.ndarray, d: int, p: int) -> np.ndarray:
-    """(a (x) b) applied to columns of ``block``, a on registers 1..p, b on p+1..2p."""
-    dp = d**p
-    out = block.reshape(dp, dp, -1)
-    if a is not None:
-        out = np.einsum("xy,yzk->xzk", a, out)
-    if b is not None:
-        out = np.einsum("zw,xwk->xzk", b, out)
-    return out.reshape(dp * dp, -1)
+@lru_cache(maxsize=None)
+def _digit_reversal(d: int, k: int) -> np.ndarray:
+    """rev[u] = index of the word u of [d]^k read backwards."""
+    return _frozen(np.arange(d**k).reshape((d,) * k).transpose().ravel())
+
+
+def _apply_pair(a: np.ndarray, b: np.ndarray | None, p: int, k: int, d: int) -> np.ndarray:
+    """The wall product (a (x) b) factored_V(p, k, d).L, a on registers 1..p, b on p+1..2p.
+
+    Row (y, w) of L, with y = (f, s) and w = (t, g) split into nf = p - k
+    free and k paired digits, is the indicator of s = rev(t) at column
+    (f, g).  So the product reaches L only through the paired registers:
+
+        out[(x, z), (f, g)] = sum over u in [d]^k of a[x, (f, rev u)] b[z, (u, g)],
+
+    one GEMM of shape (d^p d^nf) x d^k x (d^p d^nf) and one axis
+    permutation.  ``b = None`` stands for the identity and needs k = p,
+    where the product is the gather a[:, rev] and does no arithmetic.
+    """
+    dp, dk, dn = d**p, d**k, d ** (p - k)
+    rev = _digit_reversal(d, k)
+    if b is None:
+        if k != p:
+            raise ValueError(f"b = None needs k = p, got k={k}, p={p}")
+        return a[:, rev].reshape(dp * dp, 1)
+    left = a.reshape(dp, dn, dk)[:, :, rev].reshape(dp * dn, dk)
+    right = b.reshape(dp, dk, dn).transpose(1, 0, 2).reshape(dk, dp * dn)
+    out = (left @ right).reshape(dp, dn, dp, dn).transpose(0, 2, 1, 3)
+    return out.reshape(dp * dp, dn * dn)
 
 
 def V_outer_pair(p: int, d: int) -> DenseOperator:

@@ -141,7 +141,7 @@ def test_criterion_3_composition_suites():
 def test_criterion_4_coefficient_identities():
     ok = True
     details = []
-    for p, d in ((2, 2), (2, 3), (3, 3)):
+    for p, d in ((2, 2), (2, 3), (3, 3), (4, 3)):
         results = suite_coefficients(p, d)
         ok &= len(results) == 3 and all(r.passed for r in results)
         details.append(f"({p},{d}): " + ", ".join(f"{r.name} {r.residual:.2e}" for r in results))

@@ -227,7 +227,7 @@ def test_sandwich_core_reassembles_the_dense_sandwich(p, d):
         for rm, cm, rn, cn in itertools.product(range(1, dim_irrep(mu) + 1), range(1, dim_irrep(mu) + 1),
                                                 range(1, dim_irrep(nu) + 1), range(1, dim_irrep(nu) + 1)):
             a_mat, b_mat = left_side_matrix(mu, rm, cm, d), right_side_matrix(nu, rn, cn, d)
-            core = L.T @ _apply_pair(a_mat, b_mat, L, d, p)
+            core = L.T @ _apply_pair(a_mat, b_mat, p, p - 1, d)
             dense = vpm1 @ np.kron(a_mat, b_mat) @ vpm1
             assert np.max(np.abs(L @ core @ L.T - dense)) <= 1e-12
 
@@ -354,6 +354,20 @@ def test_H_mismatched_indices_give_zero():
     h1 = H_operator(mu, mu, mu, mu, 1, 1, 1, 2, a, a, p, d)
     h2 = H_operator(mu, mu, mu, mu, 2, 2, 2, 2, a, a, p, d)
     assert (h1 @ h2).frobenius_norm() <= 1e-9
+
+
+@pytest.mark.parametrize("mu", [partition(2, 1), partition(1, 1, 1)])
+def test_H_is_d_F_sub_minus_F_top(mu):
+    """Every label of the diagonal block of mu at (3, 3): the one-compression H against its definition."""
+    p, d = 3, 3
+    alphas = remove_box(mu)
+    n = dim_irrep(mu)
+    for i, j, ip, jp in itertools.product(range(1, n + 1), repeat=4):
+        for alpha, alphap in itertools.product(alphas, repeat=2):
+            h = H_operator(mu, mu, mu, mu, i, j, ip, jp, alpha, alphap, p, d).to_dense()
+            f_sub = F_sub(mu, mu, mu, mu, i, j, ip, jp, alpha, alphap, p, d).to_dense()
+            f_top = F_top(mu, i, j, mu, ip, jp, p, d).to_dense()
+            assert np.max(np.abs(h - (d * f_sub - f_top))) <= 1e-12
 
 
 def test_H_vanishes_for_single_column_at_d_equal_p():
@@ -658,11 +672,12 @@ def test_singular_block_participates_after_reduction():
                 assert prod.frobenius_norm() <= 1e-9
 
 
-@pytest.mark.parametrize("p,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("p,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_decompose_Vpm1(p, d):
     if p == 1:
         with pytest.raises(ValueError):
             decompose_Vpm1(p, d)
         return
     terms, residual = decompose_Vpm1(p, d)
-    assert residual <= 1e-9 and terms > 0
+    assert residual <= 1e-9
+    assert terms == {(2, 2): 20, (2, 3): 20, (3, 2): 34, (3, 3): 80, (4, 2): 180}[p, d]

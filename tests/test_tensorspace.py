@@ -7,6 +7,7 @@ from walledbrauer.tensorspace import (
     DenseOperator,
     V_generator,
     V_outer_pair,
+    _apply_pair,
     bell_projector,
     embed_operator,
     factored_V,
@@ -181,3 +182,20 @@ def test_permutation_index_is_the_operator_support():
             rows = permutation_index(sigma, d, 3)
             m = permutation_operator(sigma, d, 3).matrix
             assert np.array_equal(np.argmax(m, axis=0), rows)
+
+
+@pytest.mark.parametrize("p,d", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_wall_product_kernel_matches_the_dense_product(p, d):
+    dp = d**p
+    for k in range(p + 1):
+        a, b = rng.standard_normal((dp, dp)), rng.standard_normal((dp, dp))
+        dense = np.kron(a, b) @ factored_V(p, k, d).L
+        out = _apply_pair(a, b, p, k, d)
+        assert out.shape == dense.shape
+        assert np.max(np.abs(out - dense)) <= 1e-12 * np.linalg.norm(dense)
+    # the top factor is a gather: every entry is one entry of a, exactly
+    dense = np.kron(a, np.eye(dp)) @ factored_V(p, p, d).L
+    assert np.array_equal(_apply_pair(a, None, p, p, d), dense)
+    if p > 1:
+        with pytest.raises(ValueError):
+            _apply_pair(a, None, p, p - 1, d)
