@@ -31,6 +31,7 @@ from .ideal_units import (
 from .lowrank import FactoredOperator
 from .partitions import (
     Partition,
+    add_box,
     count_semistandard_tableaux,
     dim_irrep,
     enumerate_partitions,
@@ -115,8 +116,6 @@ def suite_partitions(p: int, d: int) -> list[CheckResult]:
     ok = True
     for q in range(1, 6):
         for mu in enumerate_partitions(q):
-            from .partitions import add_box
-
             ok &= all(mu in add_box(a) for a in remove_box(mu))
             ok &= all(mu in remove_box(b) for b in add_box(mu))
     out.append(_bool_result("add_remove_box_inverse_p<=5", ok))
@@ -524,37 +523,20 @@ def suite_table1(p: int, d: int) -> list[CheckResult]:
 
 
 def suite_reduction(p: int, d: int) -> list[CheckResult]:
+    """Reduce the H operators of every diagonal block (mu, mu) at (p, d) to units, and compose them."""
     tol = 1e-9
-    out = []
-    cases = [(Partition((2, 1)), 3, 3), (Partition((1, 1, 1)), 3, 3)]
-    if p == 4 or (p, d) == (3, 3):
-        cases.append((Partition((2, 1, 1)), 4, 3))
     worst = 0.0
     ok = True
-    for mu, pp, dd in cases:
-        bm = B_matrix(mu, mu, dd)
-        if bm.vanishing or bm.size == 0:
-            continue
-        alphas = bm.alphas
-        gens = [
-            [H_operator(mu, mu, mu, mu, 1, 1, 1, 1, a, ap, pp, dd) for ap in alphas]
-            for a in alphas
-        ]
+    for mu in schur_weyl_partitions(p, d):
+        bm = B_matrix(mu, mu, d)
+        gens = [[H_operator(mu, mu, mu, mu, 1, 1, 1, 1, a, ap, p, d) for ap in bm.alphas] for a in bm.alphas]
         reduced = reduce_singular_basis(bm, gens)
         ok &= len(reduced.kept) == bm.size - bm.nullity
-        for s in reduced.kept:
-            for r in reduced.kept:
-                for s2 in reduced.kept:
-                    for r2 in reduced.kept:
-                        prod = reduced.units[(s, r)] @ reduced.units[(s2, r2)]
-                        if r == s2:
-                            dist = prod.distance(reduced.units[(s, r2)])
-                        else:
-                            dist = prod.frobenius_norm()
-                        worst = max(worst, dist)
-    out.append(_bool_result("reduction_keeps_rank", ok))
-    out.append(_result("reduced_units_composition", worst, tol))
-    return out
+        units = reduced.units
+        for (s, r), (s2, r2) in itertools.product(units, repeat=2):
+            prod = units[s, r] @ units[s2, r2]
+            worst = max(worst, prod.distance(units[s, r2]) if r == s2 else prod.frobenius_norm())
+    return [_bool_result("reduction_keeps_rank", ok), _result("reduced_units_composition", worst, tol)]
 
 
 SUITES = {

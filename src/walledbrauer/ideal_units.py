@@ -12,15 +12,19 @@ Objects built here, all on 2p registers:
   unit in one row label of an ideal shares its range, and every unit in one
   column label its co-range, so a system stores one orthonormal basis Q_r
   per label and an r x r core M_rc per unit, G_rc = Q_r M_rc Q_c^T, with
-  r = 1 (top ideal) or d^2 - 1 (second ideal).  The system is built per
-  label straight from the B diagonalizer, without forming F or H operators;
-  F, H and their sums stay here as the paper's definitions and the oracle
-  the tests compare the systems against.  ``G_top`` and ``G_sub`` look single
-  units up in the cached systems.
+  r = 1 (top ideal) or d^2 - 1 (second ideal).  ``G_top`` and ``G_sub``
+  look single units up in the cached systems.
+
+The second ideal has one builder, the wall factor W(w) (``_wall_factor``),
+paired by the metric D (``_wall_diagonal``).  F_sub and H read it with w an
+indicator, and the second-ideal units with w a row of the B diagonalizer,
+without forming F or H; F and H stay as the paper's definitions and the
+oracle the tests compare the units against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,14 +38,16 @@ from .lowrank import FactoredOperator, fraction_rank_det, jacobi_eigh
 from .matrix_units import left_side_matrix, right_side_matrix
 from .partitions import (
     Partition,
+    add_box,
     common_removals,
     dim_irrep,
+    enumerate_partitions,
     multiplicity,
     remove_box,
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _apply_pair, _check_dim, _frozen
+from .tensorspace import V_generator, _apply_pair, _check_dim, _frozen
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -57,7 +63,7 @@ def has_second_ideal(p: int, d: int) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# F operators
+# F and H operators, read from one wall factor
 
 
 def F_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int, d: int) -> FactoredOperator:
@@ -67,37 +73,36 @@ def F_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int
     return FactoredOperator(_top_factor(mu, i, j, p, d), _top_factor(nu, ip, jp, p, d).T)
 
 
-def _sub_pair(
-    mu: Partition,
-    nu: Partition,
-    mup: Partition,
-    nup: Partition,
-    i: int,
-    j: int,
-    ip: int,
-    jp: int,
-    alpha: Partition,
-    alphap: Partition,
-    p: int,
-    d: int,
-    interior_row: int = 1,
-    interior_col: int = 1,
-) -> FactoredOperator:
-    """The raw factors of F_sub: two wall products of V^(p-1).L, rank d^2 or 0, not compressed."""
-    dim = _check_dim(d, 2 * p)
-    if (
-        alpha not in common_removals(mu, nu)
-        or alphap not in common_removals(mup, nup)
-        or any(multiplicity(m, d) == 0 for m in (mu, nu, mup, nup))
-    ):
-        return FactoredOperator.zero(dim)
-    r = prir_position(mu, alpha, interior_row)
-    r2 = prir_position(nu, alpha, interior_row)
-    c = prir_position(mup, alphap, interior_col)
-    c2 = prir_position(nup, alphap, interior_col)
-    left = _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
-    right = _apply_pair(left_side_matrix(mup, ip, c, d), right_side_matrix(nup, jp, c2, d), p, p - 1, d).T
-    return FactoredOperator(left, right)
+def _top_factor(mu: Partition, i: int, j: int, p: int, d: int) -> np.ndarray:
+    """(E^mu_ij (x) 1) V^(p).L, a single column."""
+    return _apply_pair(left_side_matrix(mu, i, j, d), None, p, p, d)
+
+
+def _wall_diagonal(d: int) -> np.ndarray:
+    """D = diag(d, .., d, -1), the metric that pairs two wall factors into H."""
+    return np.array([float(d)] * (d * d) + [-1.0])
+
+
+def _wall_factor(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p: int, d: int) -> np.ndarray:
+    """W(w) = [sum_a w_a (E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1).L | (sum_a w_a) (E^mu_ij (x) 1) V^(p).L delta_{mu nu}].
+
+    w weighs the common removals alpha of mu and nu, in the order of
+    ``common_removals(mu, nu)``, and r_a is the first index of block alpha.
+    With D = ``_wall_diagonal(d)``, W(e_a) D W'(e_a')^T is H_{a a'}, and
+    W(w_b) D W'(w_b')^T / (d sqrt(lambda_b lambda_b')) is the unit G_sub.
+    """
+    acc = np.zeros((_check_dim(d, 2 * p), d * d))
+    for w_a, alpha in zip(w, common_removals(mu, nu)):
+        if w_a:
+            r, r2 = prir_position(mu, alpha, 1), prir_position(nu, alpha, 1)
+            acc += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
+    tail = w.sum() * _top_factor(mu, i, j, p, d) if mu == nu else np.zeros((acc.shape[0], 1))
+    return np.hstack([acc, tail])
+
+
+def _indicator(mu: Partition, nu: Partition, alpha: Partition) -> np.ndarray:
+    """e_alpha over the common removals of mu and nu; all zero when alpha is not one of them."""
+    return np.array([float(a == alpha) for a in common_removals(mu, nu)])
 
 
 def F_sub(
@@ -113,17 +118,48 @@ def F_sub(
     alphap: Partition,
     p: int,
     d: int,
-    interior_row: int = 1,
-    interior_col: int = 1,
 ) -> FactoredOperator:
     """(E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1) (E^mup_{c_a',ip} (x) E^nup_{c_a',jp}), compressed.
 
-    The interior labels r_a = (alpha, interior_row) and c_a' =
-    (alphap, interior_col) default to the first index of their blocks; the
-    operator does not depend on that choice.  An alpha outside the common
-    removals of the row (or column) pair yields the zero operator.
+    The first d^2 columns of the wall factors W(e_alpha) and W'(e_alpha').
+    The interior labels r_a and c_a' are the first index of blocks alpha
+    and alpha'; the operator does not depend on that choice.  An alpha
+    outside the common removals of the row (or column) pair yields the
+    zero operator.
     """
-    return _sub_pair(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d, interior_row, interior_col).compress()
+    left = _wall_factor(mu, nu, i, j, _indicator(mu, nu, alpha), p, d)
+    right = _wall_factor(mup, nup, ip, jp, _indicator(mup, nup, alphap), p, d)
+    return FactoredOperator(left[:, : d * d], right[:, : d * d].T).compress()
+
+
+@lru_cache(maxsize=None)
+def H_operator(
+    mu: Partition,
+    nu: Partition,
+    mup: Partition,
+    nup: Partition,
+    i: int,
+    j: int,
+    ip: int,
+    jp: int,
+    alpha: Partition,
+    alphap: Partition,
+    p: int,
+    d: int,
+) -> FactoredOperator:
+    """d F_sub - F_top delta^{mu nu} delta^{mu' nu'}; spans the second ideal.  Its factors are read-only.
+
+    One compression of W(e_alpha) D against W'(e_alpha'): the raw pair
+    [d X | -t] [Y; t'^T], with X Y^T the uncompressed F_sub factors and
+    t t'^T the rank-one F_top.  An alpha outside the common removals of the
+    row (or column) pair yields the zero operator, as in F_sub.
+    """
+    left = _wall_factor(mu, nu, i, j, _indicator(mu, nu, alpha), p, d)
+    right = _wall_factor(mup, nup, ip, jp, _indicator(mup, nup, alphap), p, d)
+    op = FactoredOperator(left * _wall_diagonal(d), right.T).compress()
+    _frozen(op.L)
+    _frozen(op.R)
+    return op
 
 
 # ----------------------------------------------------------------------------
@@ -284,11 +320,7 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
         u = np.eye(k)
     nullity = k - fraction_rank_det(entries)[0]
     top = float(np.max(np.abs(vals))) if k else 0.0
-    zero_modes = (
-        tuple(b + 1 for b in range(k) if abs(vals[b]) <= ZERO_MODE_RTOL * max(top, 1e-300))
-        if k
-        else ()
-    )
+    zero_modes = tuple(b + 1 for b in range(k) if abs(vals[b]) <= ZERO_MODE_RTOL * max(top, 1e-300))
     if len(zero_modes) != nullity:
         raise ArithmeticError(
             f"float zero-mode count {len(zero_modes)} != exact nullity {nullity} for B^({mu},{nu})"
@@ -303,39 +335,6 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
 
 
 # ----------------------------------------------------------------------------
-# H operators
-
-
-@lru_cache(maxsize=None)
-def H_operator(
-    mu: Partition,
-    nu: Partition,
-    mup: Partition,
-    nup: Partition,
-    i: int,
-    j: int,
-    ip: int,
-    jp: int,
-    alpha: Partition,
-    alphap: Partition,
-    p: int,
-    d: int,
-) -> FactoredOperator:
-    """d F_sub - F_top delta^{mu nu} delta^{mu' nu'}; spans the second ideal.  Its factors are read-only.
-
-    One compression of the raw pair [d X | -t] [Y; t'^T], with X Y the
-    uncompressed F_sub factors and t t'^T the rank-one F_top.
-    """
-    op = d * _sub_pair(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
-    if mu == nu and mup == nup:
-        op = op - F_top(mu, i, j, mup, ip, jp, p, d)
-    op = op.compress()
-    _frozen(op.L)
-    _frozen(op.R)
-    return op
-
-
-# ----------------------------------------------------------------------------
 # unit systems: shared bases and small cores
 
 
@@ -346,29 +345,16 @@ def H_operator(
 BASIS_RTOL = 1e-8
 
 
-def _top_factor(mu: Partition, i: int, j: int, p: int, d: int) -> np.ndarray:
-    """(E^mu_ij (x) 1) V^(p).L, a single column."""
-    return _apply_pair(left_side_matrix(mu, i, j, d), None, p, p, d)
-
-
 def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int, d: int) -> np.ndarray:
-    """W_r / sqrt(d lambda_beta), with W_r = [sum_a w_a (E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1).L | (sum_a w_a) (E^mu_ij (x) 1) V^(p).L delta_{mu nu}].
+    """W(w) / sqrt(d lambda_beta), with w row beta of the B^{mu nu} diagonalizer.
 
-    w is row beta of the B^{mu nu} diagonalizer.  With D = diag(d, .., d, -1),
-    W_r D W_c^T = sum over (alpha, alpha') of w_a w'_a' H_{alpha alpha'},
-    since H = d F_sub - F_top delta^{mu nu} delta^{mu' nu'}.
+    W(w) D W'(w')^T = sum over (alpha, alpha') of w_a w'_a' H_{alpha alpha'}.
     """
     b = B_matrix(mu, nu, d)
-    w = b.diagonalizer[beta - 1]
     lam = b.eigenvalues[beta - 1]
     if lam <= 0:
         raise ArithmeticError(f"nonpositive eigenvalue under square root: {lam} of B^({mu},{nu})")
-    acc = np.zeros((_check_dim(d, 2 * p), d * d))
-    for w_a, alpha in zip(w, b.alphas):
-        r, r2 = prir_position(mu, alpha, 1), prir_position(nu, alpha, 1)
-        acc += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
-    tail = w.sum() * _top_factor(mu, i, j, p, d) if mu == nu else np.zeros((acc.shape[0], 1))
-    return np.hstack([acc, tail]) / math.sqrt(d * lam)
+    return _wall_factor(mu, nu, i, j, b.diagonalizer[beta - 1], p, d) / math.sqrt(d * lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,10 +418,11 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
 
     Each row label r costs one factor W_r and one QR, W_r = Q0_r R0_r.  The
     units are G_rc = W_r D W_c^T s_r s_c with D = (1) and s_r = 1/sqrt(m_mu)
-    for the top ideal, and D = diag(d, .., d, -1) and s_r = 1/sqrt(d
-    lambda_beta) for the second.  The range of row r over all columns is
-    Q0_r times the range of R0_r D [R0_1^T .. R0_n^T]; one QR of the
-    stacked R0 and one small SVD per label give it, and its rank must be r.
+    for the top ideal, and the wall factor W_r = W(w_beta), D =
+    ``_wall_diagonal(d)`` and s_r = 1/sqrt(d lambda_beta) for the second.
+    The range of row r over all columns is Q0_r times the range of R0_r D
+    [R0_1^T .. R0_n^T]; one QR of the stacked R0 and one small SVD per
+    label give it, and its rank must be r.
     """
     if ideal == p:
         labels = top_row_labels(p, d)
@@ -444,7 +431,7 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     elif ideal == p - 1:
         labels = sub_row_labels(p, d)
         factors = [_sub_factor(*label, p, d) for label in labels]
-        diag, rank = np.array([float(d)] * (d * d) + [-1.0]), d * d - 1
+        diag, rank = _wall_diagonal(d), d * d - 1
     else:
         raise ValueError(f"ideal must be p = {p} or p - 1 = {p - 1}, got {ideal}")
     n, k, dim = len(labels), diag.size, _check_dim(d, 2 * p)
@@ -617,7 +604,13 @@ class ReducedBasis:
     eigenvalues: np.ndarray  # scalar-structure eigenvalues d * b_diag
 
 
-def reduce_singular_basis(b: BMatrix, generators, tol: float = 1e-9) -> ReducedBasis:
+# Absolute bound on the Frobenius norm of a discarded generator.  Over the
+# diagonal blocks up to (p,d) = (4,3), the H generators have norm up to 25
+# and a true zero mode leaves rounding noise below 4e-15.
+DISCARD_ATOL = 1e-9
+
+
+def reduce_singular_basis(b: BMatrix, generators) -> ReducedBasis:
     """Orthonormal matrix units from generators with scalar structure A = d B.
 
     ``generators[r][c]`` must compose as x_rc x_r'c' = d b(c, r') x_rc'
@@ -632,31 +625,24 @@ def reduce_singular_basis(b: BMatrix, generators, tol: float = 1e-9) -> ReducedB
     q = b.diagonalizer.T  # columns are eigenvectors
     lam = b.d * b.eigenvalues
     dim = generators[0][0].dim
+    pairs = list(itertools.product(range(k), repeat=2))
     transformed = {}
-    for s in range(k):
-        for r in range(k):
-            acc = FactoredOperator.zero(dim)
-            for a in range(k):
-                for c in range(k):
-                    w = q[a, s] * q[c, r]
-                    if w != 0.0:
-                        acc = acc + w * generators[a][c]
-            transformed[(s, r)] = acc.compress()
-    zero_modes = [s for s in range(k) if b.is_zero_mode(s + 1)]
-    for z in zero_modes:
+    for s, r in pairs:
+        terms = [w * generators[a][c] for a, c in pairs if (w := q[a, s] * q[c, r]) != 0.0]
+        transformed[s, r] = sum(terms, FactoredOperator.zero(dim)).compress()
+    for z in b.zero_modes:
         for s in range(k):
-            for key in ((s, z), (z, s)):
+            for key in ((s, z - 1), (z - 1, s)):
                 norm = transformed[key].frobenius_norm()
-                if norm > tol:
+                if norm > DISCARD_ATOL:
                     raise SemisimplicityError(
-                        f"discarded generator y[{key}] has norm {norm:.3e} > {tol}"
+                        f"discarded generator y[{key}] has norm {norm:.3e} > {DISCARD_ATOL}"
                     )
-    kept = tuple(s + 1 for s in range(k) if s not in zero_modes)
-    units = {}
-    for s in kept:
-        for r in kept:
-            scale = 1.0 / math.sqrt(lam[s - 1] * lam[r - 1])
-            units[(s, r)] = scale * transformed[(s - 1, r - 1)]
+    kept = b.kept_modes()
+    units = {
+        (s, r): (1.0 / math.sqrt(lam[s - 1] * lam[r - 1])) * transformed[s - 1, r - 1]
+        for s, r in itertools.product(kept, repeat=2)
+    }
     return ReducedBasis(kept, units, lam)
 
 
@@ -675,30 +661,20 @@ def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
     Returns the number of terms and the max-abs residual of the sum against
     the directly constructed V^(p-1).
     """
-    from .partitions import add_box, enumerate_partitions
-    from .tensorspace import V_generator
-
     if not has_second_ideal(p, d):
         raise ParameterError(f"the expansion of V^(p-1) over H operators needs the second ideal, absent at (p,d)=({p},{d})")
     _check_dim(d, 2 * p)
     terms = []
     smaller = [a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0]
-    for alpha in smaller:
-        for beta in smaller:
-            adds_a = [m for m in add_box(alpha) if multiplicity(m, d) > 0]
-            adds_b = [m for m in add_box(beta) if multiplicity(m, d) > 0]
-            for mu in adds_a:
-                for mup in adds_a:
-                    for nu in adds_b:
-                        for nup in adds_b:
-                            for ia in range(1, dim_irrep(alpha) + 1):
-                                for jb in range(1, dim_irrep(beta) + 1):
-                                    r1 = prir_position(mu, alpha, ia)
-                                    r2 = prir_position(mup, alpha, ia)
-                                    c1 = prir_position(nu, beta, jb)
-                                    c2 = prir_position(nup, beta, jb)
-                                    terms.append(H_operator(mu, mup, nu, nup, r1, r2, c1, c2, alpha, beta, p, d))
-                                    if mu == mup and nu == nup:
-                                        terms.append(F_top(mu, r1, r1, nu, c1, c1, p, d))
+    for alpha, beta in itertools.product(smaller, repeat=2):
+        adds_a = [m for m in add_box(alpha) if multiplicity(m, d) > 0]
+        adds_b = [m for m in add_box(beta) if multiplicity(m, d) > 0]
+        inner = itertools.product(range(1, dim_irrep(alpha) + 1), range(1, dim_irrep(beta) + 1))
+        for mu, mup, nu, nup, (ia, jb) in itertools.product(adds_a, adds_a, adds_b, adds_b, inner):
+            r1, r2 = prir_position(mu, alpha, ia), prir_position(mup, alpha, ia)
+            c1, c2 = prir_position(nu, beta, jb), prir_position(nup, beta, jb)
+            terms.append(H_operator(mu, mup, nu, nup, r1, r2, c1, c2, alpha, beta, p, d))
+            if mu == mup and nu == nup:
+                terms.append(F_top(mu, r1, r1, nu, c1, c1, p, d))
     acc = (np.hstack([t.L for t in terms]) / d) @ np.vstack([t.R for t in terms])
     return len(terms), float(np.max(np.abs(acc - V_generator(p, p - 1, d).matrix)))

@@ -18,6 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
+# Relative to the largest singular value: below it, a singular value of an
+# exact-rank sum is rounding noise, and compress drops it.
+COMPRESS_RTOL = 1e-13
+# jacobi_eigh stops when every off-diagonal entry is below JACOBI_RTOL of
+# max(1, max|a|), about 45 ulps, or after JACOBI_MAX_SWEEPS sweeps.
+JACOBI_RTOL, JACOBI_MAX_SWEEPS = 1e-14, 60
+
 
 class FactoredOperator:
     """A square operator stored as ``L @ R`` with thin factors."""
@@ -92,8 +99,8 @@ class FactoredOperator:
         """tr(m @ self)."""
         return float(np.sum((m @ self.L) * self.R.T))
 
-    def compress(self, tol: float = 1e-13) -> "FactoredOperator":
-        """Trim the factor rank by a small SVD; tol is relative to the top singular value."""
+    def compress(self) -> "FactoredOperator":
+        """Trim the factor rank by a small SVD, relative to the top singular value."""
         if self.rank_bound == 0:
             return self
         ql, rl = np.linalg.qr(self.L)
@@ -101,13 +108,13 @@ class FactoredOperator:
         u, s, vt = np.linalg.svd(rl @ rr.T)
         if s.size == 0 or s[0] == 0.0:
             return FactoredOperator.zero(self.dim)
-        keep = s > tol * s[0]
+        keep = s > COMPRESS_RTOL * s[0]
         u = u[:, keep] * s[keep]
         vt = vt[keep]
         return FactoredOperator(ql @ u, vt @ qr_.T)
 
 
-def jacobi_eigh(a: np.ndarray, sweep_tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi diagonalization of a small symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvector columns).  Deterministic:
@@ -120,12 +127,12 @@ def jacobi_eigh(a: np.ndarray, sweep_tol: float = 1e-14, max_sweeps: int = 60):
         raise ValueError("jacobi_eigh needs a symmetric square matrix")
     v = np.eye(k)
     scale = max(1.0, float(np.max(np.abs(a))) if k else 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(k - 1):
             for q in range(p + 1, k):
                 off = max(off, abs(a[p, q]))
-                if abs(a[p, q]) <= sweep_tol * scale:
+                if abs(a[p, q]) <= JACOBI_RTOL * scale:
                     continue
                 theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
                 c, s = np.cos(theta), np.sin(theta)
@@ -135,7 +142,7 @@ def jacobi_eigh(a: np.ndarray, sweep_tol: float = 1e-14, max_sweeps: int = 60):
                 rot[q, p] = -s
                 a = rot.T @ a @ rot
                 v = v @ rot
-        if off <= sweep_tol * scale:
+        if off <= JACOBI_RTOL * scale:
             break
     vals = np.diag(a).copy()
     order = np.argsort(vals, kind="stable")

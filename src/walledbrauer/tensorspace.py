@@ -109,9 +109,6 @@ class DenseOperator:
         self._check_compatible(other)
         return float(np.max(np.abs(self.matrix - other.matrix)))
 
-    def allclose(self, other: "DenseOperator", tol: float = 1e-10) -> bool:
-        return self.distance(other) <= tol
-
 
 @lru_cache(maxsize=None)
 def _digit_table(d: int, n: int) -> np.ndarray:

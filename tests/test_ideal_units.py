@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from walledbrauer.checks import run_suite
 from walledbrauer.errors import ZeroMultiplicityError
 from walledbrauer.ideal_units import (
     B_matrix,
@@ -112,16 +113,24 @@ def test_F_sub_empty_intersection_is_labelled_zero():
     assert f.rank_bound == 0
 
 
+def wall_pair(mu, nu, i, j, alpha, d, interior=1):
+    """Dense E^mu_{i,r} (x) E^nu_{j,r2} in the wall-side frames, r and r2 the positions of (alpha, interior)."""
+    return np.kron(left_side_matrix(mu, i, prir_position(mu, alpha, interior), d),
+                   right_side_matrix(nu, j, prir_position(nu, alpha, interior), d))
+
+
 def test_F_sub_interior_relabel_invariance():
+    """F_sub, built at the first interior index, equals the dense sandwich at every interior index."""
     # needs an interior block of dimension > 1: alpha = (2,1) at p = 4
     p, d = 4, 2
     mu, nu = partition(3, 1), partition(2, 2)
     alpha = partition(2, 1)
-    base = F_sub(mu, nu, mu, nu, 1, 1, 1, 1, alpha, alpha, p, d)
+    f_sub = F_sub(mu, nu, mu, nu, 1, 1, 1, 1, alpha, alpha, p, d).to_dense()
+    v = V_generator(p, p - 1, d).matrix
     for r in (1, 2):
         for c in (1, 2):
-            other = F_sub(mu, nu, mu, nu, 1, 1, 1, 1, alpha, alpha, p, d, interior_row=r, interior_col=c)
-            assert base.distance(other) <= 1e-10
+            dense = wall_pair(mu, nu, 1, 1, alpha, d, r) @ v @ wall_pair(mu, nu, 1, 1, alpha, d, c).T
+            assert np.max(np.abs(f_sub - dense)) <= 1e-12
 
 
 def test_span_reduction_identity():
@@ -358,16 +367,27 @@ def test_H_mismatched_indices_give_zero():
 
 @pytest.mark.parametrize("mu", [partition(2, 1), partition(1, 1, 1)])
 def test_H_is_d_F_sub_minus_F_top(mu):
-    """Every label of the diagonal block of mu at (3, 3): the one-compression H against its definition."""
+    """Every label of the diagonal block of mu at (3, 3): F_sub and H against dense products, not wall products.
+
+    F_sub = (A (x) B) V^(p-1) (A' (x) B')^T and H = d F_sub - (E_ij (x) 1) V^(p) (E_i'j' (x) 1)^T.
+    """
     p, d = 3, 3
-    alphas = remove_box(mu)
     n = dim_irrep(mu)
-    for i, j, ip, jp in itertools.product(range(1, n + 1), repeat=4):
-        for alpha, alphap in itertools.product(alphas, repeat=2):
-            h = H_operator(mu, mu, mu, mu, i, j, ip, jp, alpha, alphap, p, d).to_dense()
-            f_sub = F_sub(mu, mu, mu, mu, i, j, ip, jp, alpha, alphap, p, d).to_dense()
-            f_top = F_top(mu, i, j, mu, ip, jp, p, d).to_dense()
-            assert np.max(np.abs(h - (d * f_sub - f_top))) <= 1e-12
+    eye = np.eye(d**p)
+    v_sub, v_top = V_generator(p, p - 1, d).matrix, V_generator(p, p, d).matrix
+    subs = list(itertools.product(range(1, n + 1), range(1, n + 1), remove_box(mu)))
+    pairs = {(i, j, a): wall_pair(mu, mu, i, j, a, d) for i, j, a in subs}
+    left = {key: pair @ v_sub for key, pair in pairs.items()}
+    tops = {(i, j): np.kron(left_side_matrix(mu, i, j, d), eye) for i, j, _ in subs}
+    top_left = {key: top @ v_top for key, top in tops.items()}
+    f_tops = {(k, kp): top_left[k] @ tops[kp].T for k, kp in itertools.product(tops, repeat=2)}
+    for (i, j, alpha), (ip, jp, alphap) in itertools.product(subs, repeat=2):
+        dense = left[i, j, alpha] @ pairs[ip, jp, alphap].T
+        f_top = f_tops[(i, j), (ip, jp)]
+        f_sub = F_sub(mu, mu, mu, mu, i, j, ip, jp, alpha, alphap, p, d).to_dense()
+        h = H_operator(mu, mu, mu, mu, i, j, ip, jp, alpha, alphap, p, d).to_dense()
+        assert np.max(np.abs(f_sub - dense)) <= 1e-12
+        assert np.max(np.abs(h - (d * dense - f_top))) <= 1e-12
 
 
 def test_H_vanishes_for_single_column_at_d_equal_p():
@@ -616,6 +636,19 @@ def test_reduce_singular_discards_zero_mode():
     gens = [[H_operator(ones, ones, ones, ones, 1, 1, 1, 1, b.alphas[0], b.alphas[0], p, d)]]
     reduced = reduce_singular_basis(b, gens)
     assert reduced.kept == ()
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_reduction_suite_passes(p, d):
+    """Every diagonal block at (p, d); (3,2) holds a partially singular block, (3,3) a fully singular one."""
+    singular = {(3, 2): (partition(2, 1), 2), (3, 3): (partition(1, 1, 1), 1)}
+    if (p, d) in singular:
+        mu, size = singular[p, d]
+        b = B_matrix(mu, mu, d)
+        assert mu in schur_weyl_partitions(p, d) and (b.size, b.nullity) == (size, 1)
+    results = run_suite("reduction", p, d)
+    assert [r.name for r in results] == ["reduction_keeps_rank", "reduced_units_composition"]
+    assert all(r.passed for r in results), results
 
 
 def test_reduce_singular_partial_block_p4():
