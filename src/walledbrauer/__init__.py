@@ -50,7 +50,7 @@ from .ideal_units import (
     ab_general,
     decompose_Vpm1,
     has_second_ideal,
-    reduce_singular_basis,
+    second_ideal_blocks,
     UnitSystem,
     singularity_condition,
     unit_system,

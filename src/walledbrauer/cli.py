@@ -18,11 +18,18 @@ import numpy as np
 
 from .checks import SUITES, run_suite
 from .errors import ParameterError, ResourceLimitError
-from .ideal_units import B_matrix, GUnit, singularity_condition, unit_system
+from .ideal_units import B_matrix, GUnit, singularity_condition, sub_row_labels, top_row_labels, unit_system
 from .partitions import Partition, dim_irrep, enumerate_partitions, multiplicity
 from .spectra import analytic_levels, analytic_overlaps, spectrum_table
 
 SCHEMA_VERSION = 1
+
+# ``units --dump`` prints d^(4p) entries per unit, and the JSON dump holds all
+# of them at once, as Python floats in lists and then as one string: about 80
+# bytes an entry (measured at (2,4): 1.3e6 entries, 139 MiB peak).  2^21
+# entries keep a dump near 200 MiB; they admit (2,4) and refuse (2,5) at
+# 7.8e6, (4,2) at 6.4e7 and (3,3) at 1.7e8.
+MAX_DUMP_ENTRIES = 2**21
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,16 @@ def bmatrix(cfg: RunConfig, mu, nu):
         emit_json(doc)
 
 
+def _check_dump(p: int, d: int, ideals: list[int]) -> None:
+    """Refuse a dump of more than MAX_DUMP_ENTRIES entries, counted from the labels alone."""
+    labels = {p: top_row_labels, p - 1: sub_row_labels}
+    entries = sum(len(labels[k](p, d)) ** 2 for k in ideals) * d ** (4 * p)
+    if entries > MAX_DUMP_ENTRIES:
+        raise ResourceLimitError(
+            f"units --dump at (p,d)=({p},{d}) prints {entries} operator entries, above the bound {MAX_DUMP_ENTRIES}"
+        )
+
+
 @main.command()
 @click.option("--ideal", type=click.Choice(["top", "sub", "both"]), default="both", show_default=True)
 @click.option("--dump", is_flag=True, help="include dense operator entries (json) or emit mm blocks")
@@ -189,6 +206,8 @@ def units(cfg: RunConfig, ideal, dump):
     """Structured records for every constructed matrix unit at (p, d)."""
     p, d = cfg.p, cfg.d
     ideals = {"top": [p], "sub": [p - 1], "both": [p, p - 1]}[ideal]
+    if dump:
+        _check_dump(p, d, ideals)
     ops = [
         GUnit(system, a, c)
         for system in (unit_system(p, d, k) for k in ideals)

@@ -11,7 +11,3 @@ class ParameterError(ValueError):
 
 class ZeroMultiplicityError(ValueError):
     """A matrix unit was requested for an irrep that does not appear at this d."""
-
-
-class SemisimplicityError(RuntimeError):
-    """A discarded zero-mode generator turned out to be numerically nonzero."""

@@ -6,8 +6,9 @@ Objects built here, all on 2p registers:
   V^(p-1), the raw non-redundant spanning sets, in factored low-rank form.
 * The exact rational coefficient pair (a, b) of the V^(p-1) sandwich
   identity, and the symmetric coefficient matrix B built from the b values.
-* H operators (the almost-units of the second ideal) and the reduction that
-  discards zero modes of a singular B.
+  ``second_ideal_blocks`` is the one enumerator of the blocks (mu, nu) of
+  the second ideal, the shape pairs with a common one-box removal.
+* H operators, the almost-units of the second ideal.
 * Unit systems: the orthonormal units G(p) and G(p-1) of each ideal.  Every
   unit in one row label of an ideal shares its range, and every unit in one
   column label its co-range, so a system stores one orthonormal basis Q_r
@@ -19,7 +20,9 @@ The second ideal has one builder, the wall factor W(w) (``_wall_factor``),
 paired by the metric D (``_wall_diagonal``).  F_sub and H read it with w an
 indicator, and the second-ideal units with w a row of the B diagonalizer,
 without forming F or H; F and H stay as the paper's definitions and the
-oracle the tests compare the units against.
+oracle the tests compare the units against.  The zero modes of a singular
+B get no label, and ``checks.suite_reduction`` checks on the same wall
+factors that the pairs they would enter vanish.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ParameterError, SemisimplicityError, ZeroMultiplicityError
+from .errors import ParameterError, ZeroMultiplicityError
 from .lowrank import FactoredOperator, fraction_rank_det, jacobi_eigh
 from .matrix_units import left_side_matrix, right_side_matrix
 from .partitions import (
@@ -334,6 +337,23 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
     return BMatrix(mu, nu, d, alphas, entries, _frozen(vals), _frozen(u), nullity, zero_modes, singular, vanishing)
 
 
+def second_ideal_blocks(p: int, d: int) -> list[BMatrix]:
+    """B^{mu nu} of every block (mu, nu) of the second ideal, mu and nu in shape order; none without that ideal.
+
+    The blocks are the shape pairs with a common one-box removal, so each nu
+    is alpha + box with alpha = mu - box, and no empty B is built.
+    """
+    if not has_second_ideal(p, d):
+        return []
+    shapes = schur_weyl_partitions(p, d)
+    position = {mu: k for k, mu in enumerate(shapes)}
+    out = []
+    for mu in shapes:
+        partners = {nu for alpha in remove_box(mu) for nu in add_box(alpha) if nu in position}
+        out.extend(B_matrix(mu, nu, d) for nu in sorted(partners, key=position.__getitem__))
+    return out
+
+
 # ----------------------------------------------------------------------------
 # unit systems: shared bases and small cores
 
@@ -577,73 +597,13 @@ def top_row_labels(p: int, d: int) -> list[tuple[Partition, int, int]]:
 
 def sub_row_labels(p: int, d: int) -> list[tuple[Partition, Partition, int, int, int]]:
     """Composite row labels (mu, nu, i, j, beta) of the second-ideal units; none without that ideal."""
-    if not has_second_ideal(p, d):
-        return []
     out = []
-    shapes = schur_weyl_partitions(p, d)
-    for mu in shapes:
-        for nu in shapes:
-            b = B_matrix(mu, nu, d)
-            if b.size == 0:
-                continue
-            for beta in b.kept_modes():
-                for i in range(1, dim_irrep(mu) + 1):
-                    for j in range(1, dim_irrep(nu) + 1):
-                        out.append((mu, nu, i, j, beta))
+    for b in second_ideal_blocks(p, d):
+        for beta in b.kept_modes():
+            for i in range(1, dim_irrep(b.mu) + 1):
+                for j in range(1, dim_irrep(b.nu) + 1):
+                    out.append((b.mu, b.nu, i, j, beta))
     return out
-
-
-# ----------------------------------------------------------------------------
-# reduction of a singular block
-
-
-@dataclass(frozen=True)
-class ReducedBasis:
-    kept: tuple[int, ...]  # 1-based eigenmode indices that survive
-    units: dict[tuple[int, int], FactoredOperator]
-    eigenvalues: np.ndarray  # scalar-structure eigenvalues d * b_diag
-
-
-# Absolute bound on the Frobenius norm of a discarded generator.  Over the
-# diagonal blocks up to (p,d) = (4,3), the H generators have norm up to 25
-# and a true zero mode leaves rounding noise below 4e-15.
-DISCARD_ATOL = 1e-9
-
-
-def reduce_singular_basis(b: BMatrix, generators) -> ReducedBasis:
-    """Orthonormal matrix units from generators with scalar structure A = d B.
-
-    ``generators[r][c]`` must compose as x_rc x_r'c' = d b(c, r') x_rc'
-    (H operators of one diagonal label block do).  Implements the
-    diagonalize / discard / rescale pipeline: transform with the B
-    eigenvectors, drop the zero modes after checking they really vanish,
-    and rescale the survivors into exact matrix units.
-    """
-    k = b.size
-    if k == 0:
-        raise ValueError("empty B matrix")
-    q = b.diagonalizer.T  # columns are eigenvectors
-    lam = b.d * b.eigenvalues
-    dim = generators[0][0].dim
-    pairs = list(itertools.product(range(k), repeat=2))
-    transformed = {}
-    for s, r in pairs:
-        terms = [w * generators[a][c] for a, c in pairs if (w := q[a, s] * q[c, r]) != 0.0]
-        transformed[s, r] = sum(terms, FactoredOperator.zero(dim)).compress()
-    for z in b.zero_modes:
-        for s in range(k):
-            for key in ((s, z - 1), (z - 1, s)):
-                norm = transformed[key].frobenius_norm()
-                if norm > DISCARD_ATOL:
-                    raise SemisimplicityError(
-                        f"discarded generator y[{key}] has norm {norm:.3e} > {DISCARD_ATOL}"
-                    )
-    kept = b.kept_modes()
-    units = {
-        (s, r): (1.0 / math.sqrt(lam[s - 1] * lam[r - 1])) * transformed[s - 1, r - 1]
-        for s, r in itertools.product(kept, repeat=2)
-    }
-    return ReducedBasis(kept, units, lam)
 
 
 # ----------------------------------------------------------------------------

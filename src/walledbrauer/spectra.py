@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .ideal_units import B_matrix, has_second_ideal
+from .ideal_units import has_second_ideal, second_ideal_blocks
 from .partitions import (
     Partition,
     dim_irrep,
@@ -253,37 +253,16 @@ def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
             records.append(
                 OverlapRecord(p - 1, p, mu, mu, None, m / (d * dm), 1, m / (d * dm), dm * dm)
             )
-    if second:
-        shapes = schur_weyl_partitions(p, d)
-        for mu in shapes:
-            for nu in shapes:
-                b = B_matrix(mu, nu, d)
-                if b.size == 0:
-                    continue
-                alphas = b.alphas
-                t_h = np.array(
-                    [
-                        [float(_trace_rho_sub_with_H(mu, nu, a, ap, d)) for ap in alphas]
-                        for a in alphas
-                    ]
-                )
-                diag = b.diagonalizer @ t_h @ b.diagonalizer.T
-                for beta in b.kept_modes():
-                    overlap = diag[beta - 1, beta - 1] / (d * b.eigenvalues[beta - 1])
-                    trace = d * d - 1
-                    records.append(
-                        OverlapRecord(
-                            p - 1,
-                            p - 1,
-                            mu,
-                            nu,
-                            beta,
-                            overlap,
-                            trace,
-                            overlap / trace,
-                            dim_irrep(mu) * dim_irrep(nu),
-                        )
-                    )
+    for b in second_ideal_blocks(p, d):
+        mu, nu = b.mu, b.nu
+        t_h = np.array([[float(_trace_rho_sub_with_H(mu, nu, a, ap, d)) for ap in b.alphas] for a in b.alphas])
+        diag = b.diagonalizer @ t_h @ b.diagonalizer.T
+        for beta in b.kept_modes():
+            overlap = diag[beta - 1, beta - 1] / (d * b.eigenvalues[beta - 1])
+            trace = d * d - 1
+            records.append(
+                OverlapRecord(p - 1, p - 1, mu, nu, beta, overlap, trace, overlap / trace, dim_irrep(mu) * dim_irrep(nu))
+            )
     return tuple(records)
 
 

@@ -1,11 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from walledbrauer.checks import NEEDS_SECOND_IDEAL, SUITES
-from walledbrauer.cli import main
+from walledbrauer.cli import MAX_DUMP_ENTRIES, _check_dump, main
 
 
 def run(args):
@@ -242,6 +245,35 @@ def test_units_listing_and_mm_dump():
     body = [l for l in result.output.splitlines() if l and not l.startswith("%")]
     rows, cols, nnz = map(int, body[0].split())
     assert (rows, cols, nnz) == (4, 4, 4)
+
+
+def test_units_dump_guard(monkeypatch):
+    # the five admitted dumps print at most 1.3e6 entries; the refused ones run against a
+    # stub, so a guard that fails to refuse cannot build a dump of 1.7e8 entries here
+    for p, d in ((1, 2), (2, 2), (2, 3), (3, 2), (2, 4)):
+        _check_dump(p, d, [p, p - 1])
+
+    def unbuilt(*args):
+        raise AssertionError("a unit system was built before the dump was refused")
+
+    monkeypatch.setattr("walledbrauer.cli.unit_system", unbuilt)
+    for args in (["--p", "3", "--d", "3", "units", "--dump"], ["--p", "2", "--d", "5", "--format", "mm", "units", "--dump"]):
+        result = run(args)
+        assert result.exit_code == 3 and result.stdout == "", args
+        assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
+        assert str(MAX_DUMP_ENTRIES) in result.stderr
+
+
+def test_readme_examples_run():
+    """Every line of the README's command-line block, its comment stripped, exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", readme, flags=re.S) if b.startswith("walledbrauer ")]
+    lines = block.splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        program, *args = shlex.split(line, comments=True)
+        result = run(args)
+        assert program == "walledbrauer" and result.exit_code == 0, (line, result.stderr)
 
 
 def test_verify_pass_and_exit_codes():

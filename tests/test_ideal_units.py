@@ -1,10 +1,15 @@
+import dataclasses
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from walledbrauer import checks
 from walledbrauer.checks import run_suite
+from walledbrauer.cli import main
 from walledbrauer.errors import ZeroMultiplicityError
 from walledbrauer.ideal_units import (
     B_matrix,
@@ -16,7 +21,7 @@ from walledbrauer.ideal_units import (
     ab_general,
     b_entry,
     decompose_Vpm1,
-    reduce_singular_basis,
+    second_ideal_blocks,
     singularity_condition,
     sub_row_labels,
     top_row_labels,
@@ -607,64 +612,50 @@ def test_composition_relations_top_sub_mixed():
 # reduction and the generator decomposition
 
 
-def test_reduce_nonsingular_keeps_everything():
-    p, d = 3, 3
-    mu = partition(2, 1)
-    b = B_matrix(mu, mu, d)
-    gens = [
-        [H_operator(mu, mu, mu, mu, 1, 1, 1, 1, a, ap, p, d) for ap in b.alphas]
-        for a in b.alphas
-    ]
-    reduced = reduce_singular_basis(b, gens)
-    assert reduced.kept == (1, 2)
-    for s in reduced.kept:
-        for r in reduced.kept:
-            for s2 in reduced.kept:
-                for r2 in reduced.kept:
-                    prod = reduced.units[(s, r)] @ reduced.units[(s2, r2)]
-                    if r == s2:
-                        assert prod.distance(reduced.units[(s, r2)]) <= 1e-9
-                    else:
-                        assert prod.frobenius_norm() <= 1e-9
-
-
-def test_reduce_singular_discards_zero_mode():
-    p, d = 3, 3
-    ones = partition(1, 1, 1)
-    b = B_matrix(ones, ones, d)
-    assert b.singular
-    gens = [[H_operator(ones, ones, ones, ones, 1, 1, 1, 1, b.alphas[0], b.alphas[0], p, d)]]
-    reduced = reduce_singular_basis(b, gens)
-    assert reduced.kept == ()
-
-
-@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_reduction_suite_passes(p, d):
-    """Every diagonal block at (p, d); (3,2) holds a partially singular block, (3,3) a fully singular one."""
-    singular = {(3, 2): (partition(2, 1), 2), (3, 3): (partition(1, 1, 1), 1)}
+    """Every diagonal block at (p, d).
+
+    (3,2) and (4,3) hold a partially singular block, (3,3) the fully
+    singular (1,1,1) block, which keeps no mode, and the nonsingular (2,1)
+    block, which keeps both.
+    """
+    singular = {(3, 2): (partition(2, 1), 2), (3, 3): (partition(1, 1, 1), 1), (4, 3): (partition(2, 1, 1), 2)}
     if (p, d) in singular:
         mu, size = singular[p, d]
         b = B_matrix(mu, mu, d)
         assert mu in schur_weyl_partitions(p, d) and (b.size, b.nullity) == (size, 1)
+    if (p, d) == (3, 3):
+        assert B_matrix(partition(1, 1, 1), partition(1, 1, 1), d).kept_modes() == ()
+        assert B_matrix(partition(2, 1), partition(2, 1), d).kept_modes() == (1, 2)
     results = run_suite("reduction", p, d)
     assert [r.name for r in results] == ["reduction_keeps_rank", "reduced_units_composition"]
     assert all(r.passed for r in results), results
 
 
-def test_reduce_singular_partial_block_p4():
-    p, d = 4, 3
-    mu = partition(2, 1, 1)
-    b = B_matrix(mu, mu, d)
-    assert b.singular and b.nullity == 1
-    gens = [
-        [H_operator(mu, mu, mu, mu, 1, 1, 1, 1, a, ap, p, d) for ap in b.alphas]
-        for a in b.alphas
-    ]
-    reduced = reduce_singular_basis(b, gens)
-    assert len(reduced.kept) == 1
-    (kept,) = reduced.kept
-    unit = reduced.units[(kept, kept)]
-    assert (unit @ unit).distance(unit) <= 1e-9
+def test_reduction_fails_when_a_zero_mode_does_not_vanish(monkeypatch):
+    """Label a kept eigenvector of the nonsingular (2,1) block a zero mode: its generators do not vanish."""
+    real = checks.B_matrix
+
+    def mislabelled(mu, nu, d):
+        b = real(mu, nu, d)
+        return dataclasses.replace(b, zero_modes=(1,)) if mu == nu == partition(2, 1) else b
+
+    monkeypatch.setattr(checks, "B_matrix", mislabelled)
+    keeps_rank, composition = run_suite("reduction", 3, 3)
+    assert keeps_rank.name == "reduction_keeps_rank" and not keeps_rank.passed
+    assert composition.passed
+    result = CliRunner().invoke(main, ["--p", "3", "--d", "3", "verify", "--suite", "reduction"])
+    assert result.exit_code == 1 and "Traceback" not in result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["passed"] is False and not doc["checks"][0]["passed"]
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 4), (12, 12)])
+def test_second_ideal_blocks_are_the_pairs_with_a_common_removal(p, d):
+    shapes = schur_weyl_partitions(p, d)
+    expected = [(mu, nu) for mu in shapes for nu in shapes if common_removals(mu, nu)]
+    assert [(b.mu, b.nu) for b in second_ideal_blocks(p, d)] == expected
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3)])

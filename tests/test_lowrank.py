@@ -3,10 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walledbrauer.errors import SemisimplicityError
-from walledbrauer.ideal_units import B_matrix, reduce_singular_basis
 from walledbrauer.lowrank import FactoredOperator, fraction_rank_det, jacobi_eigh
-from walledbrauer.partitions import partition
 
 rng = np.random.default_rng(404)
 
@@ -80,13 +77,3 @@ def test_exact_rank_and_determinant_against_reference():
     assert fraction_rank_det([]) == (0, 1)
     with pytest.raises(ValueError):
         fraction_rank_det([[Fraction(1), Fraction(2)]])
-
-
-def test_reduction_raises_when_zero_mode_does_not_vanish():
-    ones = partition(1, 1, 1)
-    b = B_matrix(ones, ones, 3)
-    assert b.singular
-    # a generator that does not vanish on the zero mode is not semisimple
-    fake = FactoredOperator(np.ones((729, 1)), np.ones((1, 729)))
-    with pytest.raises(SemisimplicityError):
-        reduce_singular_basis(b, [[fake]])
