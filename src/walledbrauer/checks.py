@@ -173,6 +173,19 @@ def suite_representations(p: int, d: int) -> list[CheckResult]:
 
 
 def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
+    """Tensor-space identities; the generator ones are read off the factors of ``factored_V``.
+
+    With V^(p-1) = L L^T and V^(p) = l l^T (l = L phi, phi = vec(1_d), a
+    single 0/1 column), every row of L holds at most one 1 and every column
+    at least one, so max|L Z| = max|Z| for any Z; this is the argument of
+    ``tensorspace.sandwich_reduce``.  Hence, with no product over the 2p
+    registers:
+
+    * max|V^(p) X_e V^(p) - tr X V^(p)| = |l^T (X (x) 1) l - tr X|, the
+      column (X (x) 1) l formed by the gather ``_apply_pair(x, None, ...)``;
+    * max|V^(p-1) V - V^(p)| = max|L^T V - phi l^T| and
+      max|V^(p) V - d V^(p)| = max|l^T V - d l^T|, V on the outer pair.
+    """
     tol = 1e-10
     rng = np.random.default_rng(11)
     out = []
@@ -201,16 +214,17 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
     out.append(_result("generalized_ping_pong_p2_d2", worst, tol))
     worst = 0.0
     for pq, dq in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        vq = V_generator(pq, pq, dq)
         x = rng.standard_normal((dq**pq, dq**pq))
-        xe = embed_operator(DenseOperator(dq, pq, x), range(1, pq + 1), 2 * pq)
-        worst = max(worst, (vq @ xe @ vq).distance(float(np.trace(x)) * vq))
+        top = factored_V(pq, pq, dq).L[:, 0]
+        worst = max(worst, abs(float(top @ _apply_pair(x, None, pq, pq, dq)[:, 0]) - float(np.trace(x))))
     out.append(_result("sandwich_fact_p<=3", worst, tol))
     worst = 0.0
     for pq, dq in ((2, 2), (3, 2), (min(p, 3), min(d, 3))):
-        v1 = V_outer_pair(pq, dq)
-        worst = max(worst, (V_generator(pq, pq - 1, dq) @ v1).distance(V_generator(pq, pq, dq)))
-        worst = max(worst, (V_generator(pq, pq, dq) @ v1).distance(dq * V_generator(pq, pq, dq)))
+        v1 = V_outer_pair(pq, dq).matrix
+        L, top = factored_V(pq, pq - 1, dq).L, factored_V(pq, pq, dq).L[:, 0]
+        phi = np.eye(dq).ravel()
+        worst = max(worst, float(np.max(np.abs(L.T @ v1 - np.outer(phi, top)))))
+        worst = max(worst, float(np.max(np.abs(top @ v1 - dq * top))))
     out.append(_result("generator_products", worst, tol))
     worst = 0.0
     for pq in (2, 3):
@@ -381,7 +395,7 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
             for i in range(1, dim_irrep(mu) + 1):
                 for j in range(1, dim_irrep(nu) + 1):
                     acc = acc + w * G_top(mu, i, i, nu, j, j, p, d).op
-    res = float(np.max(np.abs(acc.to_dense() - V_generator(p, p, d).matrix)))
+    res = float(np.max(np.abs(acc.to_dense() - factored_V(p, p, d).to_dense())))
     out.append(_result("V_top_from_units", res, tol))
     terms, residual = decompose_Vpm1(p, d)
     out.append(_result(f"V_sub_from_H_terms_{terms}_terms", residual, tol))
@@ -400,26 +414,27 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
         if rec.rho_level == p - 1
     }
     top, sub = unit_system(p, d, p), unit_system(p, d, p - 1)
+    moved = {system: rho_sub @ system.flat_bases() for system in (top, sub)}  # rho(p-1) Q, once per system
     worst = 0.0
     for system, key in ((top, lambda r: (p, r[0], r[0], None)), (sub, lambda r: (p - 1, r[0], r[1], r[4]))):
+        n, dim, r = system.bases.shape
+        rho_q = moved[system].reshape(dim, n, r)
         for a, label in enumerate(system.labels):
             q = system.bases[a]
             lam = analytic[key(label)].eigenvalue
             # (rho - lambda) G_aa = (rho Q_a - lambda Q_a) M_aa Q_a^T
-            worst = max(worst, float(np.linalg.norm((rho_sub @ q - lam * q) @ system.cores[a, a])))
+            worst = max(worst, float(np.linalg.norm((rho_q[:, a] - lam * q) @ system.cores[a, a])))
     out.append(_result("eigen_operator_property", worst, tol))
-    worst = float(np.max(np.abs(sub.traces_with(rho_top)), initial=0.0))
+    worst = float(np.max(np.abs(sub.traces_with(rho_top @ sub.flat_bases())), initial=0.0))
     out.append(_result("rho_top_annihilates_second_ideal", worst, trace_tol))
     worst = 0.0
     for system in (sub, top):
-        traces = np.abs(system.traces_with(rho_sub))
+        traces = np.abs(system.traces_with(moved[system]))
         np.fill_diagonal(traces, 0.0)
         worst = max(worst, float(np.max(traces, initial=0.0)))
     out.append(_result("block_structure_off_diagonal_zero", worst, trace_tol))
-    v = V_generator(p, p - 1, d)
-    out.append(
-        _result("twirl_trace_conservation", abs(spectra.rho(p - 1, p, d).trace() - v.trace()), 1e-10)
-    )
+    trace = factored_V(p, p - 1, d).trace()
+    out.append(_result("twirl_trace_conservation", abs(spectra.rho(p - 1, p, d).trace() - trace), 1e-10))
     return out
 
 

@@ -50,7 +50,7 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import V_generator, _apply_pair, _check_dim, _frozen
+from .tensorspace import _apply_pair, _check_dim, _frozen, factored_V
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -407,7 +407,7 @@ class UnitSystem:
     def index(self) -> MappingProxyType:
         return MappingProxyType({label: a for a, label in enumerate(self.labels)})
 
-    def _flat_bases(self) -> np.ndarray:
+    def flat_bases(self) -> np.ndarray:
         """All bases side by side, dim x (n r)."""
         n, dim, r = self.bases.shape
         return self.bases.transpose(1, 0, 2).reshape(dim, n * r)
@@ -420,16 +420,15 @@ class UnitSystem:
     @cached_property
     def overlaps(self) -> np.ndarray:
         """X[a, c] = Q_a^T Q_c."""
-        flat = self._flat_bases()
+        flat = self.flat_bases()
         return _frozen(self._blocks(flat.T @ flat))
 
     def operator(self, a: int, c: int) -> FactoredOperator:
         return FactoredOperator(self.bases[a] @ self.cores[a, c], self.bases[c].T)
 
-    def traces_with(self, rho: np.ndarray) -> np.ndarray:
-        """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a)."""
-        flat = self._flat_bases()
-        return np.einsum("acij,caji->ac", self.cores, self._blocks(flat.T @ (rho @ flat)))
+    def traces_with(self, rho_flat: np.ndarray) -> np.ndarray:
+        """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a), given rho_flat = rho @ flat_bases()."""
+        return np.einsum("acij,caji->ac", self.cores, self._blocks(self.flat_bases().T @ rho_flat))
 
 
 @lru_cache(maxsize=None)
@@ -637,4 +636,4 @@ def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
             if mu == mup and nu == nup:
                 terms.append(F_top(mu, r1, r1, nu, c1, c1, p, d))
     acc = (np.hstack([t.L for t in terms]) / d) @ np.vstack([t.R for t in terms])
-    return len(terms), float(np.max(np.abs(acc - V_generator(p, p - 1, d).matrix)))
+    return len(terms), float(np.max(np.abs(acc - factored_V(p, p - 1, d).to_dense())))

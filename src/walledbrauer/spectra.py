@@ -177,7 +177,7 @@ def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:
     _orbit_sum(acc, p, d, level, offsets[sector] + pos * sizes[sector], pos)
     acc /= _orbit_size(p, level)
     vals = []
-    for n in np.unique(sizes):
+    for n in sizes[np.r_[True, sizes[1:] != sizes[:-1]]]:  # sizes is sorted
         same = np.flatnonzero(sizes == n)  # consecutive sectors
         start = offsets[same[0]]
         stack = acc[start : start + same.size * n * n].reshape(same.size, n, n)

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -297,3 +300,23 @@ def test_json_output_is_deterministic():
     a = run(["--p", "2", "--d", "2", "spectrum", "--level", "1"]).output
     b = run(["--p", "2", "--d", "2", "spectrum", "--level", "1"]).output
     assert a == b
+
+
+def test_verify_and_brute_spectrum_leave_numpy_ma_unimported():
+    # np.unique of a plain array goes through np.ma.is_masked on numpy 2.x,
+    # and importing numpy.ma costs every fresh process several milliseconds
+    code = (
+        "import sys\n"
+        "from walledbrauer.cli import main\n"
+        "for args in (['verify', '--suite', 'all'], ['spectrum', '--method', 'brute']):\n"
+        "    try:\n"
+        "        main(['--p', '2', '--d', '2', *args])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (None, 0), exc.code\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from walledbrauer import checks, tensorspace
 from walledbrauer.errors import ResourceLimitError
 from walledbrauer.symgroup import Permutation, enumerate_group, identity, transposition
 from walledbrauer.tensorspace import (
@@ -199,3 +200,34 @@ def test_wall_product_kernel_matches_the_dense_product(p, d):
     if p > 1:
         with pytest.raises(ValueError):
             _apply_pair(a, None, p, p - 1, d)
+
+
+def _named(results, name):
+    return next(r for r in results if r.name == name)
+
+
+def test_generator_suites_form_no_dense_product_above_dim_64(monkeypatch):
+    # the generator identities are read off the factors of factored_V; the
+    # largest dense product left is sandwich_reduce_identity's at (3,2)
+    dims = []
+    matmul = DenseOperator.__matmul__
+
+    def recording(self, other):
+        dims.append(max(self.dim, other.dim))
+        return matmul(self, other)
+
+    monkeypatch.setattr(DenseOperator, "__matmul__", recording)
+    for suite in ("tensorspace", "generators"):
+        assert all(r.passed for r in checks.run_suite(suite, 3, 3))
+    assert dims and max(dims) <= 64
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
+def test_generator_products_fails_on_the_innermost_pair(monkeypatch, p, d):
+    monkeypatch.setattr(checks, "V_outer_pair", lambda pq, dq: V_generator(pq, 1, dq))
+    assert not _named(checks.suite_tensorspace(p, d), "generator_products").passed
+
+
+def test_sandwich_fact_fails_without_the_digit_reversal(monkeypatch):
+    monkeypatch.setattr(tensorspace, "_digit_reversal", lambda d, k: np.arange(d**k))
+    assert not _named(checks.suite_tensorspace(3, 3), "sandwich_fact_p<=3").passed
