@@ -55,6 +55,6 @@ from .ideal_units import (
     singularity_condition,
     unit_system,
 )
-from .spectra import SpectrumTable, analytic_levels, analytic_overlaps, rho, rho_eigenvalues, spectrum_table
+from .spectra import SpectrumTable, analytic_levels, analytic_overlaps, rho, rho_apply, rho_eigenvalues, spectrum_table
 
 __version__ = "0.1.0"

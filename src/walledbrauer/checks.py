@@ -18,7 +18,6 @@ from . import spectra
 from .errors import ParameterError
 from .ideal_units import (
     B_matrix,
-    G_top,
     ab_general,
     decompose_Vpm1,
     has_second_ideal,
@@ -51,9 +50,10 @@ from .symgroup import (
 from .tensorspace import (
     DenseOperator,
     V_generator,
-    V_outer_pair,
     _apply_pair,
+    _weight_sectors,
     embed_operator,
+    factored_outer_pair,
     factored_V,
     permutation_operator,
     sandwich_reduce,
@@ -184,7 +184,9 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
     * max|V^(p) X_e V^(p) - tr X V^(p)| = |l^T (X (x) 1) l - tr X|, the
       column (X (x) 1) l formed by the gather ``_apply_pair(x, None, ...)``;
     * max|V^(p-1) V - V^(p)| = max|L^T V - phi l^T| and
-      max|V^(p) V - d V^(p)| = max|l^T V - d l^T|, V on the outer pair.
+      max|V^(p) V - d V^(p)| = max|l^T V - d l^T|, V on the outer pair,
+      read as M M^T from its 0/1 factor (``factored_outer_pair``), so that
+      (L^T M) M^T and (l^T M) M^T are thin products.
     """
     tol = 1e-10
     rng = np.random.default_rng(11)
@@ -220,11 +222,11 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
     out.append(_result("sandwich_fact_p<=3", worst, tol))
     worst = 0.0
     for pq, dq in ((2, 2), (3, 2), (min(p, 3), min(d, 3))):
-        v1 = V_outer_pair(pq, dq).matrix
+        m = factored_outer_pair(pq, dq).L
         L, top = factored_V(pq, pq - 1, dq).L, factored_V(pq, pq, dq).L[:, 0]
         phi = np.eye(dq).ravel()
-        worst = max(worst, float(np.max(np.abs(L.T @ v1 - np.outer(phi, top)))))
-        worst = max(worst, float(np.max(np.abs(top @ v1 - dq * top))))
+        worst = max(worst, float(np.max(np.abs((L.T @ m) @ m.T - np.outer(phi, top)))))
+        worst = max(worst, float(np.max(np.abs((top @ m) @ m.T - dq * top))))
     out.append(_result("generator_products", worst, tol))
     worst = 0.0
     for pq in (2, 3):
@@ -385,17 +387,28 @@ def suite_composition(p: int, d: int) -> list[CheckResult]:
 
 
 def suite_generators(p: int, d: int) -> list[CheckResult]:
+    """V^(p) and V^(p-1) reassembled from the units of the two ideals, one weight sector at a time.
+
+    V^(p) = l l^T is the sum of sqrt(m_mu m_nu) G_top over the diagonal labels
+    (mu, i, i) and (nu, j, j).  Every basis Q_a of those labels, like l, lies
+    in the weight-zero sector, so the sum is Q C Q^T on that sector's block
+    (C the weighted 1 x 1 cores) and zero elsewhere; the residual is the
+    largest block residual, or the largest entry of those bases outside the
+    sector if that is larger (0 when the bases conserve the weight).
+    ``ideal_units.decompose_Vpm1`` states the same argument for V^(p-1).
+    """
     tol = 1e-9
     out = []
-    shapes = schur_weyl_partitions(p, d)
-    acc = FactoredOperator.zero(d ** (2 * p))
-    for mu in shapes:
-        for nu in shapes:
-            w = float(np.sqrt(multiplicity(mu, d) * multiplicity(nu, d)))
-            for i in range(1, dim_irrep(mu) + 1):
-                for j in range(1, dim_irrep(nu) + 1):
-                    acc = acc + w * G_top(mu, i, i, nu, j, j, p, d).op
-    res = float(np.max(np.abs(acc.to_dense() - factored_V(p, p, d).to_dense())))
+    top = unit_system(p, d, p)
+    l = factored_V(p, p, d).L[:, 0]
+    sector = _weight_sectors(p, d)[0]
+    zero = sector == sector[np.argmax(l)]
+    diag = [a for a, (_, i, j) in enumerate(top.labels) if i == j]
+    w = np.sqrt([multiplicity(top.labels[a][0], d) for a in diag])
+    q = top.bases[diag, :, 0].T
+    core = top.cores[np.ix_(diag, diag)][:, :, 0, 0] * np.outer(w, w)
+    block = q[zero] @ core @ q[zero].T
+    res = max(float(np.max(np.abs(block - np.outer(l[zero], l[zero])))), float(np.max(np.abs(q[~zero]), initial=0.0)))
     out.append(_result("V_top_from_units", res, tol))
     terms, residual = decompose_Vpm1(p, d)
     out.append(_result(f"V_sub_from_H_terms_{terms}_terms", residual, tol))
@@ -403,18 +416,24 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
 
 
 def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
+    """The units as eigenoperators of rho(p-1) and rho(p), with each twirl applied matrix-free.
+
+    ``spectra.rho_apply`` forms rho(k) Q for the thin basis arrays Q of the
+    unit systems, so no d^(2p) x d^(2p) array is built.  The trace of
+    rho(p-1) is the exact orbit count: the mean of |A_pi|, the number of
+    diagonal 1s of V_pi, over the C(p,k)^2 k! matchings pi of the orbit,
+    summed over those the enumerator yields.
+    """
     trace_tol = 1e-10
     tol = 1e-9
     out = []
-    rho_sub = spectra.rho(p - 1, p, d).matrix
-    rho_top = spectra.rho(p, p, d).matrix
     analytic = {
         (rec.ideal, rec.mu, rec.nu, rec.interior): rec
         for rec in spectra.analytic_overlaps(p, d)
         if rec.rho_level == p - 1
     }
     top, sub = unit_system(p, d, p), unit_system(p, d, p - 1)
-    moved = {system: rho_sub @ system.flat_bases() for system in (top, sub)}  # rho(p-1) Q, once per system
+    moved = {system: spectra.rho_apply(p - 1, p, d, system.flat_bases()) for system in (top, sub)}  # rho(p-1) Q
     worst = 0.0
     for system, key in ((top, lambda r: (p, r[0], r[0], None)), (sub, lambda r: (p - 1, r[0], r[1], r[4]))):
         n, dim, r = system.bases.shape
@@ -425,7 +444,7 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
             # (rho - lambda) G_aa = (rho Q_a - lambda Q_a) M_aa Q_a^T
             worst = max(worst, float(np.linalg.norm((rho_q[:, a] - lam * q) @ system.cores[a, a])))
     out.append(_result("eigen_operator_property", worst, tol))
-    worst = float(np.max(np.abs(sub.traces_with(rho_top @ sub.flat_bases())), initial=0.0))
+    worst = float(np.max(np.abs(sub.traces_with(spectra.rho_apply(p, p, d, sub.flat_bases()))), initial=0.0))
     out.append(_result("rho_top_annihilates_second_ideal", worst, trace_tol))
     worst = 0.0
     for system in (sub, top):
@@ -434,7 +453,8 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
         worst = max(worst, float(np.max(traces, initial=0.0)))
     out.append(_result("block_structure_off_diagonal_zero", worst, trace_tol))
     trace = factored_V(p, p - 1, d).trace()
-    out.append(_result("twirl_trace_conservation", abs(spectra.rho(p - 1, p, d).trace() - trace), 1e-10))
+    count = sum(group.size for group in spectra._matching_groups(p, d, p - 1))
+    out.append(_result("twirl_trace_conservation", abs(count / spectra._orbit_size(p, p - 1) - trace), 1e-10))
     return out
 
 

@@ -24,11 +24,12 @@ from .spectra import analytic_levels, analytic_overlaps, spectrum_table
 
 SCHEMA_VERSION = 1
 
-# ``units --dump`` prints d^(4p) entries per unit, and the JSON dump holds all
-# of them at once, as Python floats in lists and then as one string: about 80
-# bytes an entry (measured at (2,4): 1.3e6 entries, 139 MiB peak).  2^21
-# entries keep a dump near 200 MiB; they admit (2,4) and refuse (2,5) at
-# 7.8e6, (4,2) at 6.4e7 and (3,3) at 1.7e8.
+# ``units --dump`` prints d^(4p) entries per unit, about 8 bytes an entry in
+# JSON.  Both formats print unit by unit and hold one unit's entries at a time
+# (measured at (2,4), 1.3e6 entries and 10.8 MB of JSON: peak RSS 40 MiB for
+# the JSON dump and 34 MiB for the mm dump, as for ``units`` without it).  2^21
+# entries keep a dump near 17 MB of output; they admit (2,4) and refuse (2,5)
+# at 7.8e6, (4,2) at 6.4e7 and (3,3) at 1.7e8.
 MAX_DUMP_ENTRIES = 2**21
 
 
@@ -227,12 +228,7 @@ def units(cfg: RunConfig, ideal, dump):
     if cfg.fmt == "mm" and dump:
         for rec, u in zip(records, ops):
             emit_matrix_market(u.to_dense(), json.dumps(rec, sort_keys=True))
-        return
-    if dump:
-        for rec, u in zip(records, ops):
-            rec["operator"] = [[f12(v) for v in row] for row in u.to_dense()]
-    doc = {"schema_version": SCHEMA_VERSION, "p": p, "d": d, "units": records}
-    if cfg.fmt == "csv":
+    elif cfg.fmt == "csv":
         emit_csv(
             ["ideal", "labels", "indices", "interior", "trace"],
             [
@@ -246,8 +242,24 @@ def units(cfg: RunConfig, ideal, dump):
                 for r in records
             ],
         )
+    elif dump:
+        _emit_json_dump(p, d, records, ops)
     else:
-        emit_json(doc)
+        emit_json({"schema_version": SCHEMA_VERSION, "p": p, "d": d, "units": records})
+
+
+def _emit_json_dump(p: int, d: int, records: list[dict], ops: list[GUnit]):
+    """The bytes of ``emit_json`` on the dump document, printed unit by unit.
+
+    Only one unit's entries are held at a time.  The keys sort as d, p,
+    schema_version, units, and each record is printed with sorted keys and
+    the default separators, as ``json.dumps(doc, sort_keys=True)`` would.
+    """
+    click.echo(f'{{"d": {d}, "p": {p}, "schema_version": {SCHEMA_VERSION}, "units": [', nl=False)
+    for k, (rec, u) in enumerate(zip(records, ops)):
+        entry = {**rec, "operator": [[f12(v) for v in row] for row in u.to_dense()]}
+        click.echo((", " if k else "") + json.dumps(entry, sort_keys=True), nl=False)
+    click.echo("]}")
 
 
 def _fig_layout(p: int, d: int, level: int) -> str:

@@ -22,7 +22,10 @@ indicator, and the second-ideal units with w a row of the B diagonalizer,
 without forming F or H; F and H stay as the paper's definitions and the
 oracle the tests compare the units against.  The zero modes of a singular
 B get no label, and ``checks.suite_reduction`` checks on the same wall
-factors that the pairs they would enter vanish.
+factors that the pairs they would enter vanish.  ``decompose_Vpm1``
+reassembles V^(p-1) from the uncompressed wall factors, one U (x) conj(U)
+weight sector at a time: every factor column lies in one sector, so no
+d^(2p) x d^(2p) sum is formed.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _apply_pair, _check_dim, _frozen, factored_V
+from .tensorspace import _apply_pair, _check_dim, _frozen, _weight_sectors, factored_V
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -445,19 +448,29 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     """
     if ideal == p:
         labels = top_row_labels(p, d)
-        factors = [_top_factor(mu, i, j, p, d) / math.sqrt(multiplicity(mu, d)) for (mu, i, j) in labels]
         diag, rank = np.ones(1), 1
+
+        def factor(mu, i, j):
+            return _top_factor(mu, i, j, p, d) / math.sqrt(multiplicity(mu, d))
+
     elif ideal == p - 1:
         labels = sub_row_labels(p, d)
-        factors = [_sub_factor(*label, p, d) for label in labels]
         diag, rank = _wall_diagonal(d), d * d - 1
+
+        def factor(*label):
+            return _sub_factor(*label, p, d)
+
     else:
         raise ValueError(f"ideal must be p = {p} or p - 1 = {p - 1}, got {ideal}")
     n, k, dim = len(labels), diag.size, _check_dim(d, 2 * p)
     if n == 0:
         empty = (np.zeros((0, dim, rank)), np.zeros((0, 0, rank, rank)), np.zeros(0))
         return UnitSystem(ideal, p, d, (), *map(_frozen, empty))
-    q0, r0 = np.linalg.qr(np.stack(factors))
+    factors = np.empty((n, dim, k))  # written label by label, with no list of per-label copies
+    for a, label in enumerate(labels):
+        factors[a] = factor(*label)
+    q0, r0 = np.linalg.qr(factors)
+    del factors
     stacked = np.linalg.qr(r0.reshape(n * k, k), mode="r")
     u, s, _ = np.linalg.svd((r0 * diag) @ stacked.T)
     kept = np.count_nonzero(s > BASIS_RTOL * s[:, :1], axis=1)
@@ -467,7 +480,7 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     y = u.transpose(0, 2, 1) @ r0  # Q_a^T W_a in the Q0_a coordinates
     cores = np.einsum("aik,k,cjk->acij", y, diag, y)
     full = np.einsum("aik,k,cjk->acij", r0, diag, r0)
-    projected = np.einsum("aik,ackl,cjl->acij", u, cores, u)
+    projected = (u[:, None] @ cores) @ u.transpose(0, 2, 1)[None]
     residual = np.sqrt(np.sum((full - projected) ** 2, axis=(2, 3))).max(axis=1)
     return UnitSystem(ideal, p, d, tuple(labels), _frozen(q0 @ u), _frozen(cores), _frozen(residual))
 
@@ -610,30 +623,73 @@ def sub_row_labels(p: int, d: int) -> list[tuple[Partition, Partition, int, int,
 
 
 def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
-    """Reassemble V^(p-1) from H operators plus top-ideal units.
+    """Reassemble V^(p-1) from H operators plus top-ideal units, one weight sector at a time.
 
     Sums, over all pairs of one-box-smaller shapes (alpha, beta), additions
     mu, mu' of alpha and nu, nu' of beta, and inner indices, the H operator
     with matching subgroup-adapted outer labels plus the diagonal top-ideal
-    term when mu = mu' and nu = nu', every term with coefficient 1/d.  The
-    factors of all terms are stacked and the sum formed by one product.
-    Returns the number of terms and the max-abs residual of the sum against
-    the directly constructed V^(p-1).
+    term when mu = mu' and nu = nu', every term with coefficient 1/d.  Each
+    term is read off uncompressed factors: H = W(e_alpha) D W'(e_beta)^T
+    (``_wall_factor``, ``_wall_diagonal``) and F_top = t t'^T with the two
+    ``_top_factor`` columns.  Returns the number of terms and the max-abs
+    residual of the sum against V^(p-1) = L L^T from ``factored_V``.
+
+    Why the weight sectors carry the whole sum (``tensorspace._weight_sectors``):
+
+    * column c = (a, b) of L is the indicator of the states whose register 1
+      spells a, register 2p spells b and paired registers agree, so it lies
+      in the sector of weight e_a - e_b; the top column t lies in weight 0;
+    * E^mu (x) E^nu is a sum of permutations of each wall side, which keep
+      each side's letter counts, so column c of every wall factor lies in
+      the sector of column c of L, and its last column, like t, in weight 0.
+      Their other entries are exact zeros.
+
+    A factor column is assigned the sector of the first 1 of the matching
+    column of [L | t].  When every factor column lies in its sector, each
+    term and L L^T are block diagonal, nonzero only on the blocks of the
+    sectors that some column touches, so the sum is accumulated term by
+    term into those blocks alone and each block is compared with the same
+    block of L L^T; the largest block residual is then exactly the max-abs
+    residual of the d^(2p) x d^(2p) sum.  The residual returned is that, or
+    the largest entry of any factor outside its column's sector if that is
+    larger: it is 0 when every factor conserves the weight, and a factor
+    that does not is reported rather than left out of the blocks.
     """
     if not has_second_ideal(p, d):
         raise ParameterError(f"the expansion of V^(p-1) over H operators needs the second ideal, absent at (p,d)=({p},{d})")
-    _check_dim(d, 2 * p)
-    terms = []
-    smaller = [a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0]
-    for alpha, beta in itertools.product(smaller, repeat=2):
-        adds_a = [m for m in add_box(alpha) if multiplicity(m, d) > 0]
-        adds_b = [m for m in add_box(beta) if multiplicity(m, d) > 0]
-        inner = itertools.product(range(1, dim_irrep(alpha) + 1), range(1, dim_irrep(beta) + 1))
-        for mu, mup, nu, nup, (ia, jb) in itertools.product(adds_a, adds_a, adds_b, adds_b, inner):
+    L = factored_V(p, p - 1, d).L
+    sector = _weight_sectors(p, d)[0]
+    col_sector = sector[np.argmax(np.hstack([L, factored_V(p, p, d).L]), axis=0)]
+    rows = {s: np.flatnonzero(sector == s) for s in sorted(set(col_sector.tolist()))}
+    cols = {s: np.flatnonzero(col_sector == s) for s in rows}
+    off_sector = [0.0]  # per factor, its largest entry outside its columns' sectors
+
+    def by_sector(factor: np.ndarray, col_of: np.ndarray) -> dict:
+        """The factor's block on each touched sector: its rows there, and its columns assigned there."""
+        off_sector.append(float(np.max(np.abs(factor[sector[:, None] != col_of]), initial=0.0)))
+        return {s: factor[np.ix_(rows[s], np.flatnonzero(col_of == s))] for s in rows}
+
+    walls, tops = {}, {}  # (alpha, index in alpha, mu, mu') -> wall factor; (mu, r) -> top column
+    for alpha in (a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0):
+        adds = [m for m in add_box(alpha) if multiplicity(m, d) > 0]
+        for ia, mu, mup in itertools.product(range(1, dim_irrep(alpha) + 1), adds, adds):
             r1, r2 = prir_position(mu, alpha, ia), prir_position(mup, alpha, ia)
-            c1, c2 = prir_position(nu, beta, jb), prir_position(nup, beta, jb)
-            terms.append(H_operator(mu, mup, nu, nup, r1, r2, c1, c2, alpha, beta, p, d))
-            if mu == mup and nu == nup:
-                terms.append(F_top(mu, r1, r1, nu, c1, c1, p, d))
-    acc = (np.hstack([t.L for t in terms]) / d) @ np.vstack([t.R for t in terms])
-    return len(terms), float(np.max(np.abs(acc - factored_V(p, p - 1, d).to_dense())))
+            walls[alpha, ia, mu, mup] = by_sector(_wall_factor(mu, mup, r1, r2, _indicator(mu, mup, alpha), p, d), col_sector)
+            if mu == mup and (mu, r1) not in tops:
+                tops[mu, r1] = by_sector(_top_factor(mu, r1, r1, p, d), col_sector[-1:])
+    metric = {s: _wall_diagonal(d)[cols[s]] / d for s in rows}
+    blocks = {s: np.zeros((rows[s].size, rows[s].size)) for s in rows}
+    terms = 0
+    for (alpha, ia, mu, mup), (beta, jb, nu, nup) in itertools.product(walls, repeat=2):
+        left, right = walls[alpha, ia, mu, mup], walls[beta, jb, nu, nup]
+        for s in rows:
+            blocks[s] += (left[s] * metric[s]) @ right[s].T
+        terms += 1
+        if mu == mup and nu == nup:
+            left = tops[mu, prir_position(mu, alpha, ia)]
+            right = tops[nu, prir_position(nu, beta, jb)]
+            for s in rows:
+                blocks[s] += (left[s] / d) @ right[s].T
+            terms += 1
+    residual = max(float(np.max(np.abs(blocks[s] - L[rows[s]] @ L[rows[s]].T))) for s in rows)
+    return terms, max(residual, *off_sector)

@@ -5,8 +5,7 @@ V^(k) has rank d^(2(p-k)), so they are carried as L @ R factor pairs, and
 products, traces and Frobenius distances cost O(dim * rank^2) instead of
 O(dim^3).  The factors themselves are wall products formed in
 ``tensorspace._apply_pair``.  A sum of factored terms is a concatenation
-of factors: it is compressed once, or formed with one product of the
-stacked factors, rather than term by term.  The matrix units themselves are not stored one by one: each
+of factors, compressed once rather than term by term.  The matrix units themselves are not stored one by one: each
 ideal's units form a unit system (see ``ideal_units.UnitSystem``) of one
 orthonormal basis per row label and an r x r core per unit, and a unit's
 ``FactoredOperator`` is formed from those only when a caller asks for it.

@@ -3,12 +3,15 @@
 The twirl over S_p x S_p of the ideal generator V^(k) is the uniform average
 of V_pi over the C(p,k)^2 k! partial matchings pi in its orbit, and it
 conserves the U (x) conj(U) weight, so rho(k) is block diagonal over weight
-sectors.  The twirled operators are diagonal in the unit bases of the two
-highest ideals.  Their nonzero eigenvalues come out analytically from
-multiplicities and dimensions alone (plus the small diagonalizer of the B
-matrix), and can be cross-checked against a brute-force eigendecomposition of
-one dense block per weight sector; both paths are exposed through
-:func:`spectrum_table`.
+sectors.  ``_matching_groups`` enumerates the orbit once for every use of it:
+the dense oracle :func:`rho`, the brute spectra of :func:`rho_eigenvalues`
+(one dense block per weight sector) and :func:`rho_apply`, which forms
+rho(k) Q for a thin Q with no d^(2p) x d^(2p) array and is what the
+verification suites use.  The twirled operators are diagonal in the unit
+bases of the two highest ideals.  Their nonzero eigenvalues come out
+analytically from multiplicities and dimensions alone (plus the small
+diagonalizer of the B matrix), and can be cross-checked against the brute
+spectra; both paths are exposed through :func:`spectrum_table`.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from .partitions import (
     multiplicity,
     schur_weyl_partitions,
 )
-from .tensorspace import DenseOperator, _digit_table, _frozen
+from .tensorspace import DenseOperator, _frozen, _weight_sectors
 
 BIN_TOL = 1e-6
 
-# The brute path makes one vectorised pass over the d^(2p) basis indices for each
-# matching of the orbit (the scatter) and for each letter (the weight labelling).
+# The brute path makes one vectorised pass over d^(2p) entries for each matching
+# of the orbit (the scatter of its groups) and for each letter (the weight labelling).
 # The fixed cost of a pass's numpy calls, about 0.15 ms, is that of about
 # PASS_FLOOR entries, so a pass is charged max(d^(2p), PASS_FLOOR) entries.
 # 2^26 admit every level of (3,6), (4,3) and (6,2) (at most 2.2e7 entries, at
@@ -86,31 +89,61 @@ def _check_block_memory(p: int, d: int) -> None:
         )
 
 
-def _orbit_sum(acc: np.ndarray, p: int, d: int, level: int, row_key: np.ndarray, col_key: np.ndarray) -> None:
-    """Add V_pi to the flat ``acc`` for every matching pi in the orbit of V^(level).
+def _matching_groups(p: int, d: int, level: int):
+    """For every matching pi in the orbit of V^(level): the indices that V_pi acts on, by groups.
 
-    Entry (r, c) of V_pi lands at acc[row_key[r] + col_key[c]].  V_pi is 1 at
-    the columns whose matched registers agree, in every row with the same free
-    digits and any equal digit pair (a, a) on each matched pair.  Its entries
-    are distinct, so a plain fancy-indexed add counts each once.
+    V_pi pairs k = level registers left of the wall with k right of it.  It
+    is zero off the set A_pi of basis indices whose matched digits agree,
+    and on A_pi it is 1 between any two indices with the same free digits.
+    Row g of the yielded (d^(2p-2k), d^k) array lists the group of A_pi
+    whose free digits, in register order, spell g; V_pi is 1 on group x
+    group and 0 elsewhere, and |A_pi| = d^(2p-k).  No pass over the d^(2p)
+    indices is made.
     """
     n = 2 * p
-    digs = _digit_table(d, n)
     place = [d ** (n - 1 - reg) for reg in range(n)]
     for left in combinations(range(p), level):
         for right in permutations(range(p, n), level):
-            agree = np.ones(digs.shape[1], dtype=bool)
-            for l, r in zip(left, right):
-                agree &= digs[l] == digs[r]
-            cols = np.flatnonzero(agree)
-            base = cols.copy()
+            matched = set(left) | set(right)
+            base = np.zeros(1, dtype=np.int64)
+            for reg in range(n):
+                if reg not in matched:
+                    base = (base[:, None] + np.arange(d) * place[reg]).ravel()
             offsets = np.zeros(1, dtype=np.int64)
             for l, r in zip(left, right):
-                step = place[l] + place[r]
-                base -= digs[l, cols] * step
-                offsets = (offsets[:, None] + np.arange(d) * step).ravel()
-            rows = (base[:, None] + offsets).ravel()
-            acc[row_key[rows] + col_key[np.repeat(cols, offsets.size)]] += 1.0
+                offsets = (offsets[:, None] + np.arange(d) * (place[l] + place[r])).ravel()
+            yield base[:, None] + offsets
+
+
+def _orbit_sum(acc: np.ndarray, p: int, d: int, level: int, row_key: np.ndarray, col_key: np.ndarray) -> None:
+    """Add V_pi to the flat ``acc`` for every matching pi in the orbit of V^(level).
+
+    Entry (r, c) of V_pi lands at acc[row_key[r] + col_key[c]], for r and c
+    in one group of ``_matching_groups``.  Its entries are distinct, so a
+    plain fancy-indexed add counts each once.
+    """
+    for group in _matching_groups(p, d, level):
+        acc[row_key[group][:, :, None] + col_key[group][:, None, :]] += 1.0
+
+
+def rho_apply(level: int, p: int, d: int, q: np.ndarray) -> np.ndarray:
+    """rho(level) @ q for a thin q of d^(2p) rows, with no d^(2p) x d^(2p) array.
+
+    The orbit average of V_pi q.  V_pi q is zero off A_pi, and on each group
+    of A_pi (see ``_matching_groups``) it is the sum of q over the group,
+    repeated on every index of the group: d^(2p-k) entries per matching and
+    column of q.
+    """
+    if not 0 <= level <= p:
+        raise ValueError(f"need 0 <= level <= p, got {level}")
+    q = np.asarray(q)
+    if q.shape[0] != d ** (2 * p):
+        raise ValueError(f"q has {q.shape[0]} rows, need d^(2p) = {d ** (2 * p)}")
+    out = np.zeros(q.shape, dtype=np.result_type(q, float))
+    for group in _matching_groups(p, d, level):
+        out[group] += q[group].sum(axis=1, keepdims=True)
+    out /= _orbit_size(p, level)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -131,34 +164,6 @@ def rho(level: int, p: int, d: int) -> DenseOperator:
     flat /= _orbit_size(p, level)
     _frozen(out.matrix)
     return out
-
-
-def _weight_sectors(p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per basis index: its sector and its position there; and the sector sizes.
-
-    The weight of an index is its letter counts on registers 1..p minus those
-    on registers p+1..2p; each twirled V^(k) conserves it.  Sectors are
-    numbered by size, so sectors of one size sit side by side in the buffer.
-    """
-    digs = _digit_table(d, 2 * p)
-    base = 2 * p + 1  # one digit per letter: its count difference lies in -p..p
-    # base^chunk <= 2^36, and the ranks stay below d^(2p) <= 2^26 (the work bound),
-    # so rank * base^chunk + key never leaves int64
-    chunk = max(1, int(36 / math.log2(base)))
-    sector = np.zeros(digs.shape[1], dtype=np.int64)
-    for first in range(0, d, chunk):
-        key = np.zeros_like(sector)
-        for a in range(first, min(first + chunk, d)):
-            count = np.count_nonzero(digs[:p] == a, axis=0) - np.count_nonzero(digs[p:] == a, axis=0)
-            key = key * base + count + p
-        _, sector, sizes = np.unique(sector * base**chunk + key, return_inverse=True, return_counts=True)
-    rank = np.empty_like(sizes)
-    rank[np.argsort(sizes, kind="stable")] = np.arange(sizes.size)
-    sector, sizes = rank[sector], np.sort(sizes)
-    order = np.argsort(sector, kind="stable")
-    pos = np.empty_like(sector)
-    pos[order] = np.arange(sector.size) - (np.cumsum(sizes) - sizes)[sector[order]]
-    return sector, pos, sizes
 
 
 def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:

@@ -6,14 +6,24 @@ constructions here are real; complex storage is accepted by
 :class:`DenseOperator` but nothing in this package produces it.
 
 The generators V^(k) also come factored, V^(k) = L L^T with a 0/1 factor
-(:func:`factored_V`).  A wall product (A (x) B) L reaches L only through
+(:func:`factored_V`), as does the generator on the outermost pair
+(:func:`factored_outer_pair`); ``_pair_factor`` forms the factor of either
+from its register pairs.  A wall product (A (x) B) L reaches L only through
 the k paired registers (the generalized ping-pong identity), so
 :func:`_apply_pair` forms it as one GEMM over those registers and never
 multiplies a d^p x d^p matrix into the whole of L.
+
+Every partially transposed permutation conserves the U (x) conj(U) weight
+of a basis index (its letter counts left of the wall minus those right of
+it); ``_weight_sectors`` labels the indices by that weight, for the brute
+spectra and for sums of factored terms that are compared sector by sector.
+The dense operators, ``V_generator`` and ``V_outer_pair`` among them, are
+the oracles the factored forms are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -117,6 +127,36 @@ def _digit_table(d: int, n: int) -> np.ndarray:
     if n == 0:
         return _frozen(np.zeros((0, dim), dtype=np.int64))
     return _frozen(np.asarray(np.unravel_index(np.arange(dim), (d,) * n), dtype=np.int64))
+
+
+def _weight_sectors(p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per basis index: its sector and its position there; and the sector sizes.
+
+    The weight of an index is its letter counts on registers 1..p minus those
+    on registers p+1..2p.  Every partially transposed permutation conserves
+    it, so every V^(k), its twirl and its factor columns do.  Sectors are
+    numbered by size, so sectors of one size sit side by side when stored
+    in that order.
+    """
+    digs = _digit_table(d, 2 * p)
+    base = 2 * p + 1  # one digit per letter: its count difference lies in -p..p
+    # base^chunk <= 2^36, and the ranks stay below d^(2p) <= 2^26 (spectra's work
+    # bound; MAX_HILBERT_DIM elsewhere), so rank * base^chunk + key never leaves int64
+    chunk = max(1, int(36 / math.log2(base)))
+    sector = np.zeros(digs.shape[1], dtype=np.int64)
+    for first in range(0, d, chunk):
+        key = np.zeros_like(sector)
+        for a in range(first, min(first + chunk, d)):
+            count = np.count_nonzero(digs[:p] == a, axis=0) - np.count_nonzero(digs[p:] == a, axis=0)
+            key = key * base + count + p
+        _, sector, sizes = np.unique(sector * base**chunk + key, return_inverse=True, return_counts=True)
+    rank = np.empty_like(sizes)
+    rank[np.argsort(sizes, kind="stable")] = np.arange(sizes.size)
+    sector, sizes = rank[sector], np.sort(sizes)
+    order = np.argsort(sector, kind="stable")
+    pos = np.empty_like(sector)
+    pos[order] = np.arange(sector.size) - (np.cumsum(sizes) - sizes)[sector[order]]
+    return sector, pos, sizes
 
 
 def permutation_index(sigma: Permutation, d: int, n: int) -> np.ndarray:
@@ -229,6 +269,30 @@ def V_generator(p: int, k: int, d: int) -> DenseOperator:
     return partial_transpose(base, range(p + 1, p + k + 1))
 
 
+def _pair_factor(p: int, d: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The 0/1 factor M, with M M^T the generator V on each register pair (l, r) of ``pairs``.
+
+    V = sum over a, b of |a a><b b| on the two registers of a pair, and the
+    identity on every free register.  Column c of M is the indicator of the
+    basis states whose paired registers agree and whose free registers, in
+    register order, spell c.  Registers are 1-based.
+    """
+    dim = _check_dim(d, 2 * p)
+    digs = _digit_table(d, 2 * p)
+    paired = np.ones(dim, dtype=bool)
+    for left, right in pairs:
+        paired &= digs[left - 1] == digs[right - 1]
+    matched = {reg for pair in pairs for reg in pair}
+    free = [reg for reg in range(1, 2 * p + 1) if reg not in matched]
+    cols = np.zeros(dim, dtype=np.int64)
+    for reg in free:
+        cols = cols * d + digs[reg - 1]
+    M = np.zeros((dim, d ** len(free)))
+    idx = np.flatnonzero(paired)
+    M[idx, cols[idx]] = 1.0
+    return _frozen(M)
+
+
 @lru_cache(maxsize=None)
 def factored_V(p: int, k: int, d: int) -> FactoredOperator:
     """V^(k) on 2p registers as L L^T, a sum of d^(2(p-k)) rank-one 0/1 projectors.
@@ -238,21 +302,21 @@ def factored_V(p: int, k: int, d: int) -> FactoredOperator:
     """
     if not 0 <= k <= p:
         raise ValueError(f"need 0 <= k <= p, got k={k}")
-    dim = _check_dim(d, 2 * p)
-    digs = _digit_table(d, 2 * p)
-    paired = np.ones(dim, dtype=bool)
-    for j in range(1, k + 1):
-        paired &= digs[p - j] == digs[p + j - 1]
-    free = [r for r in range(1, p - k + 1)] + [r for r in range(p + k + 1, 2 * p + 1)]
-    n_free = len(free)
-    cols = np.zeros(dim, dtype=np.int64)
-    for reg in free:
-        cols = cols * d + digs[reg - 1]
-    L = np.zeros((dim, d**n_free))
-    idx = np.flatnonzero(paired)
-    L[idx, cols[idx]] = 1.0
-    _frozen(L)
+    L = _pair_factor(p, d, tuple((p - j + 1, p + j) for j in range(1, k + 1)))
     return FactoredOperator(L, L.T)
+
+
+@lru_cache(maxsize=None)
+def factored_outer_pair(p: int, d: int) -> FactoredOperator:
+    """The generator on the outermost pair (1, 2p) as M M^T, with the 0/1 factor of ``factored_V``.
+
+    Column c of M is the indicator of the basis states whose registers 1
+    and 2p agree and whose registers 2..2p-1 spell c.
+    """
+    if p < 1:
+        raise ValueError(f"need p >= 1, got p={p}")
+    M = _pair_factor(p, d, ((1, 2 * p),))
+    return FactoredOperator(M, M.T)
 
 
 @lru_cache(maxsize=None)
@@ -287,10 +351,11 @@ def _apply_pair(a: np.ndarray, b: np.ndarray | None, p: int, k: int, d: int) -> 
 
 
 def V_outer_pair(p: int, d: int) -> DenseOperator:
-    """The two-register ideal generator placed on the outermost pair (1, 2p).
+    """The two-register ideal generator placed on the outermost pair (1, 2p), as a dense operator.
 
     This is the element whose products satisfy V^(p-1) V = V^(p) and
     V^(p) V = d V^(p); the innermost-pair V_generator(p, 1, d) does not.
+    The dense oracle of :func:`factored_outer_pair`.
     """
     base = permutation_operator(transposition(2 * p, 1, 2 * p), d, 2 * p)
     return partial_transpose(base, [2 * p])

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from walledbrauer.checks import NEEDS_SECOND_IDEAL, SUITES
-from walledbrauer.cli import MAX_DUMP_ENTRIES, _check_dump, main
+from walledbrauer.cli import MAX_DUMP_ENTRIES, _check_dump, f12, main
+from walledbrauer.ideal_units import GUnit, unit_system
 
 
 def run(args):
@@ -248,6 +249,29 @@ def test_units_listing_and_mm_dump():
     body = [l for l in result.output.splitlines() if l and not l.startswith("%")]
     rows, cols, nnz = map(int, body[0].split())
     assert (rows, cols, nnz) == (4, 4, 4)
+
+
+@pytest.mark.parametrize("p,d,ideal", [(2, 2, "both"), (2, 3, "top"), (1, 2, "sub")])
+def test_units_json_dump_prints_the_bytes_of_one_document(p, d, ideal):
+    g = ["--p", str(p), "--d", str(d)]
+    doc = json.loads(run(g + ["units", "--ideal", ideal]).output)
+    ideals = {"both": [p, p - 1], "top": [p], "sub": [p - 1]}[ideal]
+    units = [GUnit(s, a, c) for s in (unit_system(p, d, k) for k in ideals) for a in range(s.size) for c in range(s.size)]
+    assert len(units) == len(doc["units"])
+    for rec, u in zip(doc["units"], units):
+        rec["operator"] = [[f12(v) for v in row] for row in u.to_dense()]
+    assert run(g + ["units", "--ideal", ideal, "--dump"]).output == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_units_csv_dump_builds_no_operator(monkeypatch):
+    plain = run(["--p", "2", "--d", "2", "--format", "csv", "units"]).output
+
+    def dense(self):
+        raise AssertionError("the csv listing prints no operator")
+
+    monkeypatch.setattr(GUnit, "to_dense", dense)
+    result = run(["--p", "2", "--d", "2", "--format", "csv", "units", "--dump"])
+    assert result.exit_code == 0 and result.output == plain
 
 
 def test_units_dump_guard(monkeypatch):

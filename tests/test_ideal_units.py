@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from walledbrauer import checks
+from walledbrauer import checks, ideal_units
 from walledbrauer.checks import run_suite
 from walledbrauer.cli import main
 from walledbrauer.errors import ZeroMultiplicityError
@@ -49,7 +49,7 @@ from walledbrauer.symgroup import (
     transposition,
     young_orthogonal_rep,
 )
-from walledbrauer.tensorspace import V_generator, _apply_pair, factored_V
+from walledbrauer.tensorspace import V_generator, _apply_pair, _weight_sectors, factored_V
 
 rng = np.random.default_rng(99)
 
@@ -705,3 +705,31 @@ def test_decompose_Vpm1(p, d):
     terms, residual = decompose_Vpm1(p, d)
     assert residual <= 1e-9
     assert terms == {(2, 2): 20, (2, 3): 20, (3, 2): 34, (3, 3): 80, (4, 2): 180}[p, d]
+
+
+def _V_sub_check(p, d):
+    return next(r for r in checks.suite_generators(p, d) if r.name.startswith("V_sub_from_H_terms_"))
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
+def test_V_sub_expansion_fails_on_an_off_sector_wall_entry(monkeypatch, p, d):
+    # column 0 of every wall factor lies in the sector of index 0 (free digits 0, 0);
+    # one small entry planted outside it leaves every sector block as it was
+    sector = _weight_sectors(p, d)[0]
+    row = int(np.flatnonzero(sector != sector[0])[0])
+    wall = ideal_units._wall_factor
+
+    def planted(*args):
+        out = wall(*args)
+        out[row, 0] = 1e-6
+        return out
+
+    monkeypatch.setattr(ideal_units, "_wall_factor", planted)
+    check = _V_sub_check(p, d)
+    assert not check.passed and check.residual == 1e-6
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
+def test_V_sub_expansion_fails_with_the_metric_sign_flipped(monkeypatch, p, d):
+    monkeypatch.setattr(ideal_units, "_wall_diagonal", lambda dd: np.array([float(dd)] * (dd * dd) + [1.0]))
+    assert not _V_sub_check(p, d).passed

@@ -3,20 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from walledbrauer import checks, spectra
 from walledbrauer.errors import ResourceLimitError
 from walledbrauer.ideal_units import G_sub, G_top, sub_row_labels, top_row_labels
 from walledbrauer.matrix_units import E_unit, embed_left, embed_right
 from walledbrauer.partitions import Partition, dim_irrep, partition, schur_weyl_partitions
 from walledbrauer.spectra import (
     _block_entries,
-    _weight_sectors,
     analytic_overlaps,
     rho,
+    rho_apply,
     rho_eigenvalues,
     spectrum_table,
 )
 from walledbrauer.symgroup import Permutation, enumerate_group
-from walledbrauer.tensorspace import DenseOperator, V_generator, permutation_index, permutation_operator
+from walledbrauer.tensorspace import DenseOperator, V_generator, _weight_sectors, permutation_index, permutation_operator
 
 rng = np.random.default_rng(31)
 
@@ -330,6 +331,38 @@ def test_block_structure_p3():
             else:
                 assert abs(value) > 1e-6
     assert worst_off <= 1e-10
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (3, 3), (4, 2)])
+def test_rho_apply_matches_the_dense_rho(p, d):
+    # To first order, a side that adds n terms per entry errs by at most
+    # n eps (|rho| |q|): n = d^(2p) for the dense product, and at most d^k plus
+    # the orbit size for the apply (a sum over each group, then one per
+    # matching).  The bound is the sum of the two.
+    q = rng.standard_normal((d ** (2 * p), 5))
+    for level in range(p + 1):
+        dense = rho(level, p, d).matrix
+        terms = d ** (2 * p) + d**level + spectra._orbit_size(p, level)
+        bound = terms * np.finfo(float).eps * (np.abs(dense) @ np.abs(q))
+        assert np.all(np.abs(rho_apply(level, p, d, q) - dense @ q) <= bound)
+    with pytest.raises(ValueError):
+        rho_apply(p + 1, p, d, q)
+    with pytest.raises(ValueError):
+        rho_apply(p, p, d, q[1:])
+
+
+def test_eigenoperators_fail_when_the_apply_drops_a_matching(monkeypatch):
+    groups = spectra._matching_groups
+
+    def dropped(p, d, level):
+        orbit = groups(p, d, level)
+        next(orbit)
+        yield from orbit
+
+    monkeypatch.setattr(spectra, "_matching_groups", dropped)
+    results = {r.name: r for r in checks.run_suite("eigenoperators", 3, 3)}
+    assert not (results["eigen_operator_property"].passed and results["block_structure_off_diagonal_zero"].passed)
+    assert not results["twirl_trace_conservation"].passed  # the orbit count misses |A_pi|
 
 
 def test_one_pair_level_brute_only():

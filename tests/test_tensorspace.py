@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from walledbrauer import checks, tensorspace
+from walledbrauer import checks, ideal_units, spectra, tensorspace
 from walledbrauer.errors import ResourceLimitError
 from walledbrauer.symgroup import Permutation, enumerate_group, identity, transposition
 from walledbrauer.tensorspace import (
@@ -11,6 +13,7 @@ from walledbrauer.tensorspace import (
     _apply_pair,
     bell_projector,
     embed_operator,
+    factored_outer_pair,
     factored_V,
     partial_trace,
     partial_transpose,
@@ -207,8 +210,9 @@ def _named(results, name):
 
 
 def test_generator_suites_form_no_dense_product_above_dim_64(monkeypatch):
-    # the generator identities are read off the factors of factored_V; the
-    # largest dense product left is sandwich_reduce_identity's at (3,2)
+    # the generator identities are read off the factors of factored_V and the
+    # twirl is applied matrix-free; the largest dense product left is
+    # sandwich_reduce_identity's at (3,2)
     dims = []
     matmul = DenseOperator.__matmul__
 
@@ -217,14 +221,47 @@ def test_generator_suites_form_no_dense_product_above_dim_64(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(DenseOperator, "__matmul__", recording)
-    for suite in ("tensorspace", "generators"):
+    for suite in ("tensorspace", "generators", "eigenoperators"):
         assert all(r.passed for r in checks.run_suite(suite, 3, 3))
     assert dims and max(dims) <= 64
 
 
+def test_generator_suites_stay_below_one_dense_array(monkeypatch):
+    # one d^(2p) x d^(2p) float array at (3,3) takes 3^12 * 8 bytes = 4.25 MB;
+    # the unit systems are cached, so they are built before the measurement
+    p, d = 3, 3
+    for ideal in (p, p - 1):
+        ideal_units.unit_system(p, d, ideal)
+    for suite in ("tensorspace", "generators", "eigenoperators"):
+        tracemalloc.start()
+        try:
+            results = checks.run_suite(suite, p, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+        assert peak < d ** (4 * p) * 8, (suite, peak)
+
+    def dense_oracle(*args):
+        raise AssertionError("a suite built a dense oracle at its own (p, d)")
+
+    monkeypatch.setattr(spectra, "rho", dense_oracle)
+    monkeypatch.setattr(ideal_units, "H_operator", dense_oracle)
+    monkeypatch.setattr(tensorspace, "V_outer_pair", dense_oracle)
+    assert all(r.passed for r in checks.run_suite("all", p, d))
+
+
+@pytest.mark.parametrize("p,d", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_factored_outer_pair_is_the_dense_outer_pair(p, d):
+    M = factored_outer_pair(p, d).L
+    assert np.array_equal(M @ M.T, V_outer_pair(p, d).matrix)
+    assert M.sum(axis=1).max() <= 1 and M.sum(axis=0).min() >= 1
+
+
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
 def test_generator_products_fails_on_the_innermost_pair(monkeypatch, p, d):
-    monkeypatch.setattr(checks, "V_outer_pair", lambda pq, dq: V_generator(pq, 1, dq))
+    # the factor of V on the innermost pair (p, p+1) planted where the outer pair's belongs
+    monkeypatch.setattr(checks, "factored_outer_pair", lambda pq, dq: factored_V(pq, 1, dq))
     assert not _named(checks.suite_tensorspace(p, d), "generator_products").passed
 
 
