@@ -41,12 +41,9 @@ from .ideal_units import (
     ABCoefficients,
     BMatrix,
     B_matrix,
-    F_sub,
-    F_top,
     GUnit,
     G_sub,
     G_top,
-    H_operator,
     ab_general,
     decompose_Vpm1,
     has_second_ideal,

@@ -217,13 +217,13 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
     worst = 0.0
     for pq, dq in ((2, 2), (2, 3), (3, 2), (3, 3)):
         x = rng.standard_normal((dq**pq, dq**pq))
-        top = factored_V(pq, pq, dq).L[:, 0]
+        top = factored_V(pq, pq, dq)[:, 0]
         worst = max(worst, abs(float(top @ _apply_pair(x, None, pq, pq, dq)[:, 0]) - float(np.trace(x))))
     out.append(_result("sandwich_fact_p<=3", worst, tol))
     worst = 0.0
     for pq, dq in ((2, 2), (3, 2), (min(p, 3), min(d, 3))):
-        m = factored_outer_pair(pq, dq).L
-        L, top = factored_V(pq, pq - 1, dq).L, factored_V(pq, pq, dq).L[:, 0]
+        m = factored_outer_pair(pq, dq)
+        L, top = factored_V(pq, pq - 1, dq), factored_V(pq, pq, dq)[:, 0]
         phi = np.eye(dq).ravel()
         worst = max(worst, float(np.max(np.abs((L.T @ m) @ m.T - np.outer(phi, top)))))
         worst = max(worst, float(np.max(np.abs((top @ m) @ m.T - dq * top))))
@@ -315,7 +315,7 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
     max-abs residual of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1).
     """
     tol = 1e-10
-    L = factored_V(p, p - 1, d).L
+    L = factored_V(p, p - 1, d)
     phi = np.eye(d).ravel()
     shapes = schur_weyl_partitions(p, d)
     cores = {}  # (rm, cm, rn, cn) -> (K, exact (a, b))
@@ -400,7 +400,7 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
     tol = 1e-9
     out = []
     top = unit_system(p, d, p)
-    l = factored_V(p, p, d).L[:, 0]
+    l = factored_V(p, p, d)[:, 0]
     sector = _weight_sectors(p, d)[0]
     zero = sector == sector[np.argmax(l)]
     diag = [a for a, (_, i, j) in enumerate(top.labels) if i == j]
@@ -452,7 +452,7 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
         np.fill_diagonal(traces, 0.0)
         worst = max(worst, float(np.max(traces, initial=0.0)))
     out.append(_result("block_structure_off_diagonal_zero", worst, trace_tol))
-    trace = factored_V(p, p - 1, d).trace()
+    trace = float(factored_V(p, p - 1, d).sum())  # tr(L L^T) counts the 1s of the 0/1 factor
     count = sum(group.size for group in spectra._matching_groups(p, d, p - 1))
     out.append(_result("twirl_trace_conservation", abs(count / spectra._orbit_size(p, p - 1) - trace), 1e-10))
     return out

@@ -2,13 +2,10 @@
 
 Objects built here, all on 2p registers:
 
-* F operators: matrix-unit sandwiches of the ideal generators V^(p) and
-  V^(p-1), the raw non-redundant spanning sets, in factored low-rank form.
 * The exact rational coefficient pair (a, b) of the V^(p-1) sandwich
   identity, and the symmetric coefficient matrix B built from the b values.
   ``second_ideal_blocks`` is the one enumerator of the blocks (mu, nu) of
   the second ideal, the shape pairs with a common one-box removal.
-* H operators, the almost-units of the second ideal.
 * Unit systems: the orthonormal units G(p) and G(p-1) of each ideal.  Every
   unit in one row label of an ideal shares its range, and every unit in one
   column label its co-range, so a system stores one orthonormal basis Q_r
@@ -16,16 +13,19 @@ Objects built here, all on 2p registers:
   r = 1 (top ideal) or d^2 - 1 (second ideal).  ``G_top`` and ``G_sub``
   look single units up in the cached systems.
 
-The second ideal has one builder, the wall factor W(w) (``_wall_factor``),
-paired by the metric D (``_wall_diagonal``).  F_sub and H read it with w an
-indicator, and the second-ideal units with w a row of the B diagonalizer,
-without forming F or H; F and H stay as the paper's definitions and the
-oracle the tests compare the units against.  The zero modes of a singular
-B get no label, and ``checks.suite_reduction`` checks on the same wall
-factors that the pairs they would enter vanish.  ``decompose_Vpm1``
-reassembles V^(p-1) from the uncompressed wall factors, one U (x) conj(U)
-weight sector at a time: every factor column lies in one sector, so no
-d^(2p) x d^(2p) sum is formed.
+The paper spans the ideals by the sandwiches F^(p) and F^(p-1) of the
+generators V^(p) and V^(p-1) by matrix units, and the second ideal by the
+almost-units H = d F^(p-1) - F^(p).  Neither is formed here: the units are
+read off the factors those definitions share, and F and H live in the
+tests, as the oracle the units are compared against.  The second ideal has
+one builder, the wall factor W(w) (``_wall_factor``), paired by the metric
+D (``_wall_diagonal``): with w an indicator it gives F^(p-1) and H, and
+with w a row of the B diagonalizer the second-ideal units.  The zero modes
+of a singular B get no label, and ``checks.suite_reduction`` checks on the
+same wall factors that the pairs they would enter vanish.
+``decompose_Vpm1`` reassembles V^(p-1) from the uncompressed wall factors,
+one U (x) conj(U) weight sector at a time: every factor column lies in one
+sector, so no d^(2p) x d^(2p) sum is formed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParameterError, ZeroMultiplicityError
-from .lowrank import FactoredOperator, fraction_rank_det, jacobi_eigh
+from .lowrank import fraction_rank_det, jacobi_eigh
 from .matrix_units import left_side_matrix, right_side_matrix
 from .partitions import (
     Partition,
@@ -69,18 +69,11 @@ def has_second_ideal(p: int, d: int) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# F and H operators, read from one wall factor
-
-
-def F_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int, d: int) -> FactoredOperator:
-    """(E^mu_ij (x) 1) V^(p) (E^nu_{jp,ip} (x) 1), a rank-one operator."""
-    if multiplicity(mu, d) == 0 or multiplicity(nu, d) == 0:
-        return FactoredOperator.zero(_check_dim(d, 2 * p))
-    return FactoredOperator(_top_factor(mu, i, j, p, d), _top_factor(nu, ip, jp, p, d).T)
+# the factors of F and H: one top column and one wall factor
 
 
 def _top_factor(mu: Partition, i: int, j: int, p: int, d: int) -> np.ndarray:
-    """(E^mu_ij (x) 1) V^(p).L, a single column."""
+    """(E^mu_ij (x) 1) V^(p).L, a single column t; F^(p) = t t'^T."""
     return _apply_pair(left_side_matrix(mu, i, j, d), None, p, p, d)
 
 
@@ -109,63 +102,6 @@ def _wall_factor(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p:
 def _indicator(mu: Partition, nu: Partition, alpha: Partition) -> np.ndarray:
     """e_alpha over the common removals of mu and nu; all zero when alpha is not one of them."""
     return np.array([float(a == alpha) for a in common_removals(mu, nu)])
-
-
-def F_sub(
-    mu: Partition,
-    nu: Partition,
-    mup: Partition,
-    nup: Partition,
-    i: int,
-    j: int,
-    ip: int,
-    jp: int,
-    alpha: Partition,
-    alphap: Partition,
-    p: int,
-    d: int,
-) -> FactoredOperator:
-    """(E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1) (E^mup_{c_a',ip} (x) E^nup_{c_a',jp}), compressed.
-
-    The first d^2 columns of the wall factors W(e_alpha) and W'(e_alpha').
-    The interior labels r_a and c_a' are the first index of blocks alpha
-    and alpha'; the operator does not depend on that choice.  An alpha
-    outside the common removals of the row (or column) pair yields the
-    zero operator.
-    """
-    left = _wall_factor(mu, nu, i, j, _indicator(mu, nu, alpha), p, d)
-    right = _wall_factor(mup, nup, ip, jp, _indicator(mup, nup, alphap), p, d)
-    return FactoredOperator(left[:, : d * d], right[:, : d * d].T).compress()
-
-
-@lru_cache(maxsize=None)
-def H_operator(
-    mu: Partition,
-    nu: Partition,
-    mup: Partition,
-    nup: Partition,
-    i: int,
-    j: int,
-    ip: int,
-    jp: int,
-    alpha: Partition,
-    alphap: Partition,
-    p: int,
-    d: int,
-) -> FactoredOperator:
-    """d F_sub - F_top delta^{mu nu} delta^{mu' nu'}; spans the second ideal.  Its factors are read-only.
-
-    One compression of W(e_alpha) D against W'(e_alpha'): the raw pair
-    [d X | -t] [Y; t'^T], with X Y^T the uncompressed F_sub factors and
-    t t'^T the rank-one F_top.  An alpha outside the common removals of the
-    row (or column) pair yields the zero operator, as in F_sub.
-    """
-    left = _wall_factor(mu, nu, i, j, _indicator(mu, nu, alpha), p, d)
-    right = _wall_factor(mup, nup, ip, jp, _indicator(mup, nup, alphap), p, d)
-    op = FactoredOperator(left * _wall_diagonal(d), right.T).compress()
-    _frozen(op.L)
-    _frozen(op.R)
-    return op
 
 
 # ----------------------------------------------------------------------------
@@ -426,9 +362,6 @@ class UnitSystem:
         flat = self.flat_bases()
         return _frozen(self._blocks(flat.T @ flat))
 
-    def operator(self, a: int, c: int) -> FactoredOperator:
-        return FactoredOperator(self.bases[a] @ self.cores[a, c], self.bases[c].T)
-
     def traces_with(self, rho_flat: np.ndarray) -> np.ndarray:
         """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a), given rho_flat = rho @ flat_bases()."""
         return np.einsum("acij,caji->ac", self.cores, self._blocks(self.flat_bases().T @ rho_flat))
@@ -489,8 +422,8 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
 class GUnit:
     """An irreducible matrix unit of the top ideal (p) or the second ideal (p-1).
 
-    Entry (row, col) of its :class:`UnitSystem`; the operator is formed on
-    demand.
+    Entry (row, col) of its :class:`UnitSystem`, read off the shared bases
+    and the core; ``to_dense`` forms the d^(2p) x d^(2p) operator.
     """
 
     system: UnitSystem = field(repr=False)
@@ -532,12 +465,10 @@ class GUnit:
         """Eigenmode labels (beta, beta') for ideal p-1."""
         return None if self.ideal == self.p else (self.row_key[4], self.col_key[4])
 
-    @property
-    def op(self) -> FactoredOperator:
-        return self.system.operator(self.row, self.col)
-
     def to_dense(self) -> np.ndarray:
-        return self.op.to_dense()
+        """G_ac = (Q_a M_ac) Q_c^T."""
+        s = self.system
+        return (s.bases[self.row] @ s.cores[self.row, self.col]) @ s.bases[self.col].T
 
     def trace(self) -> float:
         """tr(Q_a M_ac Q_c^T) = tr(M_ac Q_c^T Q_a), read off the core."""
@@ -553,7 +484,7 @@ def _lookup(system: UnitSystem, row, col) -> GUnit:
 
 
 def G_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int, d: int) -> GUnit:
-    """F_top / sqrt(m_mu m_nu), looked up in the top-ideal unit system."""
+    """F^(p) / sqrt(m_mu m_nu), looked up in the top-ideal unit system."""
     m1, m2 = multiplicity(mu, d), multiplicity(nu, d)
     if m1 == 0 or m2 == 0:
         raise ZeroMultiplicityError(f"unit undefined: m_{mu} = {m1}, m_{nu} = {m2} at d = {d}")
@@ -630,7 +561,7 @@ def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
     with matching subgroup-adapted outer labels plus the diagonal top-ideal
     term when mu = mu' and nu = nu', every term with coefficient 1/d.  Each
     term is read off uncompressed factors: H = W(e_alpha) D W'(e_beta)^T
-    (``_wall_factor``, ``_wall_diagonal``) and F_top = t t'^T with the two
+    (``_wall_factor``, ``_wall_diagonal``) and F^(p) = t t'^T with the two
     ``_top_factor`` columns.  Returns the number of terms and the max-abs
     residual of the sum against V^(p-1) = L L^T from ``factored_V``.
 
@@ -657,9 +588,9 @@ def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
     """
     if not has_second_ideal(p, d):
         raise ParameterError(f"the expansion of V^(p-1) over H operators needs the second ideal, absent at (p,d)=({p},{d})")
-    L = factored_V(p, p - 1, d).L
+    L = factored_V(p, p - 1, d)
     sector = _weight_sectors(p, d)[0]
-    col_sector = sector[np.argmax(np.hstack([L, factored_V(p, p, d).L]), axis=0)]
+    col_sector = sector[np.argmax(np.hstack([L, factored_V(p, p, d)]), axis=0)]
     rows = {s: np.flatnonzero(sector == s) for s in sorted(set(col_sector.tolist()))}
     cols = {s: np.flatnonzero(col_sector == s) for s in rows}
     off_sector = [0.0]  # per factor, its largest entry outside its columns' sectors

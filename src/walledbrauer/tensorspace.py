@@ -5,13 +5,14 @@ and this convention is used consistently on both sides of the wall.  All
 constructions here are real; complex storage is accepted by
 :class:`DenseOperator` but nothing in this package produces it.
 
-The generators V^(k) also come factored, V^(k) = L L^T with a 0/1 factor
-(:func:`factored_V`), as does the generator on the outermost pair
-(:func:`factored_outer_pair`); ``_pair_factor`` forms the factor of either
-from its register pairs.  A wall product (A (x) B) L reaches L only through
-the k paired registers (the generalized ping-pong identity), so
-:func:`_apply_pair` forms it as one GEMM over those registers and never
-multiplies a d^p x d^p matrix into the whole of L.
+The generators V^(k) also come factored: :func:`factored_V` returns the
+0/1 factor L of V^(k) = L L^T, and :func:`factored_outer_pair` the factor M
+of the generator on the outermost pair, V = M M^T.  Each is a cached,
+read-only array, formed by ``_pair_factor`` from its register pairs.  A
+wall product (A (x) B) L reaches L only through the k paired registers
+(the generalized ping-pong identity), so :func:`_apply_pair` forms it as
+one GEMM over those registers and never multiplies a d^p x d^p matrix into
+the whole of L.
 
 Every partially transposed permutation conserves the U (x) conj(U) weight
 of a basis index (its letter counts left of the wall minus those right of
@@ -29,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError
-from .lowrank import FactoredOperator
 from .symgroup import Permutation, transposition
 
 MAX_HILBERT_DIM = 2**14
@@ -294,29 +294,27 @@ def _pair_factor(p: int, d: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
-def factored_V(p: int, k: int, d: int) -> FactoredOperator:
-    """V^(k) on 2p registers as L L^T, a sum of d^(2(p-k)) rank-one 0/1 projectors.
+def factored_V(p: int, k: int, d: int) -> np.ndarray:
+    """The read-only 0/1 factor L of V^(k) = L L^T on 2p registers, a sum of d^(2(p-k)) rank-one projectors.
 
     Column c of L is the indicator of the basis states whose k paired
     registers agree and whose free registers (1..p-k, p+k+1..2p) spell c.
     """
     if not 0 <= k <= p:
         raise ValueError(f"need 0 <= k <= p, got k={k}")
-    L = _pair_factor(p, d, tuple((p - j + 1, p + j) for j in range(1, k + 1)))
-    return FactoredOperator(L, L.T)
+    return _pair_factor(p, d, tuple((p - j + 1, p + j) for j in range(1, k + 1)))
 
 
 @lru_cache(maxsize=None)
-def factored_outer_pair(p: int, d: int) -> FactoredOperator:
-    """The generator on the outermost pair (1, 2p) as M M^T, with the 0/1 factor of ``factored_V``.
+def factored_outer_pair(p: int, d: int) -> np.ndarray:
+    """The read-only 0/1 factor M of the generator on the outermost pair (1, 2p), V = M M^T.
 
     Column c of M is the indicator of the basis states whose registers 1
     and 2p agree and whose registers 2..2p-1 spell c.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
-    M = _pair_factor(p, d, ((1, 2 * p),))
-    return FactoredOperator(M, M.T)
+    return _pair_factor(p, d, ((1, 2 * p),))
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +324,7 @@ def _digit_reversal(d: int, k: int) -> np.ndarray:
 
 
 def _apply_pair(a: np.ndarray, b: np.ndarray | None, p: int, k: int, d: int) -> np.ndarray:
-    """The wall product (a (x) b) factored_V(p, k, d).L, a on registers 1..p, b on p+1..2p.
+    """The wall product (a (x) b) L with L = factored_V(p, k, d), a on registers 1..p, b on p+1..2p.
 
     Row (y, w) of L, with y = (f, s) and w = (t, g) split into nf = p - k
     free and k paired digits, is the indicator of s = rev(t) at column
@@ -377,7 +375,7 @@ def sandwich_reduce(x: DenseOperator) -> DenseOperator:
     facts are exact:
 
     * L^T L = d^(p-1) 1;
-    * L phi = factored_V(p, p, d).L, so V^(p) = L phi phi^T L^T;
+    * L phi = factored_V(p, p, d), so V^(p) = L phi phi^T L^T;
     * every row of L holds at most one 1, and every column at least one.
 
     Hence V^(p-1) X V^(p-1) = L K L^T = (K (x) 1) V^(p-1), tr(X V^(p-1)) =
@@ -389,5 +387,5 @@ def sandwich_reduce(x: DenseOperator) -> DenseOperator:
     """
     if x.n % 2 != 0:
         raise ValueError("operator must act on 2p registers")
-    L = factored_V(x.n // 2, x.n // 2 - 1, x.d).L
+    L = factored_V(x.n // 2, x.n // 2 - 1, x.d)
     return DenseOperator(x.d, 2, L.T @ x.matrix @ L)

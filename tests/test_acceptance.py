@@ -32,6 +32,8 @@ from walledbrauer.symgroup import (
     young_orthogonal_rep,
 )
 
+from oracles import factored_trace, unit_operator
+
 
 def report(criterion: str, passed: bool, detail: str = ""):
     line = f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'}"
@@ -171,18 +173,18 @@ def test_criterion_6_eigen_operator_property():
     for (mu, i, j) in top_row_labels(p, d):
         unit = G_top(mu, i, j, mu, i, j, p, d)
         lam = analytic[(p, mu, mu, None)]
-        worst = max(worst, (unit.op.apply_dense_left(rho_sub) - lam * unit.op).frobenius_norm())
+        worst = max(worst, (unit_operator(unit, rho_sub) - lam * unit_operator(unit)).frobenius_norm())
     for (mu, nu, i, j, beta) in sub_row_labels(p, d):
         unit = G_sub(mu, nu, mu, nu, i, j, i, j, beta, beta, p, d)
         lam = analytic[(p - 1, mu, nu, beta)]
-        worst = max(worst, (unit.op.apply_dense_left(rho_sub) - lam * unit.op).frobenius_norm())
+        worst = max(worst, (unit_operator(unit, rho_sub) - lam * unit_operator(unit)).frobenius_norm())
     ok = worst <= 1e-9
     trace_worst = 0.0
     srows = sub_row_labels(p, d)
     for row in srows:
         for col in srows:
             unit = G_sub(row[0], row[1], col[0], col[1], row[2], row[3], col[2], col[3], row[4], col[4], p, d)
-            trace_worst = max(trace_worst, abs(unit.op.trace_against_dense(rho_top)))
+            trace_worst = max(trace_worst, abs(factored_trace(unit_operator(unit, rho_top))))
     ok &= trace_worst <= 1e-10
     report(
         "criterion 6 (eigen-operator property)",

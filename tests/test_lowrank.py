@@ -16,12 +16,8 @@ def test_factored_arithmetic_matches_dense():
     assert np.max(np.abs((a @ b).to_dense() - ad @ bd)) <= 1e-12
     assert np.max(np.abs((a + b).to_dense() - (ad + bd))) <= 1e-12
     assert np.max(np.abs((2.5 * a).to_dense() - 2.5 * ad)) <= 1e-12
-    assert np.max(np.abs(a.transpose().to_dense() - ad.T)) <= 1e-12
-    assert abs(a.trace() - np.trace(ad)) <= 1e-12
     assert abs(a.frobenius_norm() - np.linalg.norm(ad)) <= 1e-10
     assert abs(a.distance(b) - np.linalg.norm(ad - bd)) <= 1e-10
-    m = rng.standard_normal((n, n))
-    assert abs(a.trace_against_dense(m) - np.trace(m @ ad)) <= 1e-10
 
 
 def test_factored_distance_is_stable_for_near_equal_operators():

@@ -173,10 +173,10 @@ def test_sandwich_reduce_identity_cases():
 
 @pytest.mark.parametrize("p,d", [(1, 2), (2, 2), (2, 3), (3, 3)])
 def test_factored_V_sub_facts_behind_the_sandwich_core(p, d):
-    L = factored_V(p, p - 1, d).L
+    L = factored_V(p, p - 1, d)
     phi = np.eye(d).ravel()
     assert np.array_equal(L.T @ L, d ** (p - 1) * np.eye(d * d))
-    assert np.array_equal(L @ phi, factored_V(p, p, d).L[:, 0])
+    assert np.array_equal(L @ phi, factored_V(p, p, d)[:, 0])
     assert L.sum(axis=1).max() <= 1 and L.sum(axis=0).min() >= 1
 
 
@@ -193,12 +193,12 @@ def test_wall_product_kernel_matches_the_dense_product(p, d):
     dp = d**p
     for k in range(p + 1):
         a, b = rng.standard_normal((dp, dp)), rng.standard_normal((dp, dp))
-        dense = np.kron(a, b) @ factored_V(p, k, d).L
+        dense = np.kron(a, b) @ factored_V(p, k, d)
         out = _apply_pair(a, b, p, k, d)
         assert out.shape == dense.shape
         assert np.max(np.abs(out - dense)) <= 1e-12 * np.linalg.norm(dense)
     # the top factor is a gather: every entry is one entry of a, exactly
-    dense = np.kron(a, np.eye(dp)) @ factored_V(p, p, d).L
+    dense = np.kron(a, np.eye(dp)) @ factored_V(p, p, d)
     assert np.array_equal(_apply_pair(a, None, p, p, d), dense)
     if p > 1:
         with pytest.raises(ValueError):
@@ -246,14 +246,13 @@ def test_generator_suites_stay_below_one_dense_array(monkeypatch):
         raise AssertionError("a suite built a dense oracle at its own (p, d)")
 
     monkeypatch.setattr(spectra, "rho", dense_oracle)
-    monkeypatch.setattr(ideal_units, "H_operator", dense_oracle)
     monkeypatch.setattr(tensorspace, "V_outer_pair", dense_oracle)
     assert all(r.passed for r in checks.run_suite("all", p, d))
 
 
 @pytest.mark.parametrize("p,d", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_factored_outer_pair_is_the_dense_outer_pair(p, d):
-    M = factored_outer_pair(p, d).L
+    M = factored_outer_pair(p, d)
     assert np.array_equal(M @ M.T, V_outer_pair(p, d).matrix)
     assert M.sum(axis=1).max() <= 1 and M.sum(axis=0).min() >= 1
 
