@@ -45,7 +45,6 @@ from .ideal_units import (
     G_sub,
     G_top,
     ab_general,
-    decompose_Vpm1,
     has_second_ideal,
     second_ideal_blocks,
     UnitSystem,

@@ -2,6 +2,9 @@
 
 Each suite returns a list of check results with the worst observed residual,
 so the CLI can emit a machine-readable report and a pass/fail exit code.
+``suite_generators`` expands V^(p-1) in the constructed basis as two summed
+factors, the wall factors S and the top columns T, and forms
+(S D S^T + T T^T) / d once per weight sector, whatever the term count.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from .errors import ParameterError
 from .ideal_units import (
     B_matrix,
     ab_general,
-    decompose_Vpm1,
     has_second_ideal,
     singularity_condition,
     trace_with_V_sub,
     trace_with_V_top,
     unit_system,
+    _indicator,
+    _top_factor,
     _wall_diagonal,
     _wall_factor,
 )
@@ -43,6 +47,7 @@ from .partitions import (
 from .symgroup import (
     enumerate_group,
     prir_map,
+    prir_position,
     restriction_block_check,
     transposition,
     young_orthogonal_rep,
@@ -386,33 +391,98 @@ def suite_composition(p: int, d: int) -> list[CheckResult]:
     return out
 
 
+def _sector_residual(factor: np.ndarray, core: np.ndarray, col_sector: np.ndarray, L: np.ndarray, sector: np.ndarray) -> float:
+    """max|F C F^T - L L^T| on the blocks of the weight sectors that the columns of F are assigned to.
+
+    ``sector`` labels every basis index, ``col_sector`` every column of F.
+    When each column of F and of L lies in its sector, both products are
+    block diagonal and nonzero only on those blocks, so this is the max-abs
+    residual of the d^(2p) x d^(2p) difference.  Entries of F outside their
+    column's sector are left out here; the caller reports them.
+    """
+    worst = 0.0
+    for s in sorted(set(col_sector.tolist())):
+        rows, cols = np.flatnonzero(sector == s), np.flatnonzero(col_sector == s)
+        f, l = factor[np.ix_(rows, cols)], L[rows]
+        worst = max(worst, float(np.max(np.abs(f @ core[np.ix_(cols, cols)] @ f.T - l @ l.T))))
+    return worst
+
+
+def _V_sub_expansion(p: int, d: int, sector: np.ndarray) -> tuple[int, float]:
+    """The term count of the V^(p-1) expansion and its max-abs residual against V^(p-1) = L L^T.
+
+    The expansion sums, over every pair of labels (alpha, i_alpha, mu, mu'),
+    alpha a one-box-smaller shape and mu, mu' additions to it, the H operator
+    W D W'^T (``_wall_factor`` at the indicator of alpha), plus the top-ideal
+    term t t'^T (``_top_factor`` at r = prir_position(mu, alpha, i_alpha))
+    when mu = mu' on both sides, each with coefficient 1/d.  Every left label
+    meets every right label, so by bilinearity the sum is
+    (S D S^T + T T^T) / d = F C F^T, with S the sum of the wall factors, T
+    that of the top columns, F = [S | T] and C = diag(D, 1) / d.
+
+    Why the weight sectors carry the whole sum (``tensorspace._weight_sectors``):
+
+    * column c = (a, b) of L is the indicator of the states whose register 1
+      spells a, register 2p spells b and paired registers agree, so it lies
+      in the sector of weight e_a - e_b; the top column t lies in weight 0;
+    * E^mu (x) E^nu is a sum of permutations of each wall side, which keep
+      each side's letter counts, so column c of every wall factor lies in
+      the sector of column c of L, and its last column, like t, in weight 0.
+      Their other entries are exact zeros.
+
+    A column of F is assigned the sector of the first 1 of the matching
+    column of [L | t | t].  Each factor's largest entry outside its columns'
+    sectors is taken before it is summed, so a leak that every factor shares
+    reads once, not once per factor; the larger of that and
+    ``_sector_residual`` is returned (0 when every factor conserves the weight).
+    """
+    L, t0 = factored_V(p, p - 1, d), factored_V(p, p, d)
+    col_sector = sector[np.argmax(np.hstack([L, t0, t0]), axis=0)]
+    off = sector[:, None] != col_sector[:-1]  # the entries of a wall factor outside its columns' sectors
+    F = np.zeros((L.shape[0], d * d + 2))
+    S, T = F[:, :-1], F[:, -1:]
+    leak, walls, tops = 0.0, 0, 0
+    for alpha in (a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0):
+        adds = [m for m in add_box(alpha) if multiplicity(m, d) > 0]
+        for ia, mu, mup in itertools.product(range(1, dim_irrep(alpha) + 1), adds, adds):
+            r1, r2 = prir_position(mu, alpha, ia), prir_position(mup, alpha, ia)
+            wall = _wall_factor(mu, mup, r1, r2, _indicator(mu, mup, alpha), p, d)
+            leak = max(leak, float(np.max(np.abs(wall[off]), initial=0.0)))
+            S += wall
+            walls += 1
+            if mu == mup:
+                top = _top_factor(mu, r1, r1, p, d)
+                leak = max(leak, float(np.max(np.abs(top[off[:, -1:]]), initial=0.0)))
+                T += top
+                tops += 1
+    core = np.diag(np.append(_wall_diagonal(d), 1.0) / d)
+    return walls**2 + tops**2, max(_sector_residual(F, core, col_sector, L, sector), leak)
+
+
 def suite_generators(p: int, d: int) -> list[CheckResult]:
-    """V^(p) and V^(p-1) reassembled from the units of the two ideals, one weight sector at a time.
+    """V^(p) and V^(p-1) reassembled from the units and factors of the two ideals, one weight sector at a time.
 
     V^(p) = l l^T is the sum of sqrt(m_mu m_nu) G_top over the diagonal labels
-    (mu, i, i) and (nu, j, j).  Every basis Q_a of those labels, like l, lies
-    in the weight-zero sector, so the sum is Q C Q^T on that sector's block
-    (C the weighted 1 x 1 cores) and zero elsewhere; the residual is the
-    largest block residual, or the largest entry of those bases outside the
-    sector if that is larger (0 when the bases conserve the weight).
-    ``ideal_units.decompose_Vpm1`` states the same argument for V^(p-1).
+    (mu, i, i) and (nu, j, j), that is Q C Q^T with C the weighted 1 x 1
+    cores.  Every basis Q_a of those labels, like l, lies in the weight-zero
+    sector, so ``_sector_residual`` compares that one block; the largest
+    entry of the bases outside it is reported if larger.  V^(p-1) is the sum
+    of the H operators and the top-ideal terms: ``_V_sub_expansion`` checks
+    it as two summed factors, one product per sector.
     """
     tol = 1e-9
-    out = []
     top = unit_system(p, d, p)
-    l = factored_V(p, p, d)[:, 0]
+    l = factored_V(p, p, d)
     sector = _weight_sectors(p, d)[0]
-    zero = sector == sector[np.argmax(l)]
+    zero = sector[np.argmax(l)]
     diag = [a for a, (_, i, j) in enumerate(top.labels) if i == j]
     w = np.sqrt([multiplicity(top.labels[a][0], d) for a in diag])
     q = top.bases[diag, :, 0].T
     core = top.cores[np.ix_(diag, diag)][:, :, 0, 0] * np.outer(w, w)
-    block = q[zero] @ core @ q[zero].T
-    res = max(float(np.max(np.abs(block - np.outer(l[zero], l[zero])))), float(np.max(np.abs(q[~zero]), initial=0.0)))
-    out.append(_result("V_top_from_units", res, tol))
-    terms, residual = decompose_Vpm1(p, d)
-    out.append(_result(f"V_sub_from_H_terms_{terms}_terms", residual, tol))
-    return out
+    res = _sector_residual(q, core, np.full(len(diag), zero), l, sector)
+    res = max(res, float(np.max(np.abs(q[sector != zero]), initial=0.0)))
+    terms, residual = _V_sub_expansion(p, d, sector)
+    return [_result("V_top_from_units", res, tol), _result(f"V_sub_from_H_terms_{terms}_terms", residual, tol)]
 
 
 def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
@@ -426,32 +496,32 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
     """
     trace_tol = 1e-10
     tol = 1e-9
-    out = []
     analytic = {
         (rec.ideal, rec.mu, rec.nu, rec.interior): rec
         for rec in spectra.analytic_overlaps(p, d)
         if rec.rho_level == p - 1
     }
     top, sub = unit_system(p, d, p), unit_system(p, d, p - 1)
-    moved = {system: spectra.rho_apply(p - 1, p, d, system.flat_bases()) for system in (top, sub)}  # rho(p-1) Q
-    worst = 0.0
+    # one flat copy Q of each system's bases; rho(k) Q is formed for one system and level at a time
+    flats = {system: system.flat_bases() for system in (top, sub)}
+    annihilated = float(np.max(np.abs(sub.traces_with(flats[sub], spectra.rho_apply(p, p, d, flats[sub]))), initial=0.0))
+    eigen = off_diagonal = 0.0
     for system, key in ((top, lambda r: (p, r[0], r[0], None)), (sub, lambda r: (p - 1, r[0], r[1], r[4]))):
         n, dim, r = system.bases.shape
-        rho_q = moved[system].reshape(dim, n, r)
+        rho_flat = spectra.rho_apply(p - 1, p, d, flats[system])
+        rho_q = rho_flat.reshape(dim, n, r)
         for a, label in enumerate(system.labels):
-            q = system.bases[a]
             lam = analytic[key(label)].eigenvalue
             # (rho - lambda) G_aa = (rho Q_a - lambda Q_a) M_aa Q_a^T
-            worst = max(worst, float(np.linalg.norm((rho_q[:, a] - lam * q) @ system.cores[a, a])))
-    out.append(_result("eigen_operator_property", worst, tol))
-    worst = float(np.max(np.abs(sub.traces_with(spectra.rho_apply(p, p, d, sub.flat_bases()))), initial=0.0))
-    out.append(_result("rho_top_annihilates_second_ideal", worst, trace_tol))
-    worst = 0.0
-    for system in (sub, top):
-        traces = np.abs(system.traces_with(moved[system]))
+            eigen = max(eigen, float(np.linalg.norm((rho_q[:, a] - lam * system.bases[a]) @ system.cores[a, a])))
+        traces = np.abs(system.traces_with(flats[system], rho_flat))
         np.fill_diagonal(traces, 0.0)
-        worst = max(worst, float(np.max(traces, initial=0.0)))
-    out.append(_result("block_structure_off_diagonal_zero", worst, trace_tol))
+        off_diagonal = max(off_diagonal, float(np.max(traces, initial=0.0)))
+    out = [
+        _result("eigen_operator_property", eigen, tol),
+        _result("rho_top_annihilates_second_ideal", annihilated, trace_tol),
+        _result("block_structure_off_diagonal_zero", off_diagonal, trace_tol),
+    ]
     trace = float(factored_V(p, p - 1, d).sum())  # tr(L L^T) counts the 1s of the 0/1 factor
     count = sum(group.size for group in spectra._matching_groups(p, d, p - 1))
     out.append(_result("twirl_trace_conservation", abs(count / spectra._orbit_size(p, p - 1) - trace), 1e-10))

@@ -23,14 +23,14 @@ D (``_wall_diagonal``): with w an indicator it gives F^(p-1) and H, and
 with w a row of the B diagonalizer the second-ideal units.  The zero modes
 of a singular B get no label, and ``checks.suite_reduction`` checks on the
 same wall factors that the pairs they would enter vanish.
-``decompose_Vpm1`` reassembles V^(p-1) from the uncompressed wall factors,
-one U (x) conj(U) weight sector at a time: every factor column lies in one
-sector, so no d^(2p) x d^(2p) sum is formed.
+``checks.suite_generators`` reassembles V^(p-1) from the same factors: the
+sum of the H terms and the top-ideal terms is (S D S^T + T T^T) / d, with S
+the sum of the wall factors and T the sum of the top columns, checked by
+one product per U (x) conj(U) weight sector.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,13 +47,12 @@ from .partitions import (
     add_box,
     common_removals,
     dim_irrep,
-    enumerate_partitions,
     multiplicity,
     remove_box,
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _apply_pair, _check_dim, _frozen, _weight_sectors, factored_V
+from .tensorspace import _apply_pair, _check_dim, _frozen
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -347,7 +346,7 @@ class UnitSystem:
         return MappingProxyType({label: a for a, label in enumerate(self.labels)})
 
     def flat_bases(self) -> np.ndarray:
-        """All bases side by side, dim x (n r)."""
+        """All bases side by side, dim x (n r); a new copy on every call."""
         n, dim, r = self.bases.shape
         return self.bases.transpose(1, 0, 2).reshape(dim, n * r)
 
@@ -362,9 +361,9 @@ class UnitSystem:
         flat = self.flat_bases()
         return _frozen(self._blocks(flat.T @ flat))
 
-    def traces_with(self, rho_flat: np.ndarray) -> np.ndarray:
-        """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a), given rho_flat = rho @ flat_bases()."""
-        return np.einsum("acij,caji->ac", self.cores, self._blocks(self.flat_bases().T @ rho_flat))
+    def traces_with(self, flat: np.ndarray, rho_flat: np.ndarray) -> np.ndarray:
+        """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a), given flat = ``flat_bases()`` and rho_flat = rho @ flat."""
+        return np.einsum("acij,caji->ac", self.cores, self._blocks(flat.T @ rho_flat))
 
 
 @lru_cache(maxsize=None)
@@ -547,80 +546,3 @@ def sub_row_labels(p: int, d: int) -> list[tuple[Partition, Partition, int, int,
                 for j in range(1, dim_irrep(b.nu) + 1):
                     out.append((b.mu, b.nu, i, j, beta))
     return out
-
-
-# ----------------------------------------------------------------------------
-# the generator of the second ideal in the constructed basis
-
-
-def decompose_Vpm1(p: int, d: int) -> tuple[int, float]:
-    """Reassemble V^(p-1) from H operators plus top-ideal units, one weight sector at a time.
-
-    Sums, over all pairs of one-box-smaller shapes (alpha, beta), additions
-    mu, mu' of alpha and nu, nu' of beta, and inner indices, the H operator
-    with matching subgroup-adapted outer labels plus the diagonal top-ideal
-    term when mu = mu' and nu = nu', every term with coefficient 1/d.  Each
-    term is read off uncompressed factors: H = W(e_alpha) D W'(e_beta)^T
-    (``_wall_factor``, ``_wall_diagonal``) and F^(p) = t t'^T with the two
-    ``_top_factor`` columns.  Returns the number of terms and the max-abs
-    residual of the sum against V^(p-1) = L L^T from ``factored_V``.
-
-    Why the weight sectors carry the whole sum (``tensorspace._weight_sectors``):
-
-    * column c = (a, b) of L is the indicator of the states whose register 1
-      spells a, register 2p spells b and paired registers agree, so it lies
-      in the sector of weight e_a - e_b; the top column t lies in weight 0;
-    * E^mu (x) E^nu is a sum of permutations of each wall side, which keep
-      each side's letter counts, so column c of every wall factor lies in
-      the sector of column c of L, and its last column, like t, in weight 0.
-      Their other entries are exact zeros.
-
-    A factor column is assigned the sector of the first 1 of the matching
-    column of [L | t].  When every factor column lies in its sector, each
-    term and L L^T are block diagonal, nonzero only on the blocks of the
-    sectors that some column touches, so the sum is accumulated term by
-    term into those blocks alone and each block is compared with the same
-    block of L L^T; the largest block residual is then exactly the max-abs
-    residual of the d^(2p) x d^(2p) sum.  The residual returned is that, or
-    the largest entry of any factor outside its column's sector if that is
-    larger: it is 0 when every factor conserves the weight, and a factor
-    that does not is reported rather than left out of the blocks.
-    """
-    if not has_second_ideal(p, d):
-        raise ParameterError(f"the expansion of V^(p-1) over H operators needs the second ideal, absent at (p,d)=({p},{d})")
-    L = factored_V(p, p - 1, d)
-    sector = _weight_sectors(p, d)[0]
-    col_sector = sector[np.argmax(np.hstack([L, factored_V(p, p, d)]), axis=0)]
-    rows = {s: np.flatnonzero(sector == s) for s in sorted(set(col_sector.tolist()))}
-    cols = {s: np.flatnonzero(col_sector == s) for s in rows}
-    off_sector = [0.0]  # per factor, its largest entry outside its columns' sectors
-
-    def by_sector(factor: np.ndarray, col_of: np.ndarray) -> dict:
-        """The factor's block on each touched sector: its rows there, and its columns assigned there."""
-        off_sector.append(float(np.max(np.abs(factor[sector[:, None] != col_of]), initial=0.0)))
-        return {s: factor[np.ix_(rows[s], np.flatnonzero(col_of == s))] for s in rows}
-
-    walls, tops = {}, {}  # (alpha, index in alpha, mu, mu') -> wall factor; (mu, r) -> top column
-    for alpha in (a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0):
-        adds = [m for m in add_box(alpha) if multiplicity(m, d) > 0]
-        for ia, mu, mup in itertools.product(range(1, dim_irrep(alpha) + 1), adds, adds):
-            r1, r2 = prir_position(mu, alpha, ia), prir_position(mup, alpha, ia)
-            walls[alpha, ia, mu, mup] = by_sector(_wall_factor(mu, mup, r1, r2, _indicator(mu, mup, alpha), p, d), col_sector)
-            if mu == mup and (mu, r1) not in tops:
-                tops[mu, r1] = by_sector(_top_factor(mu, r1, r1, p, d), col_sector[-1:])
-    metric = {s: _wall_diagonal(d)[cols[s]] / d for s in rows}
-    blocks = {s: np.zeros((rows[s].size, rows[s].size)) for s in rows}
-    terms = 0
-    for (alpha, ia, mu, mup), (beta, jb, nu, nup) in itertools.product(walls, repeat=2):
-        left, right = walls[alpha, ia, mu, mup], walls[beta, jb, nu, nup]
-        for s in rows:
-            blocks[s] += (left[s] * metric[s]) @ right[s].T
-        terms += 1
-        if mu == mup and nu == nup:
-            left = tops[mu, prir_position(mu, alpha, ia)]
-            right = tops[nu, prir_position(nu, beta, jb)]
-            for s in rows:
-                blocks[s] += (left[s] / d) @ right[s].T
-            terms += 1
-    residual = max(float(np.max(np.abs(blocks[s] - L[rows[s]] @ L[rows[s]].T))) for s in rows)
-    return terms, max(residual, *off_sector)

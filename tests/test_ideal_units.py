@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from walledbrauer import checks, ideal_units
+from walledbrauer import checks
 from walledbrauer.checks import run_suite
 from walledbrauer.cli import main
 from walledbrauer.errors import ZeroMultiplicityError
@@ -18,7 +18,6 @@ from walledbrauer.ideal_units import (
     GUnit,
     ab_general,
     b_entry,
-    decompose_Vpm1,
     second_ideal_blocks,
     singularity_condition,
     sub_row_labels,
@@ -30,6 +29,7 @@ from walledbrauer.ideal_units import (
 from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
 from walledbrauer.partitions import (
+    add_box,
     common_removals,
     dim_irrep,
     enumerate_partitions,
@@ -696,19 +696,43 @@ def test_singular_block_participates_after_reduction():
                 assert prod.frobenius_norm() <= 1e-9
 
 
-@pytest.mark.parametrize("p,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def _V_sub_check(p, d):
+    return next(r for r in checks.suite_generators(p, d) if r.name.startswith("V_sub_from_H_terms_"))
+
+
+@pytest.mark.parametrize("p,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (3, 5)])
 def test_decompose_Vpm1(p, d):
     if p == 1:
         with pytest.raises(ValueError):
-            decompose_Vpm1(p, d)
+            run_suite("generators", p, d)
         return
-    terms, residual = decompose_Vpm1(p, d)
-    assert residual <= 1e-9
-    assert terms == {(2, 2): 20, (2, 3): 20, (3, 2): 34, (3, 3): 80, (4, 2): 180}[p, d]
+    check = _V_sub_check(p, d)
+    terms = {(2, 2): 20, (2, 3): 20, (3, 2): 34, (3, 3): 80, (4, 2): 180, (4, 3): 610, (3, 5): 80}[p, d]
+    assert check.name == f"V_sub_from_H_terms_{terms}_terms"
+    assert check.passed and check.residual <= 1e-9
 
 
-def _V_sub_check(p, d):
-    return next(r for r in checks.suite_generators(p, d) if r.name.startswith("V_sub_from_H_terms_"))
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2)])
+def test_V_sub_expansion_term_by_term_on_the_oracles(p, d):
+    """The paper's sum, pair by pair: (1/d)(sum of H + the diagonal F_top terms) is V^(p-1).
+
+    The reference for the suite, which sums the same terms as two factors.
+    """
+    labels = [
+        (alpha, prir_position(mu, alpha, ia), mu, prir_position(mup, alpha, ia), mup)
+        for alpha in enumerate_partitions(p - 1)
+        if multiplicity(alpha, d) > 0
+        for ia in range(1, dim_irrep(alpha) + 1)
+        for mu in add_box(alpha)
+        for mup in add_box(alpha)
+        if multiplicity(mu, d) > 0 and multiplicity(mup, d) > 0
+    ]
+    acc = np.zeros((d ** (2 * p),) * 2)
+    for (a, r1, mu, r2, mup), (b, s1, nu, s2, nup) in itertools.product(labels, repeat=2):
+        acc += H_operator(mu, mup, nu, nup, r1, r2, s1, s2, a, b, p, d).to_dense()
+        if mu == mup and nu == nup:
+            acc += F_top(mu, r1, r1, nu, s1, s1, p, d).to_dense()
+    assert np.max(np.abs(acc / d - V_generator(p, p - 1, d).matrix)) <= 1e-9
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
@@ -717,19 +741,37 @@ def test_V_sub_expansion_fails_on_an_off_sector_wall_entry(monkeypatch, p, d):
     # one small entry planted outside it leaves every sector block as it was
     sector = _weight_sectors(p, d)[0]
     row = int(np.flatnonzero(sector != sector[0])[0])
-    wall = ideal_units._wall_factor
+    wall = checks._wall_factor
 
     def planted(*args):
         out = wall(*args)
         out[row, 0] = 1e-6
         return out
 
-    monkeypatch.setattr(ideal_units, "_wall_factor", planted)
+    monkeypatch.setattr(checks, "_wall_factor", planted)
     check = _V_sub_check(p, d)
     assert not check.passed and check.residual == 1e-6
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
 def test_V_sub_expansion_fails_with_the_metric_sign_flipped(monkeypatch, p, d):
-    monkeypatch.setattr(ideal_units, "_wall_diagonal", lambda dd: np.array([float(dd)] * (dd * dd) + [1.0]))
+    monkeypatch.setattr(checks, "_wall_diagonal", lambda dd: np.array([float(dd)] * (dd * dd) + [1.0]))
     assert not _V_sub_check(p, d).passed
+
+
+@pytest.mark.parametrize("p,d,terms", [(2, 2, 20), (3, 3, 80)])
+def test_V_sub_expansion_fails_on_a_dropped_term(monkeypatch, p, d, terms):
+    # the wall factor of the first label (alpha, i_alpha, mu, mu') reads zero: every
+    # term pair with that label leaves the sum, and the term count stays the same
+    wall = checks._wall_factor
+    calls = []
+
+    def dropped(*args):
+        out = wall(*args)
+        calls.append(args)
+        return np.zeros_like(out) if len(calls) == 1 else out
+
+    monkeypatch.setattr(checks, "_wall_factor", dropped)
+    check = _V_sub_check(p, d)
+    assert check.name == f"V_sub_from_H_terms_{terms}_terms"
+    assert not check.passed
