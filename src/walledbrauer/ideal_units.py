@@ -370,10 +370,13 @@ class UnitSystem:
 def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     """All units of ideal p (top) or p - 1 (second) at (p, d), built per label.
 
-    Each row label r costs one factor W_r and one QR, W_r = Q0_r R0_r.  The
-    units are G_rc = W_r D W_c^T s_r s_c with D = (1) and s_r = 1/sqrt(m_mu)
-    for the top ideal, and the wall factor W_r = W(w_beta), D =
-    ``_wall_diagonal(d)`` and s_r = 1/sqrt(d lambda_beta) for the second.
+    Each row label r costs one factor W_r and one QR, W_r = Q0_r R0_r, run
+    label by label into preallocated Q0 and R0 arrays; no array of all the
+    factors is held, so the build peaks at Q0 plus the bases (and one
+    label's factor).  The units are G_rc = W_r D W_c^T s_r s_c with D = (1)
+    and s_r = 1/sqrt(m_mu) for the top ideal, and the wall factor W_r =
+    W(w_beta), D = ``_wall_diagonal(d)`` and s_r = 1/sqrt(d lambda_beta) for
+    the second.
     The range of row r over all columns is Q0_r times the range of R0_r D
     [R0_1^T .. R0_n^T]; one QR of the stacked R0 and one small SVD per
     label give it, and its rank must be r.
@@ -398,11 +401,9 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     if n == 0:
         empty = (np.zeros((0, dim, rank)), np.zeros((0, 0, rank, rank)), np.zeros(0))
         return UnitSystem(ideal, p, d, (), *map(_frozen, empty))
-    factors = np.empty((n, dim, k))  # written label by label, with no list of per-label copies
+    q0, r0 = np.empty((n, dim, k)), np.empty((n, k, k))  # one label's factor is alive at a time
     for a, label in enumerate(labels):
-        factors[a] = factor(*label)
-    q0, r0 = np.linalg.qr(factors)
-    del factors
+        q0[a], r0[a] = np.linalg.qr(factor(*label))
     stacked = np.linalg.qr(r0.reshape(n * k, k), mode="r")
     u, s, _ = np.linalg.svd((r0 * diag) @ stacked.T)
     kept = np.count_nonzero(s > BASIS_RTOL * s[:, :1], axis=1)

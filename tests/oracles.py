@@ -1,4 +1,4 @@
-"""The paper's spanning families F and H, and the units as factored operators, for the tests.
+"""The paper's spanning families F and H, the units as factored operators, and the per-pair composition residual, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, ``_wall_factor`` and
@@ -69,3 +69,20 @@ def unit_operator(unit: GUnit, m: np.ndarray | None = None) -> FactoredOperator:
     s = unit.system
     left = s.bases[unit.row] @ s.cores[unit.row, unit.col]
     return FactoredOperator(left if m is None else m @ left, s.bases[unit.col].T)
+
+
+def composition_worst_by_pairs(system) -> float:
+    """``checks._composition_worst`` term pair by term pair: every (a, b, b', c) formed exactly.
+
+    ||M_ab X_bb' M_b'c - delta_bb' M_ac||_F over all quadruples of labels,
+    with X_bb' = Q_b^T Q_b', plus three times the largest projection
+    residual; the library bounds the b != b' pairs instead of forming them.
+    """
+    m, x = system.cores, system.overlaps
+    worst = 0.0
+    for a in range(system.size):
+        for b in range(system.size):
+            res = (m[a, b] @ x[b])[:, None] @ m  # [b', c]: M_ab X_bb' M_b'c
+            res[b] -= m[a]
+            worst = max(worst, float(np.sqrt(np.sum(res**2, axis=(2, 3))).max()))
+    return worst + 3.0 * float(system.projection_residual.max(initial=0.0))

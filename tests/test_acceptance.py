@@ -133,7 +133,7 @@ def test_criterion_2_bmatrix_fixtures():
 def test_criterion_3_composition_suites():
     ok = True
     details = []
-    for p, d in ((2, 2), (2, 3), (3, 3)):
+    for p, d in ((2, 2), (2, 3), (3, 3), (4, 3), (3, 5)):
         results = suite_composition(p, d)
         ok &= len(results) == 2 and all(r.passed and r.tolerance == 1e-9 for r in results)
         details.append(f"({p},{d}): " + ", ".join(f"{r.name} worst {r.residual:.2e}" for r in results))

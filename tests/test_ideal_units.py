@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +50,7 @@ from walledbrauer.symgroup import (
 )
 from walledbrauer.tensorspace import V_generator, _apply_pair, _weight_sectors, factored_outer_pair, factored_V
 
-from oracles import F_sub, F_top, H_operator, factored_trace, unit_operator
+from oracles import F_sub, F_top, H_operator, composition_worst_by_pairs, factored_trace, unit_operator
 
 rng = np.random.default_rng(99)
 
@@ -477,6 +478,53 @@ def test_unit_systems_match_the_paper_definitions(p, d):
                     expected = expected + (w * wp) * h
             scale = 1.0 / (d * np.sqrt(b.eigenvalues[beta - 1] * bp.eigenvalues[betap - 1]))
             assert unit_operator(GUnit(sub, a, c)).distance(scale * expected) <= 1e-12
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (3, 5)])
+def test_composition_worst_matches_the_per_pair_oracle(p, d):
+    for ideal in (p, p - 1):
+        system = unit_system(p, d, ideal)
+        assert checks._composition_worst(system) == pytest.approx(composition_worst_by_pairs(system), rel=1e-12)
+
+
+def _tilt_basis(system):
+    """bases[1] tilted by 1e-6 bases[0]: X_01 = 1e-6 1 + O(eps), while X_11 - 1 is only 1e-12."""
+    bases = system.bases.copy()
+    bases[1] += 1e-6 * bases[0]
+    return dataclasses.replace(system, bases=bases)
+
+
+def _shift_core_entry(system):
+    cores = system.cores.copy()
+    cores[0, 1, 0, 0] += 1e-6
+    return dataclasses.replace(system, cores=cores)
+
+
+@pytest.mark.parametrize("plant", [_tilt_basis, _shift_core_entry])
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
+def test_composition_fails_on_a_planted_defect(monkeypatch, plant, p, d):
+    """The tilt reaches only the b != b' bound, the shifted core entry the b = b' terms."""
+    planted = {ideal: plant(unit_system(p, d, ideal)) for ideal in (p, p - 1)}
+    monkeypatch.setattr(checks, "unit_system", lambda pq, dq, ideal: planted[ideal])
+    results = run_suite("composition", p, d)
+    assert [r.name[:6] for r in results] == ["G_top_", "G_sub_"]
+    for result, ideal in zip(results, (p, p - 1)):
+        assert not result.passed, result
+        assert result.residual >= composition_worst_by_pairs(planted[ideal]) * (1 - 1e-12)
+
+
+def test_unit_system_build_peaks_at_q0_plus_the_bases():
+    """The QR of each label's factor is written into Q0 (n, dim, d^2 + 1); no array of all factors is held."""
+    p, d = 3, 4
+    system = unit_system(p, d, p - 1)  # warms the caches the build reads
+    n, dim, _ = system.bases.shape
+    tracemalloc.start()
+    try:
+        unit_system.__wrapped__(p, d, p - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (n * dim * (d * d + 1) * 8 + system.bases.nbytes), peak
 
 
 def test_cached_arrays_are_read_only():
