@@ -27,6 +27,8 @@ from .ideal_units import (
     trace_with_V_sub,
     trace_with_V_top,
     unit_system,
+    _column_sectors,
+    _flat,
     _indicator,
     _top_factor,
     _wall_diagonal,
@@ -402,24 +404,12 @@ def suite_composition(p: int, d: int) -> list[CheckResult]:
     return out
 
 
-def _sector_residual(factor: np.ndarray, core: np.ndarray, col_sector: np.ndarray, L: np.ndarray, sector: np.ndarray) -> float:
-    """max|F C F^T - L L^T| on the blocks of the weight sectors that the columns of F are assigned to.
-
-    ``sector`` labels every basis index, ``col_sector`` every column of F.
-    When each column of F and of L lies in its sector, both products are
-    block diagonal and nonzero only on those blocks, so this is the max-abs
-    residual of the d^(2p) x d^(2p) difference.  Entries of F outside their
-    column's sector are left out here; the caller reports them.
-    """
-    worst = 0.0
-    for s in sorted(set(col_sector.tolist())):
-        rows, cols = np.flatnonzero(sector == s), np.flatnonzero(col_sector == s)
-        f, l = factor[np.ix_(rows, cols)], L[rows]
-        worst = max(worst, float(np.max(np.abs(f @ core[np.ix_(cols, cols)] @ f.T - l @ l.T))))
-    return worst
+def _block_residual(f: np.ndarray, core: np.ndarray, l: np.ndarray) -> float:
+    """max|f core f^T - l l^T| on the rows of one weight sector."""
+    return float(np.max(np.abs(f @ core @ f.T - l @ l.T)))
 
 
-def _V_sub_expansion(p: int, d: int, sector: np.ndarray) -> tuple[int, float]:
+def _V_sub_expansion(p: int, d: int) -> tuple[int, float]:
     """The term count of the V^(p-1) expansion and its max-abs residual against V^(p-1) = L L^T.
 
     The expansion sums, over every pair of labels (alpha, i_alpha, mu, mu'),
@@ -431,25 +421,21 @@ def _V_sub_expansion(p: int, d: int, sector: np.ndarray) -> tuple[int, float]:
     (S D S^T + T T^T) / d = F C F^T, with S the sum of the wall factors, T
     that of the top columns, F = [S | T] and C = diag(D, 1) / d.
 
-    Why the weight sectors carry the whole sum (``tensorspace._weight_sectors``):
-
-    * column c = (a, b) of L is the indicator of the states whose register 1
-      spells a, register 2p spells b and paired registers agree, so it lies
-      in the sector of weight e_a - e_b; the top column t lies in weight 0;
-    * E^mu (x) E^nu is a sum of permutations of each wall side, which keep
-      each side's letter counts, so column c of every wall factor lies in
-      the sector of column c of L, and its last column, like t, in weight 0.
-      Their other entries are exact zeros.
-
-    A column of F is assigned the sector of the first 1 of the matching
-    column of [L | t | t].  Each factor's largest entry outside its columns'
+    Each column of F, like each column of L, lies in one weight sector
+    (``ideal_units._column_sectors`` states why, and assigns it), so both
+    products are block diagonal and nonzero only on the blocks of those
+    sectors, and the max-abs residual of the d^(2p) x d^(2p) difference is
+    that of the blocks.  Each factor's largest entry outside its columns'
     sectors is taken before it is summed, so a leak that every factor shares
-    reads once, not once per factor; the larger of that and
-    ``_sector_residual`` is returned (0 when every factor conserves the weight).
+    reads once, not once per factor; the larger of that and the block
+    residual is returned (the block residual alone when every factor
+    conserves the weight).
     """
-    L, t0 = factored_V(p, p - 1, d), factored_V(p, p, d)
-    col_sector = sector[np.argmax(np.hstack([L, t0, t0]), axis=0)]
-    off = sector[:, None] != col_sector[:-1]  # the entries of a wall factor outside its columns' sectors
+    L = factored_V(p, p - 1, d)
+    sector = _weight_sectors(p, d)[0]
+    wall_sector = _column_sectors(p, d, p - 1)
+    col_sector = np.append(wall_sector, wall_sector[-1])
+    off = sector[:, None] != wall_sector  # the entries of a wall factor outside its columns' sectors
     F = np.zeros((L.shape[0], d * d + 2))
     S, T = F[:, :-1], F[:, -1:]
     leak, walls, tops = 0.0, 0, 0
@@ -467,7 +453,11 @@ def _V_sub_expansion(p: int, d: int, sector: np.ndarray) -> tuple[int, float]:
                 T += top
                 tops += 1
     core = np.diag(np.append(_wall_diagonal(d), 1.0) / d)
-    return walls**2 + tops**2, max(_sector_residual(F, core, col_sector, L, sector), leak)
+    worst = leak
+    for s in sorted(set(col_sector.tolist())):
+        rows, cols = np.flatnonzero(sector == s), np.flatnonzero(col_sector == s)
+        worst = max(worst, _block_residual(F[np.ix_(rows, cols)], core[np.ix_(cols, cols)], L[rows]))
+    return walls**2 + tops**2, worst
 
 
 def suite_generators(p: int, d: int) -> list[CheckResult]:
@@ -475,35 +465,36 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
 
     V^(p) = l l^T is the sum of sqrt(m_mu m_nu) G_top over the diagonal labels
     (mu, i, i) and (nu, j, j), that is Q C Q^T with C the weighted 1 x 1
-    cores.  Every basis Q_a of those labels, like l, lies in the weight-zero
-    sector, so ``_sector_residual`` compares that one block; the largest
-    entry of the bases outside it is reported if larger.  V^(p-1) is the sum
-    of the H operators and the top-ideal terms: ``_V_sub_expansion`` checks
-    it as two summed factors, one product per sector.
+    cores.  The top unit system, like l, lies in the weight-zero sector
+    alone, so its one sector block is compared with that block of l l^T;
+    the system's projection residual, which holds any entry its factors had
+    outside that sector, is reported if larger.  V^(p-1) is the sum of the
+    H operators and the top-ideal terms: ``_V_sub_expansion`` checks it as
+    two summed factors, one product per sector.
     """
     tol = 1e-9
     top = unit_system(p, d, p)
-    l = factored_V(p, p, d)
-    sector = _weight_sectors(p, d)[0]
-    zero = sector[np.argmax(l)]
+    (rows,), (block,) = top.sector_rows, top.sector_bases
+    l = factored_V(p, p, d)[rows]
     diag = [a for a, (_, i, j) in enumerate(top.labels) if i == j]
     w = np.sqrt([multiplicity(top.labels[a][0], d) for a in diag])
-    q = top.bases[diag, :, 0].T
     core = top.cores[np.ix_(diag, diag)][:, :, 0, 0] * np.outer(w, w)
-    res = _sector_residual(q, core, np.full(len(diag), zero), l, sector)
-    res = max(res, float(np.max(np.abs(q[sector != zero]), initial=0.0)))
-    terms, residual = _V_sub_expansion(p, d, sector)
+    res = max(_block_residual(block[diag, :, 0].T, core, l), float(top.projection_residual.max()))
+    terms, residual = _V_sub_expansion(p, d)
     return [_result("V_top_from_units", res, tol), _result(f"V_sub_from_H_terms_{terms}_terms", residual, tol)]
 
 
 def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
-    """The units as eigenoperators of rho(p-1) and rho(p), with each twirl applied matrix-free.
+    """The units as eigenoperators of rho(p-1) and rho(p), with each twirl applied matrix-free, one sector block at a time.
 
-    ``spectra.rho_apply`` forms rho(k) Q for the thin basis arrays Q of the
-    unit systems, so no d^(2p) x d^(2p) array is built.  The trace of
-    rho(p-1) is the exact orbit count: the mean of |A_pi|, the number of
-    diagonal 1s of V_pi, over the C(p,k)^2 k! matchings pi of the orbit,
-    summed over those the enumerator yields.
+    ``spectra.rho_apply`` forms rho(k) Q_s for the sector blocks Q_s of the
+    unit systems, so no array of d^(2p) rows is built.  (rho - lambda) G_aa
+    = (rho Q_a - lambda Q_a) M_aa Q_a^T, and with M_aa block diagonal over
+    the sectors its squared Frobenius norm is the sum over the sectors of
+    ||(rho Q_as - lambda Q_as) M_aa,ss||_F^2.  The trace of rho(p-1) is the
+    exact orbit count: the mean of |A_pi|, the number of diagonal 1s of
+    V_pi, over the C(p,k)^2 k! matchings pi of the orbit, summed over those
+    the enumerator yields.
     """
     trace_tol = 1e-10
     tol = 1e-9
@@ -513,19 +504,22 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
         if rec.rho_level == p - 1
     }
     top, sub = unit_system(p, d, p), unit_system(p, d, p - 1)
-    # one flat copy Q of each system's bases; rho(k) Q is formed for one system and level at a time
-    flats = {system: system.flat_bases() for system in (top, sub)}
-    annihilated = float(np.max(np.abs(sub.traces_with(flats[sub], spectra.rho_apply(p, p, d, flats[sub]))), initial=0.0))
+
+    def applied(system, level):
+        return spectra.rho_apply(level, p, d, {s: _flat(b) for s, b in zip(system.sectors, system.sector_bases)})
+
+    annihilated = float(np.max(np.abs(sub.traces_with(applied(sub, p))), initial=0.0))
     eigen = off_diagonal = 0.0
     for system, key in ((top, lambda r: (p, r[0], r[0], None)), (sub, lambda r: (p - 1, r[0], r[1], r[4]))):
-        n, dim, r = system.bases.shape
-        rho_flat = spectra.rho_apply(p - 1, p, d, flats[system])
-        rho_q = rho_flat.reshape(dim, n, r)
-        for a, label in enumerate(system.labels):
-            lam = analytic[key(label)].eigenvalue
-            # (rho - lambda) G_aa = (rho Q_a - lambda Q_a) M_aa Q_a^T
-            eigen = max(eigen, float(np.linalg.norm((rho_q[:, a] - lam * system.bases[a]) @ system.cores[a, a])))
-        traces = np.abs(system.traces_with(flats[system], rho_flat))
+        rho_q = applied(system, p - 1)
+        lam = np.array([analytic[key(label)].eigenvalue for label in system.labels])[:, None, None]
+        squares = np.zeros(system.size)
+        for s, sl, block in zip(system.sectors, system.slices, system.sector_bases):
+            rq = rho_q[s].reshape(block.shape[1], system.size, -1).transpose(1, 0, 2)
+            m = np.einsum("aaij->aij", system.cores[:, :, sl, sl])
+            squares += np.sum(((rq - lam * block) @ m) ** 2, axis=(1, 2))
+        eigen = max(eigen, float(np.sqrt(squares).max()))
+        traces = np.abs(system.traces_with(rho_q))
         np.fill_diagonal(traces, 0.0)
         off_diagonal = max(off_diagonal, float(np.max(traces, initial=0.0)))
     out = [

@@ -10,8 +10,11 @@ Objects built here, all on 2p registers:
   unit in one row label of an ideal shares its range, and every unit in one
   column label its co-range, so a system stores one orthonormal basis Q_r
   per label and an r x r core M_rc per unit, G_rc = Q_r M_rc Q_c^T, with
-  r = 1 (top ideal) or d^2 - 1 (second ideal).  ``G_top`` and ``G_sub``
-  look single units up in the cached systems.
+  r = 1 (top ideal) or d^2 - 1 (second ideal).  The units commute with
+  U^(x)p (x) conj(U)^(x)p, so each Q_r is stored as its blocks on the
+  U (x) conj(U) weight sectors it touches, and the cores are block diagonal
+  over them.  ``G_top`` and ``G_sub`` look single units up in the cached
+  systems.
 
 The paper spans the ideals by the sandwiches F^(p) and F^(p-1) of the
 generators V^(p) and V^(p-1) by matrix units, and the second ideal by the
@@ -52,7 +55,7 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _apply_pair, _check_dim, _frozen
+from .tensorspace import _apply_pair, _check_dim, _frozen, _weight_sectors, factored_V
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -293,7 +296,7 @@ def second_ideal_blocks(p: int, d: int) -> list[BMatrix]:
 
 
 # ----------------------------------------------------------------------------
-# unit systems: shared bases and small cores
+# unit systems: shared bases per weight sector and small cores
 
 
 # The kept singular values of one row block are all equal in exact
@@ -315,25 +318,92 @@ def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int,
     return _wall_factor(mu, nu, i, j, b.diagonalizer[beta - 1], p, d) / math.sqrt(d * lam)
 
 
+def _column_sectors(p: int, d: int, ideal: int) -> np.ndarray:
+    """The U (x) conj(U) weight sector of each column of a unit factor: [t] for ideal p, [L | t] for ideal p - 1.
+
+    L = factored_V(p, p-1, d) and t = factored_V(p, p, d).  Column (a, b)
+    of L is the indicator of the states whose register 1 spells a, register
+    2p spells b and paired registers agree, so it lies in the sector of
+    weight e_a - e_b (``tensorspace._weight_sectors``); t lies in weight 0.
+    E^mu (x) E^nu is a sum of permutations of each wall side, which keep
+    each side's letter counts, so column c of every wall factor lies in the
+    sector of column c of L, and its last column, like every top factor, in
+    weight 0; their other entries are exact zeros.  A column is assigned the
+    sector of the first 1 of the matching column of [L | t].
+    """
+    t = factored_V(p, p, d)
+    columns = t if ideal == p else np.hstack([factored_V(p, p - 1, d), t])
+    return _weight_sectors(p, d)[0][np.argmax(columns, axis=0)]
+
+
+@lru_cache(maxsize=None)
+def _sector_layout(p: int, d: int, ideal: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+    """How every factor of one ideal splits into weight-sector blocks; read-only.
+
+    The sectors its columns lie in (ascending), each sector's rows (its
+    basis indices, ascending, so that row i is position i of
+    ``_weight_sectors``) and columns, and the flat indices into a
+    (d^(2p), k) factor that list its blocks one after another, each
+    (n_s, k_s) in row-major order.
+    """
+    sector = _weight_sectors(p, d)[0]
+    col_sector = _column_sectors(p, d, ideal)
+    sectors = tuple(sorted(set(col_sector.tolist())))
+    rows = tuple(_frozen(np.flatnonzero(sector == s)) for s in sectors)
+    cols = tuple(_frozen(np.flatnonzero(col_sector == s)) for s in sectors)
+    gather = np.concatenate([(r[:, None] * col_sector.size + c).ravel() for r, c in zip(rows, cols)])
+    return sectors, rows, cols, _frozen(gather)
+
+
+def _flat(block: np.ndarray) -> np.ndarray:
+    """A sector block (n, n_s, r_s) as the n_s x (n r_s) array of its bases side by side."""
+    return block.transpose(1, 0, 2).reshape(block.shape[1], -1)
+
+
+def _rank_slices(ranks) -> tuple[slice, ...]:
+    """Consecutive column ranges of the given widths."""
+    ends = np.cumsum(ranks, dtype=int)
+    return tuple(slice(int(e) - int(r), int(e)) for e, r in zip(ends, ranks))
+
+
+def _gram_blocks(gram: np.ndarray, n: int) -> np.ndarray:
+    """An (n r) x (n r) matrix as its (n, n, r, r) blocks."""
+    r = gram.shape[0] // n
+    return gram.reshape(n, r, n, r).transpose(0, 2, 1, 3)
+
+
 @dataclass(frozen=True, eq=False)
 class UnitSystem:
-    """Every irreducible matrix unit of one ideal at (p, d), on shared bases.
+    """Every irreducible matrix unit of one ideal at (p, d), on shared bases stored per weight sector.
 
-    Unit (a, c) is ``G_ac = Q_a M_ac Q_c^T``.  ``bases[a]`` (dim x r,
-    orthonormal columns) spans the range of every unit in row a, and
-    ``cores[a, c]`` is the r x r core, with r = 1 for the top ideal and
-    d^2 - 1 for the second.  The column labels are the row labels and
-    G_ca = G_ac^T, so the co-range basis P_c of column c is Q_c.
-    ``projection_residual[a]`` is the largest Frobenius distance, over the
-    units of row a, between the unit as its factors give it and the
-    projection ``Q_a M_ac Q_c^T``.  All arrays are read-only.
+    Unit (a, c) is ``G_ac = Q_a M_ac Q_c^T``.  Q_a (d^(2p) x r, orthonormal
+    columns) spans the range of every unit in row a, and ``cores[a, c]`` is
+    the r x r core, with r = 1 for the top ideal and d^2 - 1 for the second.
+    The column labels are the row labels and G_ca = G_ac^T, so the co-range
+    basis P_c of column c is Q_c.
+
+    The units lie in the walled Brauer algebra, which commutes with
+    U^(x)p (x) conj(U)^(x)p, so each Q_a is a sum of U (x) conj(U) weight
+    sectors: for the second ideal one column in each weight e_a - e_b and
+    d - 1 in weight 0, for the top ideal one column in weight 0.  Only those
+    blocks are stored: the k-th sector, ``sectors[k]`` (numbered as in
+    ``tensorspace._weight_sectors``), holds the rows ``sector_rows[k]`` of
+    every Q_a as ``sector_bases[k]`` (n, n_s, r_s), the columns
+    ``slices[k]`` of r.  ``cores`` and ``overlaps`` (n, n, r, r) are block
+    diagonal over the sectors.  ``projection_residual[a]`` is the largest Frobenius
+    distance, over the units of row a, between the unit as its factors give
+    it and the projection ``Q_a M_ac Q_c^T``, plus the largest entry of the
+    factor of row a outside its columns' sectors, which the blocks drop.
+    All arrays are read-only.
     """
 
     ideal: int
     p: int
     d: int
     labels: tuple
-    bases: np.ndarray  # (n, dim, r)
+    sectors: tuple[int, ...]
+    sector_rows: tuple[np.ndarray, ...]  # per sector: (n_s,)
+    sector_bases: tuple[np.ndarray, ...]  # per sector: (n, n_s, r_s)
     cores: np.ndarray  # (n, n, r, r)
     projection_residual: np.ndarray  # (n,)
 
@@ -341,45 +411,71 @@ class UnitSystem:
     def size(self) -> int:
         return len(self.labels)
 
+    @property
+    def rank(self) -> int:
+        return self.cores.shape[2]
+
     @cached_property
     def index(self) -> MappingProxyType:
         return MappingProxyType({label: a for a, label in enumerate(self.labels)})
 
-    def flat_bases(self) -> np.ndarray:
-        """All bases side by side, dim x (n r); a new copy on every call."""
-        n, dim, r = self.bases.shape
-        return self.bases.transpose(1, 0, 2).reshape(dim, n * r)
+    @cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """The columns of each sector block within the r columns of a basis."""
+        return _rank_slices([block.shape[2] for block in self.sector_bases])
 
-    def _blocks(self, gram: np.ndarray) -> np.ndarray:
-        """An (n r) x (n r) matrix as its (n, n, r, r) blocks."""
-        n, _, r = self.bases.shape
-        return gram.reshape(n, r, n, r).transpose(0, 2, 1, 3)
+    def basis(self, a: int) -> np.ndarray:
+        """Q_a as a d^(2p) x r array, its sector blocks scattered into zeros; a new array on every call."""
+        out = np.zeros((self.d ** (2 * self.p), self.rank))
+        for rows, sl, block in zip(self.sector_rows, self.slices, self.sector_bases):
+            out[rows, sl] = block[a]
+        return out
 
     @cached_property
     def overlaps(self) -> np.ndarray:
-        """X[a, c] = Q_a^T Q_c."""
-        flat = self.flat_bases()
-        return _frozen(self._blocks(flat.T @ flat))
+        """X[a, c] = Q_a^T Q_c, one Gram matrix per sector."""
+        out = np.zeros(self.cores.shape)
+        for sl, block in zip(self.slices, self.sector_bases):
+            flat = _flat(block)
+            out[:, :, sl, sl] = _gram_blocks(flat.T @ flat, self.size)
+        return _frozen(out)
 
-    def traces_with(self, flat: np.ndarray, rho_flat: np.ndarray) -> np.ndarray:
-        """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a), given flat = ``flat_bases()`` and rho_flat = rho @ flat."""
-        return np.einsum("acij,caji->ac", self.cores, self._blocks(flat.T @ rho_flat))
+    @cached_property
+    def _traces(self) -> np.ndarray:
+        return _frozen(np.einsum("acij,caji->ac", self.cores, self.overlaps))
+
+    def traces(self) -> np.ndarray:
+        """(n, n) array of tr G_ac = tr(M_ac X_ca), one contraction made once; read-only."""
+        return self._traces
+
+    def traces_with(self, applied: dict) -> np.ndarray:
+        """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a), given applied[s] = rho Q_s per sector.
+
+        Q_s is ``_flat`` of the block of sector s; rho must conserve the weight.
+        """
+        out = np.zeros((self.size, self.size))
+        for s, sl, block in zip(self.sectors, self.slices, self.sector_bases):
+            gram = _gram_blocks(_flat(block).T @ applied[s], self.size)
+            out += np.einsum("acij,caji->ac", self.cores[:, :, sl, sl], gram)
+        return out
 
 
 @lru_cache(maxsize=None)
 def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
-    """All units of ideal p (top) or p - 1 (second) at (p, d), built per label.
+    """All units of ideal p (top) or p - 1 (second) at (p, d), built per weight sector.
 
-    Each row label r costs one factor W_r and one QR, W_r = Q0_r R0_r, run
-    label by label into preallocated Q0 and R0 arrays; no array of all the
-    factors is held, so the build peaks at Q0 plus the bases (and one
-    label's factor).  The units are G_rc = W_r D W_c^T s_r s_c with D = (1)
-    and s_r = 1/sqrt(m_mu) for the top ideal, and the wall factor W_r =
-    W(w_beta), D = ``_wall_diagonal(d)`` and s_r = 1/sqrt(d lambda_beta) for
-    the second.
-    The range of row r over all columns is Q0_r times the range of R0_r D
-    [R0_1^T .. R0_n^T]; one QR of the stacked R0 and one small SVD per
-    label give it, and its rank must be r.
+    The units are G_rc = W_r D W_c^T s_r s_c with D = (1) and
+    s_r = 1/sqrt(m_mu) for the top ideal, and the wall factor W_r = W(w_beta),
+    D = ``_wall_diagonal(d)`` and s_r = 1/sqrt(d lambda_beta) for the second.
+    Each label's factor is formed, split into its weight-sector blocks
+    (``_sector_layout``) and dropped, so one label's factor is the only
+    array of d^(2p) rows; its largest entry outside its columns' sectors
+    goes into ``projection_residual``.  Then, per sector and batched over
+    the labels, with W_r the sector block: W_r = Q0_r R0_r, and the range of
+    row r over all columns is Q0_r times the range of R0_r D
+    [R0_1^T .. R0_n^T]; one QR of the stacked R0 and one small SVD per label
+    give it.  Its rank must be the same for every label, and the ranks of
+    the sectors must sum to r.
     """
     if ideal == p:
         labels = top_row_labels(p, d)
@@ -397,25 +493,43 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
 
     else:
         raise ValueError(f"ideal must be p = {p} or p - 1 = {p - 1}, got {ideal}")
-    n, k, dim = len(labels), diag.size, _check_dim(d, 2 * p)
+    n = len(labels)
+    _check_dim(d, 2 * p)
     if n == 0:
-        empty = (np.zeros((0, dim, rank)), np.zeros((0, 0, rank, rank)), np.zeros(0))
-        return UnitSystem(ideal, p, d, (), *map(_frozen, empty))
-    q0, r0 = np.empty((n, dim, k)), np.empty((n, k, k))  # one label's factor is alive at a time
+        return UnitSystem(ideal, p, d, (), (), (), (), _frozen(np.zeros((0, 0, 0, 0))), _frozen(np.zeros(0)))
+    sectors, rows, cols, gather = _sector_layout(p, d, ideal)
+    packed, leak = np.empty((n, gather.size)), np.empty(n)
     for a, label in enumerate(labels):
-        q0[a], r0[a] = np.linalg.qr(factor(*label))
-    stacked = np.linalg.qr(r0.reshape(n * k, k), mode="r")
-    u, s, _ = np.linalg.svd((r0 * diag) @ stacked.T)
-    kept = np.count_nonzero(s > BASIS_RTOL * s[:, :1], axis=1)
-    if np.any(kept != rank):
-        raise ArithmeticError(f"row ranks {sorted(set(kept.tolist()))} != {rank} for ideal {ideal} at (p,d)=({p},{d})")
-    u = u[:, :, :rank]
-    y = u.transpose(0, 2, 1) @ r0  # Q_a^T W_a in the Q0_a coordinates
-    cores = np.einsum("aik,k,cjk->acij", y, diag, y)
-    full = np.einsum("aik,k,cjk->acij", r0, diag, r0)
-    projected = (u[:, None] @ cores) @ u.transpose(0, 2, 1)[None]
-    residual = np.sqrt(np.sum((full - projected) ** 2, axis=(2, 3))).max(axis=1)
-    return UnitSystem(ideal, p, d, tuple(labels), _frozen(q0 @ u), _frozen(cores), _frozen(residual))
+        flat = factor(*label).reshape(-1)
+        packed[a] = flat[gather]
+        flat[gather] = 0.0
+        leak[a] = max(flat.max(), -flat.min())
+    blocks, cores, ranks = [], [], []
+    squares = np.zeros((n, n))
+    splits = np.cumsum([r.size * c.size for r, c in zip(rows, cols)])[:-1]
+    for s, r_s, c_s, f in zip(sectors, rows, cols, np.split(packed, splits, axis=1)):
+        q0, r0 = np.linalg.qr(f.reshape(n, r_s.size, c_s.size))
+        stacked = np.linalg.qr(r0.reshape(-1, c_s.size), mode="r")
+        u, sv, _ = np.linalg.svd((r0 * diag[c_s]) @ stacked.T)
+        kept = set(np.count_nonzero(sv > BASIS_RTOL * sv[:, :1], axis=1).tolist())
+        if len(kept) != 1:
+            raise ArithmeticError(f"sector {s} ranks {sorted(kept)} differ across the labels of ideal {ideal} at (p,d)=({p},{d})")
+        u = u[:, :, : kept.pop()]
+        y = u.transpose(0, 2, 1) @ r0  # Q_a^T W_a in the Q0_a coordinates
+        core = np.einsum("aik,k,cjk->acij", y, diag[c_s], y)
+        full = np.einsum("aik,k,cjk->acij", r0, diag[c_s], r0)
+        projected = (u[:, None] @ core) @ u.transpose(0, 2, 1)[None]
+        squares += np.sum((full - projected) ** 2, axis=(2, 3))
+        blocks.append(_frozen(q0 @ u))
+        cores.append(core)
+        ranks.append(u.shape[2])
+    if sum(ranks) != rank:
+        raise ArithmeticError(f"sector ranks {ranks} do not sum to {rank} for ideal {ideal} at (p,d)=({p},{d})")
+    full_cores = np.zeros((n, n, rank, rank))
+    for sl, core in zip(_rank_slices(ranks), cores):
+        full_cores[:, :, sl, sl] = core
+    residual = np.sqrt(squares).max(axis=1) + leak
+    return UnitSystem(ideal, p, d, tuple(labels), sectors, rows, tuple(blocks), _frozen(full_cores), _frozen(residual))
 
 
 @dataclass(frozen=True)
@@ -466,14 +580,13 @@ class GUnit:
         return None if self.ideal == self.p else (self.row_key[4], self.col_key[4])
 
     def to_dense(self) -> np.ndarray:
-        """G_ac = (Q_a M_ac) Q_c^T."""
+        """G_ac = (Q_a M_ac) Q_c^T, with Q_a and Q_c scattered from their sector blocks."""
         s = self.system
-        return (s.bases[self.row] @ s.cores[self.row, self.col]) @ s.bases[self.col].T
+        return (s.basis(self.row) @ s.cores[self.row, self.col]) @ s.basis(self.col).T
 
     def trace(self) -> float:
-        """tr(Q_a M_ac Q_c^T) = tr(M_ac Q_c^T Q_a), read off the core."""
-        s = self.system
-        return float(np.sum(s.cores[self.row, self.col] * s.overlaps[self.col, self.row].T))
+        """tr(Q_a M_ac Q_c^T) = tr(M_ac Q_c^T Q_a), read off the system's trace table."""
+        return float(self.system.traces()[self.row, self.col])
 
 
 def _lookup(system: UnitSystem, row, col) -> GUnit:

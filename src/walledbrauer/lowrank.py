@@ -6,7 +6,8 @@ instead of O(dim^3), and a sum of factored terms is a concatenation of
 factors, compressed once rather than term by term.  The library's objects
 do not use it: the generators V^(k) are their bare 0/1 factors
 (``tensorspace.factored_V``), and each ideal's units are one unit system of
-shared bases and r x r cores (``ideal_units.UnitSystem``).  It is left for
+shared bases, stored as one block per weight sector, and block-diagonal
+r x r cores (``ideal_units.UnitSystem``).  It is left for
 ``checks.suite_reduction``, which composes the zero-mode-reduced generators
 of each diagonal block, and for the tests' dense-definition oracles.  The
 benchmark's tracer wraps the class's methods by name and reads

@@ -6,9 +6,9 @@ conserves the U (x) conj(U) weight, so rho(k) is block diagonal over weight
 sectors.  ``_matching_groups`` enumerates the orbit once for every use of it:
 the dense oracle :func:`rho`, the brute spectra of :func:`rho_eigenvalues`
 (one dense block per weight sector) and :func:`rho_apply`, which forms
-rho(k) Q for a thin Q with no d^(2p) x d^(2p) array and is what the
-verification suites use.  The twirled operators are diagonal in the unit
-bases of the two highest ideals.  Their nonzero eigenvalues come out
+rho(k) Q for thin weight-sector blocks Q with no array of d^(2p) rows and
+is what the verification suites use.  The twirled operators are diagonal
+in the unit bases of the two highest ideals.  Their nonzero eigenvalues come out
 analytically from multiplicities and dimensions alone (plus the small
 diagonalizer of the B matrix), and can be cross-checked against the brute
 spectra; both paths are exposed through :func:`spectrum_table`.
@@ -126,23 +126,31 @@ def _orbit_sum(acc: np.ndarray, p: int, d: int, level: int, row_key: np.ndarray,
         acc[row_key[group][:, :, None] + col_key[group][:, None, :]] += 1.0
 
 
-def rho_apply(level: int, p: int, d: int, q: np.ndarray) -> np.ndarray:
-    """rho(level) @ q for a thin q of d^(2p) rows, with no d^(2p) x d^(2p) array.
+def rho_apply(level: int, p: int, d: int, blocks: dict) -> dict:
+    """rho(level) on weight-sector blocks: {s: rho(level) q_s} for the thin blocks {s: q_s}.
 
-    The orbit average of V_pi q.  V_pi q is zero off A_pi, and on each group
-    of A_pi (see ``_matching_groups``) it is the sum of q over the group,
-    repeated on every index of the group: d^(2p-k) entries per matching and
-    column of q.
+    rho(level) conserves the weight, so it maps each sector to itself; row i
+    of q_s is the index at position i of sector s (``_weight_sectors``).
+    rho(level) q_s is the orbit average of V_pi q_s.  V_pi q is zero off
+    A_pi, and on each group of A_pi (see ``_matching_groups``) it is the sum
+    of q over the group, repeated on every index of the group.  The free
+    digits of a group fix its weight, so each group lies in one sector, and
+    no array of d^(2p) rows is formed.
     """
     if not 0 <= level <= p:
         raise ValueError(f"need 0 <= level <= p, got {level}")
-    q = np.asarray(q)
-    if q.shape[0] != d ** (2 * p):
-        raise ValueError(f"q has {q.shape[0]} rows, need d^(2p) = {d ** (2 * p)}")
-    out = np.zeros(q.shape, dtype=np.result_type(q, float))
+    sector, pos, sizes = _weight_sectors(p, d)
+    for s, q in blocks.items():
+        if q.shape[0] != sizes[s]:
+            raise ValueError(f"the block of sector {s} has {q.shape[0]} rows, need {sizes[s]}")
+    out = {s: np.zeros(q.shape, dtype=np.result_type(q, float)) for s, q in blocks.items()}
     for group in _matching_groups(p, d, level):
-        out[group] += q[group].sum(axis=1, keepdims=True)
-    out /= _orbit_size(p, level)
+        owner = sector[group[:, 0]]
+        for s, q in blocks.items():
+            at = pos[group[owner == s]]
+            out[s][at] += q[at].sum(axis=1, keepdims=True)
+    for o in out.values():
+        o /= _orbit_size(p, level)
     return out
 
 

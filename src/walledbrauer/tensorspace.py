@@ -129,8 +129,9 @@ def _digit_table(d: int, n: int) -> np.ndarray:
     return _frozen(np.asarray(np.unravel_index(np.arange(dim), (d,) * n), dtype=np.int64))
 
 
+@lru_cache(maxsize=None)
 def _weight_sectors(p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per basis index: its sector and its position there; and the sector sizes.
+    """Per basis index: its sector and its position there; and the sector sizes.  Cached, read-only.
 
     The weight of an index is its letter counts on registers 1..p minus those
     on registers p+1..2p.  Every partially transposed permutation conserves
@@ -156,7 +157,7 @@ def _weight_sectors(p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     order = np.argsort(sector, kind="stable")
     pos = np.empty_like(sector)
     pos[order] = np.arange(sector.size) - (np.cumsum(sizes) - sizes)[sector[order]]
-    return sector, pos, sizes
+    return _frozen(sector), _frozen(pos), _frozen(sizes)
 
 
 def permutation_index(sigma: Permutation, d: int, n: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, ``_wall_factor`` and
-``_wall_diagonal``), and stores each ideal's units as shared bases and
-r x r cores.  Here F and H stay the paper's definitions, as factored
-operators, and the units are compared against them.
+``_wall_diagonal``), and stores each ideal's units as shared bases, one
+block per weight sector, and r x r cores.  Here F and H stay the paper's
+definitions, as factored operators, and the units are compared against them.
 """
 
 from __future__ import annotations
@@ -65,10 +65,13 @@ def factored_trace(op: FactoredOperator) -> float:
 
 
 def unit_operator(unit: GUnit, m: np.ndarray | None = None) -> FactoredOperator:
-    """The unit G_ac = (Q_a M_ac) Q_c^T, or m @ G_ac for a dense square m, on its thin factors."""
+    """The unit G_ac = (Q_a M_ac) Q_c^T, or m @ G_ac for a dense square m, on its thin factors.
+
+    Q_a and Q_c are scattered from their sector blocks, as ``GUnit.to_dense`` scatters them.
+    """
     s = unit.system
-    left = s.bases[unit.row] @ s.cores[unit.row, unit.col]
-    return FactoredOperator(left if m is None else m @ left, s.bases[unit.col].T)
+    left = s.basis(unit.row) @ s.cores[unit.row, unit.col]
+    return FactoredOperator(left if m is None else m @ left, s.basis(unit.col).T)
 
 
 def composition_worst_by_pairs(system) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from walledbrauer import checks
+from walledbrauer import checks, ideal_units
 from walledbrauer.checks import run_suite
 from walledbrauer.cli import main
 from walledbrauer.errors import ZeroMultiplicityError
@@ -466,7 +466,7 @@ def test_unit_systems_match_the_paper_definitions(p, d):
             assert unit_operator(GUnit(top, a, c)).distance(expected) <= 1e-12
     sub = unit_system(p, d, p - 1)
     assert sub.size == len(sub_row_labels(p, d)) > 0
-    assert sub.bases.shape[2] == d * d - 1
+    assert sub.rank == d * d - 1
     for a, (mu, nu, i, j, beta) in enumerate(sub.labels):
         b = B_matrix(mu, nu, d)
         for c, (mup, nup, ip, jp, betap) in enumerate(sub.labels):
@@ -488,10 +488,10 @@ def test_composition_worst_matches_the_per_pair_oracle(p, d):
 
 
 def _tilt_basis(system):
-    """bases[1] tilted by 1e-6 bases[0]: X_01 = 1e-6 1 + O(eps), while X_11 - 1 is only 1e-12."""
-    bases = system.bases.copy()
-    bases[1] += 1e-6 * bases[0]
-    return dataclasses.replace(system, bases=bases)
+    """Q_1 tilted by 1e-6 Q_0 in the first sector block: X_01 = 1e-6 1 + O(eps) there, while X_11 - 1 is only 1e-12."""
+    block = system.sector_bases[0].copy()
+    block[1] += 1e-6 * block[0]
+    return dataclasses.replace(system, sector_bases=(block,) + system.sector_bases[1:])
 
 
 def _shift_core_entry(system):
@@ -514,27 +514,73 @@ def test_composition_fails_on_a_planted_defect(monkeypatch, plant, p, d):
 
 
 def test_unit_system_build_peaks_at_q0_plus_the_bases():
-    """The QR of each label's factor is written into Q0 (n, dim, d^2 + 1); no array of all factors is held."""
+    """Only one label's dense factor is alive at a time; Q0, R0 and the bases are sector blocks.
+
+    The budget: three dense factors, since forming one wall factor holds the
+    wall product and its axis permutation next to the result; three times
+    the stored sector blocks, for the packed factor blocks, their Q0 and the
+    bases; and twice the cores, per sector and assembled.  Storing the bases
+    dense, as (n, d^(2p), r), takes 8.8 MB at (3,4), above the whole budget.
+    """
     p, d = 3, 4
     system = unit_system(p, d, p - 1)  # warms the caches the build reads
-    n, dim, _ = system.bases.shape
+    factor = d ** (2 * p) * (d * d + 1) * 8
+    blocks = sum(block.nbytes for block in system.sector_bases)
     tracemalloc.start()
     try:
         unit_system.__wrapped__(p, d, p - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * (n * dim * (d * d + 1) * 8 + system.bases.nbytes), peak
+    assert peak <= 1.25 * (3 * factor + 3 * blocks + 2 * system.cores.nbytes), peak
+
+
+def test_eigenoperators_stay_below_one_factor():
+    """No array of d^(2p) rows and d^2 + 2 columns fits under the suite's peak: rho(k) is applied to sector blocks."""
+    p, d = 3, 5
+    for ideal in (p, p - 1):
+        unit_system(p, d, ideal)
+    tracemalloc.start()
+    try:
+        results = checks.suite_eigenoperators(p, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < d ** (2 * p) * (d * d + 2) * 8, peak
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
+def test_unit_system_reports_an_off_sector_factor_entry(monkeypatch, p, d):
+    """An entry outside its column's weight sector is dropped by the sector blocks, so it must reach the residual."""
+    column = ideal_units._column_sectors(p, d, p - 1)[0]
+    row = int(np.flatnonzero(_weight_sectors(p, d)[0] != column)[0])
+    factor = ideal_units._sub_factor
+
+    def planted(*args):
+        out = factor(*args)
+        out[row, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(ideal_units, "_sub_factor", planted)
+    system = unit_system.__wrapped__(p, d, p - 1)
+    assert np.all(system.projection_residual >= 1e-6)
+    monkeypatch.setattr(checks, "unit_system", lambda pq, dq, ideal: system if ideal == p - 1 else unit_system(pq, dq, ideal))
+    (result,) = [r for r in run_suite("composition", p, d) if r.name.startswith("G_sub_all_pairs_")]
+    assert not result.passed, result
 
 
 def test_cached_arrays_are_read_only():
     p, d = 2, 2
     system = unit_system(p, d, p - 1)
     arrays = [
-        system.bases,
+        *system.sector_rows,
+        *system.sector_bases,
         system.cores,
         system.overlaps,
         system.projection_residual,
+        system.traces(),
+        _weight_sectors(p, d)[0],
         factored_V(p, p - 1, d),
         factored_V(p, p, d),
         factored_outer_pair(p, d),

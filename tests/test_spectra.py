@@ -341,16 +341,22 @@ def test_rho_apply_matches_the_dense_rho(p, d):
     # n eps (|rho| |q|): n = d^(2p) for the dense product, and at most d^k plus
     # the orbit size for the apply (a sum over each group, then one per
     # matching).  The bound is the sum of the two.
+    # q is applied as its weight-sector blocks, the rows of sector s in position order.
     q = rng.standard_normal((d ** (2 * p), 5))
+    sector, _, sizes = _weight_sectors(p, d)
+    rows = {s: np.flatnonzero(sector == s) for s in range(sizes.size)}
     for level in range(p + 1):
         dense = rho(level, p, d).matrix
         terms = d ** (2 * p) + d**level + spectra._orbit_size(p, level)
         bound = terms * np.finfo(float).eps * (np.abs(dense) @ np.abs(q))
-        assert np.all(np.abs(rho_apply(level, p, d, q) - dense @ q) <= bound)
+        applied = np.zeros_like(q)
+        for s, block in rho_apply(level, p, d, {s: q[r] for s, r in rows.items()}).items():
+            applied[rows[s]] = block
+        assert np.all(np.abs(applied - dense @ q) <= bound)
     with pytest.raises(ValueError):
-        rho_apply(p + 1, p, d, q)
+        rho_apply(p + 1, p, d, {0: q[rows[0]]})
     with pytest.raises(ValueError):
-        rho_apply(p, p, d, q[1:])
+        rho_apply(p, p, d, {0: q[rows[0]][1:]})
 
 
 def test_eigenoperators_fail_when_the_apply_drops_a_matching(monkeypatch):
