@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,6 +94,15 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
 
 def _bool_result(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, ok, 0.0 if ok else 1.0, 0.0, detail)
+
+
+def _uniform(rng: random.Random, *shape: int) -> np.ndarray:
+    """Test inputs uniform on [-1, 1), 53 random bits per entry, from a seeded stdlib generator.
+
+    Drawing from ``random`` keeps ``numpy.random`` unimported in ``verify``.
+    """
+    bits = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8") >> 11
+    return (bits * 2.0**-52 - 1.0).reshape(shape)
 
 
 # ----------------------------------------------------------------------------
@@ -196,11 +206,11 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
       (L^T M) M^T and (l^T M) M^T are thin products.
     """
     tol = 1e-10
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     out = []
     worst = 0.0
     for dd in (2, 3, 4):
-        x = rng.standard_normal((dd, dd))
+        x = _uniform(rng, dd, dd)
         psi = np.zeros(dd * dd)
         for i in range(dd):
             psi[i * dd + i] = 1.0 / np.sqrt(dd)
@@ -213,7 +223,7 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
     v = V_generator(pp, pp, dd)
     worst = 0.0
     for _ in range(5):
-        ops = [rng.standard_normal((dd, dd)) for _ in range(2 * pp)]
+        ops = [_uniform(rng, dd, dd) for _ in range(2 * pp)]
         a = np.kron(ops[0], ops[1])
         b = np.kron(ops[2], ops[3])
         lhs = DenseOperator(dd, 2 * pp, np.kron(a, b)) @ v
@@ -223,7 +233,7 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
     out.append(_result("generalized_ping_pong_p2_d2", worst, tol))
     worst = 0.0
     for pq, dq in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        x = rng.standard_normal((dq**pq, dq**pq))
+        x = _uniform(rng, dq**pq, dq**pq)
         top = factored_V(pq, pq, dq)[:, 0]
         worst = max(worst, abs(float(top @ _apply_pair(x, None, pq, pq, dq)[:, 0]) - float(np.trace(x))))
     out.append(_result("sandwich_fact_p<=3", worst, tol))
@@ -240,7 +250,7 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
         dq = 2
         vq = V_generator(pq, pq - 1, dq)
         for _ in range(10):
-            x = DenseOperator(dq, 2 * pq, rng.standard_normal((dq ** (2 * pq), dq ** (2 * pq))))
+            x = DenseOperator(dq, 2 * pq, _uniform(rng, dq ** (2 * pq), dq ** (2 * pq)))
             xt = sandwich_reduce(x)
             rhs = embed_operator(xt, [1, 2 * pq], 2 * pq) @ vq
             worst = max(worst, (vq @ x @ vq).distance(rhs))
@@ -347,14 +357,14 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
                         abs(float(np.sum(xl * L)) - float(trace_with_V_sub(*args))),
                     )
                     cores[rm, cm, rn, cn] = core, ab
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     worst = 0.0
     for _ in range(50):
-        mu = shapes[rng.integers(len(shapes))]
-        nu = shapes[rng.integers(len(shapes))]
+        mu = shapes[rng.randrange(len(shapes))]
+        nu = shapes[rng.randrange(len(shapes))]
         pm_mu, pm_nu = prir_map(mu), prir_map(nu)
-        key = (pm_mu[rng.integers(len(pm_mu))], pm_mu[rng.integers(len(pm_mu))])
-        key += (pm_nu[rng.integers(len(pm_nu))], pm_nu[rng.integers(len(pm_nu))])
+        key = (pm_mu[rng.randrange(len(pm_mu))], pm_mu[rng.randrange(len(pm_mu))])
+        key += (pm_nu[rng.randrange(len(pm_nu))], pm_nu[rng.randrange(len(pm_nu))])
         core, ab = cores[key]
         res = np.max(np.abs(core - float(ab.a) * np.outer(phi, phi) - float(ab.b) * np.eye(d * d)))
         worst = max(worst, float(res))

@@ -5,13 +5,22 @@ of V_pi over the C(p,k)^2 k! partial matchings pi in its orbit, and it
 conserves the U (x) conj(U) weight, so rho(k) is block diagonal over weight
 sectors.  ``_matching_groups`` enumerates the orbit once for every use of it:
 the dense oracle :func:`rho`, the brute spectra of :func:`rho_eigenvalues`
-(one dense block per weight sector) and :func:`rho_apply`, which forms
-rho(k) Q for thin weight-sector blocks Q with no array of d^(2p) rows and
-is what the verification suites use.  The twirled operators are diagonal
-in the unit bases of the two highest ideals.  Their nonzero eigenvalues come out
-analytically from multiplicities and dimensions alone (plus the small
-diagonalizer of the B matrix), and can be cross-checked against the brute
-spectra; both paths are exposed through :func:`spectrum_table`.
+and :func:`rho_apply`, which forms rho(k) Q for thin weight-sector blocks Q
+with no array of d^(2p) rows and is what the verification suites use.
+
+A relabelling sigma in S_d of the letters is a permutation matrix in U(d).
+It commutes with rho(k) and maps the sector of weight w onto that of
+sigma.w, so all sectors of one S_d orbit are isospectral.  The brute spectra
+therefore store and diagonalize only the dominant sectors, whose weight is
+non-increasing, and repeat each eigenvalue by the size of its weight's
+orbit.  At (4,4) that is 23 of the 309 sectors and 1.3e7 of the 6.5e7
+block entries: about 3 s and a 200 MiB peak per level.
+
+The twirled operators are diagonal in the unit bases of the two highest
+ideals.  Their nonzero eigenvalues come out analytically from multiplicities
+and dimensions alone (plus the small diagonalizer of the B matrix), and can
+be cross-checked against the brute spectra; both paths are exposed through
+:func:`spectrum_table`.
 """
 
 from __future__ import annotations
@@ -29,10 +38,11 @@ from .ideal_units import has_second_ideal, second_ideal_blocks
 from .partitions import (
     Partition,
     dim_irrep,
+    enumerate_partitions,
     multiplicity,
     schur_weyl_partitions,
 )
-from .tensorspace import DenseOperator, _frozen, _weight_sectors
+from .tensorspace import DenseOperator, _digit_table, _frozen, _weight_sectors
 
 BIN_TOL = 1e-6
 
@@ -46,9 +56,10 @@ BIN_TOL = 1e-6
 MAX_TWIRL_ENTRIES = 2**26
 PASS_FLOOR = 2**12
 
-# The weight sectors are stored as dense blocks, sum_s n_s^2 floats in all.
-# 2^24 floats (128 MiB) admit (3,6) at 8.8e6 and refuse (4,4) at 6.5e7 and
-# (5,3) at 1.4e8, whose largest blocks alone take 59 MB and 0.17 GB.
+# The dominant weight sectors are stored as dense blocks, sum_s n_s^2 floats in
+# all.  2^24 floats (128 MiB) admit (3,6) at 1.2e6 and (4,4) at 1.3e7 (largest
+# block 2716^2, 59 MB; about 3 s and a 200 MiB peak per level), and refuse
+# (5,3) at 4.6e7, whose largest block alone takes 0.17 GB.
 MAX_BLOCK_ENTRIES = 2**24
 
 
@@ -66,27 +77,79 @@ def _check_twirl_work(p: int, d: int, level: int) -> None:
         )
 
 
-def _block_entries(p: int, d: int) -> int:
-    """sum_s n_s^2 over the weight sectors of (C^d)^(2p), counted without the basis.
+def _sector_size(p: int, w: tuple[int, ...]) -> int:
+    """n_w, the number of basis states x y of weight w, counted without the basis.
 
-    It counts the pairs (x y, x' y') of basis states of equal weight, where
-    x, x' are the left and y, y' the right words.  Equal weight means that the
-    words x y' and x' y of length 2p have the same letter counts v, so the sum
-    is sum_v multinomial(2p; v)^2, built letter by letter in g.
+    The left word x has letter counts c and the right word y has c - w, so
+    n_w = sum_c multinomial(p; c) multinomial(p; c - w).  Both multinomials
+    are products of binomials along the letters, so the sum is built letter
+    by letter in g.
     """
-    g = [1] + [0] * (2 * p)  # g[j]: sum over the letter counts v of words of length j
-    for _ in range(d):
-        g = [sum(g[i] * math.comb(j, i) ** 2 for i in range(j + 1)) for j in range(2 * p + 1)]
-    return g[2 * p]
+    g = [1] + [0] * p  # g[j]: the letters so far fill j places of x and j - shift of y
+    shift = 0
+    for wa in w:
+        new = [0] * (p + 1)
+        for j, ways in enumerate(g):
+            if not ways:
+                continue
+            for c in range(max(wa, 0), p + 1 - j):
+                new[j + c] += ways * math.comb(j + c, c) * math.comb(j - shift + c - wa, c - wa)
+        g, shift = new, shift + wa
+    return g[p]
+
+
+@lru_cache(maxsize=None)
+def _dominant_weights(p: int, d: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """(w, orbit, n_w) for every dominant weight w of (C^d)^(2p), counted without the basis.
+
+    A dominant weight is non-increasing: a partition lam of some m <= p,
+    zeros, then minus a partition kap of m in reverse.  Its S_d orbit holds
+    d! / prod(multiplicities of equal entries)! weights, each of sector size n_w.
+    """
+    out = []
+    for m in range(p + 1):
+        for lam in enumerate_partitions(m):
+            for kap in enumerate_partitions(m):
+                zeros = d - lam.height - kap.height
+                if zeros >= 0:
+                    w = lam.parts + (0,) * zeros + tuple(-v for v in reversed(kap.parts))
+                    orbit = math.factorial(d)
+                    for v in set(w):
+                        orbit //= math.factorial(w.count(v))
+                    out.append((w, orbit, _sector_size(p, w)))
+    return tuple(out)
+
+
+def _block_entries(p: int, d: int) -> int:
+    """sum_s n_s^2 over the dominant weight sectors, the floats that ``rho_eigenvalues`` stores."""
+    return sum(n * n for _, _, n in _dominant_weights(p, d))
 
 
 def _check_block_memory(p: int, d: int) -> None:
     entries = _block_entries(p, d)
     if entries > MAX_BLOCK_ENTRIES:
         raise ResourceLimitError(
-            f"the weight sectors at (p,d)=({p},{d}) hold {entries} block entries, "
+            f"the dominant weight sectors at (p,d)=({p},{d}) hold {entries} block entries, "
             f"above the bound {MAX_BLOCK_ENTRIES}"
         )
+
+
+@lru_cache(maxsize=None)
+def _dominant_sectors(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dominant sectors of ``_weight_sectors``, ascending, and their orbit sizes.  Cached, read-only.
+
+    A sector's weight is read off the digits of its first index.
+    """
+    sector, pos, _ = _weight_sectors(p, d)
+    first = np.flatnonzero(pos == 0)
+    digs = _digit_table(d, 2 * p)[:, first]
+    w = np.stack([np.count_nonzero(digs[:p] == a, axis=0) - np.count_nonzero(digs[p:] == a, axis=0) for a in range(d)])
+    dominant = np.all(w[:-1] >= w[1:], axis=0)
+    ids = sector[first[dominant]]
+    order = np.argsort(ids)
+    orbit = {wt: size for wt, size, _ in _dominant_weights(p, d)}
+    orbits = [orbit[tuple(int(v) for v in col)] for col in w[:, dominant].T[order]]
+    return _frozen(ids[order]), _frozen(np.array(orbits, dtype=np.int64))
 
 
 def _matching_groups(p: int, d: int, level: int):
@@ -115,14 +178,20 @@ def _matching_groups(p: int, d: int, level: int):
             yield base[:, None] + offsets
 
 
-def _orbit_sum(acc: np.ndarray, p: int, d: int, level: int, row_key: np.ndarray, col_key: np.ndarray) -> None:
+def _orbit_sum(
+    acc: np.ndarray, p: int, d: int, level: int, row_key: np.ndarray, col_key: np.ndarray, keep: np.ndarray | None = None
+) -> None:
     """Add V_pi to the flat ``acc`` for every matching pi in the orbit of V^(level).
 
     Entry (r, c) of V_pi lands at acc[row_key[r] + col_key[c]], for r and c
     in one group of ``_matching_groups``.  Its entries are distinct, so a
-    plain fancy-indexed add counts each once.
+    plain fancy-indexed add counts each once.  With a boolean ``keep`` per
+    basis index, only the groups whose indices are kept are added; a group
+    lies in one weight sector, so its first index decides.
     """
     for group in _matching_groups(p, d, level):
+        if keep is not None:
+            group = group[keep[group[:, 0]]]
         acc[row_key[group][:, :, None] + col_key[group][:, None, :]] += 1.0
 
 
@@ -175,9 +244,11 @@ def rho(level: int, p: int, d: int) -> DenseOperator:
 
 
 def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:
-    """The eigenvalues of rho(level), ascending, from one dense block per weight sector.
+    """The eigenvalues of rho(level), ascending, from one dense block per dominant weight sector.
 
-    The orbit of matchings is scattered straight into the blocks; no array of
+    The sectors of one S_d orbit are isospectral, so each eigenvalue of a
+    dominant block is repeated by the orbit size of its weight.  The orbit of
+    matchings is scattered straight into the dominant blocks; no array of
     d^(2p) x d^(2p) entries is built.  Both bounds are checked first.
     """
     if not 0 <= level <= p:
@@ -185,16 +256,21 @@ def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:
     _check_twirl_work(p, d, level)
     _check_block_memory(p, d)
     sector, pos, sizes = _weight_sectors(p, d)
-    offsets = np.cumsum(sizes**2) - sizes**2
-    acc = np.zeros(int(np.sum(sizes**2)))
-    _orbit_sum(acc, p, d, level, offsets[sector] + pos * sizes[sector], pos)
+    ids, orbits = _dominant_sectors(p, d)
+    slot = np.full(sizes.size, -1)
+    slot[ids] = np.arange(ids.size)
+    n = sizes[ids]  # ascending, as ids is
+    offsets = np.cumsum(n**2) - n**2
+    acc = np.zeros(int(np.sum(n**2)))
+    row_slot = slot[sector]  # -1 outside the dominant sectors, whose groups are dropped
+    _orbit_sum(acc, p, d, level, offsets[row_slot] + pos * sizes[sector], pos, keep=row_slot >= 0)
     acc /= _orbit_size(p, level)
     vals = []
-    for n in sizes[np.r_[True, sizes[1:] != sizes[:-1]]]:  # sizes is sorted
-        same = np.flatnonzero(sizes == n)  # consecutive sectors
+    for size in n[np.r_[True, n[1:] != n[:-1]]]:
+        same = np.flatnonzero(n == size)  # consecutive blocks
         start = offsets[same[0]]
-        stack = acc[start : start + same.size * n * n].reshape(same.size, n, n)
-        vals.append(np.linalg.eigvalsh(stack).ravel())
+        stack = acc[start : start + same.size * size * size].reshape(same.size, size, size)
+        vals.append(np.repeat(np.linalg.eigvalsh(stack), orbits[same], axis=0).ravel())
     return np.sort(np.concatenate(vals))
 
 
@@ -340,7 +416,7 @@ def spectrum_table(p: int, d: int, level: int, method: str = "analytic") -> Spec
 
     The analytic path covers the levels of :func:`analytic_levels`; the
     brute path takes the eigenvalues of :func:`rho_eigenvalues`, one dense
-    block per weight sector, for any 0 <= level <= p within its two bounds
+    block per dominant weight sector, for any 0 <= level <= p within its two bounds
     (MAX_TWIRL_ENTRIES on the work, MAX_BLOCK_ENTRIES on the block storage),
     and bins them at BIN_TOL = 1e-6.
     """

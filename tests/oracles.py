@@ -1,4 +1,4 @@
-"""The paper's spanning families F and H, the units as factored operators, and the per-pair composition residual, for the tests.
+"""The paper's spanning families F and H, the units as factored operators, the per-pair composition residual and the all-sector brute spectra, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, ``_wall_factor`` and
@@ -16,6 +16,8 @@ import numpy as np
 from walledbrauer.ideal_units import GUnit, _indicator, _top_factor, _wall_diagonal, _wall_factor
 from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.partitions import Partition, multiplicity
+from walledbrauer.spectra import _orbit_size, _orbit_sum
+from walledbrauer.tensorspace import _weight_sectors
 
 
 def F_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int, d: int) -> FactoredOperator:
@@ -89,3 +91,23 @@ def composition_worst_by_pairs(system) -> float:
             res[b] -= m[a]
             worst = max(worst, float(np.sqrt(np.sum(res**2, axis=(2, 3))).max()))
     return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
+
+
+def rho_eigenvalues_all_sectors(level: int, p: int, d: int) -> np.ndarray:
+    """The eigenvalues of rho(level), ascending, from one dense block per weight sector, every sector.
+
+    The orbit of matchings is scattered into every sector's block, and every
+    block is diagonalized; the library diagonalizes one sector per S_d orbit.
+    """
+    sector, pos, sizes = _weight_sectors(p, d)
+    offsets = np.cumsum(sizes**2) - sizes**2
+    acc = np.zeros(int(np.sum(sizes**2)))
+    _orbit_sum(acc, p, d, level, offsets[sector] + pos * sizes[sector], pos)
+    acc /= _orbit_size(p, level)
+    vals = []
+    for n in sizes[np.r_[True, sizes[1:] != sizes[:-1]]]:  # sizes is sorted
+        same = np.flatnonzero(sizes == n)  # consecutive sectors
+        start = offsets[same[0]]
+        stack = acc[start : start + same.size * n * n].reshape(same.size, n, n)
+        vals.append(np.linalg.eigvalsh(stack).ravel())
+    return np.sort(np.concatenate(vals))

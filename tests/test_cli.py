@@ -133,10 +133,10 @@ def test_verify_sweep_keeps_the_cli_contract(p, d):
     assert len(result.stderr.strip().splitlines()) <= 1 and "Traceback" not in result.stderr
 
 
-# past the twirl's work bound at (7,2) and (5,4), and the block bound at (4,4)
+# past the twirl's work bound at (7,2) and (5,4), and the block bound at (5,3)
 GUARD_CASES = (
     ["--p", "7", "--d", "2", "spectrum", "--method", "brute"],
-    ["--p", "4", "--d", "4", "spectrum", "--method", "brute"],
+    ["--p", "5", "--d", "3", "spectrum", "--method", "brute"],
     ["--p", "5", "--d", "4", "spectrum", "--method", "brute"],
 )
 NONPOSITIVE_CASES = (["--p", "0", "--d", "2", "dims"], ["--p", "2", "--d", "0", "units"])
@@ -328,7 +328,8 @@ def test_json_output_is_deterministic():
 
 def test_verify_and_brute_spectrum_leave_numpy_ma_unimported():
     # np.unique of a plain array goes through np.ma.is_masked on numpy 2.x,
-    # and importing numpy.ma costs every fresh process several milliseconds
+    # and importing numpy.ma costs every fresh process several milliseconds;
+    # numpy.random costs about 6 MiB and 10 ms, so the checks draw from random
     code = (
         "import sys\n"
         "from walledbrauer.cli import main\n"
@@ -337,10 +338,10 @@ def test_verify_and_brute_spectrum_leave_numpy_ma_unimported():
         "        main(['--p', '2', '--d', '2', *args])\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code in (None, 0), exc.code\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"

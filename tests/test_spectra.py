@@ -10,6 +10,8 @@ from walledbrauer.matrix_units import E_unit, embed_left, embed_right
 from walledbrauer.partitions import Partition, dim_irrep, partition, schur_weyl_partitions
 from walledbrauer.spectra import (
     _block_entries,
+    _dominant_sectors,
+    _dominant_weights,
     analytic_overlaps,
     rho,
     rho_apply,
@@ -19,7 +21,7 @@ from walledbrauer.spectra import (
 from walledbrauer.symgroup import Permutation, enumerate_group
 from walledbrauer.tensorspace import DenseOperator, V_generator, _weight_sectors, permutation_index, permutation_operator
 
-from oracles import factored_trace, unit_operator
+from oracles import factored_trace, rho_eigenvalues_all_sectors, unit_operator
 
 rng = np.random.default_rng(31)
 
@@ -145,15 +147,44 @@ def test_rho_conserves_the_weight(p, d):
 def test_weight_sectors_are_labelled_and_counted(p, d):
     # at (1,45) the 45 base-3 digits of the key pass 2^63, so the labelling re-ranks its keys
     w = _weights(p, d)
-    _, sizes = np.unique(w, axis=0, return_counts=True)
+    weights, sizes = np.unique(w, axis=0, return_counts=True)
     sector, pos, labelled = _weight_sectors(p, d)
     # one sector per weight, and one position per index inside its sector
     assert np.unique(np.column_stack([sector, w]), axis=0).shape[0] == sizes.size == labelled.size
     assert np.array_equal(np.sort(sizes), labelled)
     assert np.unique(sector * w.shape[0] + pos).size == w.shape[0]
     assert np.all(pos < labelled[sector])
-    # the block storage, counted without the basis
-    assert _block_entries(p, d) == int(np.sum(sizes**2))
+    # the dominant weights, counted without the basis: each is the weight of one
+    # sector of size n_w, and its orbit covers the sectors of its permuted weights
+    table = {wt: (orbit, n) for wt, orbit, n in _dominant_weights(p, d)}
+    for weight, size in zip(weights, sizes):
+        orbit, n = table[tuple(sorted(weight.tolist(), reverse=True))]
+        assert n == size
+    assert sum(orbit for orbit, _ in table.values()) == sizes.size
+    assert sum(orbit * n for orbit, n in table.values()) == d ** (2 * p)
+    assert sum(orbit * n * n for orbit, n in table.values()) == int(np.sum(sizes**2))
+    # the block storage is that of the dominant sectors
+    ids, orbits = _dominant_sectors(p, d)
+    assert ids.size == len(table) and sorted(orbits.tolist()) == sorted(o for o, _ in table.values())
+    assert _block_entries(p, d) == int(np.sum(labelled[ids] ** 2)) == sum(n * n for _, n in table.values())
+
+
+@pytest.mark.parametrize(
+    "p,d,dominant,every",
+    [(3, 4, 94_877, 387_136), (4, 4, 12_714_745, 65_218_204), (5, 3, 45_583_985, 140_668_065)],
+)
+def test_block_entries_count_the_dominant_sectors_exactly(p, d, dominant, every):
+    # counted from the letter counts alone: no basis of d^(2p) indices is built
+    _dominant_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        assert _block_entries(p, d) == dominant
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
+    table = _dominant_weights(p, d)
+    assert sum(orbit * n * n for _, orbit, n in table) == every
+    assert sum(orbit * n for _, orbit, n in table) == d ** (2 * p)
 
 
 def test_sector_eigenvalues_equal_the_dense_ones():
@@ -162,6 +193,28 @@ def test_sector_eigenvalues_equal_the_dense_ones():
         dense = np.linalg.eigvalsh(twirl(V_generator(p, level, d)).matrix)
         scale = np.max(np.abs(dense))  # the spectral norm of rho
         assert np.max(np.abs(rho_eigenvalues(level, p, d) - dense)) <= 1e-12 * scale
+
+
+def _same_spectrum(vals: np.ndarray, oracle: np.ndarray) -> bool:
+    """Equal counts, and equal sorted values to 1e-12 times the spectral norm."""
+    scale = float(np.max(np.abs(oracle)))
+    return vals.shape == oracle.shape and float(np.max(np.abs(vals - oracle))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (6, 2)])
+def test_dominant_sectors_give_the_all_sector_spectrum(p, d):
+    # the sectors of one S_d orbit are isospectral, so each dominant block stands for its orbit
+    for level in range(p + 1):
+        assert _same_spectrum(rho_eigenvalues(level, p, d), rho_eigenvalues_all_sectors(level, p, d))
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
+def test_a_planted_orbit_size_fails_the_comparison(monkeypatch, p, d):
+    ids, orbits = _dominant_sectors(p, d)
+    planted = orbits.copy()
+    planted[np.argmax(orbits)] = 1
+    monkeypatch.setattr(spectra, "_dominant_sectors", lambda p_, d_: (ids, planted))
+    assert not _same_spectrum(rho_eigenvalues(p - 1, p, d), rho_eigenvalues_all_sectors(p - 1, p, d))
 
 
 def test_twirl_preserves_trace():
@@ -410,8 +463,8 @@ def test_twirl_guard_refuses_before_allocating():
     assert _refusal_peak(7, 2, 6, "touches") < 2**20
     with pytest.raises(ResourceLimitError, match="touches"):
         rho(6, 7, 2)
-    # (4,4): the weight sectors hold 6.5e7 block entries, although the scatter is small
-    assert _refusal_peak(4, 4, 3, "block entries") < 2**20
+    # (5,3): its dominant weight sectors hold 4.6e7 block entries, although the scatter is small
+    assert _refusal_peak(5, 3, 3, "block entries") < 2**20
 
 
 @pytest.mark.parametrize("p,d", [(5, 4), (7, 3)])
