@@ -31,6 +31,9 @@ from .ideal_units import (
     _column_sectors,
     _flat,
     _indicator,
+    _sector_blocks,
+    _sector_layout,
+    _sector_split,
     _top_factor,
     _wall_diagonal,
     _wall_factor,
@@ -380,28 +383,38 @@ def _composition_worst(system) -> float:
 
     On cores, G_ab G_b'c - delta G_ac = Q_a (M_ab X_bb' M_b'c - delta M_ac) Q_c^T
     with X_bb' = Q_b^T Q_b', and the orthonormal Q_a, Q_c keep the Frobenius
-    norm.  The pairs split on b = b':
+    norm.  M and X are block diagonal over the weight sectors and stored as
+    their blocks, so the residual is too, and its squared Frobenius norm is
+    the sum of its blocks' squared norms.  The pairs split on b = b':
 
     * b = b': M_ab X_bb M_bc - M_ac is formed exactly, for all (b, c) of
-      one row label a in one contraction, so the loop runs over a only;
+      one row label a in one contraction per sector rank (the sectors of
+      one rank r_s stacked), so the loop runs over a only;
     * b != b': ||M_ab X_bb' M_b'c||_F <= ||M_ab||_2 ||X_bb'||_F ||M_b'c||_2,
       bounded once by s^2 max ||X_bb'||_F with s the largest spectral norm
-      of a core.  The cores of a unit system are orthogonal to rounding, so
-      the bound is the exact value to O(eps) relative.
+      of a core, the largest of its sector blocks', and ||X_bb'||_F summed
+      over the sectors.  The cores of a unit system are orthogonal to
+      rounding, so the bound is the exact value to O(eps) relative.
 
     Units have spectral norm 1, so the distance of each unit from its
     projection onto the bases enters the residual of a product at most three
     times (to first order); it is added on.
     """
-    m, x = system.cores, system.overlaps
-    x_diag = np.einsum("bbij->bij", x)
+    n = system.size
+    by_rank = {}
+    for m, x in zip(system.cores, system.overlaps):
+        by_rank.setdefault(m.shape[2], []).append((m, np.einsum("bbij->bij", x)))
+    stacks = [(np.stack([m for m, _ in group]), np.stack([xd for _, xd in group])) for group in by_rank.values()]
     worst = 0.0
-    for a in range(system.size):
-        res = (m[a] @ x_diag)[:, None] @ m - m[a]  # [b, c]: M_ab X_bb M_bc - M_ac
-        worst = max(worst, float(np.sqrt(np.sum(res**2, axis=(2, 3))).max()))
-    off = np.sqrt(np.sum(x**2, axis=(2, 3))) * (1.0 - np.eye(system.size))  # ||X_bb'||_F, b != b'
-    s = np.linalg.norm(m, 2, axis=(2, 3)).max(initial=0.0)
-    worst = max(worst, float(s**2 * off.max(initial=0.0)))
+    for a in range(n):
+        squares = np.zeros((n, n))
+        for m, xd in stacks:  # m: (sectors, n, n, r_s, r_s), xd: (sectors, n, r_s, r_s)
+            res = (m[:, a] @ xd)[:, :, None] @ m - m[:, a][:, None]  # [k, b, c]: M_ab X_bb M_bc - M_ac
+            squares += np.sum(res**2, axis=(0, 3, 4))
+        worst = max(worst, float(np.sqrt(squares).max(initial=0.0)))
+    off = np.sqrt(sum(np.sum(x**2, axis=(2, 3)) for x in system.overlaps)) * (1.0 - np.eye(n))  # ||X_bb'||_F, b != b'
+    s = max((float(np.linalg.norm(m, 2, axis=(2, 3)).max()) for m in system.cores), default=0.0)
+    worst = max(worst, float(s**2 * np.max(off, initial=0.0)))
     return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
 
 
@@ -488,7 +501,7 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
     l = factored_V(p, p, d)[rows]
     diag = [a for a, (_, i, j) in enumerate(top.labels) if i == j]
     w = np.sqrt([multiplicity(top.labels[a][0], d) for a in diag])
-    core = top.cores[np.ix_(diag, diag)][:, :, 0, 0] * np.outer(w, w)
+    core = top.cores[0][np.ix_(diag, diag)][:, :, 0, 0] * np.outer(w, w)
     res = max(_block_residual(block[diag, :, 0].T, core, l), float(top.projection_residual.max()))
     terms, residual = _V_sub_expansion(p, d)
     return [_result("V_top_from_units", res, tol), _result(f"V_sub_from_H_terms_{terms}_terms", residual, tol)]
@@ -524,9 +537,9 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
         rho_q = applied(system, p - 1)
         lam = np.array([analytic[key(label)].eigenvalue for label in system.labels])[:, None, None]
         squares = np.zeros(system.size)
-        for s, sl, block in zip(system.sectors, system.slices, system.sector_bases):
+        for s, core, block in zip(system.sectors, system.cores, system.sector_bases):
             rq = rho_q[s].reshape(block.shape[1], system.size, -1).transpose(1, 0, 2)
-            m = np.einsum("aaij->aij", system.cores[:, :, sl, sl])
+            m = np.einsum("aaij->aij", core)
             squares += np.sum(((rq - lam * block) @ m) ** 2, axis=(1, 2))
         eigen = max(eigen, float(np.sqrt(squares).max()))
         traces = np.abs(system.traces_with(rho_q))
@@ -649,32 +662,63 @@ def suite_table1(p: int, d: int) -> list[CheckResult]:
 DISCARD_ATOL = 1e-9
 
 
+def _block_norm(blocks) -> float:
+    """Frobenius norm of a block-diagonal operator, given as one FactoredOperator per block."""
+    return math.sqrt(sum(block.frobenius_norm() ** 2 for block in blocks))
+
+
 def suite_reduction(p: int, d: int) -> list[CheckResult]:
-    """Reduce the H operators of every diagonal block (mu, mu) at (p, d) to units, and compose them.
+    """Reduce the H operators of every diagonal block (mu, mu) at (p, d) to units, and compose them, one weight sector at a time.
 
     With w_s row s of the B^{mu mu} diagonalizer, the transformed generator
     y_sr = sum over (alpha, alpha') of w_{s alpha} w_{r alpha'} H_{alpha alpha'}
     is the wall-factor pair W(w_s) D W(w_r)^T.  Every y that touches a zero
     mode of B must vanish, and the kept y_sr / (d sqrt(lambda_s lambda_r))
     must compose as matrix units.
+
+    Each column of a wall factor lies in one weight sector, so y_sr is block
+    diagonal over the sectors: each wall factor is split into its sector
+    blocks W_s^k (``ideal_units._sector_layout``) as soon as it is formed,
+    and y_sr is held as one FactoredOperator W_s^k D^k W_r^kT per sector,
+    on (n_k, c_k) factors.  Products act block by block, and the squared
+    Frobenius norm of a block-diagonal operator is the sum of its blocks'
+    squared norms, each read off a QR of the left factor.  The part E_s of
+    W(w_s) outside its columns' sectors, which the blocks drop, moves y_sr
+    by at most ||D||_2 (||E_s||_F ||W_r||_F + ||W_s||_F ||E_r||_F); that
+    bound is added to each zero-mode norm, and, scaled as the unit, three
+    times to the composition residual, as ``_composition_worst`` adds the
+    projection residual.  Every wall factor conserves the weight, so the
+    bound is exactly zero unless one does not.
     """
     tol = 1e-9
     metric = _wall_diagonal(d)
-    zero_worst = worst = 0.0
+    _, rows, cols, gather = _sector_layout(p, d, p - 1)
+
+    def mode_blocks(mu, w):
+        """The sector blocks of W(w), and the Frobenius norms of W(w) and of its part outside them."""
+        packed, rest = _sector_split(_wall_factor(mu, mu, 1, 1, w, p, d), gather)
+        outside = float(np.linalg.norm(rest))
+        return _sector_blocks(packed, rows, cols), math.hypot(float(np.linalg.norm(packed)), outside), outside
+
+    zero_worst = worst = shift = 0.0
     for mu in schur_weyl_partitions(p, d):
         bm = B_matrix(mu, mu, d)
-        walls = [_wall_factor(mu, mu, 1, 1, w, p, d) for w in bm.diagonalizer]
+        walls, full, outside = zip(*(mode_blocks(mu, w) for w in bm.diagonalizer))
+        bound = (float(np.max(np.abs(metric))) * (np.outer(outside, full) + np.outer(full, outside))).tolist()
         lam = bm.eigenvalues
         units = {}
         for s, r in itertools.product(range(1, bm.size + 1), repeat=2):
-            y = FactoredOperator(walls[s - 1] * metric, walls[r - 1].T).compress()
+            y = [FactoredOperator(ws * metric[c], wr.T).compress() for ws, wr, c in zip(walls[s - 1], walls[r - 1], cols)]
             if bm.is_zero_mode(s) or bm.is_zero_mode(r):
-                zero_worst = max(zero_worst, y.frobenius_norm())
+                zero_worst = max(zero_worst, _block_norm(y) + bound[s - 1][r - 1])
             else:
-                units[s, r] = y * (1.0 / (d * math.sqrt(lam[s - 1] * lam[r - 1])))
+                scale = 1.0 / (d * math.sqrt(lam[s - 1] * lam[r - 1]))
+                units[s, r] = [block * scale for block in y]
+                shift = max(shift, scale * bound[s - 1][r - 1])
         for (s, r), (s2, r2) in itertools.product(units, repeat=2):
-            prod = units[s, r] @ units[s2, r2]
-            worst = max(worst, prod.distance(units[s, r2]) if r == s2 else prod.frobenius_norm())
+            prod = [a @ b for a, b in zip(units[s, r], units[s2, r2])]
+            worst = max(worst, _block_norm([a - b for a, b in zip(prod, units[s, r2])] if r == s2 else prod))
+    worst += 3.0 * shift
     ok = zero_worst <= DISCARD_ATOL
     detail = "" if ok else f"a zero-mode generator has norm {zero_worst:.3e}"
     return [_bool_result("reduction_keeps_rank", ok, detail), _result("reduced_units_composition", worst, tol)]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .checks import SUITES, run_suite
 from .errors import ParameterError, ResourceLimitError
 from .ideal_units import B_matrix, GUnit, singularity_condition, sub_row_labels, top_row_labels, unit_system
 from .partitions import Partition, dim_irrep, enumerate_partitions, multiplicity
@@ -329,16 +328,27 @@ def spectrum(cfg: RunConfig, level, method, fig7):
         emit_json(doc)
 
 
+class SuiteOption(click.Option):
+    """``--suite``, whose help lists ``checks.SUITES``.
+
+    The suites are imported only when ``verify`` runs or its help is shown,
+    so the other commands do not load them into every fresh process.
+    """
+
+    def get_help_record(self, ctx):
+        from .checks import SUITES
+
+        self.help = f"one of {', '.join(sorted(SUITES))}, or 'all'"
+        return super().get_help_record(ctx)
+
+
 @main.command()
-@click.option(
-    "--suite",
-    default="all",
-    show_default=True,
-    help=f"one of {', '.join(sorted(SUITES))}, or 'all'",
-)
+@click.option("--suite", cls=SuiteOption, default="all", show_default=True)
 @click.pass_obj
 def verify(cfg: RunConfig, suite):
     """Run a named invariant suite; exit 0 iff every check passes."""
+    from .checks import run_suite
+
     results = run_suite(suite, cfg.p, cfg.d)
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -12,9 +12,9 @@ Objects built here, all on 2p registers:
   per label and an r x r core M_rc per unit, G_rc = Q_r M_rc Q_c^T, with
   r = 1 (top ideal) or d^2 - 1 (second ideal).  The units commute with
   U^(x)p (x) conj(U)^(x)p, so each Q_r is stored as its blocks on the
-  U (x) conj(U) weight sectors it touches, and the cores are block diagonal
-  over them.  ``G_top`` and ``G_sub`` look single units up in the cached
-  systems.
+  U (x) conj(U) weight sectors it touches, and the cores, block diagonal
+  over them, as their sector blocks.  ``G_top`` and ``G_sub`` look single
+  units up in the cached systems.
 
 The paper spans the ideals by the sandwiches F^(p) and F^(p-1) of the
 generators V^(p) and V^(p-1) by matrix units, and the second ideal by the
@@ -206,13 +206,14 @@ def singularity_condition(mu: Partition, d: int) -> bool:
 
 @dataclass(frozen=True)
 class BMatrix:
-    """The coefficient matrix B^{mu nu}: exact entries, and read-only float eigen-data."""
+    """The coefficient matrix B^{mu nu}: exact entries and determinant, and read-only float eigen-data."""
 
     mu: Partition
     nu: Partition
     d: int
     alphas: tuple[Partition, ...]
     entries: tuple[tuple[Fraction, ...], ...]
+    det: Fraction  # exact, from the elimination that gives the nullity
     eigenvalues: np.ndarray
     diagonalizer: np.ndarray  # U with B_diag = U B U^T; rows are eigenvectors
     nullity: int
@@ -225,7 +226,7 @@ class BMatrix:
         return len(self.alphas)
 
     def determinant(self) -> Fraction:
-        return fraction_rank_det(self.entries)[1]
+        return self.det
 
     def entry_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
@@ -262,7 +263,8 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
     else:
         vals = np.diag(dense).copy()
         u = np.eye(k)
-    nullity = k - fraction_rank_det(entries)[0]
+    rank, det = fraction_rank_det(entries)
+    nullity = k - rank
     top = float(np.max(np.abs(vals))) if k else 0.0
     zero_modes = tuple(b + 1 for b in range(k) if abs(vals[b]) <= ZERO_MODE_RTOL * max(top, 1e-300))
     if len(zero_modes) != nullity:
@@ -275,7 +277,7 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
             raise ArithmeticError(f"integer condition disagrees with exact rank for {mu}, d={d}")
     else:
         singular = nullity > 0
-    return BMatrix(mu, nu, d, alphas, entries, _frozen(vals), _frozen(u), nullity, zero_modes, singular, vanishing)
+    return BMatrix(mu, nu, d, alphas, entries, det, _frozen(vals), _frozen(u), nullity, zero_modes, singular, vanishing)
 
 
 def second_ideal_blocks(p: int, d: int) -> list[BMatrix]:
@@ -355,15 +357,27 @@ def _sector_layout(p: int, d: int, ideal: int) -> tuple[tuple[int, ...], tuple[n
     return sectors, rows, cols, _frozen(gather)
 
 
+def _sector_split(factor: np.ndarray, gather: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (d^(2p), k) factor's entries at ``gather`` (``_sector_layout``), and the rest of it.
+
+    The rest is the flattened factor itself with those entries zeroed: what
+    the sector blocks drop, exact zeros when every column conserves the weight.
+    """
+    flat = factor.reshape(-1)
+    packed = flat[gather]
+    flat[gather] = 0.0
+    return packed, flat
+
+
+def _sector_blocks(packed: np.ndarray, rows, cols) -> list[np.ndarray]:
+    """Entries packed by ``_sector_layout``'s gather, on the last axis, as one (..., n_s, k_s) block per sector."""
+    splits = np.cumsum([r.size * c.size for r, c in zip(rows, cols)])[:-1]
+    return [f.reshape(*f.shape[:-1], r.size, c.size) for f, r, c in zip(np.split(packed, splits, axis=-1), rows, cols)]
+
+
 def _flat(block: np.ndarray) -> np.ndarray:
     """A sector block (n, n_s, r_s) as the n_s x (n r_s) array of its bases side by side."""
     return block.transpose(1, 0, 2).reshape(block.shape[1], -1)
-
-
-def _rank_slices(ranks) -> tuple[slice, ...]:
-    """Consecutive column ranges of the given widths."""
-    ends = np.cumsum(ranks, dtype=int)
-    return tuple(slice(int(e) - int(r), int(e)) for e, r in zip(ends, ranks))
 
 
 def _gram_blocks(gram: np.ndarray, n: int) -> np.ndarray:
@@ -377,8 +391,8 @@ class UnitSystem:
     """Every irreducible matrix unit of one ideal at (p, d), on shared bases stored per weight sector.
 
     Unit (a, c) is ``G_ac = Q_a M_ac Q_c^T``.  Q_a (d^(2p) x r, orthonormal
-    columns) spans the range of every unit in row a, and ``cores[a, c]`` is
-    the r x r core, with r = 1 for the top ideal and d^2 - 1 for the second.
+    columns) spans the range of every unit in row a, and M_ac is the r x r
+    core, with r = 1 for the top ideal and d^2 - 1 for the second.
     The column labels are the row labels and G_ca = G_ac^T, so the co-range
     basis P_c of column c is Q_c.
 
@@ -389,8 +403,11 @@ class UnitSystem:
     blocks are stored: the k-th sector, ``sectors[k]`` (numbered as in
     ``tensorspace._weight_sectors``), holds the rows ``sector_rows[k]`` of
     every Q_a as ``sector_bases[k]`` (n, n_s, r_s), the columns
-    ``slices[k]`` of r.  ``cores`` and ``overlaps`` (n, n, r, r) are block
-    diagonal over the sectors.  ``projection_residual[a]`` is the largest Frobenius
+    ``slices[k]`` of r.  The cores M_ac and the overlaps X_ac = Q_a^T Q_c are
+    block diagonal over the sectors, so only their blocks are stored:
+    ``cores[k]`` and ``overlaps[k]`` are (n, n, r_s, r_s), n^2 sum_s r_s^2
+    floats in all, and no (n, n, r, r) array is formed.
+    ``projection_residual[a]`` is the largest Frobenius
     distance, over the units of row a, between the unit as its factors give
     it and the projection ``Q_a M_ac Q_c^T``, plus the largest entry of the
     factor of row a outside its columns' sectors, which the blocks drop.
@@ -404,7 +421,7 @@ class UnitSystem:
     sectors: tuple[int, ...]
     sector_rows: tuple[np.ndarray, ...]  # per sector: (n_s,)
     sector_bases: tuple[np.ndarray, ...]  # per sector: (n, n_s, r_s)
-    cores: np.ndarray  # (n, n, r, r)
+    cores: tuple[np.ndarray, ...]  # per sector: (n, n, r_s, r_s)
     projection_residual: np.ndarray  # (n,)
 
     @property
@@ -413,7 +430,7 @@ class UnitSystem:
 
     @property
     def rank(self) -> int:
-        return self.cores.shape[2]
+        return sum(core.shape[2] for core in self.cores)
 
     @cached_property
     def index(self) -> MappingProxyType:
@@ -422,7 +439,8 @@ class UnitSystem:
     @cached_property
     def slices(self) -> tuple[slice, ...]:
         """The columns of each sector block within the r columns of a basis."""
-        return _rank_slices([block.shape[2] for block in self.sector_bases])
+        ranks = [block.shape[2] for block in self.sector_bases]
+        return tuple(slice(int(e) - r, int(e)) for e, r in zip(np.cumsum(ranks), ranks))
 
     def basis(self, a: int) -> np.ndarray:
         """Q_a as a d^(2p) x r array, its sector blocks scattered into zeros; a new array on every call."""
@@ -432,17 +450,20 @@ class UnitSystem:
         return out
 
     @cached_property
-    def overlaps(self) -> np.ndarray:
-        """X[a, c] = Q_a^T Q_c, one Gram matrix per sector."""
-        out = np.zeros(self.cores.shape)
-        for sl, block in zip(self.slices, self.sector_bases):
+    def overlaps(self) -> tuple[np.ndarray, ...]:
+        """X[a, c] = Q_a^T Q_c as its sector blocks, one (n, n, r_s, r_s) Gram array per sector."""
+        out = []
+        for block in self.sector_bases:
             flat = _flat(block)
-            out[:, :, sl, sl] = _gram_blocks(flat.T @ flat, self.size)
-        return _frozen(out)
+            out.append(_frozen(_gram_blocks(flat.T @ flat, self.size)))
+        return tuple(out)
 
     @cached_property
     def _traces(self) -> np.ndarray:
-        return _frozen(np.einsum("acij,caji->ac", self.cores, self.overlaps))
+        out = np.zeros((self.size, self.size))
+        for core, overlap in zip(self.cores, self.overlaps):
+            out += np.einsum("acij,caji->ac", core, overlap)
+        return _frozen(out)
 
     def traces(self) -> np.ndarray:
         """(n, n) array of tr G_ac = tr(M_ac X_ca), one contraction made once; read-only."""
@@ -454,9 +475,8 @@ class UnitSystem:
         Q_s is ``_flat`` of the block of sector s; rho must conserve the weight.
         """
         out = np.zeros((self.size, self.size))
-        for s, sl, block in zip(self.sectors, self.slices, self.sector_bases):
-            gram = _gram_blocks(_flat(block).T @ applied[s], self.size)
-            out += np.einsum("acij,caji->ac", self.cores[:, :, sl, sl], gram)
+        for s, core, block in zip(self.sectors, self.cores, self.sector_bases):
+            out += np.einsum("acij,caji->ac", core, _gram_blocks(_flat(block).T @ applied[s], self.size))
         return out
 
 
@@ -496,19 +516,16 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     n = len(labels)
     _check_dim(d, 2 * p)
     if n == 0:
-        return UnitSystem(ideal, p, d, (), (), (), (), _frozen(np.zeros((0, 0, 0, 0))), _frozen(np.zeros(0)))
+        return UnitSystem(ideal, p, d, (), (), (), (), (), _frozen(np.zeros(0)))
     sectors, rows, cols, gather = _sector_layout(p, d, ideal)
     packed, leak = np.empty((n, gather.size)), np.empty(n)
     for a, label in enumerate(labels):
-        flat = factor(*label).reshape(-1)
-        packed[a] = flat[gather]
-        flat[gather] = 0.0
-        leak[a] = max(flat.max(), -flat.min())
-    blocks, cores, ranks = [], [], []
+        packed[a], rest = _sector_split(factor(*label), gather)
+        leak[a] = max(rest.max(), -rest.min())
+    blocks, cores = [], []
     squares = np.zeros((n, n))
-    splits = np.cumsum([r.size * c.size for r, c in zip(rows, cols)])[:-1]
-    for s, r_s, c_s, f in zip(sectors, rows, cols, np.split(packed, splits, axis=1)):
-        q0, r0 = np.linalg.qr(f.reshape(n, r_s.size, c_s.size))
+    for s, c_s, f in zip(sectors, cols, _sector_blocks(packed, rows, cols)):
+        q0, r0 = np.linalg.qr(f)
         stacked = np.linalg.qr(r0.reshape(-1, c_s.size), mode="r")
         u, sv, _ = np.linalg.svd((r0 * diag[c_s]) @ stacked.T)
         kept = set(np.count_nonzero(sv > BASIS_RTOL * sv[:, :1], axis=1).tolist())
@@ -521,15 +538,12 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
         projected = (u[:, None] @ core) @ u.transpose(0, 2, 1)[None]
         squares += np.sum((full - projected) ** 2, axis=(2, 3))
         blocks.append(_frozen(q0 @ u))
-        cores.append(core)
-        ranks.append(u.shape[2])
+        cores.append(_frozen(core))
+    ranks = [core.shape[2] for core in cores]
     if sum(ranks) != rank:
         raise ArithmeticError(f"sector ranks {ranks} do not sum to {rank} for ideal {ideal} at (p,d)=({p},{d})")
-    full_cores = np.zeros((n, n, rank, rank))
-    for sl, core in zip(_rank_slices(ranks), cores):
-        full_cores[:, :, sl, sl] = core
     residual = np.sqrt(squares).max(axis=1) + leak
-    return UnitSystem(ideal, p, d, tuple(labels), sectors, rows, tuple(blocks), _frozen(full_cores), _frozen(residual))
+    return UnitSystem(ideal, p, d, tuple(labels), sectors, rows, tuple(blocks), tuple(cores), _frozen(residual))
 
 
 @dataclass(frozen=True)
@@ -579,10 +593,18 @@ class GUnit:
         """Eigenmode labels (beta, beta') for ideal p-1."""
         return None if self.ideal == self.p else (self.row_key[4], self.col_key[4])
 
-    def to_dense(self) -> np.ndarray:
-        """G_ac = (Q_a M_ac) Q_c^T, with Q_a and Q_c scattered from their sector blocks."""
+    def core(self) -> np.ndarray:
+        """M_ac as an r x r array, its sector blocks placed on the diagonal; a new array on every call."""
         s = self.system
-        return (s.basis(self.row) @ s.cores[self.row, self.col]) @ s.basis(self.col).T
+        out = np.zeros((s.rank, s.rank))
+        for sl, core in zip(s.slices, s.cores):
+            out[sl, sl] = core[self.row, self.col]
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        """G_ac = (Q_a M_ac) Q_c^T, with Q_a, M_ac and Q_c scattered from their sector blocks."""
+        s = self.system
+        return (s.basis(self.row) @ self.core()) @ s.basis(self.col).T
 
     def trace(self) -> float:
         """tr(Q_a M_ac Q_c^T) = tr(M_ac Q_c^T Q_a), read off the system's trace table."""

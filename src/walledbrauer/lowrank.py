@@ -6,10 +6,11 @@ instead of O(dim^3), and a sum of factored terms is a concatenation of
 factors, compressed once rather than term by term.  The library's objects
 do not use it: the generators V^(k) are their bare 0/1 factors
 (``tensorspace.factored_V``), and each ideal's units are one unit system of
-shared bases, stored as one block per weight sector, and block-diagonal
-r x r cores (``ideal_units.UnitSystem``).  It is left for
-``checks.suite_reduction``, which composes the zero-mode-reduced generators
-of each diagonal block, and for the tests' dense-definition oracles.  The
+shared bases and r x r cores, both stored as one block per weight sector
+(``ideal_units.UnitSystem``).  It is left for ``checks.suite_reduction``,
+which composes the zero-mode-reduced generators of each diagonal block one
+weight sector at a time, each sector block a FactoredOperator on factors of
+that sector's rows, and for the tests' dense-definition oracles.  The
 benchmark's tracer wraps the class's methods by name and reads
 ``rank_bound`` after every ``frobenius_norm`` call, so those names stay.
 """

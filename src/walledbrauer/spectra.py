@@ -161,21 +161,22 @@ def _matching_groups(p: int, d: int, level: int):
     Row g of the yielded (d^(2p-2k), d^k) array lists the group of A_pi
     whose free digits, in register order, spell g; V_pi is 1 on group x
     group and 0 elsewhere, and |A_pi| = d^(2p-k).  No pass over the d^(2p)
-    indices is made.
+    indices is made.  The free digits' index part, ``base``, depends only on
+    the matched registers, so it is built once per matched set, and both
+    parts are one product of a digit table with the places of the digits.
     """
     n = 2 * p
     place = [d ** (n - 1 - reg) for reg in range(n)]
+    free_digits, pair_digits = _digit_table(d, n - 2 * level), _digit_table(d, level)
+    bases = {}
     for left in combinations(range(p), level):
         for right in permutations(range(p, n), level):
-            matched = set(left) | set(right)
-            base = np.zeros(1, dtype=np.int64)
-            for reg in range(n):
-                if reg not in matched:
-                    base = (base[:, None] + np.arange(d) * place[reg]).ravel()
-            offsets = np.zeros(1, dtype=np.int64)
-            for l, r in zip(left, right):
-                offsets = (offsets[:, None] + np.arange(d) * (place[l] + place[r])).ravel()
-            yield base[:, None] + offsets
+            matched = frozenset(left + right)
+            if matched not in bases:
+                free = [place[reg] for reg in range(n) if reg not in matched]
+                bases[matched] = np.dot(np.array(free, dtype=np.int64), free_digits)
+            pairs = [place[l] + place[r] for l, r in zip(left, right)]
+            yield bases[matched][:, None] + np.dot(np.array(pairs, dtype=np.int64), pair_digits)
 
 
 def _orbit_sum(

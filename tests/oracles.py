@@ -1,15 +1,16 @@
-"""The paper's spanning families F and H, the units as factored operators, the per-pair composition residual and the all-sector brute spectra, for the tests.
+"""The paper's spanning families F and H, the units as factored operators, the per-pair composition residual, the all-sector brute spectra and the register-by-register matching groups, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, ``_wall_factor`` and
-``_wall_diagonal``), and stores each ideal's units as shared bases, one
-block per weight sector, and r x r cores.  Here F and H stay the paper's
+``_wall_diagonal``), and stores each ideal's units as shared bases and
+r x r cores, both as one block per weight sector.  Here F and H stay the paper's
 definitions, as factored operators, and the units are compared against them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -69,10 +70,10 @@ def factored_trace(op: FactoredOperator) -> float:
 def unit_operator(unit: GUnit, m: np.ndarray | None = None) -> FactoredOperator:
     """The unit G_ac = (Q_a M_ac) Q_c^T, or m @ G_ac for a dense square m, on its thin factors.
 
-    Q_a and Q_c are scattered from their sector blocks, as ``GUnit.to_dense`` scatters them.
+    Q_a, M_ac and Q_c are scattered from their sector blocks, as ``GUnit.to_dense`` scatters them.
     """
     s = unit.system
-    left = s.basis(unit.row) @ s.cores[unit.row, unit.col]
+    left = s.basis(unit.row) @ unit.core()
     return FactoredOperator(left if m is None else m @ left, s.basis(unit.col).T)
 
 
@@ -80,16 +81,20 @@ def composition_worst_by_pairs(system) -> float:
     """``checks._composition_worst`` term pair by term pair: every (a, b, b', c) formed exactly.
 
     ||M_ab X_bb' M_b'c - delta_bb' M_ac||_F over all quadruples of labels,
-    with X_bb' = Q_b^T Q_b', plus three times the largest projection
-    residual; the library bounds the b != b' pairs instead of forming them.
+    with X_bb' = Q_b^T Q_b', its square summed over the sector blocks of M
+    and X, plus three times the largest projection residual; the library
+    bounds the b != b' pairs instead of forming them.
     """
-    m, x = system.cores, system.overlaps
+    n = system.size
     worst = 0.0
-    for a in range(system.size):
-        for b in range(system.size):
-            res = (m[a, b] @ x[b])[:, None] @ m  # [b', c]: M_ab X_bb' M_b'c
-            res[b] -= m[a]
-            worst = max(worst, float(np.sqrt(np.sum(res**2, axis=(2, 3))).max()))
+    for a in range(n):
+        for b in range(n):
+            squares = np.zeros((n, n))
+            for m, x in zip(system.cores, system.overlaps):
+                res = (m[a, b] @ x[b])[:, None] @ m  # [b', c]: M_ab X_bb' M_b'c, one sector block
+                res[b] -= m[a]
+                squares += np.sum(res**2, axis=(2, 3))
+            worst = max(worst, float(np.sqrt(squares).max()))
     return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
 
 
@@ -111,3 +116,24 @@ def rho_eigenvalues_all_sectors(level: int, p: int, d: int) -> np.ndarray:
         stack = acc[start : start + same.size * n * n].reshape(same.size, n, n)
         vals.append(np.linalg.eigvalsh(stack).ravel())
     return np.sort(np.concatenate(vals))
+
+
+def matching_groups_by_register(p: int, d: int, level: int):
+    """``spectra._matching_groups`` built one register at a time: the same arrays, in the same order.
+
+    The free digits' index part is grown register by register in register
+    order, and the matched pairs' part pair by pair, for every matching.
+    """
+    n = 2 * p
+    place = [d ** (n - 1 - reg) for reg in range(n)]
+    for left in combinations(range(p), level):
+        for right in permutations(range(p, n), level):
+            matched = set(left) | set(right)
+            base = np.zeros(1, dtype=np.int64)
+            for reg in range(n):
+                if reg not in matched:
+                    base = (base[:, None] + np.arange(d) * place[reg]).ravel()
+            offsets = np.zeros(1, dtype=np.int64)
+            for l, r in zip(left, right):
+                offsets = (offsets[:, None] + np.arange(d) * (place[l] + place[r])).ravel()
+            yield base[:, None] + offsets

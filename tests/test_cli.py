@@ -326,22 +326,36 @@ def test_json_output_is_deterministic():
     assert a == b
 
 
-def test_verify_and_brute_spectrum_leave_numpy_ma_unimported():
-    # np.unique of a plain array goes through np.ma.is_masked on numpy 2.x,
-    # and importing numpy.ma costs every fresh process several milliseconds;
-    # numpy.random costs about 6 MiB and 10 ms, so the checks draw from random
+def _imported_after(commands: list[list[str]], modules: list[str]) -> list[bool]:
+    """Run the commands at (2,2) in one fresh process; whether each module was imported then."""
     code = (
         "import sys\n"
         "from walledbrauer.cli import main\n"
-        "for args in (['verify', '--suite', 'all'], ['spectrum', '--method', 'brute']):\n"
+        f"for args in {commands!r}:\n"
         "    try:\n"
         "        main(['--p', '2', '--d', '2', *args])\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code in (None, 0), exc.code\n"
-        "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n"
+        f"print(*(m in sys.modules for m in {modules!r}))\n"
     )
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines()[-1] == "False False"
+    return [flag == "True" for flag in proc.stdout.splitlines()[-1].split()]
+
+
+def test_verify_and_brute_spectrum_leave_numpy_ma_unimported():
+    # np.unique of a plain array goes through np.ma.is_masked on numpy 2.x,
+    # and importing numpy.ma costs every fresh process several milliseconds;
+    # numpy.random costs about 6 MiB and 10 ms, so the checks draw from random
+    commands = [["verify", "--suite", "all"], ["spectrum", "--method", "brute"]]
+    assert _imported_after(commands, ["numpy.ma", "numpy.random"]) == [False, False]
+
+
+def test_only_verify_imports_the_suites():
+    """The other commands leave ``walledbrauer.checks`` unimported; ``verify --help`` still lists every suite."""
+    commands = [["dims"], ["units"], ["spectrum", "--method", "brute"], ["bmatrix", "--mu", "2"]]
+    assert _imported_after(commands, ["walledbrauer.checks"]) == [False]
+    result = run(["verify", "--help"])
+    assert result.exit_code == 0 and all(name in result.stdout for name in SUITES)

@@ -495,9 +495,10 @@ def _tilt_basis(system):
 
 
 def _shift_core_entry(system):
-    cores = system.cores.copy()
-    cores[0, 1, 0, 0] += 1e-6
-    return dataclasses.replace(system, cores=cores)
+    """M_01 shifted by 1e-6 in the first entry of its first sector block."""
+    core = system.cores[0].copy()
+    core[0, 1, 0, 0] += 1e-6
+    return dataclasses.replace(system, cores=(core,) + system.cores[1:])
 
 
 @pytest.mark.parametrize("plant", [_tilt_basis, _shift_core_entry])
@@ -519,8 +520,9 @@ def test_unit_system_build_peaks_at_q0_plus_the_bases():
     The budget: three dense factors, since forming one wall factor holds the
     wall product and its axis permutation next to the result; three times
     the stored sector blocks, for the packed factor blocks, their Q0 and the
-    bases; and twice the cores, per sector and assembled.  Storing the bases
-    dense, as (n, d^(2p), r), takes 8.8 MB at (3,4), above the whole budget.
+    bases; and twice the stored core blocks, for the cores and one sector's
+    temporaries.  Storing the bases dense, as (n, d^(2p), r), takes 8.8 MB
+    at (3,4), above the whole budget.
     """
     p, d = 3, 4
     system = unit_system(p, d, p - 1)  # warms the caches the build reads
@@ -532,7 +534,20 @@ def test_unit_system_build_peaks_at_q0_plus_the_bases():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * (3 * factor + 3 * blocks + 2 * system.cores.nbytes), peak
+    cores = sum(core.nbytes for core in system.cores)
+    assert peak <= 1.25 * (3 * factor + 3 * blocks + 2 * cores), peak
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (3, 4)])
+def test_cores_are_stored_as_their_sector_blocks(p, d):
+    """n^2 sum_s r_s^2 floats per system, with the sector ranks summing to r; the dense (n, n, r, r) would take n^2 r^2."""
+    for ideal in (p, p - 1):
+        system = unit_system(p, d, ideal)
+        n, ranks = system.size, [block.shape[2] for block in system.sector_bases]
+        assert sum(ranks) == system.rank == (1 if ideal == p else d * d - 1)
+        assert [core.shape for core in system.cores] == [(n, n, r, r) for r in ranks]
+        assert sum(core.nbytes for core in system.cores) == 8 * n * n * sum(r * r for r in ranks)
+        assert [x.shape for x in system.overlaps] == [(n, n, r, r) for r in ranks]
 
 
 def test_eigenoperators_stay_below_one_factor():
@@ -576,8 +591,8 @@ def test_cached_arrays_are_read_only():
     arrays = [
         *system.sector_rows,
         *system.sector_bases,
-        system.cores,
-        system.overlaps,
+        *system.cores,
+        *system.overlaps,
         system.projection_residual,
         system.traces(),
         _weight_sectors(p, d)[0],
@@ -743,6 +758,48 @@ def test_reduction_fails_when_a_zero_mode_does_not_vanish(monkeypatch):
     assert result.exit_code == 1 and "Traceback" not in result.stderr
     doc = json.loads(result.stdout)
     assert doc["passed"] is False and not doc["checks"][0]["passed"]
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_reduction_fails_on_a_zero_mode_entry_in_one_off_diagonal_sector(monkeypatch, inside):
+    """Plant one entry in the zero-mode wall factor of the fully singular (1,1,1) block at (3,3).
+
+    Its column is L's column (1, 2), of weight e_1 - e_2.  Inside that
+    sector the entry reaches the generator only through that one sector
+    block; outside it, the blocks drop it and the bound on the dropped part
+    must catch it.  The block keeps no mode, so the composition is untouched.
+    """
+    p, d = 3, 3
+    column = 1  # L's column (a, b) = (1, 2) of the letters 1..d, weight e_1 - e_2
+    sector = _weight_sectors(p, d)[0]
+    weight = ideal_units._column_sectors(p, d, p - 1)[column]
+    row = int(np.flatnonzero((sector == weight) == inside)[0])
+    real = checks._wall_factor
+
+    def planted(mu, nu, *args):
+        out = real(mu, nu, *args)
+        if mu == nu == partition(1, 1, 1):
+            out[row, column] += 1e-3
+        return out
+
+    monkeypatch.setattr(checks, "_wall_factor", planted)
+    keeps_rank, composition = run_suite("reduction", p, d)
+    assert not keeps_rank.passed and "zero-mode generator" in keeps_rank.detail
+    assert composition.passed
+
+
+def test_reduction_stays_below_four_wall_factors():
+    """Each wall factor is split into its sector blocks as it is formed, so no mode's dense factor outlives its split."""
+    p, d = 3, 5
+    checks.suite_reduction(p, d)  # warms the caches the suite reads
+    tracemalloc.start()
+    try:
+        results = checks.suite_reduction(p, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak <= 4 * d ** (2 * p) * (d * d + 1) * 8, peak
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 4), (12, 12)])

@@ -21,7 +21,7 @@ from walledbrauer.spectra import (
 from walledbrauer.symgroup import Permutation, enumerate_group
 from walledbrauer.tensorspace import DenseOperator, V_generator, _weight_sectors, permutation_index, permutation_operator
 
-from oracles import factored_trace, rho_eigenvalues_all_sectors, unit_operator
+from oracles import factored_trace, matching_groups_by_register, rho_eigenvalues_all_sectors, unit_operator
 
 rng = np.random.default_rng(31)
 
@@ -410,6 +410,14 @@ def test_rho_apply_matches_the_dense_rho(p, d):
         rho_apply(p + 1, p, d, {0: q[rows[0]]})
     with pytest.raises(ValueError):
         rho_apply(p, p, d, {0: q[rows[0]][1:]})
+
+
+@pytest.mark.parametrize("p,d,level", [(6, 2, 5), (3, 4, 2), (4, 3, 3), (3, 3, 2), (3, 3, 0), (3, 3, 3), (1, 2, 1)])
+def test_matching_groups_equal_the_register_by_register_build(p, d, level):
+    got, want = list(spectra._matching_groups(p, d, level)), list(matching_groups_by_register(p, d, level))
+    assert len(got) == len(want) == spectra._orbit_size(p, level)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_eigenoperators_fail_when_the_apply_drops_a_matching(monkeypatch):
