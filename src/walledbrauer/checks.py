@@ -28,12 +28,11 @@ from .ideal_units import (
     trace_with_V_sub,
     trace_with_V_top,
     unit_system,
-    _column_sectors,
     _flat,
     _indicator,
     _sector_blocks,
     _sector_layout,
-    _sector_split,
+    _sector_pack,
     _top_factor,
     _wall_diagonal,
     _wall_factor,
@@ -62,7 +61,6 @@ from .tensorspace import (
     DenseOperator,
     V_generator,
     _apply_pair,
-    _weight_sectors,
     embed_operator,
     factored_outer_pair,
     factored_V,
@@ -441,45 +439,39 @@ def _V_sub_expansion(p: int, d: int) -> tuple[int, float]:
     term t t'^T (``_top_factor`` at r = prir_position(mu, alpha, i_alpha))
     when mu = mu' on both sides, each with coefficient 1/d.  Every left label
     meets every right label, so by bilinearity the sum is
-    (S D S^T + T T^T) / d = F C F^T, with S the sum of the wall factors, T
-    that of the top columns, F = [S | T] and C = diag(D, 1) / d.
+    (S D S^T + T T^T) / d, with S the sum of the wall factors and T that of
+    the top columns.
 
-    Each column of F, like each column of L, lies in one weight sector
-    (``ideal_units._column_sectors`` states why, and assigns it), so both
-    products are block diagonal and nonzero only on the blocks of those
-    sectors, and the max-abs residual of the d^(2p) x d^(2p) difference is
-    that of the blocks.  Each factor's largest entry outside its columns'
-    sectors is taken before it is summed, so a leak that every factor shares
-    reads once, not once per factor; the larger of that and the block
-    residual is returned (the block residual alone when every factor
-    conserves the weight).
+    Each column of S, like each column of L, lies in one weight sector, and
+    T in weight 0, so both products are block diagonal and nonzero only on
+    the blocks of those sectors, and the max-abs residual of the
+    d^(2p) x d^(2p) difference is that of the blocks.  S and T are summed
+    as their sector blocks (``ideal_units._sector_pack``, which raises on
+    an entry off them), and each block is F_s C_s F_s^T with F_s = S_s,
+    or [S_s | T] on weight 0, and C_s the matching entries of
+    diag(D, 1) / d.
     """
     L = factored_V(p, p - 1, d)
-    sector = _weight_sectors(p, d)[0]
-    wall_sector = _column_sectors(p, d, p - 1)
-    col_sector = np.append(wall_sector, wall_sector[-1])
-    off = sector[:, None] != wall_sector  # the entries of a wall factor outside its columns' sectors
-    F = np.zeros((L.shape[0], d * d + 2))
-    S, T = F[:, :-1], F[:, -1:]
-    leak, walls, tops = 0.0, 0, 0
+    sectors, rows, cols, wall_gather = _sector_layout(p, d, p - 1)
+    (zero,), top_rows, top_cols, top_gather = _sector_layout(p, d, p)
+    S, T = np.zeros(wall_gather.size), np.zeros(top_gather.size)
+    walls, tops = 0, 0
     for alpha in (a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0):
         adds = [m for m in add_box(alpha) if multiplicity(m, d) > 0]
         for ia, mu, mup in itertools.product(range(1, dim_irrep(alpha) + 1), adds, adds):
             r1, r2 = prir_position(mu, alpha, ia), prir_position(mup, alpha, ia)
-            wall = _wall_factor(mu, mup, r1, r2, _indicator(mu, mup, alpha), p, d)
-            leak = max(leak, float(np.max(np.abs(wall[off]), initial=0.0)))
-            S += wall
+            S += _sector_pack(_wall_factor(mu, mup, r1, r2, _indicator(mu, mup, alpha), p, d), wall_gather)
             walls += 1
             if mu == mup:
-                top = _top_factor(mu, r1, r1, p, d)
-                leak = max(leak, float(np.max(np.abs(top[off[:, -1:]]), initial=0.0)))
-                T += top
+                T += _sector_pack(_top_factor(mu, r1, r1, p, d), top_gather)
                 tops += 1
-    core = np.diag(np.append(_wall_diagonal(d), 1.0) / d)
-    worst = leak
-    for s in sorted(set(col_sector.tolist())):
-        rows, cols = np.flatnonzero(sector == s), np.flatnonzero(col_sector == s)
-        worst = max(worst, _block_residual(F[np.ix_(rows, cols)], core[np.ix_(cols, cols)], L[rows]))
+    diag = np.append(_wall_diagonal(d), 1.0) / d
+    (t,) = _sector_blocks(T, top_rows, top_cols)
+    worst = 0.0
+    for s, r, c, f in zip(sectors, rows, cols, _sector_blocks(S, rows, cols)):
+        if s == zero:
+            f, c = np.hstack([f, t]), np.append(c, d * d + 1)
+        worst = max(worst, _block_residual(f, np.diag(diag[c]), L[r]))
     return walls**2 + tops**2, worst
 
 
@@ -489,11 +481,11 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
     V^(p) = l l^T is the sum of sqrt(m_mu m_nu) G_top over the diagonal labels
     (mu, i, i) and (nu, j, j), that is Q C Q^T with C the weighted 1 x 1
     cores.  The top unit system, like l, lies in the weight-zero sector
-    alone, so its one sector block is compared with that block of l l^T;
-    the system's projection residual, which holds any entry its factors had
-    outside that sector, is reported if larger.  V^(p-1) is the sum of the
-    H operators and the top-ideal terms: ``_V_sub_expansion`` checks it as
-    two summed factors, one product per sector.
+    alone (its build raises on a factor entry off it), so its one sector
+    block is compared with that block of l l^T; the system's projection
+    residual is reported if larger.  V^(p-1) is the sum of the H operators
+    and the top-ideal terms: ``_V_sub_expansion`` checks it as two summed
+    factors, one product per sector.
     """
     tol = 1e-9
     top = unit_system(p, d, p)
@@ -677,48 +669,33 @@ def suite_reduction(p: int, d: int) -> list[CheckResult]:
     must compose as matrix units.
 
     Each column of a wall factor lies in one weight sector, so y_sr is block
-    diagonal over the sectors: each wall factor is split into its sector
-    blocks W_s^k (``ideal_units._sector_layout``) as soon as it is formed,
-    and y_sr is held as one FactoredOperator W_s^k D^k W_r^kT per sector,
-    on (n_k, c_k) factors.  Products act block by block, and the squared
-    Frobenius norm of a block-diagonal operator is the sum of its blocks'
-    squared norms, each read off a QR of the left factor.  The part E_s of
-    W(w_s) outside its columns' sectors, which the blocks drop, moves y_sr
-    by at most ||D||_2 (||E_s||_F ||W_r||_F + ||W_s||_F ||E_r||_F); that
-    bound is added to each zero-mode norm, and, scaled as the unit, three
-    times to the composition residual, as ``_composition_worst`` adds the
-    projection residual.  Every wall factor conserves the weight, so the
-    bound is exactly zero unless one does not.
+    diagonal over the sectors: each wall factor is packed into its sector
+    blocks W_s^k (``ideal_units._sector_pack``, which raises on an entry
+    off them) as soon as it is formed, and y_sr is held as one
+    FactoredOperator W_s^k D^k W_r^kT per sector, on (n_k, c_k) factors.
+    Products act block by block, and the squared Frobenius norm of a
+    block-diagonal operator is the sum of its blocks' squared norms, each
+    read off a QR of the left factor.
     """
     tol = 1e-9
     metric = _wall_diagonal(d)
     _, rows, cols, gather = _sector_layout(p, d, p - 1)
-
-    def mode_blocks(mu, w):
-        """The sector blocks of W(w), and the Frobenius norms of W(w) and of its part outside them."""
-        packed, rest = _sector_split(_wall_factor(mu, mu, 1, 1, w, p, d), gather)
-        outside = float(np.linalg.norm(rest))
-        return _sector_blocks(packed, rows, cols), math.hypot(float(np.linalg.norm(packed)), outside), outside
-
-    zero_worst = worst = shift = 0.0
+    zero_worst = worst = 0.0
     for mu in schur_weyl_partitions(p, d):
         bm = B_matrix(mu, mu, d)
-        walls, full, outside = zip(*(mode_blocks(mu, w) for w in bm.diagonalizer))
-        bound = (float(np.max(np.abs(metric))) * (np.outer(outside, full) + np.outer(full, outside))).tolist()
+        walls = [_sector_blocks(_sector_pack(_wall_factor(mu, mu, 1, 1, w, p, d), gather), rows, cols) for w in bm.diagonalizer]
         lam = bm.eigenvalues
         units = {}
         for s, r in itertools.product(range(1, bm.size + 1), repeat=2):
             y = [FactoredOperator(ws * metric[c], wr.T).compress() for ws, wr, c in zip(walls[s - 1], walls[r - 1], cols)]
             if bm.is_zero_mode(s) or bm.is_zero_mode(r):
-                zero_worst = max(zero_worst, _block_norm(y) + bound[s - 1][r - 1])
+                zero_worst = max(zero_worst, _block_norm(y))
             else:
                 scale = 1.0 / (d * math.sqrt(lam[s - 1] * lam[r - 1]))
                 units[s, r] = [block * scale for block in y]
-                shift = max(shift, scale * bound[s - 1][r - 1])
         for (s, r), (s2, r2) in itertools.product(units, repeat=2):
             prod = [a @ b for a, b in zip(units[s, r], units[s2, r2])]
             worst = max(worst, _block_norm([a - b for a, b in zip(prod, units[s, r2])] if r == s2 else prod))
-    worst += 3.0 * shift
     ok = zero_worst <= DISCARD_ATOL
     detail = "" if ok else f"a zero-mode generator has norm {zero_worst:.3e}"
     return [_bool_result("reduction_keeps_rank", ok, detail), _result("reduced_units_composition", worst, tol)]

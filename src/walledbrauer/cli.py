@@ -3,8 +3,10 @@
 All numeric JSON output is printed with 12 significant digits and sorted
 keys, so a fixed configuration produces identical bytes across runs on one
 platform.  CSV output rounds to 6 decimals.  Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 resource guard.  Every refusal,
-click's own included, is one line on stderr, printed by ``Refusals.main``.
+verification failure or a failed internal check (an ArithmeticError, such
+as a unit factor entry off its weight sector), 2 usage error, 3 resource
+guard.  Every refusal, click's own included, is one line on stderr, printed
+by ``Refusals.main``.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ class Refusals(click.Group):
             refusal, code = f"usage error: {exc}", 2
         except ResourceLimitError as exc:
             refusal, code = f"resource guard: {exc}", 3
+        except ArithmeticError as exc:
+            refusal, code = f"internal check failed: {exc}", 1
         except click.Abort:
             refusal, code = "Aborted!", 1
         click.echo(refusal, err=True)

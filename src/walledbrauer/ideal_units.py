@@ -15,6 +15,10 @@ Objects built here, all on 2p registers:
   U (x) conj(U) weight sectors it touches, and the cores, block diagonal
   over them, as their sector blocks.  ``G_top`` and ``G_sub`` look single
   units up in the cached systems.
+* One packer, ``_sector_pack``, through which every consumer of a unit
+  factor reads its sector blocks.  It is the one place where weight
+  conservation is checked: it raises ArithmeticError unless every nonzero
+  entry of the factor lies in its column's sector.
 
 The paper spans the ideals by the sandwiches F^(p) and F^(p-1) of the
 generators V^(p) and V^(p-1) by matrix units, and the second ideal by the
@@ -92,13 +96,14 @@ def _wall_factor(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p:
     With D = ``_wall_diagonal(d)``, W(e_a) D W'(e_a')^T is H_{a a'}, and
     W(w_b) D W'(w_b')^T / (d sqrt(lambda_b lambda_b')) is the unit G_sub.
     """
-    acc = np.zeros((_check_dim(d, 2 * p), d * d))
+    out = np.zeros((_check_dim(d, 2 * p), d * d + 1))
     for w_a, alpha in zip(w, common_removals(mu, nu)):
         if w_a:
             r, r2 = prir_position(mu, alpha, 1), prir_position(nu, alpha, 1)
-            acc += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
-    tail = w.sum() * _top_factor(mu, i, j, p, d) if mu == nu else np.zeros((acc.shape[0], 1))
-    return np.hstack([acc, tail])
+            out[:, :-1] += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
+    if mu == nu:
+        out[:, -1:] = w.sum() * _top_factor(mu, i, j, p, d)
+    return out
 
 
 def _indicator(mu: Partition, nu: Partition, alpha: Partition) -> np.ndarray:
@@ -317,7 +322,9 @@ def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int,
     lam = b.eigenvalues[beta - 1]
     if lam <= 0:
         raise ArithmeticError(f"nonpositive eigenvalue under square root: {lam} of B^({mu},{nu})")
-    return _wall_factor(mu, nu, i, j, b.diagonalizer[beta - 1], p, d) / math.sqrt(d * lam)
+    out = _wall_factor(mu, nu, i, j, b.diagonalizer[beta - 1], p, d)
+    out /= math.sqrt(d * lam)
+    return out
 
 
 def _column_sectors(p: int, d: int, ideal: int) -> np.ndarray:
@@ -357,16 +364,18 @@ def _sector_layout(p: int, d: int, ideal: int) -> tuple[tuple[int, ...], tuple[n
     return sectors, rows, cols, _frozen(gather)
 
 
-def _sector_split(factor: np.ndarray, gather: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (d^(2p), k) factor's entries at ``gather`` (``_sector_layout``), and the rest of it.
+def _sector_pack(factor: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """A (d^(2p), k) factor's entries at ``gather`` (``_sector_layout``), which must hold every nonzero entry of it.
 
-    The rest is the flattened factor itself with those entries zeroed: what
-    the sector blocks drop, exact zeros when every column conserves the weight.
+    Every column of a unit factor lies in one weight sector
+    (``_column_sectors``), and its other entries are exact zeros: each is a
+    sum of products with an exact-zero factor.  So a nonzero entry off the
+    gather is a defect, and raises ArithmeticError.  The factor is only read.
     """
-    flat = factor.reshape(-1)
-    packed = flat[gather]
-    flat[gather] = 0.0
-    return packed, flat
+    packed = factor.reshape(-1)[gather]
+    if np.count_nonzero(factor) != np.count_nonzero(packed):
+        raise ArithmeticError("a unit factor has a nonzero entry off its columns' weight sectors")
+    return packed
 
 
 def _sector_blocks(packed: np.ndarray, rows, cols) -> list[np.ndarray]:
@@ -409,8 +418,8 @@ class UnitSystem:
     floats in all, and no (n, n, r, r) array is formed.
     ``projection_residual[a]`` is the largest Frobenius
     distance, over the units of row a, between the unit as its factors give
-    it and the projection ``Q_a M_ac Q_c^T``, plus the largest entry of the
-    factor of row a outside its columns' sectors, which the blocks drop.
+    it and the projection ``Q_a M_ac Q_c^T``.  No factor entry lies off the
+    stored sectors: the build raises on one (``_sector_pack``).
     All arrays are read-only.
     """
 
@@ -487,10 +496,10 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     The units are G_rc = W_r D W_c^T s_r s_c with D = (1) and
     s_r = 1/sqrt(m_mu) for the top ideal, and the wall factor W_r = W(w_beta),
     D = ``_wall_diagonal(d)`` and s_r = 1/sqrt(d lambda_beta) for the second.
-    Each label's factor is formed, split into its weight-sector blocks
-    (``_sector_layout``) and dropped, so one label's factor is the only
-    array of d^(2p) rows; its largest entry outside its columns' sectors
-    goes into ``projection_residual``.  Then, per sector and batched over
+    Each label's factor is formed, packed into its weight-sector blocks
+    (``_sector_pack``, which raises ArithmeticError on a nonzero entry off
+    its columns' sectors) and dropped, so one label's factor is the only
+    array of d^(2p) rows.  Then, per sector and batched over
     the labels, with W_r the sector block: W_r = Q0_r R0_r, and the range of
     row r over all columns is Q0_r times the range of R0_r D
     [R0_1^T .. R0_n^T]; one QR of the stacked R0 and one small SVD per label
@@ -518,10 +527,9 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     if n == 0:
         return UnitSystem(ideal, p, d, (), (), (), (), (), _frozen(np.zeros(0)))
     sectors, rows, cols, gather = _sector_layout(p, d, ideal)
-    packed, leak = np.empty((n, gather.size)), np.empty(n)
+    packed = np.empty((n, gather.size))
     for a, label in enumerate(labels):
-        packed[a], rest = _sector_split(factor(*label), gather)
-        leak[a] = max(rest.max(), -rest.min())
+        packed[a] = _sector_pack(factor(*label), gather)
     blocks, cores = [], []
     squares = np.zeros((n, n))
     for s, c_s, f in zip(sectors, cols, _sector_blocks(packed, rows, cols)):
@@ -542,7 +550,7 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     ranks = [core.shape[2] for core in cores]
     if sum(ranks) != rank:
         raise ArithmeticError(f"sector ranks {ranks} do not sum to {rank} for ideal {ideal} at (p,d)=({p},{d})")
-    residual = np.sqrt(squares).max(axis=1) + leak
+    residual = np.sqrt(squares).max(axis=1)
     return UnitSystem(ideal, p, d, tuple(labels), sectors, rows, tuple(blocks), tuple(cores), _frozen(residual))
 
 

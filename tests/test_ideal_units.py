@@ -565,24 +565,44 @@ def test_eigenoperators_stay_below_one_factor():
     assert peak < d ** (2 * p) * (d * d + 2) * 8, peak
 
 
-@pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
-def test_unit_system_reports_an_off_sector_factor_entry(monkeypatch, p, d):
-    """An entry outside its column's weight sector is dropped by the sector blocks, so it must reach the residual."""
+@pytest.mark.parametrize(
+    "p,d,size",
+    [pytest.param(2, 3, 1e-6, id="2-3"), pytest.param(3, 3, 1e-6, id="3-3"), pytest.param(3, 3, 1e-12, id="3-3-1e-12")],
+)
+def test_unit_system_reports_an_off_sector_factor_entry(monkeypatch, p, d, size):
+    """An entry off its column's weight sector, which the sector blocks would drop, raises at the build.
+
+    1e-12 is below the suites' 1e-9 tolerance, so no residual could report
+    it.  Through ``verify`` the raise is one stderr line and exit 1.
+    """
     column = ideal_units._column_sectors(p, d, p - 1)[0]
     row = int(np.flatnonzero(_weight_sectors(p, d)[0] != column)[0])
     factor = ideal_units._sub_factor
 
     def planted(*args):
         out = factor(*args)
-        out[row, 0] += 1e-6
+        out[row, 0] += size
         return out
 
     monkeypatch.setattr(ideal_units, "_sub_factor", planted)
-    system = unit_system.__wrapped__(p, d, p - 1)
-    assert np.all(system.projection_residual >= 1e-6)
-    monkeypatch.setattr(checks, "unit_system", lambda pq, dq, ideal: system if ideal == p - 1 else unit_system(pq, dq, ideal))
-    (result,) = [r for r in run_suite("composition", p, d) if r.name.startswith("G_sub_all_pairs_")]
-    assert not result.passed, result
+    with pytest.raises(ArithmeticError, match="off its columns' weight sectors"):
+        unit_system.__wrapped__(p, d, p - 1)
+    monkeypatch.setattr(checks, "unit_system", unit_system.__wrapped__)
+    result = CliRunner().invoke(main, ["--p", str(p), "--d", str(d), "verify", "--suite", "composition"])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("internal check failed: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 3), (4, 2)])
+def test_sector_pack_only_reads_its_factor(p, d):
+    """Packing the cached read-only top column leaves it as it was, and keeps each of its nonzero entries."""
+    t = factored_V(p, p, d)
+    before = t.copy()
+    (_,), (rows,), _, gather = ideal_units._sector_layout(p, d, p)
+    packed = ideal_units._sector_pack(t, gather)
+    assert np.array_equal(t, before) and not t.flags.writeable
+    assert np.array_equal(packed, t[rows, 0]) and np.count_nonzero(packed) == np.count_nonzero(t)
 
 
 def test_cached_arrays_are_read_only():
@@ -760,14 +780,18 @@ def test_reduction_fails_when_a_zero_mode_does_not_vanish(monkeypatch):
     assert doc["passed"] is False and not doc["checks"][0]["passed"]
 
 
-@pytest.mark.parametrize("inside", [True, False])
-def test_reduction_fails_on_a_zero_mode_entry_in_one_off_diagonal_sector(monkeypatch, inside):
+@pytest.mark.parametrize(
+    "inside,size",
+    [pytest.param(True, 1e-3, id="True"), pytest.param(False, 1e-3, id="False"), pytest.param(False, 1e-12, id="False-1e-12")],
+)
+def test_reduction_fails_on_a_zero_mode_entry_in_one_off_diagonal_sector(monkeypatch, inside, size):
     """Plant one entry in the zero-mode wall factor of the fully singular (1,1,1) block at (3,3).
 
     Its column is L's column (1, 2), of weight e_1 - e_2.  Inside that
     sector the entry reaches the generator only through that one sector
-    block; outside it, the blocks drop it and the bound on the dropped part
-    must catch it.  The block keeps no mode, so the composition is untouched.
+    block, and the block keeps no mode, so the composition is untouched.
+    Off that sector the blocks would drop it, so packing the factor raises,
+    even at 1e-12, below every tolerance.
     """
     p, d = 3, 3
     column = 1  # L's column (a, b) = (1, 2) of the letters 1..d, weight e_1 - e_2
@@ -779,27 +803,36 @@ def test_reduction_fails_on_a_zero_mode_entry_in_one_off_diagonal_sector(monkeyp
     def planted(mu, nu, *args):
         out = real(mu, nu, *args)
         if mu == nu == partition(1, 1, 1):
-            out[row, column] += 1e-3
+            out[row, column] += size
         return out
 
     monkeypatch.setattr(checks, "_wall_factor", planted)
+    if not inside:
+        with pytest.raises(ArithmeticError, match="off its columns' weight sectors"):
+            run_suite("reduction", p, d)
+        return
     keeps_rank, composition = run_suite("reduction", p, d)
     assert not keeps_rank.passed and "zero-mode generator" in keeps_rank.detail
     assert composition.passed
 
 
 def test_reduction_stays_below_four_wall_factors():
-    """Each wall factor is split into its sector blocks as it is formed, so no mode's dense factor outlives its split."""
+    """Each wall factor is packed into its sector blocks as it is formed, so no dense factor outlives its packing.
+
+    ``suite_generators`` sums the wall factors and top columns as their
+    sector blocks too; a dense [S | T] would lift its peak above the bound.
+    """
     p, d = 3, 5
-    checks.suite_reduction(p, d)  # warms the caches the suite reads
-    tracemalloc.start()
-    try:
-        results = checks.suite_reduction(p, d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(r.passed for r in results)
-    assert peak <= 4 * d ** (2 * p) * (d * d + 1) * 8, peak
+    for suite in (checks.suite_reduction, checks.suite_generators):
+        suite(p, d)  # warms the caches the suite reads
+        tracemalloc.start()
+        try:
+            results = suite(p, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+        assert peak <= 4 * d ** (2 * p) * (d * d + 1) * 8, (suite.__name__, peak)
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 4), (12, 12)])
@@ -886,22 +919,25 @@ def test_V_sub_expansion_term_by_term_on_the_oracles(p, d):
     assert np.max(np.abs(acc / d - V_generator(p, p - 1, d).matrix)) <= 1e-9
 
 
-@pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
-def test_V_sub_expansion_fails_on_an_off_sector_wall_entry(monkeypatch, p, d):
+@pytest.mark.parametrize(
+    "p,d,size",
+    [pytest.param(2, 2, 1e-6, id="2-2"), pytest.param(3, 3, 1e-6, id="3-3"), pytest.param(3, 3, 1e-12, id="3-3-1e-12")],
+)
+def test_V_sub_expansion_fails_on_an_off_sector_wall_entry(monkeypatch, p, d, size):
     # column 0 of every wall factor lies in the sector of index 0 (free digits 0, 0);
-    # one small entry planted outside it leaves every sector block as it was
+    # one small entry planted off it would leave every sector block as it was, so packing raises
     sector = _weight_sectors(p, d)[0]
     row = int(np.flatnonzero(sector != sector[0])[0])
     wall = checks._wall_factor
 
     def planted(*args):
         out = wall(*args)
-        out[row, 0] = 1e-6
+        out[row, 0] = size
         return out
 
     monkeypatch.setattr(checks, "_wall_factor", planted)
-    check = _V_sub_check(p, d)
-    assert not check.passed and check.residual == 1e-6
+    with pytest.raises(ArithmeticError, match="off its columns' weight sectors"):
+        _V_sub_check(p, d)
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
