@@ -30,12 +30,12 @@ from .ideal_units import (
     unit_system,
     _flat,
     _indicator,
+    _pack_columns,
     _sector_blocks,
     _sector_layout,
-    _sector_pack,
     _top_factor,
     _wall_diagonal,
-    _wall_factor,
+    _wall_pack,
 )
 from .lowrank import FactoredOperator
 from .partitions import (
@@ -435,7 +435,7 @@ def _V_sub_expansion(p: int, d: int) -> tuple[int, float]:
 
     The expansion sums, over every pair of labels (alpha, i_alpha, mu, mu'),
     alpha a one-box-smaller shape and mu, mu' additions to it, the H operator
-    W D W'^T (``_wall_factor`` at the indicator of alpha), plus the top-ideal
+    W D W'^T (``_wall_pack`` at the indicator of alpha), plus the top-ideal
     term t t'^T (``_top_factor`` at r = prir_position(mu, alpha, i_alpha))
     when mu = mu' on both sides, each with coefficient 1/d.  Every left label
     meets every right label, so by bilinearity the sum is
@@ -446,24 +446,25 @@ def _V_sub_expansion(p: int, d: int) -> tuple[int, float]:
     T in weight 0, so both products are block diagonal and nonzero only on
     the blocks of those sectors, and the max-abs residual of the
     d^(2p) x d^(2p) difference is that of the blocks.  S and T are summed
-    as their sector blocks (``ideal_units._sector_pack``, which raises on
-    an entry off them), and each block is F_s C_s F_s^T with F_s = S_s,
-    or [S_s | T] on weight 0, and C_s the matching entries of
-    diag(D, 1) / d.
+    as their sector blocks, each term formed one column at a time and
+    packed as it is formed (``ideal_units._pack_columns``, which raises on
+    an entry off them), so no factor of d^(2p) rows is formed but the
+    cached L.  Each block is F_s C_s F_s^T with F_s = S_s, or [S_s | T] on
+    weight 0, and C_s the matching entries of diag(D, 1) / d.
     """
     L = factored_V(p, p - 1, d)
-    sectors, rows, cols, wall_gather = _sector_layout(p, d, p - 1)
-    (zero,), top_rows, top_cols, top_gather = _sector_layout(p, d, p)
-    S, T = np.zeros(wall_gather.size), np.zeros(top_gather.size)
+    sectors, rows, cols, places = _sector_layout(p, d, p - 1)
+    (zero,), top_rows, top_cols, _ = _sector_layout(p, d, p)
+    S, T = np.zeros(sum(r.size for r, _ in places)), np.zeros(top_rows[0].size)
     walls, tops = 0, 0
     for alpha in (a for a in enumerate_partitions(p - 1) if multiplicity(a, d) > 0):
         adds = [m for m in add_box(alpha) if multiplicity(m, d) > 0]
         for ia, mu, mup in itertools.product(range(1, dim_irrep(alpha) + 1), adds, adds):
             r1, r2 = prir_position(mu, alpha, ia), prir_position(mup, alpha, ia)
-            S += _sector_pack(_wall_factor(mu, mup, r1, r2, _indicator(mu, mup, alpha), p, d), wall_gather)
+            S += _wall_pack(mu, mup, r1, r2, _indicator(mu, mup, alpha), p, d)
             walls += 1
             if mu == mup:
-                T += _sector_pack(_top_factor(mu, r1, r1, p, d), top_gather)
+                T += _pack_columns(_top_factor(mu, r1, r1, p, d).T, p, d, p)
                 tops += 1
     diag = np.append(_wall_diagonal(d), 1.0) / d
     (t,) = _sector_blocks(T, top_rows, top_cols)
@@ -542,7 +543,7 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
         _result("rho_top_annihilates_second_ideal", annihilated, trace_tol),
         _result("block_structure_off_diagonal_zero", off_diagonal, trace_tol),
     ]
-    trace = float(factored_V(p, p - 1, d).sum())  # tr(L L^T) counts the 1s of the 0/1 factor
+    trace = float(d ** (p + 1))  # tr V^(k) = d^(2p-k), exact
     count = sum(group.size for group in spectra._matching_groups(p, d, p - 1))
     out.append(_result("twirl_trace_conservation", abs(count / spectra._orbit_size(p, p - 1) - trace), 1e-10))
     return out
@@ -669,9 +670,10 @@ def suite_reduction(p: int, d: int) -> list[CheckResult]:
     must compose as matrix units.
 
     Each column of a wall factor lies in one weight sector, so y_sr is block
-    diagonal over the sectors: each wall factor is packed into its sector
-    blocks W_s^k (``ideal_units._sector_pack``, which raises on an entry
-    off them) as soon as it is formed, and y_sr is held as one
+    diagonal over the sectors: each wall factor is formed one column at a
+    time, each column written into its sector block W_s^k
+    (``ideal_units._wall_pack``, which raises on an entry off them), so no
+    factor of d^(2p) rows is formed, and y_sr is held as one
     FactoredOperator W_s^k D^k W_r^kT per sector, on (n_k, c_k) factors.
     Products act block by block, and the squared Frobenius norm of a
     block-diagonal operator is the sum of its blocks' squared norms, each
@@ -679,11 +681,11 @@ def suite_reduction(p: int, d: int) -> list[CheckResult]:
     """
     tol = 1e-9
     metric = _wall_diagonal(d)
-    _, rows, cols, gather = _sector_layout(p, d, p - 1)
+    _, rows, cols, _ = _sector_layout(p, d, p - 1)
     zero_worst = worst = 0.0
     for mu in schur_weyl_partitions(p, d):
         bm = B_matrix(mu, mu, d)
-        walls = [_sector_blocks(_sector_pack(_wall_factor(mu, mu, 1, 1, w, p, d), gather), rows, cols) for w in bm.diagonalizer]
+        walls = [_sector_blocks(_wall_pack(mu, mu, 1, 1, w, p, d), rows, cols) for w in bm.diagonalizer]
         lam = bm.eigenvalues
         units = {}
         for s, r in itertools.product(range(1, bm.size + 1), repeat=2):

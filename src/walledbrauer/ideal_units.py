@@ -15,21 +15,25 @@ Objects built here, all on 2p registers:
   U (x) conj(U) weight sectors it touches, and the cores, block diagonal
   over them, as their sector blocks.  ``G_top`` and ``G_sub`` look single
   units up in the cached systems.
-* One packer, ``_sector_pack``, through which every consumer of a unit
-  factor reads its sector blocks.  It is the one place where weight
+* One packer, ``_pack_columns``, through which every consumer of a unit
+  factor reads its sector blocks.  It takes the factor one column at a
+  time, and writes each column's sector rows straight into its block, so
+  no factor of d^(2p) rows is formed.  It is the one place where weight
   conservation is checked: it raises ArithmeticError unless every nonzero
-  entry of the factor lies in its column's sector.
+  entry of a column lies in that column's sector.
 
 The paper spans the ideals by the sandwiches F^(p) and F^(p-1) of the
 generators V^(p) and V^(p-1) by matrix units, and the second ideal by the
 almost-units H = d F^(p-1) - F^(p).  Neither is formed here: the units are
 read off the factors those definitions share, and F and H live in the
 tests, as the oracle the units are compared against.  The second ideal has
-one builder, the wall factor W(w) (``_wall_factor``), paired by the metric
-D (``_wall_diagonal``): with w an indicator it gives F^(p-1) and H, and
-with w a row of the B diagonalizer the second-ideal units.  The zero modes
-of a singular B get no label, and ``checks.suite_reduction`` checks on the
-same wall factors that the pairs they would enter vanish.
+one builder, the wall factor W(w), formed column by column
+(``_wall_columns``) and packed as it goes (``_wall_pack``), and paired by
+the metric D (``_wall_diagonal``): with w an indicator it gives F^(p-1)
+and H, and with w a row of the B diagonalizer the second-ideal units.
+The zero modes of a singular B get no label, and
+``checks.suite_reduction`` checks on the same wall factors that the pairs
+they would enter vanish.
 ``checks.suite_generators`` reassembles V^(p-1) from the same factors: the
 sum of the H terms and the top-ideal terms is (S D S^T + T T^T) / d, with S
 the sum of the wall factors and T the sum of the top columns, checked by
@@ -59,7 +63,7 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _apply_pair, _check_dim, _frozen, _weight_sectors, factored_V
+from .tensorspace import _apply_pair, _check_dim, _digit_reversal, _frozen, _weight_sectors
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -88,22 +92,42 @@ def _wall_diagonal(d: int) -> np.ndarray:
     return np.array([float(d)] * (d * d) + [-1.0])
 
 
-def _wall_factor(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p: int, d: int) -> np.ndarray:
-    """W(w) = [sum_a w_a (E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1).L | (sum_a w_a) (E^mu_ij (x) 1) V^(p).L delta_{mu nu}].
+def _wall_columns(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p: int, d: int):
+    """The columns of W(w), in order, each a flat d^(2p) array formed on its own.
 
+    W(w) = [sum_a w_a (E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1).L | (sum_a w_a) (E^mu_ij (x) 1) V^(p).L delta_{mu nu}].
     w weighs the common removals alpha of mu and nu, in the order of
     ``common_removals(mu, nu)``, and r_a is the first index of block alpha.
     With D = ``_wall_diagonal(d)``, W(e_a) D W'(e_a')^T is H_{a a'}, and
     W(w_b) D W'(w_b')^T / (d sqrt(lambda_b lambda_b')) is the unit G_sub.
+
+    Column (f, g) of the wall part is sum_a w_a A^a_f B^a_g, one d^p x d^p
+    GEMM per term over the p - 1 paired digits, with A^a_f the left matrix's
+    columns (f, rev u) and B^a_g the right matrix's columns (u, g),
+    transposed: the dot products of ``tensorspace._apply_pair``.
     """
-    out = np.zeros((_check_dim(d, 2 * p), d * d + 1))
+    _check_dim(d, 2 * p)
+    dp, dk = d**p, d ** (p - 1)
+    rev = _digit_reversal(d, p - 1)
+    terms = []
     for w_a, alpha in zip(w, common_removals(mu, nu)):
         if w_a:
             r, r2 = prir_position(mu, alpha, 1), prir_position(nu, alpha, 1)
-            out[:, :-1] += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
-    if mu == nu:
-        out[:, -1:] = w.sum() * _top_factor(mu, i, j, p, d)
-    return out
+            a = left_side_matrix(mu, i, r, d).reshape(dp, d, dk)[:, :, rev].transpose(1, 0, 2).copy()
+            b = right_side_matrix(nu, j, r2, d).reshape(dp, dk, d).transpose(2, 1, 0).copy()
+            terms.append((w_a, a, b))
+    for f in range(d):
+        for g in range(d):
+            out = np.zeros(dp * dp)
+            for w_a, a, b in terms:
+                out += w_a * (a[f] @ b[g]).reshape(-1)
+            yield out
+    yield w.sum() * _top_factor(mu, i, j, p, d)[:, 0] if mu == nu else np.zeros(dp * dp)
+
+
+def _wall_pack(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p: int, d: int) -> np.ndarray:
+    """W(w) packed into its weight-sector blocks (``_pack_columns``), one column formed at a time."""
+    return _pack_columns(_wall_columns(mu, nu, i, j, w, p, d), p, d, p - 1)
 
 
 def _indicator(mu: Partition, nu: Partition, alpha: Partition) -> np.ndarray:
@@ -314,7 +338,7 @@ BASIS_RTOL = 1e-8
 
 
 def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int, d: int) -> np.ndarray:
-    """W(w) / sqrt(d lambda_beta), with w row beta of the B^{mu nu} diagonalizer.
+    """W(w) / sqrt(d lambda_beta) as packed sector blocks, with w row beta of the B^{mu nu} diagonalizer.
 
     W(w) D W'(w')^T = sum over (alpha, alpha') of w_a w'_a' H_{alpha alpha'}.
     """
@@ -322,7 +346,7 @@ def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int,
     lam = b.eigenvalues[beta - 1]
     if lam <= 0:
         raise ArithmeticError(f"nonpositive eigenvalue under square root: {lam} of B^({mu},{nu})")
-    out = _wall_factor(mu, nu, i, j, b.diagonalizer[beta - 1], p, d)
+    out = _wall_pack(mu, nu, i, j, b.diagonalizer[beta - 1], p, d)
     out /= math.sqrt(d * lam)
     return out
 
@@ -330,56 +354,69 @@ def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int,
 def _column_sectors(p: int, d: int, ideal: int) -> np.ndarray:
     """The U (x) conj(U) weight sector of each column of a unit factor: [t] for ideal p, [L | t] for ideal p - 1.
 
-    L = factored_V(p, p-1, d) and t = factored_V(p, p, d).  Column (a, b)
-    of L is the indicator of the states whose register 1 spells a, register
-    2p spells b and paired registers agree, so it lies in the sector of
-    weight e_a - e_b (``tensorspace._weight_sectors``); t lies in weight 0.
+    L = factored_V(p, p-1, d) and t = factored_V(p, p, d).  Column (f, g)
+    of L is the indicator of the states whose register 1 spells f, register
+    2p spells g and paired registers agree, so it lies in the sector of
+    weight e_f - e_g (``tensorspace._weight_sectors``), that of its first
+    state f d^(2p-1) + g; t lies in weight 0, that of state 0.
     E^mu (x) E^nu is a sum of permutations of each wall side, which keep
     each side's letter counts, so column c of every wall factor lies in the
     sector of column c of L, and its last column, like every top factor, in
-    weight 0; their other entries are exact zeros.  A column is assigned the
-    sector of the first 1 of the matching column of [L | t].
+    weight 0; their other entries are exact zeros.
     """
-    t = factored_V(p, p, d)
-    columns = t if ideal == p else np.hstack([factored_V(p, p - 1, d), t])
-    return _weight_sectors(p, d)[0][np.argmax(columns, axis=0)]
+    sector = _weight_sectors(p, d)[0]
+    if ideal == p:
+        return sector[:1]
+    f, g = np.divmod(np.arange(d * d), d)
+    return np.append(sector[f * d ** (2 * p - 1) + g], sector[0])
 
 
 @lru_cache(maxsize=None)
-def _sector_layout(p: int, d: int, ideal: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+def _sector_layout(p: int, d: int, ideal: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple]:
     """How every factor of one ideal splits into weight-sector blocks; read-only.
 
     The sectors its columns lie in (ascending), each sector's rows (its
     basis indices, ascending, so that row i is position i of
-    ``_weight_sectors``) and columns, and the flat indices into a
-    (d^(2p), k) factor that list its blocks one after another, each
-    (n_s, k_s) in row-major order.
+    ``_weight_sectors``) and columns, and where each column goes: the rows
+    of its sector, and the slice of the packed factor that holds them.  A
+    packed factor lists its blocks one after another, each (n_s, k_s) in
+    row-major order.
     """
     sector = _weight_sectors(p, d)[0]
     col_sector = _column_sectors(p, d, ideal)
     sectors = tuple(sorted(set(col_sector.tolist())))
     rows = tuple(_frozen(np.flatnonzero(sector == s)) for s in sectors)
     cols = tuple(_frozen(np.flatnonzero(col_sector == s)) for s in sectors)
-    gather = np.concatenate([(r[:, None] * col_sector.size + c).ravel() for r, c in zip(rows, cols)])
-    return sectors, rows, cols, _frozen(gather)
+    places = [None] * col_sector.size
+    start = 0
+    for r, c in zip(rows, cols):
+        for k, column in enumerate(c):
+            places[column] = (r, slice(start + k, start + r.size * c.size, c.size))
+        start += r.size * c.size
+    return sectors, rows, cols, tuple(places)
 
 
-def _sector_pack(factor: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """A (d^(2p), k) factor's entries at ``gather`` (``_sector_layout``), which must hold every nonzero entry of it.
+def _pack_columns(columns, p: int, d: int, ideal: int) -> np.ndarray:
+    """The columns of one unit factor of ideal p or p - 1, given in order, packed into their sector blocks (``_sector_layout``).
 
     Every column of a unit factor lies in one weight sector
     (``_column_sectors``), and its other entries are exact zeros: each is a
-    sum of products with an exact-zero factor.  So a nonzero entry off the
-    gather is a defect, and raises ArithmeticError.  The factor is only read.
+    sum of products with an exact-zero factor.  So a nonzero entry off a
+    column's sector is a defect, and raises ArithmeticError; this is the one
+    place weight conservation is checked.  The columns are only read.
     """
-    packed = factor.reshape(-1)[gather]
-    if np.count_nonzero(factor) != np.count_nonzero(packed):
-        raise ArithmeticError("a unit factor has a nonzero entry off its columns' weight sectors")
-    return packed
+    places = _sector_layout(p, d, ideal)[3]
+    out = np.empty(sum(r.size for r, _ in places))
+    for column, (rows, place) in zip(columns, places, strict=True):
+        packed = column[rows]
+        if np.count_nonzero(column) != np.count_nonzero(packed):
+            raise ArithmeticError("a unit factor has a nonzero entry off its columns' weight sectors")
+        out[place] = packed
+    return out
 
 
 def _sector_blocks(packed: np.ndarray, rows, cols) -> list[np.ndarray]:
-    """Entries packed by ``_sector_layout``'s gather, on the last axis, as one (..., n_s, k_s) block per sector."""
+    """Entries packed as ``_sector_layout`` lays them out, on the last axis, as one (..., n_s, k_s) block per sector."""
     splits = np.cumsum([r.size * c.size for r, c in zip(rows, cols)])[:-1]
     return [f.reshape(*f.shape[:-1], r.size, c.size) for f, r, c in zip(np.split(packed, splits, axis=-1), rows, cols)]
 
@@ -419,7 +456,7 @@ class UnitSystem:
     ``projection_residual[a]`` is the largest Frobenius
     distance, over the units of row a, between the unit as its factors give
     it and the projection ``Q_a M_ac Q_c^T``.  No factor entry lies off the
-    stored sectors: the build raises on one (``_sector_pack``).
+    stored sectors: the build raises on one (``_pack_columns``).
     All arrays are read-only.
     """
 
@@ -496,11 +533,12 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     The units are G_rc = W_r D W_c^T s_r s_c with D = (1) and
     s_r = 1/sqrt(m_mu) for the top ideal, and the wall factor W_r = W(w_beta),
     D = ``_wall_diagonal(d)`` and s_r = 1/sqrt(d lambda_beta) for the second.
-    Each label's factor is formed, packed into its weight-sector blocks
-    (``_sector_pack``, which raises ArithmeticError on a nonzero entry off
-    its columns' sectors) and dropped, so one label's factor is the only
-    array of d^(2p) rows.  Then, per sector and batched over
-    the labels, with W_r the sector block: W_r = Q0_r R0_r, and the range of
+    Each label's factor is formed one column at a time, each column packed
+    into its weight-sector block (``_pack_columns``, which raises
+    ArithmeticError on a nonzero entry off the column's sector) and
+    dropped, so one column is the only array of d^(2p) entries.  Then, per
+    sector and batched over the labels, with W_r the sector block:
+    W_r = Q0_r R0_r, and the range of
     row r over all columns is Q0_r times the range of R0_r D
     [R0_1^T .. R0_n^T]; one QR of the stacked R0 and one small SVD per label
     give it.  Its rank must be the same for every label, and the ranks of
@@ -511,7 +549,7 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
         diag, rank = np.ones(1), 1
 
         def factor(mu, i, j):
-            return _top_factor(mu, i, j, p, d) / math.sqrt(multiplicity(mu, d))
+            return _pack_columns(_top_factor(mu, i, j, p, d).T, p, d, p) / math.sqrt(multiplicity(mu, d))
 
     elif ideal == p - 1:
         labels = sub_row_labels(p, d)
@@ -526,10 +564,10 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     _check_dim(d, 2 * p)
     if n == 0:
         return UnitSystem(ideal, p, d, (), (), (), (), (), _frozen(np.zeros(0)))
-    sectors, rows, cols, gather = _sector_layout(p, d, ideal)
-    packed = np.empty((n, gather.size))
+    sectors, rows, cols, places = _sector_layout(p, d, ideal)
+    packed = np.empty((n, sum(r.size for r, _ in places)))
     for a, label in enumerate(labels):
-        packed[a] = _sector_pack(factor(*label), gather)
+        packed[a] = factor(*label)
     blocks, cores = [], []
     squares = np.zeros((n, n))
     for s, c_s, f in zip(sectors, cols, _sector_blocks(packed, rows, cols)):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -99,7 +98,8 @@ def dim_irrep(mu: Partition) -> int:
     for i, j in mu.cells():
         denom *= mu.hook(i, j)
     num = math.factorial(p)
-    assert num % denom == 0
+    if num % denom:
+        raise ArithmeticError(f"hook lengths of {mu} do not divide {p}!")
     return num // denom
 
 
@@ -107,20 +107,20 @@ def dim_irrep(mu: Partition) -> int:
 def multiplicity(mu: Partition, d: int) -> int:
     """Schur-Weyl multiplicity m_mu at local dimension ``d``.
 
-    Computed as prod_{1<=i<j<=d} (mu_i - mu_j + j - i) / (j - i); zero
-    whenever ht(mu) > d.
+    The hook-content formula, prod over the cells (i, j) of (d + j - i) /
+    hook(i, j), one exact integer division; zero whenever ht(mu) > d.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if mu.height > d:
         return 0
-    rows = [mu.row(i) for i in range(1, d + 1)]
-    value = Fraction(1)
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            value *= Fraction(rows[i - 1] - rows[j - 1] + j - i, j - i)
-    assert value.denominator == 1
-    return int(value)
+    num = denom = 1
+    for i, j in mu.cells():
+        num *= d + j - i
+        denom *= mu.hook(i, j)
+    if num % denom:
+        raise ArithmeticError(f"hook lengths of {mu} do not divide its contents at d = {d}")
+    return num // denom
 
 
 @lru_cache(maxsize=None)

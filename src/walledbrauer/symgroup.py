@@ -179,7 +179,8 @@ def prir_map(mu: Partition) -> tuple[PrirIndex, ...]:
     for alpha in remove_box(mu):
         for i_alpha in range(1, dim_irrep(alpha) + 1):
             out.append(PrirIndex(mu, alpha, i_alpha))
-    assert len(out) == dim_irrep(mu)
+    if len(out) != dim_irrep(mu):
+        raise ArithmeticError(f"the blocks of {mu} hold {len(out)} indices, not d_mu = {dim_irrep(mu)}")
     return tuple(out)
 
 

@@ -1,24 +1,70 @@
-"""The paper's spanning families F and H, the units as factored operators, the per-pair composition residual, the all-sector brute spectra and the register-by-register matching groups, for the tests.
+"""The paper's spanning families F and H, the dense wall factor, the units as factored operators, the per-pair composition residual, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
-these definitions share (``ideal_units._top_factor``, ``_wall_factor`` and
+these definitions share (``ideal_units._top_factor``, the wall factor and
 ``_wall_diagonal``), and stores each ideal's units as shared bases and
-r x r cores, both as one block per weight sector.  Here F and H stay the paper's
-definitions, as factored operators, and the units are compared against them.
+r x r cores, both as one block per weight sector.  It forms the wall factor
+one column at a time, straight into its sector blocks; here it is formed
+dense, as its definition reads (``_wall_factor``), and ``_sector_pack``
+gathers the blocks from it.  F and H stay the paper's definitions, as
+factored operators, and the units are compared against them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from walledbrauer.ideal_units import GUnit, _indicator, _top_factor, _wall_diagonal, _wall_factor
+from walledbrauer.ideal_units import GUnit, _indicator, _sector_layout, _top_factor, _wall_diagonal
 from walledbrauer.lowrank import FactoredOperator
-from walledbrauer.partitions import Partition, multiplicity
+from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
+from walledbrauer.partitions import Partition, common_removals, multiplicity
 from walledbrauer.spectra import _orbit_size, _orbit_sum
-from walledbrauer.tensorspace import _weight_sectors
+from walledbrauer.symgroup import prir_position
+from walledbrauer.tensorspace import _apply_pair, _weight_sectors
+
+
+def _wall_factor(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p: int, d: int) -> np.ndarray:
+    """W(w) as one dense (d^(2p), d^2 + 1) array: the definition ``ideal_units._wall_columns`` forms column by column.
+
+    W(w) = [sum_a w_a (E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1).L | (sum_a w_a) (E^mu_ij (x) 1) V^(p).L delta_{mu nu}],
+    with r_a the first index of block alpha, and each wall product one
+    ``_apply_pair`` GEMM.
+    """
+    out = np.zeros((d ** (2 * p), d * d + 1))
+    for w_a, alpha in zip(w, common_removals(mu, nu)):
+        if w_a:
+            r, r2 = prir_position(mu, alpha, 1), prir_position(nu, alpha, 1)
+            out[:, :-1] += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
+    if mu == nu:
+        out[:, -1:] = w.sum() * _top_factor(mu, i, j, p, d)
+    return out
+
+
+def _sector_pack(factor: np.ndarray, p: int, d: int, ideal: int) -> np.ndarray:
+    """A dense (d^(2p), k) unit factor of ``ideal`` gathered into the packed sector blocks of ``ideal_units._pack_columns``."""
+    _, rows, cols, _ = _sector_layout(p, d, ideal)
+    return np.concatenate([factor[np.ix_(r, c)].ravel() for r, c in zip(rows, cols)])
+
+
+def multiplicity_by_fractions(mu: Partition, d: int) -> int:
+    """m_mu as the rational product over 1 <= i < j <= d of (mu_i - mu_j + j - i) / (j - i).
+
+    The reference for ``partitions.multiplicity``, which takes the
+    hook-content formula in integers.
+    """
+    if mu.height > d:
+        return 0
+    rows = [mu.row(i) for i in range(1, d + 1)]
+    value = Fraction(1)
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            value *= Fraction(rows[i - 1] - rows[j - 1] + j - i, j - i)
+    assert value.denominator == 1
+    return int(value)
 
 
 def F_top(mu: Partition, i: int, j: int, nu: Partition, ip: int, jp: int, p: int, d: int) -> FactoredOperator:

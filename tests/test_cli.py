@@ -119,6 +119,14 @@ def test_resource_guard_exit_code():
     assert result.exit_code == 3
 
 
+def test_reduction_keeps_the_hilbert_guard():
+    # the wall factors are formed column by column, so the d^(2p) <= 2^14 guard is
+    # checked where they are formed: (3,6), at 46 656, is refused before any column
+    result = run(["--p", "3", "--d", "6", "verify", "--suite", "reduction"])
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
+
+
 def test_twirl_guard_exit_code():
     # the orbit of 35 280 matchings of V^(6) would scatter 5.8e8 entries
     result = run(["--p", "7", "--d", "2", "spectrum", "--method", "brute"])

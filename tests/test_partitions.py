@@ -1,5 +1,7 @@
 import pytest
+from click.testing import CliRunner
 
+from walledbrauer.cli import main
 from walledbrauer.partitions import (
     Partition,
     add_box,
@@ -15,6 +17,8 @@ from walledbrauer.partitions import (
     schur_weyl_partitions,
     tableau_to_path,
 )
+
+from oracles import multiplicity_by_fractions
 
 
 def brute_count_syt(shape: tuple[int, ...]) -> int:
@@ -77,6 +81,31 @@ def test_multiplicity_matches_semistandard_enumeration():
                 assert multiplicity(mu, d) == count_semistandard_tableaux(mu, d)
 
 
+def test_multiplicity_matches_the_rational_product():
+    for p in range(0, 11):
+        for d in range(1, 9):
+            for mu in enumerate_partitions(p):
+                assert multiplicity(mu, d) == multiplicity_by_fractions(mu, d), (mu, d)
+
+
+def test_hook_defects_raise_arithmetic_errors(monkeypatch):
+    """The divisibility checks of d_mu and m_mu raise, so ``python -O`` keeps them; the CLI prints one line and exits 1."""
+    monkeypatch.setattr(Partition, "hook", lambda self, i, j: 7)
+    with pytest.raises(ArithmeticError, match="hook lengths"):
+        dim_irrep.__wrapped__(partition(2, 1))
+    with pytest.raises(ArithmeticError, match="hook lengths"):
+        multiplicity.__wrapped__(partition(2, 1), 3)
+    dim_irrep.cache_clear()
+    multiplicity.cache_clear()
+    try:
+        result = CliRunner().invoke(main, ["--p", "3", "--d", "3", "dims"])
+    finally:
+        dim_irrep.cache_clear()
+        multiplicity.cache_clear()
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr.startswith("internal check failed: hook lengths") and len(result.stderr.splitlines()) == 1
+
+
 def test_semistandard_single_box():
     for d in (1, 2, 5):
         assert count_semistandard_tableaux(partition(1), d) == d
@@ -87,6 +116,14 @@ def test_schur_weyl_dimension_sum():
         for d in range(1, 5):
             total = sum(dim_irrep(mu) * multiplicity(mu, d) for mu in enumerate_partitions(p))
             assert total == d**p
+
+
+def test_schur_weyl_dimension_sum_at_30_30():
+    """sum_mu d_mu m_mu = d^p holds at every scale; at (30, 30) over 5604 shapes, in exact integers."""
+    p = d = 30
+    shapes = schur_weyl_partitions(p, d)
+    assert len(shapes) == 5604
+    assert sum(dim_irrep(mu) * multiplicity(mu, d) for mu in shapes) == d**p
 
 
 def test_remove_box_examples():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from walledbrauer import symgroup
 from walledbrauer.errors import ResourceLimitError
 from walledbrauer.partitions import dim_irrep, enumerate_partitions, partition, remove_box
 from walledbrauer.symgroup import (
@@ -101,6 +102,13 @@ def test_prir_map_examples():
     assert all(ix.alpha == partition(3) for ix in labels)
     labels = prir_map(partition(2, 2))
     assert [(ix.alpha.parts, ix.i_alpha) for ix in labels] == [((2, 1), 1), ((2, 1), 2)]
+
+
+def test_prir_map_raises_when_its_blocks_miss_d_mu(monkeypatch):
+    """The block count check is an ArithmeticError, which ``python -O`` keeps."""
+    monkeypatch.setattr(symgroup, "dim_irrep", lambda mu: 5)
+    with pytest.raises(ArithmeticError, match="not d_mu = 5"):
+        prir_map.__wrapped__(partition(2, 1))
 
 
 def test_prir_blocks_contiguous():
