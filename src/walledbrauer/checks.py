@@ -61,6 +61,8 @@ from .tensorspace import (
     DenseOperator,
     V_generator,
     _apply_pair,
+    _check_dim,
+    _sandwich_core,
     embed_operator,
     factored_outer_pair,
     factored_V,
@@ -326,14 +328,15 @@ def suite_matrix_units(p: int, d: int) -> list[CheckResult]:
 def suite_coefficients(p: int, d: int) -> list[CheckResult]:
     """The V^(p-1) sandwich identity of every wall product X = A (x) B, on its core.
 
-    One pass over the label pairs forms K = L^T X L without the dense X
+    One pass over the label pairs forms K = L^T X L from A and B alone
+    (``tensorspace._sandwich_core``), without the dense X or X L
     (``tensorspace.sandwich_reduce`` states why the core carries the whole
     identity): tr K and phi^T K phi, with phi = vec(1_d), are the traces of
     X against V^(p-1) and V^(p), and max|K - a phi phi^T - b 1| is the
     max-abs residual of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1).
     """
     tol = 1e-10
-    L = factored_V(p, p - 1, d)
+    _check_dim(d, 2 * p)  # the desk-scale bound: the label pairs grow as (sum of d_mu^2)^2
     phi = np.eye(d).ravel()
     shapes = schur_weyl_partitions(p, d)
     cores = {}  # (rm, cm, rn, cn) -> (K, exact (a, b))
@@ -349,13 +352,11 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
                     ab = ab_general(*args)
                     same = mu == nu and args[2] == args[4] and args[3] == args[5]
                     exact_ok &= ab.identity_value(d) == (Fraction(multiplicity(mu, d), d) if same else 0)
-                    xl = _apply_pair(a_mat, mx.right_side_matrix(nu, k, l, d), p, p - 1, d)
-                    core = L.T @ xl
-                    # tr K summed as sum((X L) * L): the same terms, added pairwise
+                    core = _sandwich_core(a_mat, mx.right_side_matrix(nu, k, l, d), p, d)
                     trace_worst = max(
                         trace_worst,
                         abs(float(phi @ core @ phi) - float(trace_with_V_top(*args))),
-                        abs(float(np.sum(xl * L)) - float(trace_with_V_sub(*args))),
+                        abs(float(np.trace(core)) - float(trace_with_V_sub(*args))),
                     )
                     cores[rm, cm, rn, cn] = core, ab
     rng = random.Random(5)

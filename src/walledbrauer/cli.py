@@ -5,17 +5,21 @@ keys, so a fixed configuration produces identical bytes across runs on one
 platform.  CSV output rounds to 6 decimals.  Exit codes: 0 success, 1
 verification failure or a failed internal check (an ArithmeticError, such
 as a unit factor entry off its weight sector), 2 usage error, 3 resource
-guard.  Every refusal, click's own included, is one line on stderr, printed
-by ``Refusals.main``.
+guard.  Every refusal, the parser's own included, is one line on stderr,
+printed by ``CommandLine.main``.  The parser is the standard library's
+``argparse``, which a fresh process imports faster and in less memory than
+a third-party one.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
-import click
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
@@ -57,14 +61,14 @@ def parse_partition(text: str) -> Partition:
 
 
 def emit_json(doc: dict):
-    click.echo(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True))
 
 
 def emit_csv(header: list[str], rows: list[list]):
-    click.echo(",".join(header))
+    print(",".join(header))
     for row in rows:
         cells = [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
-        click.echo(",".join(cells))
+        print(",".join(cells))
 
 
 def emit_matrix_market(matrix: np.ndarray, comment: str = ""):
@@ -75,53 +79,14 @@ def emit_matrix_market(matrix: np.ndarray, comment: str = ""):
         for j in range(cols)
         if abs(matrix[i, j]) > 1e-14
     ]
-    click.echo("%%MatrixMarket matrix coordinate real general")
+    print("%%MatrixMarket matrix coordinate real general")
     if comment:
-        click.echo(f"% {comment}")
-    click.echo(f"{rows} {cols} {len(entries)}")
+        print(f"% {comment}")
+    print(f"{rows} {cols} {len(entries)}")
     for i, j, v in entries:
-        click.echo(f"{i} {j} {f12(v):.12g}")
+        print(f"{i} {j} {f12(v):.12g}")
 
 
-class Refusals(click.Group):
-    """The command group, whose ``main`` turns every refusal into one stderr line and an exit code."""
-
-    def main(self, *args, **kwargs):
-        try:
-            sys.exit(super().main(*args, standalone_mode=False, **kwargs))
-        except click.UsageError as exc:
-            refusal, code = f"usage error: {exc.format_message()}", 2
-        except ParameterError as exc:
-            refusal, code = f"usage error: {exc}", 2
-        except ResourceLimitError as exc:
-            refusal, code = f"resource guard: {exc}", 3
-        except ArithmeticError as exc:
-            refusal, code = f"internal check failed: {exc}", 1
-        except click.Abort:
-            refusal, code = "Aborted!", 1
-        click.echo(refusal, err=True)
-        sys.exit(code)
-
-
-@click.group(cls=Refusals, no_args_is_help=False)
-@click.option("--p", type=click.IntRange(min=1), default=3, show_default=True, help="number of registers per wall side")
-@click.option("--d", type=click.IntRange(min=1), default=3, show_default=True, help="local dimension")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "mm"]),
-    default="json",
-    show_default=True,
-    help="output format (mm dumps operators in Matrix Market coordinate form)",
-)
-@click.pass_context
-def main(ctx, p, d, fmt):
-    """Matrix units of partially transposed permutation operators and their twirled spectra."""
-    ctx.obj = RunConfig(p, d, fmt)
-
-
-@main.command()
-@click.pass_obj
 def dims(cfg: RunConfig):
     """Irrep dimensions and multiplicities for all shapes, with the dimension sum check."""
     rows = []
@@ -148,11 +113,7 @@ def dims(cfg: RunConfig):
         emit_json(doc)
 
 
-@main.command()
-@click.option("--mu", required=True, help="row shape, e.g. 2,1")
-@click.option("--nu", default=None, help="column shape; defaults to --mu")
-@click.pass_obj
-def bmatrix(cfg: RunConfig, mu, nu):
+def bmatrix(cfg: RunConfig, mu: str, nu: str | None):
     """Coefficient matrix entries, eigenvalues, diagonalizer, and singularity verdict."""
     mu_p = parse_partition(mu)
     nu_p = parse_partition(nu) if nu else mu_p
@@ -202,11 +163,7 @@ def _check_dump(p: int, d: int, ideals: list[int]) -> None:
         )
 
 
-@main.command()
-@click.option("--ideal", type=click.Choice(["top", "sub", "both"]), default="both", show_default=True)
-@click.option("--dump", is_flag=True, help="include dense operator entries (json) or emit mm blocks")
-@click.pass_obj
-def units(cfg: RunConfig, ideal, dump):
+def units(cfg: RunConfig, ideal: str, dump: bool):
     """Structured records for every constructed matrix unit at (p, d)."""
     p, d = cfg.p, cfg.d
     ideals = {"top": [p], "sub": [p - 1], "both": [p, p - 1]}[ideal]
@@ -258,11 +215,11 @@ def _emit_json_dump(p: int, d: int, records: list[dict], ops: list[GUnit]):
     schema_version, units, and each record is printed with sorted keys and
     the default separators, as ``json.dumps(doc, sort_keys=True)`` would.
     """
-    click.echo(f'{{"d": {d}, "p": {p}, "schema_version": {SCHEMA_VERSION}, "units": [', nl=False)
+    print(f'{{"d": {d}, "p": {p}, "schema_version": {SCHEMA_VERSION}, "units": [', end="")
     for k, (rec, u) in enumerate(zip(records, ops)):
         entry = {**rec, "operator": [[f12(v) for v in row] for row in u.to_dense()]}
-        click.echo((", " if k else "") + json.dumps(entry, sort_keys=True), nl=False)
-    click.echo("]}")
+        print((", " if k else "") + json.dumps(entry, sort_keys=True), end="")
+    print("]}")
 
 
 def _fig_layout(p: int, d: int, level: int) -> str:
@@ -286,12 +243,7 @@ def _fig_layout(p: int, d: int, level: int) -> str:
     return "\n".join(lines)
 
 
-@main.command()
-@click.option("--level", type=int, default=None, help="generator level k of V^(k); defaults to p-1")
-@click.option("--method", type=click.Choice(["analytic", "brute"]), default="analytic", show_default=True)
-@click.option("--fig7", is_flag=True, help="print the block-diagonal unit layout as text")
-@click.pass_obj
-def spectrum(cfg: RunConfig, level, method, fig7):
+def spectrum(cfg: RunConfig, level: int | None, method: str, fig7: bool):
     """Nonzero spectrum of the twirled generator rho(level)."""
     p, d = cfg.p, cfg.d
     if level is None:
@@ -300,7 +252,7 @@ def spectrum(cfg: RunConfig, level, method, fig7):
         raise ParameterError(f"level must lie in 0..{p}")
     table = spectrum_table(p, d, level, method)
     if fig7 and level in analytic_levels(p, d):
-        click.echo(_fig_layout(p, d, level))
+        print(_fig_layout(p, d, level))
     rows = [
         {
             "value": f12(r.value),
@@ -332,24 +284,7 @@ def spectrum(cfg: RunConfig, level, method, fig7):
         emit_json(doc)
 
 
-class SuiteOption(click.Option):
-    """``--suite``, whose help lists ``checks.SUITES``.
-
-    The suites are imported only when ``verify`` runs or its help is shown,
-    so the other commands do not load them into every fresh process.
-    """
-
-    def get_help_record(self, ctx):
-        from .checks import SUITES
-
-        self.help = f"one of {', '.join(sorted(SUITES))}, or 'all'"
-        return super().get_help_record(ctx)
-
-
-@main.command()
-@click.option("--suite", cls=SuiteOption, default="all", show_default=True)
-@click.pass_obj
-def verify(cfg: RunConfig, suite):
+def verify(cfg: RunConfig, suite: str) -> int:
     """Run a named invariant suite; exit 0 iff every check passes."""
     from .checks import run_suite
 
@@ -366,8 +301,114 @@ def verify(cfg: RunConfig, suite):
         "passed": all(r.passed for r in results),
     }
     emit_json(doc)
-    if not doc["passed"]:
-        sys.exit(1)
+    return 0 if doc["passed"] else 1
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes ``--help`` but not ``-h`` nor option prefixes, and whose errors are ``ParameterError``s."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message: str) -> NoReturn:
+        raise ParameterError(message)
+
+    def format_help(self) -> str:
+        for action in self._actions:
+            if action.dest == "suite":  # verify's: the suites are imported only when verify runs or this help is shown
+                from .checks import SUITES
+
+                action.help = f"one of {', '.join(sorted(SUITES))}, or 'all' (default: %(default)s)"
+        return super().format_help()
+
+
+def _parser(prog: str) -> _Parser:
+    """The parser of the global options and the five commands; each command's ``run`` is its function."""
+    parser = _Parser(prog=prog, description="Matrix units of partially transposed permutation operators and their twirled spectra.")
+    parser.add_argument("--p", type=_at_least_one, default=3, help="number of registers per wall side (default: %(default)s)")
+    parser.add_argument("--d", type=_at_least_one, default=3, help="local dimension (default: %(default)s)")
+    parser.add_argument(
+        "--format",
+        dest="fmt",
+        choices=["json", "csv", "mm"],
+        default="json",
+        help="output format; mm dumps operators in Matrix Market coordinate form (default: %(default)s)",
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND")
+
+    def command(run) -> _Parser:
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    command(dims)
+    sub = command(bmatrix)
+    sub.add_argument("--mu", required=True, help="row shape, e.g. 2,1")
+    sub.add_argument("--nu", help="column shape; defaults to --mu")
+    sub = command(units)
+    sub.add_argument("--ideal", choices=["top", "sub", "both"], default="both", help="(default: %(default)s)")
+    sub.add_argument("--dump", action="store_true", help="include dense operator entries (json) or emit mm blocks")
+    sub = command(spectrum)
+    sub.add_argument("--level", type=int, help="generator level k of V^(k); defaults to p-1")
+    sub.add_argument("--method", choices=["analytic", "brute"], default="analytic", help="(default: %(default)s)")
+    sub.add_argument("--fig7", action="store_true", help="print the block-diagonal unit layout as text")
+    command(verify).add_argument("--suite", default="all")
+    return parser
+
+
+class CommandLine:
+    """The ``walledbrauer`` entry point: ``main()`` parses ``sys.argv``, ``main(argv)`` a list; either exits.
+
+    An object rather than a function, so that ``main.main(args=..., prog_name=...)``
+    names the same call, the one ``perfbench/tracer.py`` times, and the
+    tracer's wrapping of this module's functions leaves it in place.
+    """
+
+    def main(self, args: list[str] | None = None, prog_name: str = "walledbrauer") -> NoReturn:
+        """Run one command and exit with its code; a refusal prints one line on stderr."""
+        try:
+            opts = vars(_parser(prog_name).parse_args(args))
+            if "run" not in opts:
+                raise ParameterError("Missing command.")
+            run = opts.pop("run")
+            code = run(RunConfig(opts.pop("p"), opts.pop("d"), opts.pop("fmt")), **opts)
+            sys.stdout.flush()  # a reader of stdout that left early shows here, as a BrokenPipeError
+            sys.exit(code)
+        except BrokenPipeError:
+            # as after `| head`: exit 1 with nothing more to print; the flush at exit writes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        except ParameterError as exc:
+            refusal, code = f"usage error: {exc}", 2
+        except ResourceLimitError as exc:
+            refusal, code = f"resource guard: {exc}", 3
+        except ArithmeticError as exc:
+            refusal, code = f"internal check failed: {exc}", 1
+        except KeyboardInterrupt:
+            refusal, code = "Aborted!", 1
+        print(refusal, file=sys.stderr)
+        sys.exit(code)
+
+    __call__ = main
+
+
+main = CommandLine()
 
 
 if __name__ == "__main__":

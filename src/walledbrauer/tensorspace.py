@@ -349,6 +349,23 @@ def _apply_pair(a: np.ndarray, b: np.ndarray | None, p: int, k: int, d: int) -> 
     return out.reshape(dp * dp, dn * dn)
 
 
+def _sandwich_core(a: np.ndarray, b: np.ndarray, p: int, d: int) -> np.ndarray:
+    """The sandwich core K = L^T (a (x) b) L of a wall product, L = factored_V(p, p - 1, d), from a and b alone.
+
+    Column (f, g) of L reads the free registers 1 and 2p, and its rows pair
+    the digits s of registers 2..p with t = rev(s) of p+1..2p-1, so
+
+        K[(f1, g1), (f2, g2)] = sum over s, t in [d]^(p-1) of a[(f1, s), (f2, t)] b[(rev s, g1), (rev t, g2)],
+
+    one contraction of the d^p x d^p matrices over the paired digits; the
+    d^(2p) x d^2 product (a (x) b) L of :func:`_apply_pair` is never formed.
+    """
+    dk = d ** (p - 1)
+    rev = _digit_reversal(d, p - 1)
+    b4 = b.reshape(dk, d, dk, d)[rev][:, :, rev]
+    return np.einsum("asbt,sctd->acbd", a.reshape(d, dk, d, dk), b4).reshape(d * d, d * d)
+
+
 def V_outer_pair(p: int, d: int) -> DenseOperator:
     """The two-register ideal generator placed on the outermost pair (1, 2p), as a dense operator.
 

@@ -8,16 +8,23 @@ one column at a time, straight into its sector blocks; here it is formed
 dense, as its definition reads (``_wall_factor``), and ``_sector_pack``
 gathers the blocks from it.  F and H stay the paper's definitions, as
 factored operators, and the units are compared against them.
+
+``run_cli`` runs the command line in-process for the tests.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import traceback
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
+from walledbrauer.cli import main
 from walledbrauer.ideal_units import GUnit, _indicator, _sector_layout, _top_factor, _wall_diagonal
 from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
@@ -25,6 +32,40 @@ from walledbrauer.partitions import Partition, common_removals, multiplicity
 from walledbrauer.spectra import _orbit_size, _orbit_sum
 from walledbrauer.symgroup import prir_position
 from walledbrauer.tensorspace import _apply_pair, _weight_sectors
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # the SystemExit of a nonzero exit, or what escaped the command line
+
+    @property
+    def output(self) -> str:
+        """What the command printed: stdout, then stderr (a refusal prints nothing on stdout)."""
+        return self.stdout + self.stderr
+
+
+def run_cli(args: list[str]) -> CliResult:
+    """``walledbrauer ARGS`` run in-process, with its exit code and both streams captured.
+
+    An exception that escapes the entry point is kept, with exit code 1,
+    and its traceback goes to the captured stderr, as it would in a process.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if code else None
+        except Exception as exc:
+            traceback.print_exc()
+            code, exception = 1, exc
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)
 
 
 def _wall_factor(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p: int, d: int) -> np.ndarray:

@@ -6,10 +6,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from click.testing import CliRunner
 
 from walledbrauer.checks import suite_coefficients, suite_composition, suite_generators, suite_partitions
-from walledbrauer.cli import main as cli_main
 from walledbrauer.ideal_units import (
     B_matrix,
     G_sub,
@@ -32,7 +30,7 @@ from walledbrauer.symgroup import (
     young_orthogonal_rep,
 )
 
-from oracles import factored_trace, unit_operator
+from oracles import factored_trace, run_cli, unit_operator
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -62,8 +60,7 @@ def test_criterion_1_table_reproduction():
     start = time.time()
     ok = True
     for level, expected in PRINTED_TABLE.items():
-        result = CliRunner().invoke(
-            cli_main,
+        result = run_cli(
             ["--p", "3", "--d", "3", "spectrum", "--level", str(level), "--method", "brute"],
         )
         ok &= result.exit_code == 0
@@ -222,7 +219,7 @@ def test_criterion_8_representation_suite():
 
 
 def test_verify_command_runs_whole_suite():
-    result = CliRunner().invoke(cli_main, ["--p", "2", "--d", "2", "verify", "--suite", "all"])
+    result = run_cli(["--p", "2", "--d", "2", "verify", "--suite", "all"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     report("CLI verify --suite all at (2,2)", doc["passed"])
@@ -284,13 +281,13 @@ CHECK_NAMES_3_3 = [RENAMED_AT_3_3.get(n, n) for n in CHECK_NAMES_2_3] + [
 
 
 def test_verify_check_names_at_2_3():
-    result = CliRunner().invoke(cli_main, ["--p", "2", "--d", "3", "verify", "--suite", "all"])
+    result = run_cli(["--p", "2", "--d", "3", "verify", "--suite", "all"])
     assert result.exit_code == 0
     assert [c["name"] for c in json.loads(result.output)["checks"]] == CHECK_NAMES_2_3
 
 
 def test_verify_all_suites_at_desk_scale():
-    result = CliRunner().invoke(cli_main, ["--p", "3", "--d", "3", "verify", "--suite", "all"])
+    result = run_cli(["--p", "3", "--d", "3", "verify", "--suite", "all"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert [c["name"] for c in doc["checks"]] == CHECK_NAMES_3_3

@@ -4,19 +4,17 @@ import re
 import shlex
 import subprocess
 import sys
+from importlib.metadata import packages_distributions
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from walledbrauer.checks import NEEDS_SECOND_IDEAL, SUITES
-from walledbrauer.cli import MAX_DUMP_ENTRIES, _check_dump, f12, main
+from walledbrauer.cli import MAX_DUMP_ENTRIES, _check_dump, f12
 from walledbrauer.ideal_units import GUnit, unit_system
 
-
-def run(args):
-    return CliRunner().invoke(main, args)
+from oracles import run_cli as run
 
 
 def test_dims_fixture_p3_d3():
@@ -166,7 +164,10 @@ def desk_command(draw):
 
 @st.composite
 def malformed_command(draw):
-    """Malformed tokens: bad values, unknown options or commands, missing ones; each a usage error."""
+    """Malformed tokens: bad values, unknown options or commands, missing ones; each a usage error.
+
+    Option prefixes and ``-h`` are unknown options: only the full names and ``--help`` are accepted.
+    """
     bad = draw(st.sampled_from(["abc", "1.5", "", "0x3", "-1"]))
     return draw(
         st.sampled_from(
@@ -181,6 +182,9 @@ def malformed_command(draw):
                 ["bmatrix"],
                 ["--format", "xml", "dims"],
                 ["spectrum", "--method", "exact"],
+                ["spectrum", "--lev", "2"],
+                ["--form", "csv", "dims"],
+                ["-h"],
                 [],
             ]
         )
@@ -199,7 +203,7 @@ def malformed_command(draw):
 def test_cli_contract_holds_on_drawn_commands(case):
     args, expected = case
     result = run(args)
-    # CliRunner turns an escaping exception into exit code 1 and keeps it here
+    # run_cli turns an escaping exception into exit code 1 and keeps it here
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert result.exit_code in (0, 1, 2, 3), args
     assert "Traceback" not in result.stderr
@@ -213,10 +217,15 @@ def test_cli_contract_holds_on_drawn_commands(case):
 
 
 def test_help_goes_to_stdout_with_exit_0():
-    for args in (["--help"], ["spectrum", "--help"]):
+    for args in (["--help"], *([command, "--help"] for command in ("dims", "bmatrix", "units", "spectrum", "verify"))):
         result = run(args)
         assert result.exit_code == 0 and result.stderr == ""
         assert result.stdout.startswith("Usage: ")
+
+
+def test_bare_call_is_missing_command():
+    result = run([])
+    assert result.exit_code == 2 and result.stdout == "" and result.stderr == "usage error: Missing command.\n"
 
 
 def test_interrupt_keeps_aborted_and_exit_1(monkeypatch):
@@ -334,6 +343,23 @@ def test_json_output_is_deterministic():
     assert a == b
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that leaves early, as ``| head -1`` does, ends the dump with exit 1 and nothing on stderr.
+
+    The JSON dump at (2,3) is 0.74 MB, far above a pipe's buffer, so the
+    command is still writing when the pipe closes.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "walledbrauer.cli", "--p", "2", "--d", "3", "units", "--dump"]
+    with subprocess.Popen(args, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(16) == b'{"d": 3, "p": 2,'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 def _imported_after(commands: list[list[str]], modules: list[str]) -> list[bool]:
     """Run the commands at (2,2) in one fresh process; whether each module was imported then."""
     code = (
@@ -367,3 +393,17 @@ def test_only_verify_imports_the_suites():
     assert _imported_after(commands, ["walledbrauer.checks"]) == [False]
     result = run(["verify", "--help"])
     assert result.exit_code == 0 and all(name in result.stdout for name in SUITES)
+
+
+def test_commands_import_no_installed_package_but_numpy():
+    """The parser is the standard library's: no command loads a third-party package into a fresh process.
+
+    Every installed top-level module outside the standard library is checked,
+    except numpy, the package itself, and what a bare interpreter loads at start.
+    """
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], capture_output=True, text=True, timeout=60)
+    skip = {"numpy", "walledbrauer", *sys.stdlib_module_names, *bare.stdout.split()}
+    third_party = sorted(set(packages_distributions()) - skip)
+    commands = [["dims"], ["units"], ["spectrum", "--method", "brute"], ["verify", "--suite", "all"]]
+    imported = _imported_after(commands, third_party)
+    assert [m for m, hit in zip(third_party, imported) if hit] == []

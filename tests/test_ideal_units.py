@@ -6,11 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from walledbrauer import checks, ideal_units
 from walledbrauer.checks import run_suite
-from walledbrauer.cli import main
 from walledbrauer.errors import ZeroMultiplicityError
 from walledbrauer.ideal_units import (
     B_matrix,
@@ -48,9 +46,9 @@ from walledbrauer.symgroup import (
     transposition,
     young_orthogonal_rep,
 )
-from walledbrauer.tensorspace import V_generator, _apply_pair, _weight_sectors, factored_outer_pair, factored_V
+from walledbrauer.tensorspace import V_generator, _apply_pair, _sandwich_core, _weight_sectors, factored_outer_pair, factored_V
 
-from oracles import F_sub, F_top, H_operator, _sector_pack, _wall_factor, composition_worst_by_pairs, factored_trace, unit_operator
+from oracles import F_sub, F_top, H_operator, _sector_pack, _wall_factor, composition_worst_by_pairs, factored_trace, run_cli, unit_operator
 
 rng = np.random.default_rng(99)
 
@@ -236,14 +234,18 @@ def test_trace_rules_exhaustive(p, d):
 
 @pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
 def test_sandwich_core_reassembles_the_dense_sandwich(p, d):
-    """L K L^T, with the core K = L^T (A (x) B) L that suite_coefficients reads, is V^(p-1) (A (x) B) V^(p-1)."""
+    """L K L^T, with the core K = L^T (A (x) B) L that suite_coefficients reads, is V^(p-1) (A (x) B) V^(p-1).
+
+    The core is contracted from A and B alone; it is L^T times the wall product (A (x) B) L.
+    """
     L = factored_V(p, p - 1, d)
     vpm1 = V_generator(p, p - 1, d).matrix
     for mu, nu in itertools.product(schur_weyl_partitions(p, d), repeat=2):
         for rm, cm, rn, cn in itertools.product(range(1, dim_irrep(mu) + 1), range(1, dim_irrep(mu) + 1),
                                                 range(1, dim_irrep(nu) + 1), range(1, dim_irrep(nu) + 1)):
             a_mat, b_mat = left_side_matrix(mu, rm, cm, d), right_side_matrix(nu, rn, cn, d)
-            core = L.T @ _apply_pair(a_mat, b_mat, p, p - 1, d)
+            core = _sandwich_core(a_mat, b_mat, p, d)
+            assert np.max(np.abs(core - L.T @ _apply_pair(a_mat, b_mat, p, p - 1, d))) <= 1e-14
             dense = vpm1 @ np.kron(a_mat, b_mat) @ vpm1
             assert np.max(np.abs(L @ core @ L.T - dense)) <= 1e-12
 
@@ -591,7 +593,7 @@ def test_unit_system_reports_an_off_sector_factor_entry(monkeypatch, p, d, size)
     with pytest.raises(ArithmeticError, match="off its columns' weight sectors"):
         unit_system.__wrapped__(p, d, p - 1)
     monkeypatch.setattr(checks, "unit_system", unit_system.__wrapped__)
-    result = CliRunner().invoke(main, ["--p", str(p), "--d", str(d), "verify", "--suite", "composition"])
+    result = run_cli(["--p", str(p), "--d", str(d), "verify", "--suite", "composition"])
     assert result.exit_code == 1 and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("internal check failed: ")
     assert "Traceback" not in result.stderr
@@ -790,7 +792,7 @@ def test_reduction_fails_when_a_zero_mode_does_not_vanish(monkeypatch):
     keeps_rank, composition = run_suite("reduction", 3, 3)
     assert keeps_rank.name == "reduction_keeps_rank" and not keeps_rank.passed
     assert composition.passed
-    result = CliRunner().invoke(main, ["--p", "3", "--d", "3", "verify", "--suite", "reduction"])
+    result = run_cli(["--p", "3", "--d", "3", "verify", "--suite", "reduction"])
     assert result.exit_code == 1 and "Traceback" not in result.stderr
     doc = json.loads(result.stdout)
     assert doc["passed"] is False and not doc["checks"][0]["passed"]
@@ -850,6 +852,26 @@ def test_reduction_stays_below_four_wall_factors():
             tracemalloc.stop()
         assert all(r.passed for r in results)
         assert peak <= factors * d ** (2 * p) * (d * d + 1) * 8, (suite.__name__, peak)
+
+
+def test_coefficients_stay_below_half_a_wall_factor():
+    """Each core K = L^T (A (x) B) L is contracted from the d^p x d^p matrices: no d^(2p)-row array is formed.
+
+    A dense (d^(2p), d^2 + 1) wall factor takes 3.25 MB at (3,5); forming
+    the wall product (A (x) B) L, its permuted copy and (X L) * L took 3.02
+    such factors.  The contraction's gathered copy of B and the cores of
+    every label pair stay below half of one.
+    """
+    p, d = 3, 5
+    checks.suite_coefficients(p, d)  # warms the caches the suite reads
+    tracemalloc.start()
+    try:
+        results = checks.suite_coefficients(p, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak <= 0.5 * d ** (2 * p) * (d * d + 1) * 8, peak
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 4), (12, 12)])

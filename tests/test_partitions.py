@@ -1,7 +1,5 @@
 import pytest
-from click.testing import CliRunner
 
-from walledbrauer.cli import main
 from walledbrauer.partitions import (
     Partition,
     add_box,
@@ -18,7 +16,7 @@ from walledbrauer.partitions import (
     tableau_to_path,
 )
 
-from oracles import multiplicity_by_fractions
+from oracles import multiplicity_by_fractions, run_cli
 
 
 def brute_count_syt(shape: tuple[int, ...]) -> int:
@@ -98,7 +96,7 @@ def test_hook_defects_raise_arithmetic_errors(monkeypatch):
     dim_irrep.cache_clear()
     multiplicity.cache_clear()
     try:
-        result = CliRunner().invoke(main, ["--p", "3", "--d", "3", "dims"])
+        result = run_cli(["--p", "3", "--d", "3", "dims"])
     finally:
         dim_irrep.cache_clear()
         multiplicity.cache_clear()
