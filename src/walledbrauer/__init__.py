@@ -1,56 +1,99 @@
 """Irreducible matrix units for the algebra of partially transposed permutation
-operators, and spectra of the twirled ideal generators."""
+operators, and spectra of the twirled ideal generators.
 
-from .partitions import (
-    Partition,
-    StandardTableau,
-    BratteliPath,
-    add_box,
-    common_removals,
-    count_semistandard_tableaux,
-    dim_irrep,
-    enumerate_partitions,
-    enumerate_standard_tableaux,
-    multiplicity,
-    partition,
-    remove_box,
-    schur_weyl_partitions,
-)
-from .symgroup import (
-    IrrepMatrix,
-    Permutation,
-    PrirIndex,
-    enumerate_group,
-    prir_map,
-    restriction_block_check,
-    young_orthogonal_rep,
-)
-from .tensorspace import (
-    DenseOperator,
-    V_generator,
-    V_outer_pair,
-    bell_projector,
-    embed_operator,
-    partial_trace,
-    partial_transpose,
-    permutation_operator,
-    sandwich_reduce,
-)
-from .matrix_units import E_unit, MatrixUnitE, branching_expand, embed_left, embed_right, partial_trace_E, young_projector
-from .ideal_units import (
-    ABCoefficients,
-    BMatrix,
-    B_matrix,
-    GUnit,
-    G_sub,
-    G_top,
-    ab_general,
-    has_second_ideal,
-    second_ideal_blocks,
-    UnitSystem,
-    singularity_condition,
-    unit_system,
-)
-from .spectra import SpectrumTable, analytic_levels, analytic_overlaps, rho, rho_apply, rho_eigenvalues, spectrum_table
+The public names are resolved on first use (PEP 562), so importing the
+package, or one layer of it, loads only that layer and what it imports:
+``import walledbrauer.cli`` loads no numpy, and the brute spectra load no
+unit construction.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "partitions",
+            (
+                "Partition",
+                "StandardTableau",
+                "BratteliPath",
+                "add_box",
+                "common_removals",
+                "count_semistandard_tableaux",
+                "dim_irrep",
+                "enumerate_partitions",
+                "enumerate_standard_tableaux",
+                "multiplicity",
+                "partition",
+                "remove_box",
+                "schur_weyl_partitions",
+            ),
+        ),
+        (
+            "symgroup",
+            (
+                "IrrepMatrix",
+                "Permutation",
+                "PrirIndex",
+                "enumerate_group",
+                "prir_map",
+                "restriction_block_check",
+                "young_orthogonal_rep",
+            ),
+        ),
+        (
+            "tensorspace",
+            (
+                "DenseOperator",
+                "V_generator",
+                "V_outer_pair",
+                "bell_projector",
+                "embed_operator",
+                "partial_trace",
+                "partial_transpose",
+                "permutation_operator",
+                "sandwich_reduce",
+            ),
+        ),
+        (
+            "matrix_units",
+            ("E_unit", "MatrixUnitE", "branching_expand", "embed_left", "embed_right", "partial_trace_E", "young_projector"),
+        ),
+        (
+            "ideal_units",
+            (
+                "ABCoefficients",
+                "BMatrix",
+                "B_matrix",
+                "GUnit",
+                "G_sub",
+                "G_top",
+                "ab_general",
+                "has_second_ideal",
+                "second_ideal_blocks",
+                "UnitSystem",
+                "singularity_condition",
+                "unit_system",
+            ),
+        ),
+        ("spectra", ("SpectrumTable", "analytic_levels", "analytic_overlaps", "rho_apply", "rho_eigenvalues", "spectrum_table")),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -60,7 +60,7 @@ from .symgroup import (
 from .tensorspace import (
     DenseOperator,
     V_generator,
-    _apply_pair,
+    _apply_top,
     _check_dim,
     _sandwich_core,
     embed_operator,
@@ -202,7 +202,7 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
     registers:
 
     * max|V^(p) X_e V^(p) - tr X V^(p)| = |l^T (X (x) 1) l - tr X|, the
-      column (X (x) 1) l formed by the gather ``_apply_pair(x, None, ...)``;
+      column (X (x) 1) l formed by the gather ``_apply_top(x, ...)``;
     * max|V^(p-1) V - V^(p)| = max|L^T V - phi l^T| and
       max|V^(p) V - d V^(p)| = max|l^T V - d l^T|, V on the outer pair,
       read as M M^T from its 0/1 factor (``factored_outer_pair``), so that
@@ -238,7 +238,7 @@ def suite_tensorspace(p: int, d: int) -> list[CheckResult]:
     for pq, dq in ((2, 2), (2, 3), (3, 2), (3, 3)):
         x = _uniform(rng, dq**pq, dq**pq)
         top = factored_V(pq, pq, dq)[:, 0]
-        worst = max(worst, abs(float(top @ _apply_pair(x, None, pq, pq, dq)[:, 0]) - float(np.trace(x))))
+        worst = max(worst, abs(float(top @ _apply_top(x, pq, dq)[:, 0]) - float(np.trace(x))))
     out.append(_result("sandwich_fact_p<=3", worst, tol))
     worst = 0.0
     for pq, dq in ((2, 2), (3, 2), (min(p, 3), min(d, 3))):

@@ -9,6 +9,16 @@ guard.  Every refusal, the parser's own included, is one line on stderr,
 printed by ``CommandLine.main``.  The parser is the standard library's
 ``argparse``, which a fresh process imports faster and in less memory than
 a third-party one.
+
+This module imports only the parser, ``errors`` and ``partitions``; each
+command imports the layer it runs when it runs, so a cold call loads no
+more than that command needs.  ``dims``, ``--help`` and a refusal of the
+parser load no numpy; ``bmatrix`` and ``units`` load ``ideal_units``;
+``spectrum`` loads ``spectra``, and with ``--method brute`` (no ``--fig7``)
+none of the unit construction; ``verify`` loads ``checks``, hence all.
+A function-local import reads each name from its defining module at the
+call, so a wrapper installed there, as ``perfbench/tracer.py`` installs
+them, is the function called.
 """
 
 from __future__ import annotations
@@ -16,16 +26,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
-from typing import NoReturn
-
-import numpy as np
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import ParameterError, ResourceLimitError
-from .ideal_units import B_matrix, GUnit, singularity_condition, sub_row_labels, top_row_labels, unit_system
 from .partitions import Partition, dim_irrep, enumerate_partitions, multiplicity
-from .spectra import analytic_levels, analytic_overlaps, spectrum_table
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .ideal_units import GUnit
 
 SCHEMA_VERSION = 1
 
@@ -115,6 +127,8 @@ def dims(cfg: RunConfig):
 
 def bmatrix(cfg: RunConfig, mu: str, nu: str | None):
     """Coefficient matrix entries, eigenvalues, diagonalizer, and singularity verdict."""
+    from .ideal_units import B_matrix, singularity_condition
+
     mu_p = parse_partition(mu)
     nu_p = parse_partition(nu) if nu else mu_p
     if mu_p.total != cfg.p or nu_p.total != cfg.p:
@@ -155,6 +169,8 @@ def bmatrix(cfg: RunConfig, mu: str, nu: str | None):
 
 def _check_dump(p: int, d: int, ideals: list[int]) -> None:
     """Refuse a dump of more than MAX_DUMP_ENTRIES entries, counted from the labels alone."""
+    from .ideal_units import sub_row_labels, top_row_labels
+
     labels = {p: top_row_labels, p - 1: sub_row_labels}
     entries = sum(len(labels[k](p, d)) ** 2 for k in ideals) * d ** (4 * p)
     if entries > MAX_DUMP_ENTRIES:
@@ -165,6 +181,8 @@ def _check_dump(p: int, d: int, ideals: list[int]) -> None:
 
 def units(cfg: RunConfig, ideal: str, dump: bool):
     """Structured records for every constructed matrix unit at (p, d)."""
+    from .ideal_units import GUnit, unit_system
+
     p, d = cfg.p, cfg.d
     ideals = {"top": [p], "sub": [p - 1], "both": [p, p - 1]}[ideal]
     if dump:
@@ -224,6 +242,8 @@ def _emit_json_dump(p: int, d: int, records: list[dict], ops: list[GUnit]):
 
 def _fig_layout(p: int, d: int, level: int) -> str:
     """Text rendering of the block-diagonal layout of the twirled generator."""
+    from .spectra import analytic_overlaps
+
     lines = [f"block layout of the twirled generator, level {level}, p={p}, d={d}"]
     recs = [r for r in analytic_overlaps(p, d) if r.rho_level == level]
     top = [r for r in recs if r.ideal == p]
@@ -245,6 +265,8 @@ def _fig_layout(p: int, d: int, level: int) -> str:
 
 def spectrum(cfg: RunConfig, level: int | None, method: str, fig7: bool):
     """Nonzero spectrum of the twirled generator rho(level)."""
+    from .spectra import analytic_levels, spectrum_table
+
     p, d = cfg.p, cfg.d
     if level is None:
         level = p - 1
@@ -324,6 +346,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(formatter_class=_Formatter, add_help=False, allow_abbrev=False, **kwargs)
+        self.commands = {}  # name -> subparser, filled in by ``_parser``
         self.add_argument("--help", action="help", help="show this message and exit")
 
     def error(self, message: str) -> NoReturn:
@@ -336,6 +359,35 @@ class _Parser(argparse.ArgumentParser):
 
                 action.help = f"one of {', '.join(sorted(SUITES))}, or 'all' (default: %(default)s)"
         return super().format_help()
+
+
+GLOBAL_OPTIONS = ("--p", "--d", "--format")  # the options before the command; each takes a value
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # a value to argparse, not an option
+
+
+def _refuse_unknown_global(args: list[str], commands) -> None:
+    """Name the unknown options before the command when argparse would name the wrong token.
+
+    argparse sets an unknown option aside and reads the next token that is
+    not an option as the command, so ``--tol 1e-3 verify`` would be refused
+    as the invalid command ``'1e-3'``.  When that token is not a command,
+    the unknown options are refused instead; every other case is left to
+    argparse, whose refusal then names the right token.
+    """
+    unknown = []
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--help":
+            return
+        if token in ("-", "--") or not token.startswith("-") or _NEGATIVE_NUMBER.fullmatch(token):
+            if unknown and token not in commands:
+                raise ParameterError(f"unrecognized arguments: {' '.join(unknown)}")
+            return
+        name, eq, _ = token.partition("=")
+        if name not in GLOBAL_OPTIONS:
+            unknown.append(token)
+        elif not eq:
+            next(tokens, None)  # its value
 
 
 def _parser(prog: str) -> _Parser:
@@ -351,6 +403,7 @@ def _parser(prog: str) -> _Parser:
         help="output format; mm dumps operators in Matrix Market coordinate form (default: %(default)s)",
     )
     commands = parser.add_subparsers(title="commands", metavar="COMMAND")
+    parser.commands = commands.choices
 
     def command(run) -> _Parser:
         sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
@@ -383,7 +436,10 @@ class CommandLine:
     def main(self, args: list[str] | None = None, prog_name: str = "walledbrauer") -> NoReturn:
         """Run one command and exit with its code; a refusal prints one line on stderr."""
         try:
-            opts = vars(_parser(prog_name).parse_args(args))
+            args = sys.argv[1:] if args is None else list(args)
+            parser = _parser(prog_name)
+            _refuse_unknown_global(args, parser.commands)
+            opts = vars(parser.parse_args(args))
             if "run" not in opts:
                 raise ParameterError("Missing command.")
             run = opts.pop("run")

@@ -63,7 +63,7 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .symgroup import prir_position
-from .tensorspace import _apply_pair, _check_dim, _digit_reversal, _frozen, _weight_sectors
+from .tensorspace import _apply_top, _check_dim, _digit_reversal, _frozen, _weight_sectors
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -84,7 +84,7 @@ def has_second_ideal(p: int, d: int) -> bool:
 
 def _top_factor(mu: Partition, i: int, j: int, p: int, d: int) -> np.ndarray:
     """(E^mu_ij (x) 1) V^(p).L, a single column t; F^(p) = t t'^T."""
-    return _apply_pair(left_side_matrix(mu, i, j, d), None, p, p, d)
+    return _apply_top(left_side_matrix(mu, i, j, d), p, d)
 
 
 def _wall_diagonal(d: int) -> np.ndarray:
@@ -104,7 +104,7 @@ def _wall_columns(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p
     Column (f, g) of the wall part is sum_a w_a A^a_f B^a_g, one d^p x d^p
     GEMM per term over the p - 1 paired digits, with A^a_f the left matrix's
     columns (f, rev u) and B^a_g the right matrix's columns (u, g),
-    transposed: the dot products of ``tensorspace._apply_pair``.
+    transposed: the dot products of the wall product (A (x) B) L.
     """
     _check_dim(d, 2 * p)
     dp, dk = d**p, d ** (p - 1)

@@ -4,9 +4,10 @@ The twirl over S_p x S_p of the ideal generator V^(k) is the uniform average
 of V_pi over the C(p,k)^2 k! partial matchings pi in its orbit, and it
 conserves the U (x) conj(U) weight, so rho(k) is block diagonal over weight
 sectors.  ``_matching_groups`` enumerates the orbit once for every use of it:
-the dense oracle :func:`rho`, the brute spectra of :func:`rho_eigenvalues`
-and :func:`rho_apply`, which forms rho(k) Q for thin weight-sector blocks Q
-with no array of d^(2p) rows and is what the verification suites use.
+the brute spectra of :func:`rho_eigenvalues` and :func:`rho_apply`, which
+forms rho(k) Q for thin weight-sector blocks Q with no array of d^(2p) rows
+and is what the verification suites use.  No d^(2p) x d^(2p) rho is formed
+here; the dense rho is a test oracle.
 
 A relabelling sigma in S_d of the letters is a permutation matrix in U(d).
 It commutes with rho(k) and maps the sector of weight w onto that of
@@ -20,21 +21,22 @@ The twirled operators are diagonal in the unit bases of the two highest
 ideals.  Their nonzero eigenvalues come out analytically from multiplicities
 and dimensions alone (plus the small diagonalizer of the B matrix), and can
 be cross-checked against the brute spectra; both paths are exposed through
-:func:`spectrum_table`.
+:func:`spectrum_table`.  Only the analytic half reads the second ideal, so
+it imports ``ideal_units`` where it runs, and the brute half loads none of
+the unit construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .ideal_units import has_second_ideal, second_ideal_blocks
 from .partitions import (
     Partition,
     dim_irrep,
@@ -42,7 +44,10 @@ from .partitions import (
     multiplicity,
     schur_weyl_partitions,
 )
-from .tensorspace import DenseOperator, _digit_table, _frozen, _weight_sectors
+from .tensorspace import _digit_table, _frozen, _weight_sectors
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BIN_TOL = 1e-6
 
@@ -224,26 +229,6 @@ def rho_apply(level: int, p: int, d: int, blocks: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def rho(level: int, p: int, d: int) -> DenseOperator:
-    """The twirled ideal generator twirl(V^(level)) on 2p registers, as a dense operator.
-
-    The twirl over S_p x S_p of V^(k) is the uniform average of V_pi over the
-    partial matchings pi in its orbit, so every entry is an integer count over
-    the orbit size.
-    """
-    if not 0 <= level <= p:
-        raise ValueError(f"need 0 <= level <= p, got {level}")
-    _check_twirl_work(p, d, level)
-    out = DenseOperator.zeros(d, 2 * p)  # refuses d^(2p) above MAX_HILBERT_DIM before allocating
-    dim = out.dim
-    flat = out.matrix.reshape(-1)
-    _orbit_sum(flat, p, d, level, np.arange(dim) * dim, np.arange(dim))
-    flat /= _orbit_size(p, level)
-    _frozen(out.matrix)
-    return out
-
-
 def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:
     """The eigenvalues of rho(level), ascending, from one dense block per dominant weight sector.
 
@@ -281,6 +266,8 @@ def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:
 
 def _trace_rho_sub_with_H(mu: Partition, nu: Partition, alpha: Partition, alphap: Partition, d: int) -> Fraction:
     """tr(rho(p-1) H) for an H with diagonal outer indices and interiors (alpha, alphap)."""
+    from fractions import Fraction
+
     m_mu, m_nu = multiplicity(mu, d), multiplicity(nu, d)
     dm, dn = dim_irrep(mu), dim_irrep(nu)
     m_a, m_ap = multiplicity(alpha, d), multiplicity(alphap, d)
@@ -319,6 +306,8 @@ class OverlapRecord:
 
 def analytic_levels(p: int, d: int) -> tuple[int, ...]:
     """The levels whose rho the analytic path covers: p, and p - 1 where the second ideal exists."""
+    from .ideal_units import has_second_ideal
+
     return (p, p - 1) if has_second_ideal(p, d) else (p,)
 
 
@@ -330,6 +319,8 @@ def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
     Units of the second ideal do not appear for rho(p): that overlap is zero.
     Without a second ideal only the rho(p) records are returned.
     """
+    from .ideal_units import has_second_ideal, second_ideal_blocks
+
     if p < 1:
         raise ValueError("p must be >= 1")
     second = has_second_ideal(p, d)

@@ -10,9 +10,10 @@ The generators V^(k) also come factored: :func:`factored_V` returns the
 of the generator on the outermost pair, V = M M^T.  Each is a cached,
 read-only array, formed by ``_pair_factor`` from its register pairs.  A
 wall product (A (x) B) L reaches L only through the k paired registers
-(the generalized ping-pong identity), so :func:`_apply_pair` forms it as
-one GEMM over those registers and never multiplies a d^p x d^p matrix into
-the whole of L.
+(the generalized ping-pong identity), so no d^p x d^p matrix is multiplied
+into the whole of L: ``_sandwich_core`` contracts L^T (A (x) B) L from A and
+B over the paired digits, and ``_apply_top`` forms (A (x) 1) l, with
+V^(p) = l l^T, as a gather of A's columns.
 
 Every partially transposed permutation conserves the U (x) conj(U) weight
 of a basis index (its letter counts left of the wall minus those right of
@@ -324,29 +325,13 @@ def _digit_reversal(d: int, k: int) -> np.ndarray:
     return _frozen(np.arange(d**k).reshape((d,) * k).transpose().ravel())
 
 
-def _apply_pair(a: np.ndarray, b: np.ndarray | None, p: int, k: int, d: int) -> np.ndarray:
-    """The wall product (a (x) b) L with L = factored_V(p, k, d), a on registers 1..p, b on p+1..2p.
+def _apply_top(a: np.ndarray, p: int, d: int) -> np.ndarray:
+    """The top wall product (a (x) 1) l as one (d^(2p), 1) column, l = factored_V(p, p, d), a on registers 1..p.
 
-    Row (y, w) of L, with y = (f, s) and w = (t, g) split into nf = p - k
-    free and k paired digits, is the indicator of s = rev(t) at column
-    (f, g).  So the product reaches L only through the paired registers:
-
-        out[(x, z), (f, g)] = sum over u in [d]^k of a[x, (f, rev u)] b[z, (u, g)],
-
-    one GEMM of shape (d^p d^nf) x d^k x (d^p d^nf) and one axis
-    permutation.  ``b = None`` stands for the identity and needs k = p,
-    where the product is the gather a[:, rev] and does no arithmetic.
+    Row (x, z) of l is 1 where z = rev(x), so the product reads a at the
+    columns rev(z): the gather a[:, rev], which does no arithmetic.
     """
-    dp, dk, dn = d**p, d**k, d ** (p - k)
-    rev = _digit_reversal(d, k)
-    if b is None:
-        if k != p:
-            raise ValueError(f"b = None needs k = p, got k={k}, p={p}")
-        return a[:, rev].reshape(dp * dp, 1)
-    left = a.reshape(dp, dn, dk)[:, :, rev].reshape(dp * dn, dk)
-    right = b.reshape(dp, dk, dn).transpose(1, 0, 2).reshape(dk, dp * dn)
-    out = (left @ right).reshape(dp, dn, dp, dn).transpose(0, 2, 1, 3)
-    return out.reshape(dp * dp, dn * dn)
+    return a[:, _digit_reversal(d, p)].reshape(d ** (2 * p), 1)
 
 
 def _sandwich_core(a: np.ndarray, b: np.ndarray, p: int, d: int) -> np.ndarray:
@@ -358,7 +343,7 @@ def _sandwich_core(a: np.ndarray, b: np.ndarray, p: int, d: int) -> np.ndarray:
         K[(f1, g1), (f2, g2)] = sum over s, t in [d]^(p-1) of a[(f1, s), (f2, t)] b[(rev s, g1), (rev t, g2)],
 
     one contraction of the d^p x d^p matrices over the paired digits; the
-    d^(2p) x d^2 product (a (x) b) L of :func:`_apply_pair` is never formed.
+    d^(2p) x d^2 wall product (a (x) b) L is never formed.
     """
     dk = d ** (p - 1)
     rev = _digit_reversal(d, p - 1)

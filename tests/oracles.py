@@ -1,4 +1,4 @@
-"""The paper's spanning families F and H, the dense wall factor, the units as factored operators, the per-pair composition residual, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
+"""The paper's spanning families F and H, the dense wall product and wall factor, the units as factored operators, the per-pair composition residual, the dense twirled generator, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, the wall factor and
@@ -29,9 +29,9 @@ from walledbrauer.ideal_units import GUnit, _indicator, _sector_layout, _top_fac
 from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
 from walledbrauer.partitions import Partition, common_removals, multiplicity
-from walledbrauer.spectra import _orbit_size, _orbit_sum
+from walledbrauer.spectra import _check_twirl_work, _orbit_size, _orbit_sum
 from walledbrauer.symgroup import prir_position
-from walledbrauer.tensorspace import _apply_pair, _weight_sectors
+from walledbrauer.tensorspace import DenseOperator, _digit_reversal, _frozen, _weight_sectors
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,40 @@ def run_cli(args: list[str]) -> CliResult:
     return CliResult(code, out.getvalue(), err.getvalue(), exception)
 
 
+def apply_pair(a: np.ndarray, b: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
+    """The wall product (a (x) b) L with L = factored_V(p, k, d), a on registers 1..p, b on p+1..2p.
+
+    Row (y, w) of L, with y = (f, s) and w = (t, g) split into nf = p - k
+    free and k paired digits, is the indicator of s = rev(t) at column
+    (f, g).  So the product reaches L only through the paired registers:
+
+        out[(x, z), (f, g)] = sum over u in [d]^k of a[x, (f, rev u)] b[z, (u, g)],
+
+    one GEMM of shape (d^p d^nf) x d^k x (d^p d^nf) and one axis
+    permutation.  The library contracts L^T (a (x) b) L without it
+    (``tensorspace._sandwich_core``) and forms the wall factor one column at
+    a time (``ideal_units._wall_columns``).
+    """
+    dp, dk, dn = d**p, d**k, d ** (p - k)
+    rev = _digit_reversal(d, k)
+    left = a.reshape(dp, dn, dk)[:, :, rev].reshape(dp * dn, dk)
+    right = b.reshape(dp, dk, dn).transpose(1, 0, 2).reshape(dk, dp * dn)
+    out = (left @ right).reshape(dp, dn, dp, dn).transpose(0, 2, 1, 3)
+    return out.reshape(dp * dp, dn * dn)
+
+
 def _wall_factor(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p: int, d: int) -> np.ndarray:
     """W(w) as one dense (d^(2p), d^2 + 1) array: the definition ``ideal_units._wall_columns`` forms column by column.
 
     W(w) = [sum_a w_a (E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1).L | (sum_a w_a) (E^mu_ij (x) 1) V^(p).L delta_{mu nu}],
     with r_a the first index of block alpha, and each wall product one
-    ``_apply_pair`` GEMM.
+    ``apply_pair`` GEMM.
     """
     out = np.zeros((d ** (2 * p), d * d + 1))
     for w_a, alpha in zip(w, common_removals(mu, nu)):
         if w_a:
             r, r2 = prir_position(mu, alpha, 1), prir_position(nu, alpha, 1)
-            out[:, :-1] += w_a * _apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
+            out[:, :-1] += w_a * apply_pair(left_side_matrix(mu, i, r, d), right_side_matrix(nu, j, r2, d), p, p - 1, d)
     if mu == nu:
         out[:, -1:] = w.sum() * _top_factor(mu, i, j, p, d)
     return out
@@ -183,6 +205,28 @@ def composition_worst_by_pairs(system) -> float:
                 squares += np.sum(res**2, axis=(2, 3))
             worst = max(worst, float(np.sqrt(squares).max()))
     return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
+
+
+@lru_cache(maxsize=None)
+def rho(level: int, p: int, d: int) -> DenseOperator:
+    """The twirled ideal generator twirl(V^(level)) on 2p registers, as a dense operator.
+
+    The twirl over S_p x S_p of V^(k) is the uniform average of V_pi over the
+    partial matchings pi in its orbit, so every entry is an integer count over
+    the orbit size.  The library applies rho(k) to sector blocks
+    (``spectra.rho_apply``) and diagonalizes it per dominant weight sector
+    (``spectra.rho_eigenvalues``), and never forms it whole.
+    """
+    if not 0 <= level <= p:
+        raise ValueError(f"need 0 <= level <= p, got {level}")
+    _check_twirl_work(p, d, level)
+    out = DenseOperator.zeros(d, 2 * p)  # refuses d^(2p) above MAX_HILBERT_DIM before allocating
+    dim = out.dim
+    flat = out.matrix.reshape(-1)
+    _orbit_sum(flat, p, d, level, np.arange(dim) * dim, np.arange(dim))
+    flat /= _orbit_size(p, level)
+    _frozen(out.matrix)
+    return out
 
 
 def rho_eigenvalues_all_sectors(level: int, p: int, d: int) -> np.ndarray:

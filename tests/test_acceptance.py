@@ -22,7 +22,7 @@ from walledbrauer.partitions import (
     multiplicity,
     partition,
 )
-from walledbrauer.spectra import analytic_overlaps, rho, spectrum_table
+from walledbrauer.spectra import analytic_overlaps, spectrum_table
 from walledbrauer.symgroup import (
     enumerate_group,
     restriction_block_check,
@@ -30,7 +30,7 @@ from walledbrauer.symgroup import (
     young_orthogonal_rep,
 )
 
-from oracles import factored_trace, run_cli, unit_operator
+from oracles import factored_trace, rho, run_cli, unit_operator
 
 
 def report(criterion: str, passed: bool, detail: str = ""):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -216,6 +217,28 @@ def test_cli_contract_holds_on_drawn_commands(case):
         assert result.stderr.startswith("usage error: "), args
 
 
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["--tol", "1e-3", "verify"], "--tol"),
+        (["--form", "csv", "dims"], "--form"),
+        (["--p", "2", "--d", "2", "--tol", "verify"], "--tol"),
+        (["--p", "2", "-x", "1", "dims"], "-x"),
+        (["--a", "--b", "x", "dims"], "--a --b"),
+    ],
+)
+def test_unknown_option_before_the_command_is_named(args, named):
+    """The refusal names the unknown option, not the token after it that argparse would read as the command."""
+    result = run(args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == f"usage error: unrecognized arguments: {named}\n"
+
+
+def test_global_options_take_attached_values():
+    result = run(["--p=2", "--d=2", "--format=csv", "dims"])
+    assert result.exit_code == 0 and result.output == run(["--p", "2", "--d", "2", "--format", "csv", "dims"]).output
+
+
 def test_help_goes_to_stdout_with_exit_0():
     for args in (["--help"], *([command, "--help"] for command in ("dims", "bmatrix", "units", "spectrum", "verify"))):
         result = run(args)
@@ -300,7 +323,7 @@ def test_units_dump_guard(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("a unit system was built before the dump was refused")
 
-    monkeypatch.setattr("walledbrauer.cli.unit_system", unbuilt)
+    monkeypatch.setattr("walledbrauer.ideal_units.unit_system", unbuilt)
     for args in (["--p", "3", "--d", "3", "units", "--dump"], ["--p", "2", "--d", "5", "--format", "mm", "units", "--dump"]):
         result = run(args)
         assert result.exit_code == 3 and result.stdout == "", args
@@ -360,8 +383,11 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert stderr == b""
 
 
-def _imported_after(commands: list[list[str]], modules: list[str]) -> list[bool]:
-    """Run the commands at (2,2) in one fresh process; whether each module was imported then."""
+def _imported_after(commands: list[list[str]], modules: list[str], codes=(None, 0)) -> list[bool]:
+    """Run the commands at (2,2) in one fresh process; whether each module was imported then.
+
+    Each command must exit with one of ``codes``.
+    """
     code = (
         "import sys\n"
         "from walledbrauer.cli import main\n"
@@ -369,7 +395,7 @@ def _imported_after(commands: list[list[str]], modules: list[str]) -> list[bool]
         "    try:\n"
         "        main(['--p', '2', '--d', '2', *args])\n"
         "    except SystemExit as exc:\n"
-        "        assert exc.code in (None, 0), exc.code\n"
+        f"        assert exc.code in {tuple(codes)!r}, exc.code\n"
         f"print(*(m in sys.modules for m in {modules!r}))\n"
     )
     root = Path(__file__).resolve().parents[1]
@@ -407,3 +433,28 @@ def test_commands_import_no_installed_package_but_numpy():
     commands = [["dims"], ["units"], ["spectrum", "--method", "brute"], ["verify", "--suite", "all"]]
     imported = _imported_after(commands, third_party)
     assert [m for m, hit in zip(third_party, imported) if hit] == []
+
+
+def test_import_graph_follows_the_command():
+    """Each command loads only the layers it runs; the parser alone loads no numpy."""
+    assert _imported_after([], ["numpy"]) == [False]
+    light = [["dims"], ["--help"], ["dims", "--help"], ["--bogus", "dims"], ["dims", "--bogus"]]
+    assert _imported_after(light, ["numpy"], codes=(None, 0, 2)) == [False]
+    unit_side = ["walledbrauer.ideal_units", "walledbrauer.matrix_units", "walledbrauer.lowrank", "walledbrauer.checks", "fractions"]
+    brute = _imported_after([["spectrum", "--method", "brute"]], ["walledbrauer.spectra", *unit_side])
+    assert brute == [True] + [False] * len(unit_side)
+    units = _imported_after([["units"]], ["walledbrauer.ideal_units", "walledbrauer.spectra", "walledbrauer.checks"])
+    assert units == [True, False, False]
+
+
+def test_package_exports_resolve_from_their_modules():
+    import walledbrauer
+
+    assert walledbrauer.__all__ and set(walledbrauer.__all__) <= set(dir(walledbrauer))
+    for name in walledbrauer.__all__:
+        module = importlib.import_module(f"walledbrauer.{walledbrauer._EXPORTS[name]}")
+        obj = getattr(walledbrauer, name)
+        assert obj is getattr(module, name) and obj.__module__ == module.__name__, name
+    for name in ("rho", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(walledbrauer, name)

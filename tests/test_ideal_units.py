@@ -37,7 +37,6 @@ from walledbrauer.partitions import (
     remove_box,
     schur_weyl_partitions,
 )
-from walledbrauer.spectra import rho
 from walledbrauer.symgroup import (
     _adjacent_generator,
     prir_block_offsets,
@@ -46,9 +45,21 @@ from walledbrauer.symgroup import (
     transposition,
     young_orthogonal_rep,
 )
-from walledbrauer.tensorspace import V_generator, _apply_pair, _sandwich_core, _weight_sectors, factored_outer_pair, factored_V
+from walledbrauer.tensorspace import V_generator, _sandwich_core, _weight_sectors, factored_outer_pair, factored_V
 
-from oracles import F_sub, F_top, H_operator, _sector_pack, _wall_factor, composition_worst_by_pairs, factored_trace, run_cli, unit_operator
+from oracles import (
+    F_sub,
+    F_top,
+    H_operator,
+    _sector_pack,
+    _wall_factor,
+    apply_pair,
+    composition_worst_by_pairs,
+    factored_trace,
+    rho,
+    run_cli,
+    unit_operator,
+)
 
 rng = np.random.default_rng(99)
 
@@ -245,7 +256,7 @@ def test_sandwich_core_reassembles_the_dense_sandwich(p, d):
                                                 range(1, dim_irrep(nu) + 1), range(1, dim_irrep(nu) + 1)):
             a_mat, b_mat = left_side_matrix(mu, rm, cm, d), right_side_matrix(nu, rn, cn, d)
             core = _sandwich_core(a_mat, b_mat, p, d)
-            assert np.max(np.abs(core - L.T @ _apply_pair(a_mat, b_mat, p, p - 1, d))) <= 1e-14
+            assert np.max(np.abs(core - L.T @ apply_pair(a_mat, b_mat, p, p - 1, d))) <= 1e-14
             dense = vpm1 @ np.kron(a_mat, b_mat) @ vpm1
             assert np.max(np.abs(L @ core @ L.T - dense)) <= 1e-12
 

