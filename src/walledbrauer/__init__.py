@@ -20,7 +20,6 @@ _EXPORTS = {
             (
                 "Partition",
                 "StandardTableau",
-                "BratteliPath",
                 "add_box",
                 "common_removals",
                 "count_semistandard_tableaux",
@@ -36,7 +35,6 @@ _EXPORTS = {
         (
             "symgroup",
             (
-                "IrrepMatrix",
                 "Permutation",
                 "PrirIndex",
                 "enumerate_group",
@@ -51,7 +49,6 @@ _EXPORTS = {
                 "DenseOperator",
                 "V_generator",
                 "V_outer_pair",
-                "bell_projector",
                 "embed_operator",
                 "partial_trace",
                 "partial_transpose",

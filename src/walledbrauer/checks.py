@@ -150,7 +150,7 @@ def suite_representations(p: int, d: int) -> list[CheckResult]:
     worst_hom = 0.0
     group = enumerate_group(q)
     for mu in enumerate_partitions(q):
-        mats = {s: young_orthogonal_rep(mu, s).matrix for s in group}
+        mats = {s: young_orthogonal_rep(mu, s) for s in group}
         n = dim_irrep(mu)
         for s, m in mats.items():
             worst_orth = max(worst_orth, float(np.max(np.abs(m.T @ m - np.eye(n)))))
@@ -172,8 +172,8 @@ def suite_representations(p: int, d: int) -> list[CheckResult]:
             for s in group:
                 acc += np.einsum(
                     "ij,kl->ijkl",
-                    young_orthogonal_rep(alpha, s.inverse()).matrix,
-                    young_orthogonal_rep(beta, s).matrix,
+                    young_orthogonal_rep(alpha, s.inverse()),
+                    young_orthogonal_rep(beta, s),
                 )
             expected = np.zeros_like(acc)
             if alpha == beta:
@@ -289,7 +289,7 @@ def suite_matrix_units(p: int, d: int) -> list[CheckResult]:
         for sigma in enumerate_group(3):
             acc = DenseOperator.zeros(dq, 3)
             for mu in enumerate_partitions(3):
-                phi = young_orthogonal_rep(mu, sigma).matrix
+                phi = young_orthogonal_rep(mu, sigma)
                 for i in range(1, dim_irrep(mu) + 1):
                     for j in range(1, dim_irrep(mu) + 1):
                         acc = acc + phi[i - 1, j - 1] * mx.E_unit(mu, i, j, dq).operator
@@ -557,7 +557,7 @@ def suite_bmatrix(p: int, d: int) -> list[CheckResult]:
         sorted(str(v) for row in b.entries for v in row) == sorted(["7/3", "-1/3", "-1/3", "1"])
         and abs(b.eigenvalues[0] - (5 - np.sqrt(5)) / 3) < 1e-12
         and abs(b.eigenvalues[1] - (5 + np.sqrt(5)) / 3) < 1e-12
-        and b.determinant() == Fraction(20, 9)
+        and b.det == Fraction(20, 9)
     )
     out.append(_bool_result("b_matrix_fixture_(2,1)_d3", fixture_ok))
     singular_expected = {
@@ -576,8 +576,8 @@ def suite_bmatrix(p: int, d: int) -> list[CheckResult]:
         (6, (6,)): False,
     }
     ok = all(singularity_condition(Partition(mu), 3) == expect for (q, mu), expect in singular_expected.items())
-    ok &= B_matrix(Partition((2, 2)), Partition((2, 2)), 3).determinant() == Fraction(5, 16)
-    ok &= B_matrix(Partition((3, 2)), Partition((3, 2)), 3).determinant() == Fraction(75, 16)
+    ok &= B_matrix(Partition((2, 2)), Partition((2, 2)), 3).det == Fraction(5, 16)
+    ok &= B_matrix(Partition((3, 2)), Partition((3, 2)), 3).det == Fraction(75, 16)
     out.append(_bool_result("appendix_examples_d3", ok))
     ok = True
     for q in range(2, 7):
@@ -588,7 +588,7 @@ def suite_bmatrix(p: int, d: int) -> list[CheckResult]:
                     ok &= all(v == 0 for row in bm.entries for v in row)
                     continue
                 bm = B_matrix(mu, mu, dd)
-                ok &= (bm.determinant() == 0) == singularity_condition(mu, dd)
+                ok &= (bm.det == 0) == singularity_condition(mu, dd)
     out.append(_bool_result("integer_condition_vs_determinant_p<=6", ok))
     ok = True
     for q in range(2, 7):
@@ -607,7 +607,7 @@ def suite_bmatrix(p: int, d: int) -> list[CheckResult]:
                         esp[deg] += x * esp[deg - 1]
                 predicted = (esp[k] - esp[k - 1]) * Fraction(m, dd * (dd * dd - 1)) ** k
                 bm = B_matrix(mu, mu, dd)
-                ok &= bm.determinant() == predicted
+                ok &= bm.det == predicted
     out.append(_bool_result("determinant_symmetric_polynomial_identity", ok))
     return out
 

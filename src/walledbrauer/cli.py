@@ -134,7 +134,7 @@ def bmatrix(cfg: RunConfig, mu: str, nu: str | None):
     if mu_p.total != cfg.p or nu_p.total != cfg.p:
         raise ParameterError(f"shapes must be partitions of p = {cfg.p}")
     b = B_matrix(mu_p, nu_p, cfg.d)
-    det = b.determinant()
+    det = b.det
     doc = {
         "schema_version": SCHEMA_VERSION,
         "p": cfg.p,

@@ -254,9 +254,6 @@ class BMatrix:
     def size(self) -> int:
         return len(self.alphas)
 
-    def determinant(self) -> Fraction:
-        return self.det
-
     def entry_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
 
@@ -505,15 +502,12 @@ class UnitSystem:
         return tuple(out)
 
     @cached_property
-    def _traces(self) -> np.ndarray:
+    def traces(self) -> np.ndarray:
+        """(n, n) array of tr G_ac = tr(M_ac X_ca), one contraction made once; read-only."""
         out = np.zeros((self.size, self.size))
         for core, overlap in zip(self.cores, self.overlaps):
             out += np.einsum("acij,caji->ac", core, overlap)
         return _frozen(out)
-
-    def traces(self) -> np.ndarray:
-        """(n, n) array of tr G_ac = tr(M_ac X_ca), one contraction made once; read-only."""
-        return self._traces
 
     def traces_with(self, applied: dict) -> np.ndarray:
         """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a), given applied[s] = rho Q_s per sector.
@@ -654,7 +648,7 @@ class GUnit:
 
     def trace(self) -> float:
         """tr(Q_a M_ac Q_c^T) = tr(M_ac Q_c^T Q_a), read off the system's trace table."""
-        return float(self.system.traces()[self.row, self.col])
+        return float(self.system.traces[self.row, self.col])
 
 
 def _lookup(system: UnitSystem, row, col) -> GUnit:

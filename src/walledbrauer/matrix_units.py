@@ -4,10 +4,13 @@ A unit is the weighted permutation sum
 
     E^mu_ij = (d_mu / p!) sum_sigma phi^mu_ji(sigma^-1) V_sigma
 
-acting on p registers.  Two wall-side embeddings into 2p registers are
-provided: the left side conjugates by the register reversal (its
-subgroup-adapted basis is built from register p down to register 1, so the
-last point of the chain sits on register 1), the right side uses registers
+acting on p registers.  Each V_sigma holds a single 1 per column, at the
+row ``permutation_index`` gives, so the sum is scattered straight into one
+cached d^p x d^p array.  Two wall-side frames are provided: the left side
+conjugates by the register reversal (its subgroup-adapted basis is built
+from register p down to register 1, so the last point of the chain sits on
+register 1), which is the gather of the cached array at the digit-reversed
+rows and columns; the right side is the cached array itself, on registers
 p+1..2p in natural order.  When ht(mu) > d the unit is the zero matrix and
 is flagged ``vanishing`` rather than rejected; sums over mu = alpha + box
 need those zero terms at small d.
@@ -25,11 +28,11 @@ from .partitions import Partition, add_box, dim_irrep, multiplicity, enumerate_p
 from .symgroup import PrirIndex, enumerate_group, prir_position, young_orthogonal_rep
 from .tensorspace import (
     DenseOperator,
+    _digit_reversal,
     _frozen,
     embed_operator,
     partial_trace,
-    permutation_operator,
-    register_reversal,
+    permutation_index,
 )
 
 COMPARE_TOL = 1e-10
@@ -52,11 +55,12 @@ def _unit_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
         return _frozen(np.zeros((dim, dim)))
     scale = dim_irrep(mu) / math.factorial(p)
     out = np.zeros((dim, dim))
+    cols = np.arange(dim)
     for sigma in enumerate_group(p):
         # orthogonal rep: phi_ji(sigma^-1) = phi_ij(sigma)
-        w = young_orthogonal_rep(mu, sigma).matrix[i - 1, j - 1]
+        w = young_orthogonal_rep(mu, sigma)[i - 1, j - 1]
         if w != 0.0:
-            out += w * permutation_operator(sigma, d, p).matrix
+            out[permutation_index(sigma, d, p), cols] += w
     return _frozen(scale * out)
 
 
@@ -88,16 +92,15 @@ def young_projector(mu: Partition, d: int) -> DenseOperator:
     return DenseOperator(d, p, _frozen(out))
 
 
-@lru_cache(maxsize=None)
-def _reversal_matrix(p: int, d: int) -> np.ndarray:
-    return _frozen(permutation_operator(register_reversal(p), d, p).matrix)
-
-
-@lru_cache(maxsize=None)
 def left_side_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
-    """E^mu_ij in the left-wall frame (basis built from register p down to 1)."""
-    rev = _reversal_matrix(mu.total, d)
-    return _frozen(rev @ _unit_matrix(mu, i, j, d) @ rev)
+    """E^mu_ij in the left-wall frame (basis built from register p down to 1).
+
+    The reversal R of the registers permutes basis indices by reading each
+    word backwards, so R E R is the gather of E at the reversed rows and
+    columns: a new array, formed on each call.
+    """
+    rev = _digit_reversal(d, mu.total)
+    return _unit_matrix(mu, i, j, d)[np.ix_(rev, rev)]
 
 
 def right_side_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:

@@ -170,10 +170,6 @@ class StandardTableau:
     def shape(self) -> Partition:
         return Partition(tuple(len(r) for r in self.rows))
 
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def position_of(self, k: int) -> tuple[int, int]:
         """1-based (row, col) of the entry ``k``."""
         for i, row in enumerate(self.rows, start=1):
@@ -185,16 +181,6 @@ class StandardTableau:
     def content_of(self, k: int) -> int:
         i, j = self.position_of(k)
         return j - i
-
-    def remove_largest(self) -> "StandardTableau":
-        """Delete the box holding the largest entry."""
-        p = self.size
-        i, _ = self.position_of(p)
-        rows = [list(r) for r in self.rows]
-        rows[i - 1].pop()
-        if not rows[i - 1]:
-            rows.pop()
-        return StandardTableau(tuple(tuple(r) for r in rows))
 
     def swap_adjacent(self, k: int) -> "StandardTableau":
         """Exchange the entries ``k`` and ``k + 1``."""
@@ -213,22 +199,6 @@ class StandardTableau:
                 if i + 1 < len(self.rows) and j < len(self.rows[i + 1]) and self.rows[i + 1][j] <= v:
                     return False
         return True
-
-
-@dataclass(frozen=True)
-class BratteliPath:
-    """A chain of partitions from a single box up to the full shape."""
-
-    chain: tuple[Partition, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.chain, self.chain[1:]):
-            if b not in add_box(a):
-                raise ValueError(f"{b} does not cover {a}")
-
-    @property
-    def shape(self) -> Partition:
-        return self.chain[-1]
 
 
 @lru_cache(maxsize=None)
@@ -255,28 +225,6 @@ def enumerate_standard_tableaux(mu: Partition) -> tuple[StandardTableau, ...]:
                 rows.append([p])
             out.append(StandardTableau(tuple(tuple(r) for r in rows)))
     return tuple(out)
-
-
-def tableau_to_path(t: StandardTableau) -> BratteliPath:
-    chain = []
-    cur = t
-    while cur.size > 0:
-        chain.append(cur.shape)
-        cur = cur.remove_largest()
-    return BratteliPath(tuple(reversed(chain)))
-
-
-def path_to_tableau(path: BratteliPath) -> StandardTableau:
-    rows: list[list[int]] = []
-    prev = Partition(())
-    for k, shape in enumerate(path.chain, start=1):
-        grow_row = next(i for i in range(1, shape.height + 1) if shape.row(i) != prev.row(i))
-        if grow_row <= len(rows):
-            rows[grow_row - 1].append(k)
-        else:
-            rows.append([k])
-        prev = shape
-    return StandardTableau(tuple(tuple(r) for r in rows))
 
 
 def count_semistandard_tableaux(mu: Partition, d: int) -> int:

@@ -7,6 +7,7 @@ matrix is real orthogonal and the family is a group homomorphism by
 construction.  The tableau order makes the basis adapted to the subgroup
 fixing the last point: for sigma with sigma(p) = p the matrix is block
 diagonal over the shapes alpha obtained by deleting the box holding p.
+Each irrep matrix is a cached, read-only ndarray.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class Permutation:
     def fixes(self, k: int) -> bool:
         return self.images[k - 1] == k
 
-    def is_identity(self) -> bool:
-        return all(v == k for k, v in enumerate(self.images, start=1))
-
-    def to_json(self) -> list[int]:
-        return list(self.images)
-
 
 def identity(p: int) -> Permutation:
     return Permutation(tuple(range(1, p + 1)))
@@ -109,17 +104,6 @@ def factor_adjacent(sigma: Permutation) -> tuple[int, ...]:
     return tuple(reversed(swaps))
 
 
-@dataclass(frozen=True)
-class IrrepMatrix:
-    """A real orthogonal irrep matrix phi^mu(sigma) in the tableau basis."""
-
-    shape: Partition
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix, dtype=float))
-
-
 @lru_cache(maxsize=None)
 def _adjacent_generator(mu: Partition, k: int) -> np.ndarray:
     """Matrix of the transposition (k, k+1) in Young's orthogonal form."""
@@ -139,8 +123,8 @@ def _adjacent_generator(mu: Partition, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def young_orthogonal_rep(mu: Partition, sigma: Permutation) -> IrrepMatrix:
-    """The d_mu x d_mu orthogonal matrix of ``sigma`` in irrep ``mu``."""
+def young_orthogonal_rep(mu: Partition, sigma: Permutation) -> np.ndarray:
+    """The d_mu x d_mu orthogonal matrix of ``sigma`` in irrep ``mu``, as a cached read-only array."""
     if sigma.degree != mu.total:
         raise ValueError(f"permutation degree {sigma.degree} != |mu| = {mu.total}")
     n = dim_irrep(mu)
@@ -148,7 +132,7 @@ def young_orthogonal_rep(mu: Partition, sigma: Permutation) -> IrrepMatrix:
     for k in factor_adjacent(sigma):
         m = m @ _adjacent_generator(mu, k)
     m.flags.writeable = False  # cached, as above
-    return IrrepMatrix(mu, m)
+    return m
 
 
 @dataclass(frozen=True)
@@ -202,30 +186,33 @@ def prir_position(mu: Partition, alpha: Partition, i_alpha: int) -> int:
     return prir_block_offsets(mu)[alpha] + i_alpha
 
 
-def first_in_block(mu: Partition, alpha: Partition) -> int:
-    """Global index of the first basis vector of the alpha block (the 1_alpha label)."""
-    return prir_position(mu, alpha, 1)
+# sigma fixing p factors into s_1..s_{p-2} alone, the same factors as its
+# restriction, and their matrices are block diagonal with the smaller shapes'
+# generators as blocks; so both sides are the same products of entries of
+# magnitude <= 1, and only a BLAS that orders a sum differently could part
+# them, by a few ulps.  The largest deviation through S_6 is exactly 0.
+RESTRICTION_TOL = 1e-12
 
 
-def restriction_block_check(mu: Partition, sigma: Permutation, tol: float = 1e-10) -> bool:
+def restriction_block_check(mu: Partition, sigma: Permutation) -> bool:
     """Check the subgroup-adaptation property for a sigma fixing p.
 
     phi^mu(sigma) must be block diagonal over the PRIR blocks, each block
-    equal to phi^alpha of sigma restricted to S_{p-1}.
+    equal to phi^alpha of sigma restricted to S_{p-1}, to RESTRICTION_TOL.
     """
     p = mu.total
     if not sigma.fixes(p):
         raise ValueError("sigma must fix p")
-    big = young_orthogonal_rep(mu, sigma).matrix
+    big = young_orthogonal_rep(mu, sigma)
     restricted = Permutation(sigma.images[: p - 1])
     pos = 0
     blocks = []
     for alpha in remove_box(mu):
         da = dim_irrep(alpha)
-        small = young_orthogonal_rep(alpha, restricted).matrix
+        small = young_orthogonal_rep(alpha, restricted)
         blocks.append((pos, da, small))
         pos += da
     expected = np.zeros_like(big)
     for pos, da, small in blocks:
         expected[pos : pos + da, pos : pos + da] = small
-    return bool(np.max(np.abs(big - expected)) <= tol)
+    return bool(np.max(np.abs(big - expected)) <= RESTRICTION_TOL)

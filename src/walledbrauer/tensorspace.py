@@ -112,9 +112,6 @@ class DenseOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
-
     def distance(self, other: "DenseOperator") -> float:
         """Max-abs-entry distance, the package-wide comparison metric."""
         self._check_compatible(other)
@@ -243,10 +240,6 @@ def embed_operator(x: DenseOperator, positions, n_total: int) -> DenseOperator:
     return DenseOperator(x.d, n_total, t.reshape(x.d**n_total, x.d**n_total))
 
 
-def register_reversal(p: int) -> Permutation:
-    return Permutation(tuple(range(p, 0, -1)))
-
-
 @lru_cache(maxsize=None)
 def _pair_product(p: int, k: int) -> Permutation:
     """Product of the disjoint transpositions (p - j + 1, p + j), j = 1..k."""
@@ -360,15 +353,6 @@ def V_outer_pair(p: int, d: int) -> DenseOperator:
     """
     base = permutation_operator(transposition(2 * p, 1, 2 * p), d, 2 * p)
     return partial_transpose(base, [2 * p])
-
-
-def bell_projector(d: int) -> DenseOperator:
-    """|psi+><psi+| on two registers."""
-    psi = np.zeros(d * d)
-    for i in range(d):
-        psi[i * d + i] = 1.0
-    psi /= np.sqrt(d)
-    return DenseOperator(d, 2, np.outer(psi, psi))
 
 
 def sandwich_reduce(x: DenseOperator) -> DenseOperator:

@@ -1,4 +1,4 @@
-"""The paper's spanning families F and H, the dense wall product and wall factor, the units as factored operators, the per-pair composition residual, the dense twirled generator, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
+"""The S_p units as dense permutation sums, the paper's spanning families F and H, the dense wall product and wall factor, the units as factored operators, the per-pair composition residual, the dense twirled generator, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, the wall factor and
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +29,10 @@ from walledbrauer.cli import main
 from walledbrauer.ideal_units import GUnit, _indicator, _sector_layout, _top_factor, _wall_diagonal
 from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
-from walledbrauer.partitions import Partition, common_removals, multiplicity
+from walledbrauer.partitions import Partition, common_removals, dim_irrep, multiplicity
 from walledbrauer.spectra import _check_twirl_work, _orbit_size, _orbit_sum
-from walledbrauer.symgroup import prir_position
-from walledbrauer.tensorspace import DenseOperator, _digit_reversal, _frozen, _weight_sectors
+from walledbrauer.symgroup import Permutation, enumerate_group, prir_position, young_orthogonal_rep
+from walledbrauer.tensorspace import DenseOperator, _digit_reversal, _frozen, _weight_sectors, permutation_operator
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,35 @@ def run_cli(args: list[str]) -> CliResult:
             traceback.print_exc()
             code, exception = 1, exc
     return CliResult(code, out.getvalue(), err.getvalue(), exception)
+
+
+def unit_by_permutation_sum(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
+    """E^mu_ij = (d_mu / p!) sum_sigma phi^mu_ij(sigma) V_sigma, as a sum of p! dense permutation matrices.
+
+    The library scatters each weight at the rows ``permutation_index``
+    gives (``matrix_units._unit_matrix``), in the same sigma order, so the
+    two agree exactly.
+    """
+    p = mu.total
+    out = np.zeros((d**p, d**p))
+    if multiplicity(mu, d) == 0:
+        return out
+    for sigma in enumerate_group(p):
+        w = young_orthogonal_rep(mu, sigma)[i - 1, j - 1]
+        if w != 0.0:
+            out += w * permutation_operator(sigma, d, p).matrix
+    return dim_irrep(mu) / math.factorial(p) * out
+
+
+def left_by_conjugation(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
+    """R E^mu_ij R with R the register reversal on p registers, as two dense products.
+
+    The library reads it as a gather of E at the digit-reversed rows and
+    columns (``matrix_units.left_side_matrix``).
+    """
+    p = mu.total
+    rev = permutation_operator(Permutation(tuple(range(p, 0, -1))), d, p).matrix
+    return rev @ unit_by_permutation_sum(mu, i, j, d) @ rev
 
 
 def apply_pair(a: np.ndarray, b: np.ndarray, p: int, k: int, d: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from walledbrauer.partitions import (
 )
 from walledbrauer.spectra import analytic_overlaps, spectrum_table
 from walledbrauer.symgroup import (
+    RESTRICTION_TOL,
     enumerate_group,
     restriction_block_check,
     transposition,
@@ -105,13 +106,13 @@ def test_criterion_2_bmatrix_fixtures():
     ok &= b.entries == ((Fraction(7, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(1)))
     ok &= abs(b.eigenvalues[0] - (5 - np.sqrt(5)) / 3) <= 1e-12
     ok &= abs(b.eigenvalues[1] - (5 + np.sqrt(5)) / 3) <= 1e-12
-    ok &= abs(float(b.determinant()) - 2.2222) <= 1e-4
+    ok &= abs(float(b.det) - 2.2222) <= 1e-4
     for (q, parts), expected in APPENDIX_VERDICTS.items():
         mu = partition(*parts)
         ok &= singularity_condition(mu, 3) == expected
         ok &= B_matrix(mu, mu, 3).singular == expected
-    ok &= B_matrix(partition(2, 2), partition(2, 2), 3).determinant() == Fraction(5, 16)
-    ok &= B_matrix(partition(3, 2), partition(3, 2), 3).determinant() == Fraction(75, 16)
+    ok &= B_matrix(partition(2, 2), partition(2, 2), 3).det == Fraction(5, 16)
+    ok &= B_matrix(partition(3, 2), partition(3, 2), 3).det == Fraction(75, 16)
     # exact integer condition against the numeric determinant, every shape
     for q in range(2, 7):
         for d in (2, 3, 4):
@@ -121,7 +122,7 @@ def test_criterion_2_bmatrix_fixtures():
                     ok &= all(v == 0 for row in bm.entries for v in row)
                     continue
                 numeric_det = np.prod(bm.eigenvalues) if bm.size else 1.0
-                exact_zero = bm.determinant() == 0
+                exact_zero = bm.det == 0
                 ok &= exact_zero == singularity_condition(mu, d)
                 ok &= exact_zero == (abs(float(numeric_det)) <= 1e-10)
     report("criterion 2 (B-matrix fixtures and singularity verdicts)", ok)
@@ -201,19 +202,19 @@ def test_criterion_8_representation_suite():
     for p in range(2, 5):
         group = enumerate_group(p)
         for mu in enumerate_partitions(p):
-            mats = {s: young_orthogonal_rep(mu, s).matrix for s in group}
+            mats = {s: young_orthogonal_rep(mu, s) for s in group}
             n = dim_irrep(mu)
             for m in mats.values():
                 worst = max(worst, float(np.max(np.abs(m.T @ m - np.eye(n)))))
             for s, t in itertools.product(group, repeat=2):
                 worst = max(worst, float(np.max(np.abs(mats[s] @ mats[t] - mats[s * t]))))
     ok = worst <= 1e-12
-    adapted = True
+    adapted = RESTRICTION_TOL <= 1e-12
     for p in range(2, 5):
         gens = [transposition(p, k, k + 1) for k in range(1, p - 1)]
         for mu in enumerate_partitions(p):
             for g in gens:
-                adapted &= restriction_block_check(mu, g, tol=1e-12)
+                adapted &= restriction_block_check(mu, g)
     ok &= adapted
     report("criterion 8 (representation suite)", ok, f"worst {worst:.2e}")
 

@@ -305,8 +305,8 @@ def test_B_matrix_fixture_21():
     assert b.entries == ((Fraction(7, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(1)))
     assert abs(b.eigenvalues[0] - (5 - np.sqrt(5)) / 3) <= 1e-12
     assert abs(b.eigenvalues[1] - (5 + np.sqrt(5)) / 3) <= 1e-12
-    assert b.determinant() == Fraction(20, 9)
-    assert abs(float(b.determinant()) - 2.2222) <= 1e-4
+    assert b.det == Fraction(20, 9)
+    assert abs(float(b.det) - 2.2222) <= 1e-4
     assert not b.singular
     diag = b.diagonalizer @ b.entry_float() @ b.diagonalizer.T
     assert np.max(np.abs(diag - np.diag(b.eigenvalues))) <= 1e-12
@@ -323,8 +323,8 @@ def test_singularity_examples():
     assert singularity_condition(partition(1, 1, 1), 3)
     assert not singularity_condition(partition(2, 2), 3)
     assert singularity_condition(partition(3, 2, 1), 3)
-    assert B_matrix(partition(2, 2), partition(2, 2), 3).determinant() == Fraction(5, 16)
-    assert B_matrix(partition(3, 2), partition(3, 2), 3).determinant() == Fraction(75, 16)
+    assert B_matrix(partition(2, 2), partition(2, 2), 3).det == Fraction(5, 16)
+    assert B_matrix(partition(3, 2), partition(3, 2), 3).det == Fraction(75, 16)
     b211 = B_matrix(partition(2, 1, 1), partition(2, 1, 1), 3)
     assert b211.entries == ((Fraction(1), Fraction(-1, 8)), (Fraction(-1, 8), Fraction(1, 64)))
     assert b211.singular and b211.nullity == 1
@@ -338,7 +338,7 @@ def test_singularity_condition_agrees_with_determinant_everywhere():
                 if multiplicity(mu, d) == 0:
                     assert all(v == 0 for row in b.entries for v in row)
                     continue
-                assert (b.determinant() == 0) == singularity_condition(mu, d)
+                assert (b.det == 0) == singularity_condition(mu, d)
                 assert b.singular == singularity_condition(mu, d)
 
 
@@ -357,7 +357,7 @@ def test_determinant_symmetric_polynomial_identity():
                     for deg in range(k, 0, -1):
                         esp[deg] += x * esp[deg - 1]
                 predicted = (esp[k] - esp[k - 1]) * Fraction(m, d * (d * d - 1)) ** k
-                assert B_matrix(mu, mu, d).determinant() == predicted
+                assert B_matrix(mu, mu, d).det == predicted
 
 
 # ----------------------------------------------------------------------------
@@ -643,14 +643,14 @@ def test_cached_arrays_are_read_only():
         *system.cores,
         *system.overlaps,
         system.projection_residual,
-        system.traces(),
+        system.traces,
         _weight_sectors(p, d)[0],
         factored_V(p, p - 1, d),
         factored_V(p, p, d),
         factored_outer_pair(p, d),
-        left_side_matrix(partition(2), 1, 1, d),
+        right_side_matrix(partition(2), 1, 1, d),
         rho(p - 1, p, d).matrix,
-        young_orthogonal_rep(partition(2, 1), transposition(3, 1, 2)).matrix,
+        young_orthogonal_rep(partition(2, 1), transposition(3, 1, 2)),
         _adjacent_generator(partition(2, 1), 1),
         B_matrix(partition(2, 1), partition(2, 1), 3).eigenvalues,
         B_matrix(partition(2, 1), partition(2, 1), 3).diagonalizer,

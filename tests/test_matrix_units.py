@@ -1,8 +1,10 @@
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from walledbrauer import matrix_units
 from walledbrauer.matrix_units import (
     E_unit,
     E_unit_prir,
@@ -12,6 +14,7 @@ from walledbrauer.matrix_units import (
     embed_right,
     left_side_matrix,
     partial_trace_E,
+    right_side_matrix,
     young_projector,
 )
 from walledbrauer.partitions import (
@@ -21,13 +24,14 @@ from walledbrauer.partitions import (
     partition,
     schur_weyl_partitions,
 )
-from walledbrauer.symgroup import enumerate_group, prir_map, young_orthogonal_rep
+from walledbrauer.symgroup import Permutation, enumerate_group, prir_map, young_orthogonal_rep
 from walledbrauer.tensorspace import (
     DenseOperator,
     V_generator,
     permutation_operator,
-    register_reversal,
 )
+
+from oracles import left_by_conjugation, unit_by_permutation_sum
 
 
 def all_units(p, d):
@@ -71,7 +75,7 @@ def test_unit_product_example_21():
 
 def test_vanishing_unit_is_zero_and_flagged():
     unit = E_unit(partition(1, 1, 1), 1, 1, 2)
-    assert unit.vanishing and unit.operator.max_abs() == 0.0
+    assert unit.vanishing and not unit.operator.matrix.any()
 
 
 def test_cached_unit_cannot_be_overwritten():
@@ -79,6 +83,33 @@ def test_cached_unit_cannot_be_overwritten():
     with pytest.raises(ValueError):
         E_unit(mu, 1, 1, 3).operator.matrix[...] = 0.0
     assert abs(E_unit(mu, 1, 1, 3).operator.trace() - multiplicity(mu, 3)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_units_equal_their_dense_definitions_exactly(p, d):
+    """The scattered unit is the dense p! sum, and the left frame's gather is R E R, entry for entry."""
+    for mu in enumerate_partitions(p):
+        for i, j in itertools.product(range(1, dim_irrep(mu) + 1), repeat=2):
+            assert np.array_equal(right_side_matrix(mu, i, j, d), unit_by_permutation_sum(mu, i, j, d))
+            assert np.array_equal(left_side_matrix(mu, i, j, d), left_by_conjugation(mu, i, j, d))
+
+
+def test_cold_unit_build_makes_no_dense_operator(monkeypatch):
+    """Each unit is scattered from index maps: no d^p x d^p permutation matrix is formed."""
+    made = []
+    init = DenseOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenseOperator, "__init__", counting_init)
+    monkeypatch.setattr(matrix_units, "_unit_matrix", lru_cache(maxsize=None)(matrix_units._unit_matrix.__wrapped__))
+    for mu in enumerate_partitions(3):
+        for i, j in itertools.product(range(1, dim_irrep(mu) + 1), repeat=2):
+            left_side_matrix(mu, i, j, 2)  # a cold build of the unit, then the gather
+    assert made == []
 
 
 def test_unit_index_range():
@@ -92,7 +123,7 @@ def test_permutation_resolution(d):
     for sigma in enumerate_group(3):
         acc = DenseOperator.zeros(d, 3)
         for mu in enumerate_partitions(3):
-            phi = young_orthogonal_rep(mu, sigma).matrix
+            phi = young_orthogonal_rep(mu, sigma)
             for i in range(1, dim_irrep(mu) + 1):
                 for j in range(1, dim_irrep(mu) + 1):
                     acc = acc + phi[i - 1, j - 1] * E_unit(mu, i, j, d).operator
@@ -104,7 +135,7 @@ def test_action_rules_p3():
     for sigma in enumerate_group(3):
         v = permutation_operator(sigma, d, 3)
         for mu in enumerate_partitions(3):
-            phi = young_orthogonal_rep(mu, sigma).matrix
+            phi = young_orthogonal_rep(mu, sigma)
             n = dim_irrep(mu)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -123,7 +154,7 @@ def test_action_rules_p3():
 def test_young_projectors():
     assert completeness_defect(3, 3) <= 1e-12
     assert abs(young_projector(partition(2, 1), 3).trace() - 16.0) <= 1e-10
-    assert young_projector(partition(1, 1, 1), 2).max_abs() == 0.0
+    assert not young_projector(partition(1, 1, 1), 2).matrix.any()
     for mu in enumerate_partitions(3):
         for nu in enumerate_partitions(3):
             prod = young_projector(mu, 3) @ young_projector(nu, 3)
@@ -136,7 +167,7 @@ def test_embed_left_identity_and_explicit_conjugation():
     combined = embed_left(ident, 2) + embed_left(E_unit(partition(1, 1), 1, 1, 2), 2)
     assert combined.distance(DenseOperator.identity(2, 4)) <= 1e-10
     unit = E_unit(partition(2, 1), 1, 2, 2)
-    rev = permutation_operator(register_reversal(3), 2, 3)
+    rev = permutation_operator(Permutation((3, 2, 1)), 2, 3)
     explicit = rev @ unit.operator @ rev
     assert np.max(np.abs(left_side_matrix(partition(2, 1), 1, 2, 2) - explicit.matrix)) <= 1e-12
 
@@ -178,7 +209,7 @@ def test_partial_trace_E_closed_form():
     traced = partial_trace_E(mu, alpha_2, alpha_2, 3)
     assert traced.distance((8.0 / 6.0) * E_unit(partition(2), 1, 1, 3).operator) <= 1e-10
     off = partial_trace_E(mu, alpha_11, alpha_2, 3)
-    assert off.max_abs() <= 1e-12
+    assert np.max(np.abs(off.matrix)) <= 1e-12
     labels2 = prir_map(partition(2))
     traced2 = partial_trace_E(partition(2), labels2[0], labels2[0], 2)
     assert traced2.distance(1.5 * E_unit(partition(1), 1, 1, 2).operator) <= 1e-10

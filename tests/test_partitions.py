@@ -10,10 +10,8 @@ from walledbrauer.partitions import (
     enumerate_standard_tableaux,
     multiplicity,
     partition,
-    path_to_tableau,
     remove_box,
     schur_weyl_partitions,
-    tableau_to_path,
 )
 
 from oracles import multiplicity_by_fractions, run_cli
@@ -149,16 +147,10 @@ def test_common_removals():
     assert set(common_removals(partition(2, 1), partition(2, 1))) == {partition(2), partition(1, 1)}
 
 
-def test_tableau_path_bijection():
-    for p in range(1, 6):
-        for mu in enumerate_partitions(p):
-            for t in enumerate_standard_tableaux(mu):
-                assert path_to_tableau(tableau_to_path(t)) == t
-
-
 def test_tableaux_block_grouped_by_removed_shape():
     for mu in (partition(2, 1), partition(3, 1), partition(2, 2, 1)):
-        shapes = [t.remove_largest().shape for t in enumerate_standard_tableaux(mu)]
+        rows = [t.position_of(mu.total)[0] for t in enumerate_standard_tableaux(mu)]
+        shapes = [next(a for a in remove_box(mu) if a.row(i) < mu.row(i)) for i in rows]
         expected = [a for a in remove_box(mu) for _ in range(dim_irrep(a))]
         assert shapes == expected
 

@@ -70,8 +70,8 @@ def test_orthogonal_rep_is_homomorphism_on_random_pairs(data, mu):
     p = mu.total
     s = data.draw(permutation_strategy(p))
     t = data.draw(permutation_strategy(p))
-    lhs = young_orthogonal_rep(mu, s).matrix @ young_orthogonal_rep(mu, t).matrix
-    rhs = young_orthogonal_rep(mu, s * t).matrix
+    lhs = young_orthogonal_rep(mu, s) @ young_orthogonal_rep(mu, t)
+    rhs = young_orthogonal_rep(mu, s * t)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -88,6 +88,6 @@ def test_adjacent_factorization_reconstructs(data, n):
 def test_single_column_rep_is_the_sign(data, n):
     sigma = data.draw(permutation_strategy(n))
     column = Partition((1,) * n)
-    value = young_orthogonal_rep(column, sigma).matrix[0, 0]
+    value = young_orthogonal_rep(column, sigma)[0, 0]
     parity = (-1) ** len(factor_adjacent(sigma))
     assert abs(value - parity) <= 1e-12

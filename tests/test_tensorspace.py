@@ -11,7 +11,6 @@ from walledbrauer.tensorspace import (
     V_generator,
     V_outer_pair,
     _apply_top,
-    bell_projector,
     embed_operator,
     factored_outer_pair,
     factored_V,
@@ -19,7 +18,6 @@ from walledbrauer.tensorspace import (
     partial_transpose,
     permutation_index,
     permutation_operator,
-    register_reversal,
     sandwich_reduce,
 )
 
@@ -69,7 +67,8 @@ def test_resource_guard():
 def test_partial_transpose_swap_gives_bell():
     for d in (2, 3, 4):
         swap = permutation_operator(transposition(2, 1, 2), d, 2)
-        assert partial_transpose(swap, [2]).distance(d * bell_projector(d)) <= 1e-14
+        psi = np.eye(d).ravel() / np.sqrt(d)  # |psi+>
+        assert partial_transpose(swap, [2]).distance(d * DenseOperator(d, 2, np.outer(psi, psi))) <= 1e-14
 
 
 def test_partial_transpose_involution_and_identity():
@@ -112,7 +111,8 @@ def test_V_generator_single_pair():
     for d in (2, 3):
         v = V_generator(1, 1, d)
         assert abs(v.trace() - d) <= 1e-14
-        assert v.distance(d * bell_projector(d)) <= 1e-14
+        psi = np.eye(d).ravel() / np.sqrt(d)  # |psi+>
+        assert v.distance(d * DenseOperator(d, 2, np.outer(psi, psi))) <= 1e-14
 
 
 def test_ping_pong():
@@ -151,7 +151,7 @@ def test_embed_operator_roundtrip():
     natural = embed_operator(x, [1, 2], 3)
     assert natural.distance(DenseOperator(2, 3, np.kron(x.matrix, np.eye(2)))) <= 1e-14
     flipped = embed_operator(x, [2, 1], 2)
-    rev = permutation_operator(register_reversal(2), 2, 2)
+    rev = permutation_operator(Permutation((2, 1)), 2, 2)
     assert flipped.distance(rev @ x @ rev) <= 1e-14
 
 
