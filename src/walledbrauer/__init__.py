@@ -4,7 +4,9 @@ operators, and spectra of the twirled ideal generators.
 The public names are resolved on first use (PEP 562), so importing the
 package, or one layer of it, loads only that layer and what it imports:
 ``import walledbrauer.cli`` loads no numpy, and the brute spectra load no
-unit construction.
+unit construction.  The value types are plain classes with their methods
+written out, not ``dataclasses``, so importing a layer generates and
+compiles no code.
 """
 
 import importlib

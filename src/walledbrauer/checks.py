@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +38,7 @@ from .ideal_units import (
 )
 from .lowrank import FactoredOperator
 from .partitions import (
+    Frozen,
     Partition,
     add_box,
     count_semistandard_tableaux,
@@ -71,13 +71,28 @@ from .tensorspace import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
+    """One check: its name, verdict, the residual found and the tolerance it was held to."""
+
+    __slots__ = ("name", "passed", "residual", "tolerance", "detail")
     name: str
     passed: bool
     residual: float
     tolerance: float
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, residual: float, tolerance: float, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "detail", detail)
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckResult(name={self.name!r}, passed={self.passed!r}, residual={self.residual!r}, "
+            f"tolerance={self.tolerance!r}, detail={self.detail!r})"
+        )
 
     def to_json(self) -> dict:
         out = {
@@ -426,9 +441,24 @@ def suite_composition(p: int, d: int) -> list[CheckResult]:
     return out
 
 
+# The n_s x n_s blocks of one weight sector are compared a chunk of rows at a
+# time, each chunk of the two blocks at most this many entries (2 MiB each);
+# whole, the weight-0 blocks are 2.4 MB each at (3,5) and 59 MB at (4,4).
+RESIDUAL_CHUNK_ENTRIES = 2**18
+
+
 def _block_residual(f: np.ndarray, core: np.ndarray, l: np.ndarray) -> float:
-    """max|f core f^T - l l^T| on the rows of one weight sector."""
-    return float(np.max(np.abs(f @ core @ f.T - l @ l.T)))
+    """max|f core f^T - l l^T| on the rows of one weight sector, over chunks of rows.
+
+    Each chunk is (f core) f^T - l l^T on its rows, the products in the order
+    of the whole block's, so each entry is formed by the same sums.
+    """
+    step = max(1, RESIDUAL_CHUNK_ENTRIES // f.shape[0])
+    worst = 0.0
+    for start in range(0, f.shape[0], step):
+        rows = slice(start, start + step)
+        worst = max(worst, float(np.max(np.abs((f[rows] @ core) @ f.T - l[rows] @ l.T))))
+    return worst
 
 
 def _V_sub_expansion(p: int, d: int) -> tuple[int, float]:

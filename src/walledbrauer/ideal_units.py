@@ -43,7 +43,6 @@ one product per U (x) conj(U) weight sector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -54,6 +53,7 @@ from .errors import ParameterError, ZeroMultiplicityError
 from .lowrank import fraction_rank_det, jacobi_eigh
 from .matrix_units import left_side_matrix, right_side_matrix
 from .partitions import (
+    Frozen,
     Partition,
     add_box,
     common_removals,
@@ -139,12 +139,19 @@ def _indicator(mu: Partition, nu: Partition, alpha: Partition) -> np.ndarray:
 # sandwich coefficients
 
 
-@dataclass(frozen=True)
-class ABCoefficients:
+class ABCoefficients(Frozen):
     """Exact coefficients of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1)."""
 
+    __slots__ = ("a", "b")
     a: Fraction
     b: Fraction
+
+    def __init__(self, a: Fraction, b: Fraction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __repr__(self) -> str:
+        return f"ABCoefficients(a={self.a!r}, b={self.b!r})"
 
     def identity_value(self, d: int) -> Fraction:
         return self.a * d + self.b
@@ -233,10 +240,12 @@ def singularity_condition(mu: Partition, d: int) -> bool:
     return d * multiplicity(mu, d) == sum(multiplicity(a, d) for a in remove_box(mu))
 
 
-@dataclass(frozen=True)
-class BMatrix:
+class BMatrix(Frozen):
     """The coefficient matrix B^{mu nu}: exact entries and determinant, and read-only float eigen-data."""
 
+    __slots__ = (
+        "mu", "nu", "d", "alphas", "entries", "det", "eigenvalues", "diagonalizer", "nullity", "zero_modes", "singular", "vanishing"
+    )
     mu: Partition
     nu: Partition
     d: int
@@ -249,6 +258,42 @@ class BMatrix:
     zero_modes: tuple[int, ...]  # 1-based eigenvalue indices to discard
     singular: bool
     vanishing: bool
+
+    def __init__(
+        self,
+        mu: Partition,
+        nu: Partition,
+        d: int,
+        alphas: tuple[Partition, ...],
+        entries: tuple[tuple[Fraction, ...], ...],
+        det: Fraction,
+        eigenvalues: np.ndarray,
+        diagonalizer: np.ndarray,
+        nullity: int,
+        zero_modes: tuple[int, ...],
+        singular: bool,
+        vanishing: bool,
+    ):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "diagonalizer", diagonalizer)
+        object.__setattr__(self, "nullity", nullity)
+        object.__setattr__(self, "zero_modes", zero_modes)
+        object.__setattr__(self, "singular", singular)
+        object.__setattr__(self, "vanishing", vanishing)
+
+    def __repr__(self) -> str:
+        return (
+            f"BMatrix(mu={self.mu!r}, nu={self.nu!r}, d={self.d!r}, alphas={self.alphas!r}, "
+            f"entries={self.entries!r}, det={self.det!r}, eigenvalues={self.eigenvalues!r}, "
+            f"diagonalizer={self.diagonalizer!r}, nullity={self.nullity!r}, zero_modes={self.zero_modes!r}, "
+            f"singular={self.singular!r}, vanishing={self.vanishing!r})"
+        )
 
     @property
     def size(self) -> int:
@@ -429,8 +474,7 @@ def _gram_blocks(gram: np.ndarray, n: int) -> np.ndarray:
     return gram.reshape(n, r, n, r).transpose(0, 2, 1, 3)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitSystem:
+class UnitSystem(Frozen):
     """Every irreducible matrix unit of one ideal at (p, d), on shared bases stored per weight sector.
 
     Unit (a, c) is ``G_ac = Q_a M_ac Q_c^T``.  Q_a (d^(2p) x r, orthonormal
@@ -457,6 +501,7 @@ class UnitSystem:
     All arrays are read-only.
     """
 
+    # no __slots__: the cached properties are stored in the instance __dict__
     ideal: int
     p: int
     d: int
@@ -466,6 +511,35 @@ class UnitSystem:
     sector_bases: tuple[np.ndarray, ...]  # per sector: (n, n_s, r_s)
     cores: tuple[np.ndarray, ...]  # per sector: (n, n, r_s, r_s)
     projection_residual: np.ndarray  # (n,)
+
+    def __init__(
+        self,
+        ideal: int,
+        p: int,
+        d: int,
+        labels: tuple,
+        sectors: tuple[int, ...],
+        sector_rows: tuple[np.ndarray, ...],
+        sector_bases: tuple[np.ndarray, ...],
+        cores: tuple[np.ndarray, ...],
+        projection_residual: np.ndarray,
+    ):
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "sector_rows", sector_rows)
+        object.__setattr__(self, "sector_bases", sector_bases)
+        object.__setattr__(self, "cores", cores)
+        object.__setattr__(self, "projection_residual", projection_residual)
+
+    def __repr__(self) -> str:
+        return (
+            f"UnitSystem(ideal={self.ideal!r}, p={self.p!r}, d={self.d!r}, labels={self.labels!r}, "
+            f"sectors={self.sectors!r}, sector_rows={self.sector_rows!r}, sector_bases={self.sector_bases!r}, "
+            f"cores={self.cores!r}, projection_residual={self.projection_residual!r})"
+        )
 
     @property
     def size(self) -> int:
@@ -586,17 +660,25 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     return UnitSystem(ideal, p, d, tuple(labels), sectors, rows, tuple(blocks), tuple(cores), _frozen(residual))
 
 
-@dataclass(frozen=True)
-class GUnit:
+class GUnit(Frozen):
     """An irreducible matrix unit of the top ideal (p) or the second ideal (p-1).
 
     Entry (row, col) of its :class:`UnitSystem`, read off the shared bases
     and the core; ``to_dense`` forms the d^(2p) x d^(2p) operator.
     """
 
-    system: UnitSystem = field(repr=False)
+    __slots__ = ("system", "row", "col")
+    system: UnitSystem
     row: int
     col: int
+
+    def __init__(self, system: UnitSystem, row: int, col: int):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+
+    def __repr__(self) -> str:
+        return f"GUnit(row={self.row!r}, col={self.col!r})"
 
     @property
     def ideal(self) -> int:

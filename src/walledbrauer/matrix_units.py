@@ -19,12 +19,11 @@ need those zero terms at small d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .partitions import Partition, add_box, dim_irrep, multiplicity, enumerate_partitions
+from .partitions import Frozen, Partition, add_box, dim_irrep, multiplicity, enumerate_partitions
 from .symgroup import PrirIndex, enumerate_group, prir_position, young_orthogonal_rep
 from .tensorspace import (
     DenseOperator,
@@ -38,13 +37,28 @@ from .tensorspace import (
 COMPARE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MatrixUnitE:
+class MatrixUnitE(Frozen):
+    """The unit E^mu_ij as a dense operator; ``vanishing`` when ht(mu) > d makes it zero."""
+
+    __slots__ = ("mu", "i", "j", "operator", "vanishing")
     mu: Partition
     i: int
     j: int
     operator: DenseOperator
     vanishing: bool
+
+    def __init__(self, mu: Partition, i: int, j: int, operator: DenseOperator, vanishing: bool):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "vanishing", vanishing)
+
+    def __repr__(self) -> str:
+        return (
+            f"MatrixUnitE(mu={self.mu!r}, i={self.i!r}, j={self.j!r}, "
+            f"operator={self.operator!r}, vanishing={self.vanishing!r})"
+        )
 
 
 @lru_cache(maxsize=None)

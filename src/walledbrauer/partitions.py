@@ -10,26 +10,76 @@ tableau enumeration (:func:`enumerate_standard_tableaux`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Frozen:
+    """Base of the package's value types: each field is set once, in ``__init__``.
+
+    The value types are plain classes whose methods are written out, so
+    importing a module generates and compiles no code.  Equality, hashing,
+    ordering and ``repr`` are those of a frozen ``dataclass`` with the same
+    fields, where a caller uses them: ``hash`` is that of the tuple of the
+    fields, so set and dict orders are the same.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(Frozen):
     """A partition stored as a nonincreasing tuple of positive parts.
 
     Trailing zeros are never stored; the empty partition is ``Partition(())``.
+    Partitions are ordered as their tuples of parts.
     """
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self):
-        parts = tuple(int(v) for v in self.parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(v) for v in parts)
         object.__setattr__(self, "parts", parts)
         if any(v <= 0 for v in parts):
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
             raise ValueError(f"parts must be nonincreasing: {parts}")
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts < other.parts
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts <= other.parts
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts > other.parts
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts >= other.parts
+        return NotImplemented
 
     @property
     def total(self) -> int:
@@ -71,23 +121,51 @@ def partition(*parts: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def enumerate_partitions(p: int) -> tuple[Partition, ...]:
-    """All partitions of ``p`` in reverse-lexicographic order.
+def enumerate_partitions(p: int, rows: int | None = None) -> tuple[Partition, ...]:
+    """All partitions of ``p`` with at most ``rows`` rows (all of them when None), in reverse-lexicographic order.
 
-    ``p = 0`` yields the empty partition.
+    ``p = 0`` yields the empty partition.  A first part too short to hold
+    the rest in the rows left ends the search, so no shape with more rows
+    is built.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
 
-    def gen(rest: int, cap: int):
+    def gen(rest: int, cap: int, rows: int):
         if rest == 0:
             yield ()
             return
         for first in range(min(rest, cap), 0, -1):
-            for tail in gen(rest - first, first):
+            if first * rows < rest:
+                return
+            for tail in gen(rest - first, first, rows - 1):
                 yield (first,) + tail
 
-    return tuple(Partition(parts) for parts in gen(p, p))
+    return tuple(Partition(parts) for parts in gen(p, p, p if rows is None else rows))
+
+
+def count_partitions(p: int, rows: int | None = None, stop: int | None = None) -> int:
+    """The number of partitions of ``p`` with at most ``rows`` rows (all of them when None), none of them built.
+
+    By conjugation these are the partitions into parts of size at most
+    ``rows``: the table of the counts for 0..p takes in the parts k = 1, 2,
+    ... in turn, counts[n] += counts[n - k].  With ``stop``, counting ends
+    once the count passes it, and the number returned is then only known to
+    exceed ``stop``; two rows alone give p // 2 + 1 shapes, so no table is
+    made for a p past 2 stop.
+    """
+    k_max = p if rows is None else min(rows, p)
+    if k_max < 2:
+        return int(k_max == 1 or p == 0)
+    if stop is not None and p // 2 + 1 > stop:
+        return p // 2 + 1
+    counts = [1] + [0] * p
+    for k in range(1, k_max + 1):
+        for n in range(k, p + 1):
+            counts[n] += counts[n - k]
+        if stop is not None and counts[p] > stop:
+            break
+    return counts[p]
 
 
 @lru_cache(maxsize=None)
@@ -160,11 +238,25 @@ def common_removals(mu: Partition, nu: Partition) -> tuple[Partition, ...]:
     return tuple(a for a in remove_box(mu) if a in in_nu)
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(Frozen):
     """A standard filling of a Young diagram with 1..p."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __repr__(self) -> str:
+        return f"StandardTableau(rows={self.rows!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @property
     def shape(self) -> Partition:
@@ -260,4 +352,4 @@ def count_semistandard_tableaux(mu: Partition, d: int) -> int:
 
 def schur_weyl_partitions(p: int, d: int) -> tuple[Partition, ...]:
     """Partitions of ``p`` appearing at local dimension ``d`` (height <= d)."""
-    return tuple(mu for mu in enumerate_partitions(p) if mu.height <= d)
+    return enumerate_partitions(p, d) if d < p else enumerate_partitions(p)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .partitions import (
+    Frozen,
     Partition,
     dim_irrep,
     enumerate_standard_tableaux,
@@ -31,17 +31,28 @@ from .partitions import (
 MAX_GROUP_DEGREE = 6
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of {1..p} stored by its image list (1-based)."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(int(v) for v in images)
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection on 1..{len(images)}: {images}")
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @property
     def degree(self) -> int:
@@ -135,19 +146,33 @@ def young_orthogonal_rep(mu: Partition, sigma: Permutation) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class PrirIndex:
+class PrirIndex(Frozen):
     """Subgroup-adapted label (mu, alpha, i_alpha) of a basis index of mu."""
 
+    __slots__ = ("mu", "alpha", "i_alpha")
     mu: Partition
     alpha: Partition
     i_alpha: int  # 1-based index inside the alpha block
 
-    def __post_init__(self):
-        if self.alpha not in remove_box(self.mu):
-            raise ValueError(f"{self.alpha} is not mu minus a box for mu = {self.mu}")
-        if not 1 <= self.i_alpha <= dim_irrep(self.alpha):
-            raise ValueError(f"i_alpha out of range for {self.alpha}")
+    def __init__(self, mu: Partition, alpha: Partition, i_alpha: int):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "i_alpha", i_alpha)
+        if alpha not in remove_box(mu):
+            raise ValueError(f"{alpha} is not mu minus a box for mu = {mu}")
+        if not 1 <= i_alpha <= dim_irrep(alpha):
+            raise ValueError(f"i_alpha out of range for {alpha}")
+
+    def __repr__(self) -> str:
+        return f"PrirIndex(mu={self.mu!r}, alpha={self.alpha!r}, i_alpha={self.i_alpha!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.mu, self.alpha, self.i_alpha) == (other.mu, other.alpha, other.i_alpha)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mu, self.alpha, self.i_alpha))
 
 
 @lru_cache(maxsize=None)

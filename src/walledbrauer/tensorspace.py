@@ -120,11 +120,13 @@ class DenseOperator:
 
 @lru_cache(maxsize=None)
 def _digit_table(d: int, n: int) -> np.ndarray:
-    """(n, d^n) array: digit of each register for every basis index."""
-    dim = d**n
-    if n == 0:
-        return _frozen(np.zeros((0, dim), dtype=np.int64))
-    return _frozen(np.asarray(np.unravel_index(np.arange(dim), (d,) * n), dtype=np.int64))
+    """(n, d^n) array: digit of each register for every basis index, register 1 the most significant.
+
+    Formed arithmetically, not by ``np.unravel_index``, whose n axes numpy
+    caps at 64: at d = 1 a call with n = 2p > 64 must reach the guards.
+    """
+    places = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return _frozen(np.arange(d**n, dtype=np.int64) // places[:, None] % d)
 
 
 @lru_cache(maxsize=None)

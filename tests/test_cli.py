@@ -140,13 +140,26 @@ def test_verify_sweep_keeps_the_cli_contract(p, d):
     assert len(result.stderr.strip().splitlines()) <= 1 and "Traceback" not in result.stderr
 
 
-# past the twirl's work bound at (7,2) and (5,4), and the block bound at (5,3)
+# past the twirl's work bound at (7,2) and (5,4), and the block bound at (5,3);
+# past the shape bounds of dims (966 467 partitions of 60) and of the analytic
+# spectra (5 604 shapes at (30,30)); and S_40 at d = 1, whose 80 registers
+# numpy's unravel_index could not take
 GUARD_CASES = (
     ["--p", "7", "--d", "2", "spectrum", "--method", "brute"],
     ["--p", "5", "--d", "3", "spectrum", "--method", "brute"],
     ["--p", "5", "--d", "4", "spectrum", "--method", "brute"],
+    ["--p", "60", "--d", "2", "dims"],
+    ["--p", "30", "--d", "30", "spectrum"],
+    ["--p", "40", "--d", "1", "units"],
 )
 NONPOSITIVE_CASES = (["--p", "0", "--d", "2", "dims"], ["--p", "2", "--d", "0", "units"])
+
+
+@pytest.mark.parametrize("args", GUARD_CASES, ids=" ".join)
+def test_guard_cases_are_refused_in_one_line(args):
+    result = run(args)
+    assert result.exit_code == 3 and result.stdout == "", args
+    assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1, result.stderr
 
 
 @st.composite
@@ -445,6 +458,68 @@ def test_import_graph_follows_the_command():
     assert brute == [True] + [False] * len(unit_side)
     units = _imported_after([["units"]], ["walledbrauer.ideal_units", "walledbrauer.spectra", "walledbrauer.checks"])
     assert units == [True, False, False]
+
+
+def test_no_command_generates_code_at_import():
+    """No layer nor command loads ``dataclasses``; the parser, ``dims`` and ``--help`` load no ``inspect`` either.
+
+    ``verify`` imports ``checks``, which imports every other layer.
+    """
+    light = [["dims"], ["--help"], ["dims", "--help"]]
+    assert _imported_after([], ["dataclasses", "inspect"]) == [False, False]
+    assert _imported_after(light, ["dataclasses", "inspect"]) == [False, False]
+    commands = [["bmatrix", "--mu", "2"], ["units"], ["spectrum"], ["spectrum", "--method", "brute"], ["verify", "--suite", "all"]]
+    layers = [f"walledbrauer.{m}" for m in ("partitions", "symgroup", "tensorspace", "matrix_units", "lowrank", "ideal_units", "spectra", "checks")]
+    assert _imported_after(commands, ["dataclasses", *layers]) == [False] + [True] * len(layers)
+
+
+def test_value_types_keep_their_dataclass_behaviour():
+    """Hashes, reprs, ordering and immutability as those of the frozen dataclasses they were."""
+    from walledbrauer.checks import CheckResult
+    from walledbrauer.cli import RunConfig
+    from walledbrauer.ideal_units import B_matrix, ab_general
+    from walledbrauer.matrix_units import E_unit
+    from walledbrauer.partitions import Partition, StandardTableau
+    from walledbrauer.spectra import analytic_overlaps, spectrum_table
+    from walledbrauer.symgroup import Permutation, prir_map
+
+    mu, alpha = Partition((2, 1)), (Partition((2,)), 1)
+    assert hash(mu) == hash(((2, 1),)) and hash(Permutation((2, 1, 3))) == hash(((2, 1, 3),))
+    assert repr(mu) == "Partition(parts=(2, 1))" and repr(Permutation((2, 1, 3))) == "Permutation(images=(2, 1, 3))"
+    assert repr(StandardTableau(((1, 2), (3,)))) == "StandardTableau(rows=((1, 2), (3,)))"
+    assert repr(prir_map(mu)[0]) == "PrirIndex(mu=Partition(parts=(2, 1)), alpha=Partition(parts=(1, 1)), i_alpha=1)"
+    assert repr(CheckResult("x", True, 0.0, 1e-9)) == "CheckResult(name='x', passed=True, residual=0.0, tolerance=1e-09, detail='')"
+    assert repr(RunConfig(2, 3, "json")) == "RunConfig(p=2, d=3, fmt='json')"
+    assert repr(GUnit(unit_system(2, 2, 2), 0, 1)) == "GUnit(row=0, col=1)"
+    assert sorted([Partition((1, 1)), Partition((3,)), mu, Partition((2,))]) == [
+        Partition((1, 1)), Partition((2,)), mu, Partition((3,))
+    ]
+    assert mu < Partition((3,)) <= Partition((3,)) and Partition((3,)) > mu >= mu and mu == Partition([2, 1])
+    assert mu != (2, 1) and Permutation((1, 2)) != Partition((1, 1))
+    values = [
+        mu,
+        StandardTableau(((1, 2), (3,))),
+        Permutation((2, 1, 3)),
+        prir_map(mu)[0],
+        E_unit(mu, 1, 1, 2),
+        B_matrix(mu, mu, 3),
+        unit_system(2, 2, 2),
+        GUnit(unit_system(2, 2, 2), 0, 1),
+        analytic_overlaps(2, 2)[0],
+        spectrum_table(2, 2, 1).rows[0],
+        spectrum_table(2, 2, 1),
+        CheckResult("x", True, 0.0, 1e-9),
+        RunConfig(2, 3, "json"),
+        ab_general(mu, mu, alpha, alpha, alpha, alpha, 3),
+    ]
+    for value in values:
+        name = type(value).__init__.__code__.co_varnames[1]  # the first field
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
 
 
 def test_package_exports_resolve_from_their_modules():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -11,10 +10,12 @@ from walledbrauer import checks, ideal_units
 from walledbrauer.checks import run_suite
 from walledbrauer.errors import ZeroMultiplicityError
 from walledbrauer.ideal_units import (
+    BMatrix,
     B_matrix,
     G_sub,
     G_top,
     GUnit,
+    UnitSystem,
     ab_general,
     b_entry,
     second_ideal_blocks,
@@ -500,18 +501,23 @@ def test_composition_worst_matches_the_per_pair_oracle(p, d):
         assert checks._composition_worst(system) == pytest.approx(composition_worst_by_pairs(system), rel=1e-12)
 
 
+def _with_blocks(s, sector_bases, cores):
+    """A new unit system with ``s``'s fields but the given sector bases and cores."""
+    return UnitSystem(s.ideal, s.p, s.d, s.labels, s.sectors, s.sector_rows, sector_bases, cores, s.projection_residual)
+
+
 def _tilt_basis(system):
     """Q_1 tilted by 1e-6 Q_0 in the first sector block: X_01 = 1e-6 1 + O(eps) there, while X_11 - 1 is only 1e-12."""
     block = system.sector_bases[0].copy()
     block[1] += 1e-6 * block[0]
-    return dataclasses.replace(system, sector_bases=(block,) + system.sector_bases[1:])
+    return _with_blocks(system, (block,) + system.sector_bases[1:], system.cores)
 
 
 def _shift_core_entry(system):
     """M_01 shifted by 1e-6 in the first entry of its first sector block."""
     core = system.cores[0].copy()
     core[0, 1, 0, 0] += 1e-6
-    return dataclasses.replace(system, cores=(core,) + system.cores[1:])
+    return _with_blocks(system, system.sector_bases, (core,) + system.cores[1:])
 
 
 @pytest.mark.parametrize("plant", [_tilt_basis, _shift_core_entry])
@@ -797,7 +803,9 @@ def test_reduction_fails_when_a_zero_mode_does_not_vanish(monkeypatch):
 
     def mislabelled(mu, nu, d):
         b = real(mu, nu, d)
-        return dataclasses.replace(b, zero_modes=(1,)) if mu == nu == partition(2, 1) else b
+        if mu == nu == partition(2, 1):
+            return BMatrix(b.mu, b.nu, b.d, b.alphas, b.entries, b.det, b.eigenvalues, b.diagonalizer, b.nullity, (1,), b.singular, b.vanishing)
+        return b
 
     monkeypatch.setattr(checks, "B_matrix", mislabelled)
     keeps_rank, composition = run_suite("reduction", 3, 3)
@@ -944,6 +952,17 @@ def test_decompose_Vpm1(p, d):
     terms = {(2, 2): 20, (2, 3): 20, (3, 2): 34, (3, 3): 80, (4, 2): 180, (4, 3): 610, (3, 5): 80}[p, d]
     assert check.name == f"V_sub_from_H_terms_{terms}_terms"
     assert check.passed and check.residual <= 1e-9
+
+
+@pytest.mark.parametrize("n,budget", [(700, None), (50, 2**8), (3, 1)])
+def test_block_residual_in_chunks_equals_the_whole_block(monkeypatch, n, budget):
+    """Row chunks of (f core) f^T - l l^T hold the whole block's entries, bit for bit."""
+    if budget:
+        monkeypatch.setattr(checks, "RESIDUAL_CHUNK_ENTRIES", budget)
+    rng = np.random.default_rng(n)
+    f, core, l = rng.standard_normal((n, 9)), np.diag(rng.standard_normal(9)), rng.standard_normal((n, 8))
+    assert n * n > checks.RESIDUAL_CHUNK_ENTRIES
+    assert checks._block_residual(f, core, l) == float(np.max(np.abs(f @ core @ f.T - l @ l.T)))
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2)])

@@ -4,6 +4,7 @@ from walledbrauer.partitions import (
     Partition,
     add_box,
     common_removals,
+    count_partitions,
     count_semistandard_tableaux,
     dim_irrep,
     enumerate_partitions,
@@ -157,6 +158,24 @@ def test_tableaux_block_grouped_by_removed_shape():
 
 def test_schur_weyl_partitions_filter():
     assert [m.parts for m in schur_weyl_partitions(4, 2)] == [(4,), (3, 1), (2, 2)]
+
+
+def test_row_capped_enumeration_and_count_match_the_filter():
+    """The shapes of at most ``rows`` rows are the filter of all shapes, in its order; the count is their number."""
+    for p in range(13):
+        shapes = enumerate_partitions(p)
+        assert count_partitions(p) == len(shapes)
+        for rows in range(p + 2):
+            kept = tuple(mu for mu in shapes if mu.height <= rows)
+            assert enumerate_partitions(p, rows) == kept and schur_weyl_partitions(p, max(rows, 1)) == tuple(
+                mu for mu in shapes if mu.height <= max(rows, 1)
+            )
+            assert count_partitions(p, rows) == len(kept)
+            for stop in (0, 1, 5, 40):
+                count = count_partitions(p, rows, stop)
+                assert count == len(kept) if len(kept) <= stop else count > stop
+    assert count_partitions(30, 30) == 5604 and count_partitions(60) == 966467
+    assert count_partitions(10**12, 3, stop=2**10) > 2**10  # at once: no table of 10^12 counts
 
 
 def test_json_round_trip():

@@ -11,6 +11,7 @@ from walledbrauer.tensorspace import (
     V_generator,
     V_outer_pair,
     _apply_top,
+    _digit_table,
     embed_operator,
     factored_outer_pair,
     factored_V,
@@ -62,6 +63,17 @@ def test_permutation_operator_action_convention():
 def test_resource_guard():
     with pytest.raises(ResourceLimitError):
         permutation_operator(identity(10), 4, 10)
+
+
+def test_digit_table_matches_unravel_index():
+    """Register 1 is the most significant digit, as in ``np.unravel_index``; at d = 1 past its 64 axes too."""
+    for d in range(1, 5):
+        for n in range(1, 7):
+            expected = np.asarray(np.unravel_index(np.arange(d**n), (d,) * n), dtype=np.int64)
+            table = _digit_table(d, n)
+            assert table.dtype == expected.dtype and np.array_equal(table, expected)
+    assert _digit_table(3, 0).shape == (0, 1)
+    assert _digit_table(1, 80).shape == (80, 1) and not _digit_table(1, 80).any()
 
 
 def test_partial_transpose_swap_gives_bell():
