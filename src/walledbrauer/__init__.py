@@ -4,9 +4,10 @@ operators, and spectra of the twirled ideal generators.
 The public names are resolved on first use (PEP 562), so importing the
 package, or one layer of it, loads only that layer and what it imports:
 ``import walledbrauer.cli`` loads no numpy, and the brute spectra load no
-unit construction.  The value types are plain classes with their methods
-written out, not ``dataclasses``, so importing a layer generates and
-compiles no code.
+unit construction.  The value types are plain classes, not
+``dataclasses``: each names its fields once, in ``__slots__``, and their
+base ``partitions.Frozen`` holds the one constructor and repr, so importing
+a layer generates and compiles no code.
 """
 
 import importlib
@@ -60,12 +61,11 @@ _EXPORTS = {
         ),
         (
             "matrix_units",
-            ("E_unit", "MatrixUnitE", "branching_expand", "embed_left", "embed_right", "partial_trace_E", "young_projector"),
+            ("E_unit", "branching_expand", "embed_left", "embed_right", "partial_trace_E", "young_projector"),
         ),
         (
             "ideal_units",
             (
-                "ABCoefficients",
                 "BMatrix",
                 "B_matrix",
                 "GUnit",

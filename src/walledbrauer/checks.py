@@ -80,19 +80,7 @@ class CheckResult(Frozen):
     residual: float
     tolerance: float
     detail: str
-
-    def __init__(self, name: str, passed: bool, residual: float, tolerance: float, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "detail", detail)
-
-    def __repr__(self) -> str:
-        return (
-            f"CheckResult(name={self.name!r}, passed={self.passed!r}, residual={self.residual!r}, "
-            f"tolerance={self.tolerance!r}, detail={self.detail!r})"
-        )
+    _defaults = ("",)
 
     def to_json(self) -> dict:
         out = {
@@ -283,18 +271,18 @@ def suite_matrix_units(p: int, d: int) -> list[CheckResult]:
     for pq in (2, min(p, 3)):
         for dq in (2, min(d, 3)):
             units = [
-                mx.E_unit(mu, i, j, dq)
+                (mu, i, j, mx.E_unit(mu, i, j, dq))
                 for mu in enumerate_partitions(pq)
                 for i in range(1, dim_irrep(mu) + 1)
                 for j in range(1, dim_irrep(mu) + 1)
             ]
-            for a in units:
-                expected_tr = multiplicity(a.mu, dq) if a.i == a.j else 0
-                worst = max(worst, abs(a.operator.trace() - expected_tr))
-                for b in units:
-                    prod = a.operator @ b.operator
-                    if a.mu == b.mu and a.j == b.i:
-                        expected = mx.E_unit(a.mu, a.i, b.j, dq).operator
+            for mu, i, j, a in units:
+                expected_tr = multiplicity(mu, dq) if i == j else 0
+                worst = max(worst, abs(a.trace() - expected_tr))
+                for nu, k, l, b in units:
+                    prod = a @ b
+                    if mu == nu and j == k:
+                        expected = mx.E_unit(mu, i, l, dq)
                     else:
                         expected = DenseOperator.zeros(dq, pq)
                     worst = max(worst, prod.distance(expected))
@@ -307,7 +295,7 @@ def suite_matrix_units(p: int, d: int) -> list[CheckResult]:
                 phi = young_orthogonal_rep(mu, sigma)
                 for i in range(1, dim_irrep(mu) + 1):
                     for j in range(1, dim_irrep(mu) + 1):
-                        acc = acc + phi[i - 1, j - 1] * mx.E_unit(mu, i, j, dq).operator
+                        acc = acc + phi[i - 1, j - 1] * mx.E_unit(mu, i, j, dq)
             worst = max(worst, acc.distance(permutation_operator(sigma, dq, 3)))
     out.append(_result("permutation_resolution_S3", worst, tol))
     worst = mx.completeness_defect(min(p, 3), d)
@@ -321,9 +309,9 @@ def suite_matrix_units(p: int, d: int) -> list[CheckResult]:
             for i, j, k, l in itertools.product(
                 range(1, dm + 1), range(1, dm + 1), range(1, dn + 1), range(1, dn + 1)
             ):
-                lhs = (mx.embed_left(mx.E_unit(mu, i, j, dq), pq) @ mx.embed_right(mx.E_unit(nu, k, l, dq), pq)) @ v
+                lhs = (mx.embed_left(mu, i, j, dq) @ mx.embed_right(nu, k, l, dq)) @ v
                 if mu == nu and j == l:
-                    rhs = mx.embed_left(mx.E_unit(mu, i, k, dq), pq) @ v
+                    rhs = mx.embed_left(mu, i, k, dq) @ v
                 else:
                     rhs = DenseOperator.zeros(dq, 2 * pq)
                 worst = max(worst, lhs.distance(rhs))
@@ -364,16 +352,16 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
                 a_mat = mx.left_side_matrix(mu, i, j, d)
                 for (k, rn), (l, cn) in itertools.product(enumerate(prir_map(nu), 1), repeat=2):
                     args = (mu, nu, (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha), (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d)
-                    ab = ab_general(*args)
+                    a, b = ab_general(*args)
                     same = mu == nu and args[2] == args[4] and args[3] == args[5]
-                    exact_ok &= ab.identity_value(d) == (Fraction(multiplicity(mu, d), d) if same else 0)
+                    exact_ok &= a * d + b == (Fraction(multiplicity(mu, d), d) if same else 0)
                     core = _sandwich_core(a_mat, mx.right_side_matrix(nu, k, l, d), p, d)
                     trace_worst = max(
                         trace_worst,
                         abs(float(phi @ core @ phi) - float(trace_with_V_top(*args))),
                         abs(float(np.trace(core)) - float(trace_with_V_sub(*args))),
                     )
-                    cores[rm, cm, rn, cn] = core, ab
+                    cores[rm, cm, rn, cn] = core, a, b
     rng = random.Random(5)
     worst = 0.0
     for _ in range(50):
@@ -382,8 +370,8 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
         pm_mu, pm_nu = prir_map(mu), prir_map(nu)
         key = (pm_mu[rng.randrange(len(pm_mu))], pm_mu[rng.randrange(len(pm_mu))])
         key += (pm_nu[rng.randrange(len(pm_nu))], pm_nu[rng.randrange(len(pm_nu))])
-        core, ab = cores[key]
-        res = np.max(np.abs(core - float(ab.a) * np.outer(phi, phi) - float(ab.b) * np.eye(d * d)))
+        core, a, b = cores[key]
+        res = np.max(np.abs(core - float(a) * np.outer(phi, phi) - float(b) * np.eye(d * d)))
         worst = max(worst, float(res))
     return [
         _bool_result("ad_plus_b_exact", exact_ok),

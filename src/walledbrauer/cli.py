@@ -16,9 +16,11 @@ more than that command needs.  ``dims``, ``--help`` and a refusal of the
 parser load no numpy; ``bmatrix`` and ``units`` load ``ideal_units``;
 ``spectrum`` loads ``spectra``, and with ``--method brute`` (no ``--fig7``)
 none of the unit construction; ``verify`` loads ``checks``, hence all.
-The value types, ``RunConfig`` among them, are plain classes rather than
-``dataclasses``, so no import generates code, and the parser, ``dims`` and
-``--help`` load neither ``dataclasses`` nor ``inspect``.
+The parser hands each command the global options as the keyword
+arguments ``p``, ``d`` and ``fmt``, then its own options.  The value types
+are plain classes rather than ``dataclasses``, so no import generates
+code, and the parser, ``dims`` and ``--help`` load neither ``dataclasses``
+nor ``inspect``.
 A function-local import reads each name from its defining module at the
 call, so a wrapper installed there, as ``perfbench/tracer.py`` installs
 them, is the function called.
@@ -34,7 +36,7 @@ import sys
 from typing import TYPE_CHECKING, NoReturn
 
 from .errors import ParameterError, ResourceLimitError
-from .partitions import Frozen, Partition, count_partitions, dim_irrep, enumerate_partitions, multiplicity
+from .partitions import Partition, count_partitions, dim_irrep, enumerate_partitions, multiplicity
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,23 +57,6 @@ MAX_DUMP_ENTRIES = 2**21
 # contents (measured: p = 35, 14 883 shapes, 1.1 s; p = 39 at d = 39, 31 185
 # shapes, 3.6 s).  2^15 shapes admit p <= 39 and refuse p = 40 (37 338).
 MAX_DIMS_SHAPES = 2**15
-
-
-class RunConfig(Frozen):
-    """The global options of one call: registers per side, local dimension and output format."""
-
-    __slots__ = ("p", "d", "fmt")
-    p: int
-    d: int
-    fmt: str
-
-    def __init__(self, p: int, d: int, fmt: str):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "fmt", fmt)
-
-    def __repr__(self) -> str:
-        return f"RunConfig(p={self.p!r}, d={self.d!r}, fmt={self.fmt!r})"
 
 
 def f12(x) -> float:
@@ -116,26 +101,26 @@ def emit_matrix_market(matrix: np.ndarray, comment: str = ""):
         print(f"{i} {j} {f12(v):.12g}")
 
 
-def dims(cfg: RunConfig):
+def dims(p: int, d: int, fmt: str):
     """Irrep dimensions and multiplicities for all shapes, with the dimension sum check."""
-    if count_partitions(cfg.p, stop=MAX_DIMS_SHAPES) > MAX_DIMS_SHAPES:
-        raise ResourceLimitError(f"dims at p = {cfg.p} lists more than MAX_DIMS_SHAPES = {MAX_DIMS_SHAPES} shapes")
+    if count_partitions(p, stop=MAX_DIMS_SHAPES) > MAX_DIMS_SHAPES:
+        raise ResourceLimitError(f"dims at p = {p} lists more than MAX_DIMS_SHAPES = {MAX_DIMS_SHAPES} shapes")
     rows = []
     total = 0
-    for mu in enumerate_partitions(cfg.p):
-        dm, m = dim_irrep(mu), multiplicity(mu, cfg.d)
+    for mu in enumerate_partitions(p):
+        dm, m = dim_irrep(mu), multiplicity(mu, d)
         total += dm * m
         rows.append({"partition": mu.to_json(), "height": mu.height, "dim": dm, "multiplicity": m})
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "p": cfg.p,
-        "d": cfg.d,
+        "p": p,
+        "d": d,
         "shapes": rows,
         "dimension_sum": total,
-        "d_to_the_p": cfg.d**cfg.p,
-        "sum_matches": total == cfg.d**cfg.p,
+        "d_to_the_p": d**p,
+        "sum_matches": total == d**p,
     }
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         emit_csv(
             ["partition", "height", "dim", "multiplicity"],
             [["|".join(map(str, r["partition"])), r["height"], r["dim"], r["multiplicity"]] for r in rows],
@@ -144,20 +129,20 @@ def dims(cfg: RunConfig):
         emit_json(doc)
 
 
-def bmatrix(cfg: RunConfig, mu: str, nu: str | None):
+def bmatrix(p: int, d: int, fmt: str, mu: str, nu: str | None):
     """Coefficient matrix entries, eigenvalues, diagonalizer, and singularity verdict."""
     from .ideal_units import B_matrix, singularity_condition
 
     mu_p = parse_partition(mu)
     nu_p = parse_partition(nu) if nu else mu_p
-    if mu_p.total != cfg.p or nu_p.total != cfg.p:
-        raise ParameterError(f"shapes must be partitions of p = {cfg.p}")
-    b = B_matrix(mu_p, nu_p, cfg.d)
+    if mu_p.total != p or nu_p.total != p:
+        raise ParameterError(f"shapes must be partitions of p = {p}")
+    b = B_matrix(mu_p, nu_p, d)
     det = b.det
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "p": cfg.p,
-        "d": cfg.d,
+        "p": p,
+        "d": d,
         "mu": mu_p.to_json(),
         "nu": nu_p.to_json(),
         "alphas": [a.to_json() for a in b.alphas],
@@ -170,11 +155,11 @@ def bmatrix(cfg: RunConfig, mu: str, nu: str | None):
         "nullity": b.nullity,
         "singular": b.singular,
         "vanishing": b.vanishing,
-        "integer_condition": singularity_condition(mu_p, cfg.d) if mu_p == nu_p else None,
+        "integer_condition": singularity_condition(mu_p, d) if mu_p == nu_p else None,
     }
-    if cfg.fmt == "mm":
-        emit_matrix_market(b.entry_float(), f"B matrix mu={mu_p} nu={nu_p} d={cfg.d}")
-    elif cfg.fmt == "csv":
+    if fmt == "mm":
+        emit_matrix_market(b.entry_float(), f"B matrix mu={mu_p} nu={nu_p} d={d}")
+    elif fmt == "csv":
         emit_csv(
             ["alpha"] + ["|".join(map(str, a.to_json())) for a in b.alphas],
             [
@@ -198,13 +183,12 @@ def _check_dump(p: int, d: int, ideals: list[int]) -> None:
         )
 
 
-def units(cfg: RunConfig, ideal: str, dump: bool):
+def units(p: int, d: int, fmt: str, ideal: str, dump: bool):
     """Structured records for every constructed matrix unit at (p, d)."""
     from .ideal_units import GUnit, unit_system
 
-    p, d = cfg.p, cfg.d
     ideals = {"top": [p], "sub": [p - 1], "both": [p, p - 1]}[ideal]
-    if dump:
+    if dump and fmt != "csv":  # the csv listing prints no operator
         _check_dump(p, d, ideals)
     ops = [
         GUnit(system, a, c)
@@ -222,10 +206,10 @@ def units(cfg: RunConfig, ideal: str, dump: bool):
         }
         for u in ops
     ]
-    if cfg.fmt == "mm" and dump:
+    if fmt == "mm" and dump:
         for rec, u in zip(records, ops):
             emit_matrix_market(u.to_dense(), json.dumps(rec, sort_keys=True))
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         emit_csv(
             ["ideal", "labels", "indices", "interior", "trace"],
             [
@@ -282,11 +266,10 @@ def _fig_layout(p: int, d: int, level: int) -> str:
     return "\n".join(lines)
 
 
-def spectrum(cfg: RunConfig, level: int | None, method: str, fig7: bool):
+def spectrum(p: int, d: int, fmt: str, level: int | None, method: str, fig7: bool):
     """Nonzero spectrum of the twirled generator rho(level)."""
     from .spectra import analytic_levels, spectrum_table
 
-    p, d = cfg.p, cfg.d
     if level is None:
         level = p - 1
     if not 0 <= level <= p:
@@ -316,7 +299,7 @@ def spectrum(cfg: RunConfig, level: int | None, method: str, fig7: bool):
         "kernel_dim": table.kernel_dim,
         "dimension": table.dim,
     }
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         emit_csv(
             ["value", "multiplicity"],
             [[float(v), m] for v, m in table.merged()],
@@ -325,15 +308,15 @@ def spectrum(cfg: RunConfig, level: int | None, method: str, fig7: bool):
         emit_json(doc)
 
 
-def verify(cfg: RunConfig, suite: str) -> int:
+def verify(p: int, d: int, fmt: str, suite: str) -> int:
     """Run a named invariant suite; exit 0 iff every check passes."""
     from .checks import run_suite
 
-    results = run_suite(suite, cfg.p, cfg.d)
+    results = run_suite(suite, p, d)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "p": cfg.p,
-        "d": cfg.d,
+        "p": p,
+        "d": d,
         "suite": suite,
         "checks": [
             {**r.to_json(), "residual": f12(r.residual), "tolerance": f12(r.tolerance)}
@@ -462,7 +445,7 @@ class CommandLine:
             if "run" not in opts:
                 raise ParameterError("Missing command.")
             run = opts.pop("run")
-            code = run(RunConfig(opts.pop("p"), opts.pop("d"), opts.pop("fmt")), **opts)
+            code = run(**opts)
             sys.stdout.flush()  # a reader of stdout that left early shows here, as a BrokenPipeError
             sys.exit(code)
         except BrokenPipeError:

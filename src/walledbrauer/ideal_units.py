@@ -55,6 +55,7 @@ from .matrix_units import left_side_matrix, right_side_matrix
 from .partitions import (
     Frozen,
     Partition,
+    _check_exact_cells,
     add_box,
     common_removals,
     dim_irrep,
@@ -139,24 +140,6 @@ def _indicator(mu: Partition, nu: Partition, alpha: Partition) -> np.ndarray:
 # sandwich coefficients
 
 
-class ABCoefficients(Frozen):
-    """Exact coefficients of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1)."""
-
-    __slots__ = ("a", "b")
-    a: Fraction
-    b: Fraction
-
-    def __init__(self, a: Fraction, b: Fraction):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __repr__(self) -> str:
-        return f"ABCoefficients(a={self.a!r}, b={self.b!r})"
-
-    def identity_value(self, d: int) -> Fraction:
-        return self.a * d + self.b
-
-
 def trace_with_V_top(
     mu: Partition,
     nu: Partition,
@@ -212,8 +195,8 @@ def ab_general(
     row_nu: tuple[Partition, int],
     col_nu: tuple[Partition, int],
     d: int,
-) -> ABCoefficients:
-    """Sandwich coefficients for E^mu_{row,col} (x) E^nu_{row',col'}.
+) -> tuple[Fraction, Fraction]:
+    """Sandwich coefficients (a, b) of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1) for X = E^mu_{row,col} (x) E^nu_{row',col'}.
 
     All four indices are subgroup-adapted labels (block shape, index inside
     the block).  Exact rationals.
@@ -223,12 +206,12 @@ def ab_general(
         raise ParameterError(f"the second ideal needs d >= 2 (its coefficients divide by d(d^2-1)), got d = {d}")
     x = trace_with_V_sub(mu, nu, row_mu, col_mu, row_nu, col_nu, d)
     y = trace_with_V_top(mu, nu, row_mu, col_mu, row_nu, col_nu, d)
-    return ABCoefficients(Fraction(d * y - x, den), Fraction(d * x - y, den))
+    return Fraction(d * y - x, den), Fraction(d * x - y, den)
 
 
 def b_entry(mu: Partition, nu: Partition, alpha: Partition, alphap: Partition, d: int) -> Fraction:
     """One entry of the coefficient matrix B^{mu nu}: b at the first indices of blocks alpha, alpha'."""
-    return ab_general(mu, nu, (alpha, 1), (alphap, 1), (alpha, 1), (alphap, 1), d).b
+    return ab_general(mu, nu, (alpha, 1), (alphap, 1), (alpha, 1), (alphap, 1), d)[1]
 
 
 # ----------------------------------------------------------------------------
@@ -259,42 +242,6 @@ class BMatrix(Frozen):
     singular: bool
     vanishing: bool
 
-    def __init__(
-        self,
-        mu: Partition,
-        nu: Partition,
-        d: int,
-        alphas: tuple[Partition, ...],
-        entries: tuple[tuple[Fraction, ...], ...],
-        det: Fraction,
-        eigenvalues: np.ndarray,
-        diagonalizer: np.ndarray,
-        nullity: int,
-        zero_modes: tuple[int, ...],
-        singular: bool,
-        vanishing: bool,
-    ):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "diagonalizer", diagonalizer)
-        object.__setattr__(self, "nullity", nullity)
-        object.__setattr__(self, "zero_modes", zero_modes)
-        object.__setattr__(self, "singular", singular)
-        object.__setattr__(self, "vanishing", vanishing)
-
-    def __repr__(self) -> str:
-        return (
-            f"BMatrix(mu={self.mu!r}, nu={self.nu!r}, d={self.d!r}, alphas={self.alphas!r}, "
-            f"entries={self.entries!r}, det={self.det!r}, eigenvalues={self.eigenvalues!r}, "
-            f"diagonalizer={self.diagonalizer!r}, nullity={self.nullity!r}, zero_modes={self.zero_modes!r}, "
-            f"singular={self.singular!r}, vanishing={self.vanishing!r})"
-        )
-
     @property
     def size(self) -> int:
         return len(self.alphas)
@@ -322,6 +269,7 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
     zero modes are checked against the exact rational nullity.
     """
     alphas = common_removals(mu, nu)
+    _check_exact_cells(f"B^({mu},{nu}) at d = {d}", mu.total, len({mu, nu, *alphas}))
     k = len(alphas)
     entries = tuple(
         tuple(b_entry(mu, nu, a, ap, d) for ap in alphas) for a in alphas
@@ -501,7 +449,10 @@ class UnitSystem(Frozen):
     All arrays are read-only.
     """
 
-    # no __slots__: the cached properties are stored in the instance __dict__
+    __slots__ = (
+        "ideal", "p", "d", "labels", "sectors", "sector_rows", "sector_bases", "cores", "projection_residual",
+        "__dict__",  # holds the cached properties
+    )
     ideal: int
     p: int
     d: int
@@ -511,35 +462,6 @@ class UnitSystem(Frozen):
     sector_bases: tuple[np.ndarray, ...]  # per sector: (n, n_s, r_s)
     cores: tuple[np.ndarray, ...]  # per sector: (n, n, r_s, r_s)
     projection_residual: np.ndarray  # (n,)
-
-    def __init__(
-        self,
-        ideal: int,
-        p: int,
-        d: int,
-        labels: tuple,
-        sectors: tuple[int, ...],
-        sector_rows: tuple[np.ndarray, ...],
-        sector_bases: tuple[np.ndarray, ...],
-        cores: tuple[np.ndarray, ...],
-        projection_residual: np.ndarray,
-    ):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sectors", sectors)
-        object.__setattr__(self, "sector_rows", sector_rows)
-        object.__setattr__(self, "sector_bases", sector_bases)
-        object.__setattr__(self, "cores", cores)
-        object.__setattr__(self, "projection_residual", projection_residual)
-
-    def __repr__(self) -> str:
-        return (
-            f"UnitSystem(ideal={self.ideal!r}, p={self.p!r}, d={self.d!r}, labels={self.labels!r}, "
-            f"sectors={self.sectors!r}, sector_rows={self.sector_rows!r}, sector_bases={self.sector_bases!r}, "
-            f"cores={self.cores!r}, projection_residual={self.projection_residual!r})"
-        )
 
     @property
     def size(self) -> int:
@@ -672,25 +594,12 @@ class GUnit(Frozen):
     row: int
     col: int
 
-    def __init__(self, system: UnitSystem, row: int, col: int):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-
     def __repr__(self) -> str:
-        return f"GUnit(row={self.row!r}, col={self.col!r})"
+        return f"GUnit(row={self.row!r}, col={self.col!r})"  # the system's arrays left out
 
     @property
     def ideal(self) -> int:
         return self.system.ideal
-
-    @property
-    def p(self) -> int:
-        return self.system.p
-
-    @property
-    def d(self) -> int:
-        return self.system.d
 
     @property
     def row_key(self):
@@ -702,18 +611,18 @@ class GUnit(Frozen):
 
     @property
     def labels(self) -> tuple[Partition, ...]:
-        n = 1 if self.ideal == self.p else 2
+        n = 1 if self.ideal == self.system.p else 2
         return self.row_key[:n] + self.col_key[:n]
 
     @property
     def indices(self) -> tuple[int, int, int, int]:
-        n = 1 if self.ideal == self.p else 2
+        n = 1 if self.ideal == self.system.p else 2
         return self.row_key[n : n + 2] + self.col_key[n : n + 2]
 
     @property
     def interior(self) -> tuple[int, int] | None:
         """Eigenmode labels (beta, beta') for ideal p-1."""
-        return None if self.ideal == self.p else (self.row_key[4], self.col_key[4])
+        return None if self.ideal == self.system.p else (self.row_key[4], self.col_key[4])
 
     def core(self) -> np.ndarray:
         """M_ac as an r x r array, its sector blocks placed on the diagonal; a new array on every call."""

@@ -11,9 +11,9 @@ conjugates by the register reversal (its subgroup-adapted basis is built
 from register p down to register 1, so the last point of the chain sits on
 register 1), which is the gather of the cached array at the digit-reversed
 rows and columns; the right side is the cached array itself, on registers
-p+1..2p in natural order.  When ht(mu) > d the unit is the zero matrix and
-is flagged ``vanishing`` rather than rejected; sums over mu = alpha + box
-need those zero terms at small d.
+p+1..2p in natural order.  When ht(mu) > d the unit is the zero matrix
+(m_mu = 0) rather than rejected; sums over mu = alpha + box need those zero
+terms at small d.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partitions import Frozen, Partition, add_box, dim_irrep, multiplicity, enumerate_partitions
+from .partitions import Partition, add_box, dim_irrep, multiplicity, enumerate_partitions
 from .symgroup import PrirIndex, enumerate_group, prir_position, young_orthogonal_rep
 from .tensorspace import (
     DenseOperator,
@@ -37,37 +37,16 @@ from .tensorspace import (
 COMPARE_TOL = 1e-10
 
 
-class MatrixUnitE(Frozen):
-    """The unit E^mu_ij as a dense operator; ``vanishing`` when ht(mu) > d makes it zero."""
-
-    __slots__ = ("mu", "i", "j", "operator", "vanishing")
-    mu: Partition
-    i: int
-    j: int
-    operator: DenseOperator
-    vanishing: bool
-
-    def __init__(self, mu: Partition, i: int, j: int, operator: DenseOperator, vanishing: bool):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "vanishing", vanishing)
-
-    def __repr__(self) -> str:
-        return (
-            f"MatrixUnitE(mu={self.mu!r}, i={self.i!r}, j={self.j!r}, "
-            f"operator={self.operator!r}, vanishing={self.vanishing!r})"
-        )
-
-
 @lru_cache(maxsize=None)
 def _unit_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
+    dmu = dim_irrep(mu)
+    if not (1 <= i <= dmu and 1 <= j <= dmu):
+        raise IndexError(f"unit indices ({i},{j}) out of range 1..{dmu}")
     p = mu.total
     dim = d**p
     if multiplicity(mu, d) == 0:
         return _frozen(np.zeros((dim, dim)))
-    scale = dim_irrep(mu) / math.factorial(p)
+    scale = dmu / math.factorial(p)
     out = np.zeros((dim, dim))
     cols = np.arange(dim)
     for sigma in enumerate_group(p):
@@ -78,16 +57,12 @@ def _unit_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
     return _frozen(scale * out)
 
 
-def E_unit(mu: Partition, i: int, j: int, d: int) -> MatrixUnitE:
-    """The natural-representation unit E^mu_ij on p = |mu| registers."""
-    dmu = dim_irrep(mu)
-    if not (1 <= i <= dmu and 1 <= j <= dmu):
-        raise IndexError(f"unit indices ({i},{j}) out of range 1..{dmu}")
-    mat = _unit_matrix(mu, i, j, d)
-    return MatrixUnitE(mu, i, j, DenseOperator(d, mu.total, mat), multiplicity(mu, d) == 0)
+def E_unit(mu: Partition, i: int, j: int, d: int) -> DenseOperator:
+    """The natural-representation unit E^mu_ij on p = |mu| registers; zero when m_mu = 0."""
+    return DenseOperator(d, mu.total, _unit_matrix(mu, i, j, d))
 
 
-def E_unit_prir(mu: Partition, row: PrirIndex, col: PrirIndex, d: int) -> MatrixUnitE:
+def E_unit_prir(mu: Partition, row: PrirIndex, col: PrirIndex, d: int) -> DenseOperator:
     """E^mu with row and column given as subgroup-adapted labels."""
     if row.mu != mu or col.mu != mu:
         raise ValueError("PRIR labels must belong to mu")
@@ -122,22 +97,16 @@ def right_side_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
     return _unit_matrix(mu, i, j, d)
 
 
-def embed_left(unit: MatrixUnitE, p: int) -> DenseOperator:
-    """The left-wall unit on registers 1..p of 2p, identity on p+1..2p."""
-    if unit.mu.total != p:
-        raise ValueError("unit must act on p registers")
-    d = unit.operator.d
-    small = DenseOperator(d, p, left_side_matrix(unit.mu, unit.i, unit.j, d))
-    return embed_operator(small, range(1, p + 1), 2 * p)
+def embed_left(mu: Partition, i: int, j: int, d: int) -> DenseOperator:
+    """The left-wall unit E^mu_ij on registers 1..p of 2p, p = |mu|, identity on p+1..2p."""
+    p = mu.total
+    return embed_operator(DenseOperator(d, p, left_side_matrix(mu, i, j, d)), range(1, p + 1), 2 * p)
 
 
-def embed_right(unit: MatrixUnitE, p: int) -> DenseOperator:
-    """The right-wall unit on registers p+1..2p of 2p, identity on 1..p."""
-    if unit.mu.total != p:
-        raise ValueError("unit must act on p registers")
-    d = unit.operator.d
-    small = DenseOperator(d, p, right_side_matrix(unit.mu, unit.i, unit.j, d))
-    return embed_operator(small, range(p + 1, 2 * p + 1), 2 * p)
+def embed_right(mu: Partition, i: int, j: int, d: int) -> DenseOperator:
+    """The right-wall unit E^mu_ij on registers p+1..2p of 2p, p = |mu|, identity on 1..p."""
+    p = mu.total
+    return embed_operator(DenseOperator(d, p, right_side_matrix(mu, i, j, d)), range(p + 1, 2 * p + 1), 2 * p)
 
 
 def branching_expand(alpha: Partition, i: int, j: int, p: int, d: int) -> DenseOperator:
@@ -149,13 +118,13 @@ def branching_expand(alpha: Partition, i: int, j: int, p: int, d: int) -> DenseO
     """
     if alpha.total != p - 1:
         raise ValueError("alpha must be a partition of p - 1")
-    small = E_unit(alpha, i, j, d).operator
+    small = E_unit(alpha, i, j, d)
     lhs = embed_operator(small, range(1, p), p)
     rhs = DenseOperator.zeros(d, p)
     for mu in add_box(alpha):
         gi = prir_position(mu, alpha, i)
         gj = prir_position(mu, alpha, j)
-        rhs = rhs + E_unit(mu, gi, gj, d).operator
+        rhs = rhs + E_unit(mu, gi, gj, d)
     if lhs.distance(rhs) > COMPARE_TOL:
         raise ArithmeticError(f"branching identity failed for {alpha}: {lhs.distance(rhs)}")
     return lhs
@@ -166,13 +135,13 @@ def partial_trace_E(mu: Partition, row: PrirIndex, col: PrirIndex, d: int) -> De
 
     tr_p E^mu_{i_alpha j_alpha'} = (m_mu / m_alpha) E^alpha_{i j} delta_{alpha alpha'}.
     """
-    traced = partial_trace(E_unit_prir(mu, row, col, d).operator, [mu.total])
+    traced = partial_trace(E_unit_prir(mu, row, col, d), [mu.total])
     if row.alpha != col.alpha:
         expected = DenseOperator.zeros(d, mu.total - 1)
     else:
         m_mu = multiplicity(mu, d)
         m_a = multiplicity(row.alpha, d)
-        small = E_unit(row.alpha, row.i_alpha, col.i_alpha, d).operator
+        small = E_unit(row.alpha, row.i_alpha, col.i_alpha, d)
         expected = (m_mu / m_a) * small if m_a else DenseOperator.zeros(d, mu.total - 1)
     if traced.distance(expected) > COMPARE_TOL:
         raise ArithmeticError(f"partial-trace identity failed for {mu}: {traced.distance(expected)}")

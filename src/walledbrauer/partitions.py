@@ -12,18 +12,56 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import ResourceLimitError
+
+# d_mu and m_mu are products over the cells of mu of integers that grow with
+# p, formed exactly for every shape the analytic spectra or a B matrix read;
+# that work is counted as cells, p for each shape.  22 * 2^10 cells admit
+# every d at p <= 22 and analytic_sweep's (12,12), (16,8), (20,6) and (22,3)
+# at 924 to 5 640 cells, and past p = 22 no more than 2^10 shapes.  The
+# slowest admitted take 3.8 s cold: (22,22) at 22 044 cells, (23,9) and
+# (24,8); d = 1 admits p <= 22 528 (1.0 s), and a B matrix of two shapes
+# p <= 11 264 (0.5 s).  They refuse (2000,2) at 2.0e6 cells (19.6 s),
+# (100000,1) at 1e5 (11.5 s), the B matrix of (99999,1) at d = 2, three
+# shapes of 1e5 cells (21.9 s), and (23,11) at 24 380 (4.7 s).
+MAX_EXACT_CELLS = 22 * 2**10
+
 
 class Frozen:
-    """Base of the package's value types: each field is set once, in ``__init__``.
+    """Base of the package's value types: a class names its fields once, in ``__slots__``.
 
-    The value types are plain classes whose methods are written out, so
-    importing a module generates and compiles no code.  Equality, hashing,
-    ordering and ``repr`` are those of a frozen ``dataclass`` with the same
-    fields, where a caller uses them: ``hash`` is that of the tuple of the
-    fields, so set and dict orders are the same.
+    That tuple, less the ``__dict__`` a class with cached properties lists
+    there, is the class's ``_fields``.  The one ``__init__`` sets each field
+    once, from the positional values in that order, a trailing run of them
+    taken from ``_defaults`` when left out; a wrong count raises
+    ``TypeError``.  The one ``__repr__`` is ``Name(field=value, ...)``, the
+    string of a frozen ``dataclass`` with the same fields.  A class writes
+    out ``__init__`` only to normalize or validate its input, and then
+    calls this one.  Equality, hashing and ordering are written out where a
+    caller uses them: ``hash`` is that of the tuple of the fields, as the
+    dataclass's, so set and dict orders are the same.  Nothing is generated
+    or compiled at import.
     """
 
     __slots__ = ()
+    _defaults = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *values):
+        fields = self._fields
+        missing = len(fields) - len(values)
+        if missing:
+            if not 0 < missing <= len(self._defaults):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}, got {len(values)} values")
+            values += self._defaults[-missing:]
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -44,14 +82,11 @@ class Partition(Frozen):
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(int(v) for v in parts)
-        object.__setattr__(self, "parts", parts)
         if any(v <= 0 for v in parts):
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
             raise ValueError(f"parts must be nonincreasing: {parts}")
-
-    def __repr__(self) -> str:
-        return f"Partition(parts={self.parts!r})"
+        super().__init__(parts)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -168,6 +203,14 @@ def count_partitions(p: int, rows: int | None = None, stop: int | None = None) -
     return counts[p]
 
 
+def _check_exact_cells(what: str, p: int, shapes: int) -> None:
+    """Refuse exact products over ``shapes`` shapes of p cells each past MAX_EXACT_CELLS cells."""
+    if shapes * p > MAX_EXACT_CELLS:
+        raise ResourceLimitError(
+            f"{what}: exact products over at least {shapes} shapes of {p} cells exceed MAX_EXACT_CELLS = {MAX_EXACT_CELLS}"
+        )
+
+
 @lru_cache(maxsize=None)
 def dim_irrep(mu: Partition) -> int:
     """Irrep dimension d_mu = p! / product of hook lengths."""
@@ -243,12 +286,6 @@ class StandardTableau(Frozen):
 
     __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-
-    def __repr__(self) -> str:
-        return f"StandardTableau(rows={self.rows!r})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -37,8 +37,10 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .partitions import (
+    MAX_EXACT_CELLS,
     Frozen,
     Partition,
+    _check_exact_cells,
     count_partitions,
     dim_irrep,
     enumerate_partitions,
@@ -67,14 +69,6 @@ PASS_FLOOR = 2**12
 # block 2716^2, 59 MB; about 3 s and a 200 MiB peak per level), and refuse
 # (5,3) at 4.6e7, whose largest block alone takes 0.17 GB.
 MAX_BLOCK_ENTRIES = 2**24
-
-# The analytic path makes records for every shape of at most d rows and a B
-# matrix for every second-ideal block; its cost grows faster than the shape
-# count (measured: (20,20), 627 shapes, 1.6 s; (22,22), 1 002 shapes, 3.0 s).
-# 2^10 shapes admit every d at p <= 22, and analytic_sweep's (12,12), (16,8),
-# (20,6) and (22,3) at 77, 186, 282 and 52, and refuse (23,23) at 1 255 and
-# (30,30) at 5 604.
-MAX_ANALYTIC_SHAPES = 2**10
 
 
 def _orbit_size(p: int, level: int) -> int:
@@ -308,35 +302,6 @@ class OverlapRecord(Frozen):
     eigenvalue: float
     unit_count: int
 
-    def __init__(
-        self,
-        rho_level: int,
-        ideal: int,
-        mu: Partition,
-        nu: Partition,
-        interior: int | None,
-        overlap: float,
-        unit_trace: int,
-        eigenvalue: float,
-        unit_count: int,
-    ):
-        object.__setattr__(self, "rho_level", rho_level)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "interior", interior)
-        object.__setattr__(self, "overlap", overlap)
-        object.__setattr__(self, "unit_trace", unit_trace)
-        object.__setattr__(self, "eigenvalue", eigenvalue)
-        object.__setattr__(self, "unit_count", unit_count)
-
-    def __repr__(self) -> str:
-        return (
-            f"OverlapRecord(rho_level={self.rho_level!r}, ideal={self.ideal!r}, mu={self.mu!r}, nu={self.nu!r}, "
-            f"interior={self.interior!r}, overlap={self.overlap!r}, unit_trace={self.unit_trace!r}, "
-            f"eigenvalue={self.eigenvalue!r}, unit_count={self.unit_count!r})"
-        )
-
     @property
     def eigen_multiplicity(self) -> int:
         return self.unit_count * self.unit_trace
@@ -361,10 +326,7 @@ def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
 
     if p < 1:
         raise ValueError("p must be >= 1")
-    if count_partitions(p, d, stop=MAX_ANALYTIC_SHAPES) > MAX_ANALYTIC_SHAPES:
-        raise ResourceLimitError(
-            f"the analytic spectra at (p,d)=({p},{d}) take more than MAX_ANALYTIC_SHAPES = {MAX_ANALYTIC_SHAPES} shapes of at most d rows"
-        )
+    _check_exact_cells(f"the analytic spectra at (p,d)=({p},{d})", p, count_partitions(p, d, stop=MAX_EXACT_CELLS // p))
     second = has_second_ideal(p, d)
     records = []
     for mu in schur_weyl_partitions(p, d):
@@ -403,28 +365,7 @@ class SpectrumRow(Frozen):
     mu: Partition | None
     nu: Partition | None
     interior: int | None
-
-    def __init__(
-        self,
-        value: float,
-        multiplicity: int,
-        ideal: int | None = None,
-        mu: Partition | None = None,
-        nu: Partition | None = None,
-        interior: int | None = None,
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "interior", interior)
-
-    def __repr__(self) -> str:
-        return (
-            f"SpectrumRow(value={self.value!r}, multiplicity={self.multiplicity!r}, ideal={self.ideal!r}, "
-            f"mu={self.mu!r}, nu={self.nu!r}, interior={self.interior!r})"
-        )
+    _defaults = (None, None, None, None)  # ideal, mu, nu, interior: the brute path gives none of them
 
 
 class SpectrumTable(Frozen):
@@ -437,20 +378,6 @@ class SpectrumTable(Frozen):
     method: str
     rows: tuple[SpectrumRow, ...]
     kernel_dim: int
-
-    def __init__(self, p: int, d: int, level: int, method: str, rows: tuple[SpectrumRow, ...], kernel_dim: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "kernel_dim", kernel_dim)
-
-    def __repr__(self) -> str:
-        return (
-            f"SpectrumTable(p={self.p!r}, d={self.d!r}, level={self.level!r}, method={self.method!r}, "
-            f"rows={self.rows!r}, kernel_dim={self.kernel_dim!r})"
-        )
 
     @property
     def dim(self) -> int:

@@ -39,12 +39,9 @@ class Permutation(Frozen):
 
     def __init__(self, images: tuple[int, ...]):
         images = tuple(int(v) for v in images)
-        object.__setattr__(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection on 1..{len(images)}: {images}")
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
+        super().__init__(images)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -155,16 +152,11 @@ class PrirIndex(Frozen):
     i_alpha: int  # 1-based index inside the alpha block
 
     def __init__(self, mu: Partition, alpha: Partition, i_alpha: int):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "i_alpha", i_alpha)
         if alpha not in remove_box(mu):
             raise ValueError(f"{alpha} is not mu minus a box for mu = {mu}")
         if not 1 <= i_alpha <= dim_irrep(alpha):
             raise ValueError(f"i_alpha out of range for {alpha}")
-
-    def __repr__(self) -> str:
-        return f"PrirIndex(mu={self.mu!r}, alpha={self.alpha!r}, i_alpha={self.i_alpha!r})"
+        super().__init__(mu, alpha, i_alpha)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

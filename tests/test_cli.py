@@ -151,6 +151,9 @@ GUARD_CASES = (
     ["--p", "60", "--d", "2", "dims"],
     ["--p", "30", "--d", "30", "spectrum"],
     ["--p", "40", "--d", "1", "units"],
+    ["--p", "2000", "--d", "2", "spectrum"],
+    ["--p", "100000", "--d", "1", "spectrum", "--level", "100000"],
+    ["--p", "100000", "--d", "2", "bmatrix", "--mu", "99999,1"],
 )
 NONPOSITIVE_CASES = (["--p", "0", "--d", "2", "dims"], ["--p", "2", "--d", "0", "units"])
 
@@ -317,14 +320,17 @@ def test_units_json_dump_prints_the_bytes_of_one_document(p, d, ideal):
 
 
 def test_units_csv_dump_builds_no_operator(monkeypatch):
-    plain = run(["--p", "2", "--d", "2", "--format", "csv", "units"]).output
+    """The csv listing ignores --dump, so no dump guard refuses it: (3,3) would dump 1.7e8 entries."""
 
     def dense(self):
         raise AssertionError("the csv listing prints no operator")
 
-    monkeypatch.setattr(GUnit, "to_dense", dense)
-    result = run(["--p", "2", "--d", "2", "--format", "csv", "units", "--dump"])
-    assert result.exit_code == 0 and result.output == plain
+    for g in (["--p", "2", "--d", "2"], ["--p", "3", "--d", "3"]):
+        plain = run(g + ["--format", "csv", "units"]).output
+        with monkeypatch.context() as patch:
+            patch.setattr(GUnit, "to_dense", dense)
+            result = run(g + ["--format", "csv", "units", "--dump"])
+        assert result.exit_code == 0 and result.output == plain, g
 
 
 def test_units_dump_guard(monkeypatch):
@@ -476,20 +482,17 @@ def test_no_command_generates_code_at_import():
 def test_value_types_keep_their_dataclass_behaviour():
     """Hashes, reprs, ordering and immutability as those of the frozen dataclasses they were."""
     from walledbrauer.checks import CheckResult
-    from walledbrauer.cli import RunConfig
-    from walledbrauer.ideal_units import B_matrix, ab_general
-    from walledbrauer.matrix_units import E_unit
+    from walledbrauer.ideal_units import B_matrix
     from walledbrauer.partitions import Partition, StandardTableau
-    from walledbrauer.spectra import analytic_overlaps, spectrum_table
+    from walledbrauer.spectra import SpectrumRow, analytic_overlaps, spectrum_table
     from walledbrauer.symgroup import Permutation, prir_map
 
-    mu, alpha = Partition((2, 1)), (Partition((2,)), 1)
+    mu = Partition((2, 1))
     assert hash(mu) == hash(((2, 1),)) and hash(Permutation((2, 1, 3))) == hash(((2, 1, 3),))
     assert repr(mu) == "Partition(parts=(2, 1))" and repr(Permutation((2, 1, 3))) == "Permutation(images=(2, 1, 3))"
     assert repr(StandardTableau(((1, 2), (3,)))) == "StandardTableau(rows=((1, 2), (3,)))"
     assert repr(prir_map(mu)[0]) == "PrirIndex(mu=Partition(parts=(2, 1)), alpha=Partition(parts=(1, 1)), i_alpha=1)"
     assert repr(CheckResult("x", True, 0.0, 1e-9)) == "CheckResult(name='x', passed=True, residual=0.0, tolerance=1e-09, detail='')"
-    assert repr(RunConfig(2, 3, "json")) == "RunConfig(p=2, d=3, fmt='json')"
     assert repr(GUnit(unit_system(2, 2, 2), 0, 1)) == "GUnit(row=0, col=1)"
     assert sorted([Partition((1, 1)), Partition((3,)), mu, Partition((2,))]) == [
         Partition((1, 1)), Partition((2,)), mu, Partition((3,))
@@ -501,7 +504,6 @@ def test_value_types_keep_their_dataclass_behaviour():
         StandardTableau(((1, 2), (3,))),
         Permutation((2, 1, 3)),
         prir_map(mu)[0],
-        E_unit(mu, 1, 1, 2),
         B_matrix(mu, mu, 3),
         unit_system(2, 2, 2),
         GUnit(unit_system(2, 2, 2), 0, 1),
@@ -509,11 +511,18 @@ def test_value_types_keep_their_dataclass_behaviour():
         spectrum_table(2, 2, 1).rows[0],
         spectrum_table(2, 2, 1),
         CheckResult("x", True, 0.0, 1e-9),
-        RunConfig(2, 3, "json"),
-        ab_general(mu, mu, alpha, alpha, alpha, alpha, 3),
     ]
+    assert CheckResult("x", True, 0.0, 1e-9).detail == ""
+    row = SpectrumRow(0.5, 2)
+    assert (row.value, row.multiplicity, row.ideal, row.mu, row.nu, row.interior) == (0.5, 2, None, None, None, None)
     for value in values:
-        name = type(value).__init__.__code__.co_varnames[1]  # the first field
+        cls = type(value)
+        fields = [getattr(value, name) for name in cls._fields]
+        with pytest.raises(TypeError):  # one field short of those without a default
+            cls(*fields[: len(fields) - len(cls._defaults) - 1])
+        with pytest.raises(TypeError):
+            cls(*fields, None)
+        name = cls._fields[0]
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):

@@ -36,7 +36,7 @@ from oracles import left_by_conjugation, unit_by_permutation_sum
 
 def all_units(p, d):
     return [
-        E_unit(mu, i, j, d)
+        (mu, i, j, E_unit(mu, i, j, d))
         for mu in enumerate_partitions(p)
         for i in range(1, dim_irrep(mu) + 1)
         for j in range(1, dim_irrep(mu) + 1)
@@ -46,20 +46,20 @@ def all_units(p, d):
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_unit_composition_and_trace_rules(p, d):
     units = all_units(p, d)
-    for a in units:
-        expected_trace = multiplicity(a.mu, d) if a.i == a.j else 0
-        assert abs(a.operator.trace() - expected_trace) <= 1e-10
-        for b in units:
-            prod = a.operator @ b.operator
-            if a.mu == b.mu and a.j == b.i:
-                expected = E_unit(a.mu, a.i, b.j, d).operator
+    for mu, i, j, a in units:
+        expected_trace = multiplicity(mu, d) if i == j else 0
+        assert abs(a.trace() - expected_trace) <= 1e-10
+        for nu, k, l, b in units:
+            prod = a @ b
+            if mu == nu and j == k:
+                expected = E_unit(mu, i, l, d)
             else:
                 expected = DenseOperator.zeros(d, p)
             assert prod.distance(expected) <= 1e-10
 
 
 def test_symmetrizer_idempotent():
-    sym = E_unit(partition(3), 1, 1, 3).operator
+    sym = E_unit(partition(3), 1, 1, 3)
     avg = DenseOperator.zeros(3, 3)
     for sigma in enumerate_group(3):
         avg = avg + permutation_operator(sigma, 3, 3)
@@ -68,21 +68,20 @@ def test_symmetrizer_idempotent():
 
 
 def test_unit_product_example_21():
-    e12 = E_unit(partition(2, 1), 1, 2, 3).operator
-    e21 = E_unit(partition(2, 1), 2, 1, 3).operator
-    assert (e12 @ e21).distance(E_unit(partition(2, 1), 1, 1, 3).operator) <= 1e-10
+    e12 = E_unit(partition(2, 1), 1, 2, 3)
+    e21 = E_unit(partition(2, 1), 2, 1, 3)
+    assert (e12 @ e21).distance(E_unit(partition(2, 1), 1, 1, 3)) <= 1e-10
 
 
 def test_vanishing_unit_is_zero_and_flagged():
-    unit = E_unit(partition(1, 1, 1), 1, 1, 2)
-    assert unit.vanishing and not unit.operator.matrix.any()
+    assert multiplicity(partition(1, 1, 1), 2) == 0 and not E_unit(partition(1, 1, 1), 1, 1, 2).matrix.any()
 
 
 def test_cached_unit_cannot_be_overwritten():
     mu = partition(2, 1)
     with pytest.raises(ValueError):
-        E_unit(mu, 1, 1, 3).operator.matrix[...] = 0.0
-    assert abs(E_unit(mu, 1, 1, 3).operator.trace() - multiplicity(mu, 3)) <= 1e-12
+        E_unit(mu, 1, 1, 3).matrix[...] = 0.0
+    assert abs(E_unit(mu, 1, 1, 3).trace() - multiplicity(mu, 3)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -115,6 +114,9 @@ def test_cold_unit_build_makes_no_dense_operator(monkeypatch):
 def test_unit_index_range():
     with pytest.raises(IndexError):
         E_unit(partition(2, 1), 3, 1, 3)
+    for embed in (embed_left, embed_right):  # index 0 would read the last row of phi
+        with pytest.raises(IndexError):
+            embed(partition(2, 1), 0, 1, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -126,7 +128,7 @@ def test_permutation_resolution(d):
             phi = young_orthogonal_rep(mu, sigma)
             for i in range(1, dim_irrep(mu) + 1):
                 for j in range(1, dim_irrep(mu) + 1):
-                    acc = acc + phi[i - 1, j - 1] * E_unit(mu, i, j, d).operator
+                    acc = acc + phi[i - 1, j - 1] * E_unit(mu, i, j, d)
         assert acc.distance(permutation_operator(sigma, d, 3)) <= 1e-10
 
 
@@ -139,15 +141,15 @@ def test_action_rules_p3():
             n = dim_irrep(mu)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    left = v @ E_unit(mu, i, j, d).operator
+                    left = v @ E_unit(mu, i, j, d)
                     expected = DenseOperator.zeros(d, 3)
                     for k in range(1, n + 1):
-                        expected = expected + phi[k - 1, i - 1] * E_unit(mu, k, j, d).operator
+                        expected = expected + phi[k - 1, i - 1] * E_unit(mu, k, j, d)
                     assert left.distance(expected) <= 1e-10
-                    right = E_unit(mu, i, j, d).operator @ v
+                    right = E_unit(mu, i, j, d) @ v
                     expected = DenseOperator.zeros(d, 3)
                     for k in range(1, n + 1):
-                        expected = expected + phi[j - 1, k - 1] * E_unit(mu, i, k, d).operator
+                        expected = expected + phi[j - 1, k - 1] * E_unit(mu, i, k, d)
                     assert right.distance(expected) <= 1e-10
 
 
@@ -163,12 +165,11 @@ def test_young_projectors():
 
 
 def test_embed_left_identity_and_explicit_conjugation():
-    ident = E_unit(partition(2), 1, 1, 2)
-    combined = embed_left(ident, 2) + embed_left(E_unit(partition(1, 1), 1, 1, 2), 2)
+    combined = embed_left(partition(2), 1, 1, 2) + embed_left(partition(1, 1), 1, 1, 2)
     assert combined.distance(DenseOperator.identity(2, 4)) <= 1e-10
     unit = E_unit(partition(2, 1), 1, 2, 2)
     rev = permutation_operator(Permutation((3, 2, 1)), 2, 3)
-    explicit = rev @ unit.operator @ rev
+    explicit = rev @ unit @ rev
     assert np.max(np.abs(left_side_matrix(partition(2, 1), 1, 2, 2) - explicit.matrix)) <= 1e-12
 
 
@@ -182,9 +183,9 @@ def test_wall_embedding_collapse_identity(p, d):
             for i, j, k, l in itertools.product(
                 range(1, dm + 1), range(1, dm + 1), range(1, dn + 1), range(1, dn + 1)
             ):
-                lhs = (embed_left(E_unit(mu, i, j, d), p) @ embed_right(E_unit(nu, k, l, d), p)) @ v
+                lhs = (embed_left(mu, i, j, d) @ embed_right(nu, k, l, d)) @ v
                 if mu == nu and j == l:
-                    rhs = embed_left(E_unit(mu, i, k, d), p) @ v
+                    rhs = embed_left(mu, i, k, d) @ v
                 else:
                     rhs = DenseOperator.zeros(d, 2 * p)
                 assert lhs.distance(rhs) <= 1e-10
@@ -207,12 +208,12 @@ def test_partial_trace_E_closed_form():
     labels = prir_map(mu)
     alpha_11, alpha_2 = labels[0], labels[1]
     traced = partial_trace_E(mu, alpha_2, alpha_2, 3)
-    assert traced.distance((8.0 / 6.0) * E_unit(partition(2), 1, 1, 3).operator) <= 1e-10
+    assert traced.distance((8.0 / 6.0) * E_unit(partition(2), 1, 1, 3)) <= 1e-10
     off = partial_trace_E(mu, alpha_11, alpha_2, 3)
     assert np.max(np.abs(off.matrix)) <= 1e-12
     labels2 = prir_map(partition(2))
     traced2 = partial_trace_E(partition(2), labels2[0], labels2[0], 2)
-    assert traced2.distance(1.5 * E_unit(partition(1), 1, 1, 2).operator) <= 1e-10
+    assert traced2.distance(1.5 * E_unit(partition(1), 1, 1, 2)) <= 1e-10
 
 
 def test_partial_trace_E_exhaustive_p3():
@@ -227,4 +228,4 @@ def test_prir_unit_indexing():
     labels = prir_map(mu)
     direct = E_unit(mu, 1, 2, 3)
     via_prir = E_unit_prir(mu, labels[0], labels[1], 3)
-    assert direct.operator.distance(via_prir.operator) == 0
+    assert direct.distance(via_prir) == 0

@@ -6,7 +6,7 @@ import pytest
 from walledbrauer import checks, spectra
 from walledbrauer.errors import ResourceLimitError
 from walledbrauer.ideal_units import G_sub, G_top, sub_row_labels, top_row_labels
-from walledbrauer.matrix_units import E_unit, embed_left, embed_right
+from walledbrauer.matrix_units import embed_left, embed_right
 from walledbrauer.partitions import Partition, dim_irrep, partition, schur_weyl_partitions
 from walledbrauer.spectra import (
     _block_entries,
@@ -71,8 +71,8 @@ def twirl_trace_identity(
     the label and index deltas.
     """
     p = x.n // 2
-    left_unit = embed_left(E_unit(mu, i, j, d), p) @ embed_right(E_unit(nu, k, l, d), p)
-    right_unit = embed_left(E_unit(mup, ip, jp, d), p) @ embed_right(E_unit(nup, kp, lp, d), p)
+    left_unit = embed_left(mu, i, j, d) @ embed_right(nu, k, l, d)
+    right_unit = embed_left(mup, ip, jp, d) @ embed_right(nup, kp, lp, d)
     lhs = float(np.trace(twirl(x).matrix @ left_unit.matrix @ y.matrix @ right_unit.matrix))
     rhs = 0.0
     if mu == mup and nu == nup and i == jp and k == lp:
@@ -80,8 +80,8 @@ def twirl_trace_identity(
         total = 0.0
         for r in range(1, dm + 1):
             for s in range(1, dn + 1):
-                a = embed_left(E_unit(mu, r, j, d), p) @ embed_right(E_unit(nu, s, l, d), p)
-                b = embed_left(E_unit(mu, ip, r, d), p) @ embed_right(E_unit(nu, kp, s, d), p)
+                a = embed_left(mu, r, j, d) @ embed_right(nu, s, l, d)
+                b = embed_left(mu, ip, r, d) @ embed_right(nu, kp, s, d)
                 total += float(np.trace(x.matrix @ a.matrix @ y.matrix @ b.matrix))
         rhs = total / (dm * dn)
     return lhs, rhs
