@@ -669,8 +669,9 @@ def suite_table1(p: int, d: int) -> list[CheckResult]:
 
 
 # Absolute bound on the Frobenius norm of a transformed generator that touches
-# a zero mode.  Over the diagonal blocks up to (p,d) = (4,3), the H generators
-# have norm up to 25, and a true zero mode leaves rounding noise below 4e-15.
+# a kernel row of B.  Over the diagonal blocks up to (p,d) = (4,3) and at
+# (5,2), the H generators have norm up to 25, and a unit-length kernel row,
+# paired with itself or with a mode w~, leaves rounding noise below 7e-15.
 DISCARD_ATOL = 1e-9
 
 
@@ -682,11 +683,12 @@ def _block_norm(blocks) -> float:
 def suite_reduction(p: int, d: int) -> list[CheckResult]:
     """Reduce the H operators of every diagonal block (mu, mu) at (p, d) to units, and compose them, one weight sector at a time.
 
-    With w_s row s of the B^{mu mu} diagonalizer, the transformed generator
+    With w_s a row of the B^{mu mu} pencil basis ``modes`` or of its
+    ``kernel``, the transformed generator
     y_sr = sum over (alpha, alpha') of w_{s alpha} w_{r alpha'} H_{alpha alpha'}
-    is the wall-factor pair W(w_s) D W(w_r)^T.  Every y that touches a zero
-    mode of B must vanish, and the kept y_sr / (d sqrt(lambda_s lambda_r))
-    must compose as matrix units.
+    is the wall-factor pair W(w_s) D W(w_r)^T.  Every y that touches a
+    kernel row must vanish, and y_sr / d over the modes must compose as
+    matrix units.
 
     Each column of a wall factor lies in one weight sector, so y_sr is block
     diagonal over the sectors: each wall factor is formed one column at a
@@ -704,16 +706,14 @@ def suite_reduction(p: int, d: int) -> list[CheckResult]:
     zero_worst = worst = 0.0
     for mu in schur_weyl_partitions(p, d):
         bm = B_matrix(mu, mu, d)
-        walls = [_sector_blocks(_wall_pack(mu, mu, 1, 1, w, p, d), rows, cols) for w in bm.diagonalizer]
-        lam = bm.eigenvalues
+        walls = [_sector_blocks(_wall_pack(mu, mu, 1, 1, w, p, d), rows, cols) for w in (*bm.modes, *bm.kernel)]
         units = {}
-        for s, r in itertools.product(range(1, bm.size + 1), repeat=2):
-            y = [FactoredOperator(ws * metric[c], wr.T).compress() for ws, wr, c in zip(walls[s - 1], walls[r - 1], cols)]
-            if bm.is_zero_mode(s) or bm.is_zero_mode(r):
+        for s, r in itertools.product(range(len(walls)), repeat=2):
+            y = [FactoredOperator(ws * metric[c], wr.T).compress() for ws, wr, c in zip(walls[s], walls[r], cols)]
+            if max(s, r) >= bm.rank:
                 zero_worst = max(zero_worst, _block_norm(y))
             else:
-                scale = 1.0 / (d * math.sqrt(lam[s - 1] * lam[r - 1]))
-                units[s, r] = [block * scale for block in y]
+                units[s, r] = [block * (1.0 / d) for block in y]
         for (s, r), (s2, r2) in itertools.product(units, repeat=2):
             prod = [a @ b for a, b in zip(units[s, r], units[s2, r2])]
             worst = max(worst, _block_norm([a - b for a, b in zip(prod, units[s, r2])] if r == s2 else prod))

@@ -5,10 +5,11 @@ keys, so a fixed configuration produces identical bytes across runs on one
 platform.  CSV output rounds to 6 decimals.  Exit codes: 0 success, 1
 verification failure or a failed internal check (an ArithmeticError, such
 as a unit factor entry off its weight sector), 2 usage error, 3 resource
-guard.  Every refusal, the parser's own included, is one line on stderr,
-printed by ``CommandLine.main``.  The parser is the standard library's
-``argparse``, which a fresh process imports faster and in less memory than
-a third-party one.
+guard.  A command prints only the formats ``FORMATS`` lists for it; any
+other ``--format`` is a usage error.  Every refusal, the parser's own
+included, is one line on stderr, printed by ``CommandLine.main``.  The
+parser is the standard library's ``argparse``, which a fresh process
+imports faster and in less memory than a third-party one.
 
 This module imports only the parser, ``errors`` and ``partitions``; each
 command imports the layer it runs when it runs, so a cold call loads no
@@ -52,6 +53,17 @@ SCHEMA_VERSION = 1
 # entries keep a dump near 17 MB of output; they admit (2,4) and refuse (2,5)
 # at 7.8e6, (4,2) at 6.4e7 and (3,3) at 1.7e8.
 MAX_DUMP_ENTRIES = 2**21
+
+# The formats each command honours.  ``units`` prints operators in Matrix
+# Market form only with ``--dump``; any other request is a usage error.
+FORMATS = {
+    "dims": ("json", "csv"),
+    "bmatrix": ("json", "csv", "mm"),
+    "spectrum": ("json", "csv"),
+    "units": ("json", "csv"),
+    "units --dump": ("json", "csv", "mm"),
+    "verify": ("json",),
+}
 
 # ``dims`` lists every partition of p, each with its hook lengths and
 # contents (measured: p = 35, 14 883 shapes, 1.1 s; p = 39 at d = 39, 31 185
@@ -402,7 +414,8 @@ def _parser(prog: str) -> _Parser:
         dest="fmt",
         choices=["json", "csv", "mm"],
         default="json",
-        help="output format; mm dumps operators in Matrix Market coordinate form (default: %(default)s)",
+        help="output format: json, csv for all but verify, mm (Matrix Market) for bmatrix and units --dump "
+        "(default: %(default)s)",
     )
     commands = parser.add_subparsers(title="commands", metavar="COMMAND")
     parser.commands = commands.choices
@@ -445,6 +458,9 @@ class CommandLine:
             if "run" not in opts:
                 raise ParameterError("Missing command.")
             run = opts.pop("run")
+            command = run.__name__ + (" --dump" if opts.get("dump") else "")
+            if opts["fmt"] not in FORMATS[command]:
+                raise ParameterError(f"{command} prints {' or '.join(FORMATS[command])}, not --format {opts['fmt']}")
             code = run(**opts)
             sys.stdout.flush()  # a reader of stdout that left early shows here, as a BrokenPipeError
             sys.exit(code)

@@ -3,7 +3,10 @@
 Objects built here, all on 2p registers:
 
 * The exact rational coefficient pair (a, b) of the V^(p-1) sandwich
-  identity, and the symmetric coefficient matrix B built from the b values.
+  identity, and the symmetric coefficient matrix B built from the b values,
+  with the pencil matrix T of the traces tr(rho(p-1) H).  One exact LDL^T
+  of B and one eigh of the pencil (T, B) on B's range give the one interior
+  basis of the second ideal (``BMatrix.modes``).
   ``second_ideal_blocks`` is the one enumerator of the blocks (mu, nu) of
   the second ideal, the shape pairs with a common one-box removal.
 * Unit systems: the orthonormal units G(p) and G(p-1) of each ideal.  Every
@@ -30,10 +33,11 @@ tests, as the oracle the units are compared against.  The second ideal has
 one builder, the wall factor W(w), formed column by column
 (``_wall_columns``) and packed as it goes (``_wall_pack``), and paired by
 the metric D (``_wall_diagonal``): with w an indicator it gives F^(p-1)
-and H, and with w a row of the B diagonalizer the second-ideal units.
-The zero modes of a singular B get no label, and
+and H, and with w a generalized eigenvector w~ of (T, B) the second-ideal
+units, which the twirled generator rho(p-1) then maps onto multiples of
+themselves.  The kernel of a singular B gets no label, and
 ``checks.suite_reduction`` checks on the same wall factors that the pairs
-they would enter vanish.
+its rows would enter vanish.
 ``checks.suite_generators`` reassembles V^(p-1) from the same factors: the
 sum of the H terms and the top-ideal terms is (S D S^T + T T^T) / d, with S
 the sum of the wall factors and T the sum of the top columns, checked by
@@ -50,7 +54,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParameterError, ZeroMultiplicityError
-from .lowrank import fraction_rank_det, jacobi_eigh
 from .matrix_units import left_side_matrix, right_side_matrix
 from .partitions import (
     Frozen,
@@ -65,8 +68,6 @@ from .partitions import (
 )
 from .symgroup import prir_position
 from .tensorspace import _apply_top, _check_dim, _digit_reversal, _frozen, _weight_sectors
-
-ZERO_MODE_RTOL = 1e-10
 
 
 def has_second_ideal(p: int, d: int) -> bool:
@@ -100,7 +101,7 @@ def _wall_columns(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p
     w weighs the common removals alpha of mu and nu, in the order of
     ``common_removals(mu, nu)``, and r_a is the first index of block alpha.
     With D = ``_wall_diagonal(d)``, W(e_a) D W'(e_a')^T is H_{a a'}, and
-    W(w_b) D W'(w_b')^T / (d sqrt(lambda_b lambda_b')) is the unit G_sub.
+    W(w~_b) D W'(w~_b')^T / d, with w~ the rows of ``BMatrix.modes``, is the unit G_sub.
 
     Column (f, g) of the wall part is sum_a w_a A^a_f B^a_g, one d^p x d^p
     GEMM per term over the p - 1 paired digits, with A^a_f the left matrix's
@@ -218,55 +219,136 @@ def b_entry(mu: Partition, nu: Partition, alpha: Partition, alphap: Partition, d
 # the B matrix
 
 
+def t_entry(mu: Partition, nu: Partition, alpha: Partition, alphap: Partition, d: int) -> Fraction:
+    """One entry of the pencil matrix T^{mu nu}: tr(rho(p-1) H_{alpha alpha'}) for an H with diagonal outer indices.
+
+    With b the bracket [mu = nu](d m_mu^2 d_mu - m_mu^3 (d_a / m_a + d_a' / m_a'))
+    + [a = a'] d (m_mu m_nu)^2 d_a / (m_a m_a'), the entry is
+    b / ((d^2 - 1) d_mu d_nu) - [mu = nu] m_mu^2 / (d d_mu); b m_a m_a' is
+    formed in integers.
+    """
+    m_mu, m_nu = multiplicity(mu, d), multiplicity(nu, d)
+    dm, dn = dim_irrep(mu), dim_irrep(nu)
+    m_a, m_ap = multiplicity(alpha, d), multiplicity(alphap, d)
+    num = d * (m_mu * m_nu) ** 2 * dim_irrep(alpha) if alpha == alphap else 0
+    if mu == nu:
+        num += m_mu**2 * (d * dm * m_a * m_ap - m_mu * (dim_irrep(alpha) * m_ap + dim_irrep(alphap) * m_a))
+    value = Fraction(num, m_a * m_ap * (d * d - 1) * dm * dn)
+    return value - Fraction(m_mu * m_mu, d * dm) if mu == nu else value
+
+
 def singularity_condition(mu: Partition, d: int) -> bool:
     """Exact integer test: d m_mu equals the sum of m_alpha over alpha = mu - box."""
     return d * multiplicity(mu, d) == sum(multiplicity(a, d) for a in remove_box(mu))
 
 
-class BMatrix(Frozen):
-    """The coefficient matrix B^{mu nu}: exact entries and determinant, and read-only float eigen-data."""
+def exact_ldl(rows) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """L^(-1) and the pivots D of a symmetric positive semidefinite rational B = L diag(D) L^T, L unit lower triangular.
 
-    __slots__ = (
-        "mu", "nu", "d", "alphas", "entries", "det", "eigenvalues", "diagonalizer", "nullity", "zero_modes", "singular", "vanishing"
-    )
+    One elimination without pivoting, whose row operations, applied to the
+    identity, give L^(-1): L^(-1) B L^(-T) = diag(D), and row j of L^(-1)
+    solves L^T x = e_j.  A negative pivot, or a zero pivot whose column
+    below it is not zero, shows that B is not positive semidefinite, and
+    raises ArithmeticError; a zero pivot eliminates nothing.
+    """
+    a = [list(r) for r in rows]
+    k = len(a)
+    if any(len(r) != k for r in a) or any(a[i][j] != a[j][i] for i in range(k) for j in range(i)):
+        raise ValueError("the LDL^T needs a square symmetric matrix")
+    inverse = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    pivots = []
+    for j in range(k):
+        pivot = a[j][j]
+        if pivot < 0 or (pivot == 0 and any(a[i][j] for i in range(j + 1, k))):
+            raise ArithmeticError(f"not positive semidefinite: pivot {pivot} at {j} of an exact LDL^T")
+        pivots.append(pivot)
+        if not pivot:
+            continue
+        for i in range(j + 1, k):
+            f = a[i][j] / pivot
+            a[i] = [u - f * v for u, v in zip(a[i], a[j])]
+            inverse[i] = [u - f * v for u, v in zip(inverse[i], inverse[j])]
+    return inverse, pivots
+
+
+def _signed(columns: np.ndarray) -> np.ndarray:
+    """The columns, each made to have its first component of significant size positive.
+
+    Significant is above 1e-12 of the column's largest component: a smaller
+    one is the rounding of an exact zero, whose sign carries nothing.
+    """
+    for col in columns.T:
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
+        if nz.size and col[nz[0]] < 0:
+            col *= -1.0
+    return columns
+
+
+class BMatrix(Frozen):
+    """The coefficient matrix B^{mu nu}: exact entries and determinant, and the one interior basis of its units.
+
+    One exact LDL^T of B (``exact_ldl``) gives its rank and determinant,
+    the kernel, and X = L^(-T) D^(-1/2) on the nonzero pivots, with
+    X^T B X = 1.  With eigh(X^T T X) = V Lambda V^T, for T the pencil
+    matrix of ``t_entry``, the rows ``modes[beta - 1]`` are
+    w~_beta = (X V)[:, beta - 1]: they solve T w~ = Lambda_beta B w~ with
+    w~^T B w~ = 1, ascending in ``pencil`` = Lambda, each first significant
+    component positive.  beta runs over 1..rank, and the unit of label beta
+    reads the wall factor W(w~_beta).  ``kernel`` holds the exact kernel
+    rows, the x with L^T x = e_j at each zero pivot j, scaled to unit
+    length.  All arrays are read-only.
+    """
+
+    __slots__ = ("mu", "nu", "d", "alphas", "entries", "det", "modes", "pencil", "kernel", "vanishing")
     mu: Partition
     nu: Partition
     d: int
     alphas: tuple[Partition, ...]
     entries: tuple[tuple[Fraction, ...], ...]
-    det: Fraction  # exact, from the elimination that gives the nullity
-    eigenvalues: np.ndarray
-    diagonalizer: np.ndarray  # U with B_diag = U B U^T; rows are eigenvectors
-    nullity: int
-    zero_modes: tuple[int, ...]  # 1-based eigenvalue indices to discard
-    singular: bool
+    det: Fraction  # exact, the product of the LDL^T pivots
+    modes: np.ndarray  # (rank, size): the rows w~_beta
+    pencil: np.ndarray  # (rank,): Lambda_beta, ascending
+    kernel: np.ndarray  # (nullity, size)
     vanishing: bool
 
     @property
     def size(self) -> int:
         return len(self.alphas)
 
+    @property
+    def rank(self) -> int:
+        return len(self.modes)
+
+    @property
+    def nullity(self) -> int:
+        return len(self.kernel)
+
+    @property
+    def singular(self) -> bool:
+        return self.nullity > 0
+
     def entry_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.entries])
+        return np.array([[float(v) for v in row] for row in self.entries]).reshape(self.size, self.size)
 
-    def is_zero_mode(self, beta: int) -> bool:
-        """Whether the 1-based eigenvalue index ``beta`` is a discarded zero mode."""
-        if not 1 <= beta <= self.size:
-            raise IndexError(f"beta out of range 1..{self.size}")
-        return beta in self.zero_modes
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """B's own eigenvalues, ascending; for display: the units read ``modes``."""
+        return _frozen(np.linalg.eigvalsh(self.entry_float()))
 
-    def kept_modes(self) -> tuple[int, ...]:
-        return tuple(b for b in range(1, self.size + 1) if b not in self.zero_modes)
+    @property
+    def diagonalizer(self) -> np.ndarray:
+        """U with U B U^T diagonal, its rows B's eigenvectors in the order of ``eigenvalues``; for display."""
+        return _frozen(_signed(np.linalg.eigh(self.entry_float())[1]).T)
 
 
 @lru_cache(maxsize=None)
 def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
-    """The coefficient matrix over the common one-box removals of mu and nu.
+    """The coefficient matrix over the common one-box removals of mu and nu, with its pencil basis.
 
-    Exact rational entries; the diagonalizer comes from a cyclic Jacobi pass
-    (identity when mu != nu, where the matrix is already diagonal).  The
-    singular flag is decided by the exact integer condition, and the float
-    zero modes are checked against the exact rational nullity.
+    Exact rational entries, one exact LDL^T, and the generalized eigenbasis
+    of (T, B) on B's range (see :class:`BMatrix`).  B is singular when the
+    exact rank says so; for mu = nu that is checked against the exact
+    integer condition.
     """
     alphas = common_removals(mu, nu)
     _check_exact_cells(f"B^({mu},{nu}) at d = {d}", mu.total, len({mu, nu, *alphas}))
@@ -275,28 +357,19 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
         tuple(b_entry(mu, nu, a, ap, d) for ap in alphas) for a in alphas
     )
     vanishing = multiplicity(mu, d) == 0 or multiplicity(nu, d) == 0
-    dense = np.array([[float(v) for v in row] for row in entries])
-    if mu == nu:
-        vals, q = jacobi_eigh(dense)
-        u = q.T
-    else:
-        vals = np.diag(dense).copy()
-        u = np.eye(k)
-    rank, det = fraction_rank_det(entries)
-    nullity = k - rank
-    top = float(np.max(np.abs(vals))) if k else 0.0
-    zero_modes = tuple(b + 1 for b in range(k) if abs(vals[b]) <= ZERO_MODE_RTOL * max(top, 1e-300))
-    if len(zero_modes) != nullity:
-        raise ArithmeticError(
-            f"float zero-mode count {len(zero_modes)} != exact nullity {nullity} for B^({mu},{nu})"
-        )
-    if mu == nu and not vanishing:
-        singular = singularity_condition(mu, d)
-        if singular != (nullity > 0):
-            raise ArithmeticError(f"integer condition disagrees with exact rank for {mu}, d={d}")
-    else:
-        singular = nullity > 0
-    return BMatrix(mu, nu, d, alphas, entries, det, _frozen(vals), _frozen(u), nullity, zero_modes, singular, vanishing)
+    inverse, pivots = exact_ldl(entries)
+    kept = np.array([v != 0 for v in pivots], dtype=bool)
+    inv_t = np.array(inverse, dtype=float).reshape(k, k)  # row j: L^(-T) e_j
+    kernel = inv_t[~kept] / np.linalg.norm(inv_t[~kept], axis=1, keepdims=True)
+    x = inv_t[kept].T / np.sqrt(np.array(pivots, dtype=float)[kept])
+    # T divides by m_alpha, defined wherever B has a nonzero entry
+    t = np.array([[float(t_entry(mu, nu, a, ap, d)) for ap in alphas] for a in alphas]) if kept.any() else np.zeros((k, k))
+    pencil, v = np.linalg.eigh(x.T @ t @ x)
+    modes = _signed(x @ v).T
+    if mu == nu and not vanishing and (len(kernel) > 0) != singularity_condition(mu, d):
+        raise ArithmeticError(f"integer condition disagrees with exact rank for {mu}, d={d}")
+    det = math.prod(pivots, start=Fraction(1))
+    return BMatrix(mu, nu, d, alphas, entries, det, _frozen(modes), _frozen(pencil), _frozen(kernel), vanishing)
 
 
 def second_ideal_blocks(p: int, d: int) -> list[BMatrix]:
@@ -328,16 +401,12 @@ BASIS_RTOL = 1e-8
 
 
 def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int, d: int) -> np.ndarray:
-    """W(w) / sqrt(d lambda_beta) as packed sector blocks, with w row beta of the B^{mu nu} diagonalizer.
+    """W(w~_beta) / sqrt(d) as packed sector blocks, with w~_beta row beta of ``B_matrix(mu, nu, d).modes``.
 
     W(w) D W'(w')^T = sum over (alpha, alpha') of w_a w'_a' H_{alpha alpha'}.
     """
-    b = B_matrix(mu, nu, d)
-    lam = b.eigenvalues[beta - 1]
-    if lam <= 0:
-        raise ArithmeticError(f"nonpositive eigenvalue under square root: {lam} of B^({mu},{nu})")
-    out = _wall_pack(mu, nu, i, j, b.diagonalizer[beta - 1], p, d)
-    out /= math.sqrt(d * lam)
+    out = _wall_pack(mu, nu, i, j, B_matrix(mu, nu, d).modes[beta - 1], p, d)
+    out /= math.sqrt(d)
     return out
 
 
@@ -521,8 +590,8 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     """All units of ideal p (top) or p - 1 (second) at (p, d), built per weight sector.
 
     The units are G_rc = W_r D W_c^T s_r s_c with D = (1) and
-    s_r = 1/sqrt(m_mu) for the top ideal, and the wall factor W_r = W(w_beta),
-    D = ``_wall_diagonal(d)`` and s_r = 1/sqrt(d lambda_beta) for the second.
+    s_r = 1/sqrt(m_mu) for the top ideal, and the wall factor W_r = W(w~_beta),
+    D = ``_wall_diagonal(d)`` and s_r = 1/sqrt(d) for the second.
     Each label's factor is formed one column at a time, each column packed
     into its weight-sector block (``_pack_columns``, which raises
     ArithmeticError on a nonzero entry off the column's sector) and
@@ -621,7 +690,7 @@ class GUnit(Frozen):
 
     @property
     def interior(self) -> tuple[int, int] | None:
-        """Eigenmode labels (beta, beta') for ideal p-1."""
+        """Interior labels (beta, beta') for ideal p-1: the generalized eigenmodes of (T, B), ``BMatrix.modes``."""
         return None if self.ideal == self.system.p else (self.row_key[4], self.col_key[4])
 
     def core(self) -> np.ndarray:
@@ -671,22 +740,22 @@ def G_sub(
     p: int,
     d: int,
 ) -> GUnit:
-    """Unit of the second ideal for eigenmode labels (beta, beta').
+    """Unit of the second ideal for interior labels (beta, beta').
 
-    Equals sum over (alpha, alpha') of w_{beta,alpha} w'_{beta',alpha'} H /
-    (d sqrt(lambda_beta lambda'_beta')), looked up in the second-ideal unit
-    system.  beta indexes the eigenvalues of B^{mu nu} (ascending for
-    mu = nu, block-diagonal order otherwise); requesting a zero mode is an
-    error.
+    Equals sum over (alpha, alpha') of w~_{beta,alpha} w~'_{beta',alpha'} H / d,
+    looked up in the second-ideal unit system.  beta indexes the
+    generalized eigenvalues Lambda of (T, B^{mu nu}) on B's range, ascending
+    (``BMatrix.modes``), so it runs over 1..rank(B); a beta above the rank
+    is an error.
     """
     b_row = B_matrix(mu, nu, d)
     b_col = B_matrix(mup, nup, d)
     for b in (b_row, b_col):
         if b.size == 0:
             raise ZeroMultiplicityError(f"no common removals for {b.mu}, {b.nu}")
-    if b_row.is_zero_mode(beta) or b_col.is_zero_mode(betap):
+    if beta > b_row.rank or betap > b_col.rank:
         raise ZeroMultiplicityError(
-            f"zero eigenvalue requested: beta={beta} of B^({mu},{nu}), beta'={betap} of B^({mup},{nup})"
+            f"no such mode: beta={beta} of B^({mu},{nu}) of rank {b_row.rank}, beta'={betap} of B^({mup},{nup}) of rank {b_col.rank}"
         )
     return _lookup(unit_system(p, d, p - 1), (mu, nu, i, j, beta), (mup, nup, ip, jp, betap))
 
@@ -708,7 +777,7 @@ def sub_row_labels(p: int, d: int) -> list[tuple[Partition, Partition, int, int,
     """Composite row labels (mu, nu, i, j, beta) of the second-ideal units; none without that ideal."""
     out = []
     for b in second_ideal_blocks(p, d):
-        for beta in b.kept_modes():
+        for beta in range(1, b.rank + 1):
             for i in range(1, dim_irrep(b.mu) + 1):
                 for j in range(1, dim_irrep(b.nu) + 1):
                     out.append((b.mu, b.nu, i, j, beta))

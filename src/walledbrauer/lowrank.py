@@ -1,4 +1,4 @@
-"""Rank-factored operators plus small exact/orthogonal eigen helpers.
+"""Rank-factored operators.
 
 A :class:`FactoredOperator` is a square operator carried as thin factors
 L @ R, so that products and Frobenius distances cost O(dim * rank^2)
@@ -8,7 +8,7 @@ do not use it: the generators V^(k) are their bare 0/1 factors
 (``tensorspace.factored_V``), and each ideal's units are one unit system of
 shared bases and r x r cores, both stored as one block per weight sector
 (``ideal_units.UnitSystem``).  It is left for ``checks.suite_reduction``,
-which composes the zero-mode-reduced generators of each diagonal block one
+which composes the reduced generators of each diagonal block one
 weight sector at a time, each sector block a FactoredOperator on factors of
 that sector's rows, and for the tests' dense-definition oracles.  The
 benchmark's tracer wraps the class's methods by name and reads
@@ -17,16 +17,11 @@ benchmark's tracer wraps the class's methods by name and reads
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 # Relative to the largest singular value: below it, a singular value of an
 # exact-rank sum is rounding noise, and compress drops it.
 COMPRESS_RTOL = 1e-13
-# jacobi_eigh stops when every off-diagonal entry is below JACOBI_RTOL of
-# max(1, max|a|), about 45 ulps, or after JACOBI_MAX_SWEEPS sweeps.
-JACOBI_RTOL, JACOBI_MAX_SWEEPS = 1e-14, 60
 
 
 class FactoredOperator:
@@ -102,68 +97,3 @@ class FactoredOperator:
         vt = vt[keep]
         return FactoredOperator(ql @ u, vt @ qr_.T)
 
-
-def jacobi_eigh(a: np.ndarray):
-    """Cyclic Jacobi diagonalization of a small symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns).  Deterministic:
-    fixed sweep order, stable sort, and each eigenvector's first component
-    of significant size is made positive.
-    """
-    a = np.array(a, dtype=float)
-    k = a.shape[0]
-    if a.shape != (k, k) or (k and np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a)))):
-        raise ValueError("jacobi_eigh needs a symmetric square matrix")
-    v = np.eye(k)
-    scale = max(1.0, float(np.max(np.abs(a))) if k else 1.0)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                off = max(off, abs(a[p, q]))
-                if abs(a[p, q]) <= JACOBI_RTOL * scale:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot = np.eye(k)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-        if off <= JACOBI_RTOL * scale:
-            break
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    v = v[:, order]
-    for col in range(k):
-        nz = np.flatnonzero(np.abs(v[:, col]) > 1e-12)
-        if nz.size and v[nz[0], col] < 0:
-            v[:, col] = -v[:, col]
-    return vals, v
-
-
-def fraction_rank_det(rows) -> tuple[int, Fraction]:
-    """Exact rank and determinant of a square rational matrix, by one Gaussian elimination."""
-    m = [list(r) for r in rows]
-    k = len(m)
-    if any(len(r) != k for r in m):
-        raise ValueError("rank and determinant need a square matrix")
-    rank, det = 0, Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(rank, k) if m[r][col] != 0), None)
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            det = -det
-        pv = m[rank][col]
-        det *= pv
-        for r in range(rank + 1, k):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank, det

@@ -18,10 +18,12 @@ orbit.  At (4,4) that is 23 of the 309 sectors and 1.3e7 of the 6.5e7
 block entries: about 3 s and a 200 MiB peak per level.
 
 The twirled operators are diagonal in the unit bases of the two highest
-ideals.  Their nonzero eigenvalues come out analytically from multiplicities
-and dimensions alone (plus the small diagonalizer of the B matrix), and can
-be cross-checked against the brute spectra; both paths are exposed through
-:func:`spectrum_table`.  Only the analytic half reads the second ideal, so
+ideals.  Their nonzero eigenvalues come out analytically: at the top ideal
+from multiplicities and dimensions alone, and at the second ideal as the
+generalized eigenvalues Lambda of the small pencil (T, B) of each block,
+the one interior basis its units are built on (``ideal_units.BMatrix``).
+They can be cross-checked against the brute spectra; both paths are exposed
+through :func:`spectrum_table`.  Only the analytic half reads the second ideal, so
 it imports ``ideal_units`` where it runs, and the brute half loads none of
 the unit construction.
 """
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,9 +49,6 @@ from .partitions import (
     schur_weyl_partitions,
 )
 from .tensorspace import _digit_table, _frozen, _weight_sectors
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 BIN_TOL = 1e-6
 
@@ -267,27 +265,6 @@ def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:
 # analytic overlaps
 
 
-def _trace_rho_sub_with_H(mu: Partition, nu: Partition, alpha: Partition, alphap: Partition, d: int) -> Fraction:
-    """tr(rho(p-1) H) for an H with diagonal outer indices and interiors (alpha, alphap)."""
-    from fractions import Fraction
-
-    m_mu, m_nu = multiplicity(mu, d), multiplicity(nu, d)
-    dm, dn = dim_irrep(mu), dim_irrep(nu)
-    m_a, m_ap = multiplicity(alpha, d), multiplicity(alphap, d)
-    da, dap = dim_irrep(alpha), dim_irrep(alphap)
-    bracket = Fraction(0)
-    if mu == nu:
-        bracket += Fraction(d * m_mu * m_mu * dm)
-        bracket -= Fraction(m_mu**3 * da, m_a)
-        bracket -= Fraction(m_mu**3 * dap, m_ap)
-    if alpha == alphap:
-        bracket += Fraction(d * (m_mu * m_nu) ** 2 * da, m_a * m_ap)
-    value = bracket / ((d * d - 1) * dm * dn)
-    if mu == nu:
-        value -= Fraction(m_mu * m_mu, d * dm)
-    return value
-
-
 class OverlapRecord(Frozen):
     """One analytic matrix element family of a twirled generator."""
 
@@ -296,7 +273,7 @@ class OverlapRecord(Frozen):
     ideal: int
     mu: Partition
     nu: Partition
-    interior: int | None  # eigenmode label beta of B^{mu nu}, 1-based
+    interior: int | None  # beta, 1-based: the generalized eigenmode of (T, B^{mu nu}) its units read
     overlap: float  # tr(rho G) per diagonal unit
     unit_trace: int  # 1 for the rank-one top units, d^2 - 1 for the second ideal's
     eigenvalue: float
@@ -318,7 +295,9 @@ def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
     """All nonzero analytic overlaps of rho(p) and rho(p-1) with diagonal units.
 
     Top-ideal units are rank one, so overlap and eigenvalue coincide; the
-    second-ideal units have trace d^2 - 1 and the eigenvalue divides it out.
+    second-ideal unit of mode beta has overlap Lambda_beta / d, with Lambda
+    the generalized eigenvalues of (T, B) (``BMatrix.pencil``), and trace
+    d^2 - 1, which the eigenvalue divides out.
     Units of the second ideal do not appear for rho(p): that overlap is zero.
     Without a second ideal only the rho(p) records are returned.
     """
@@ -338,15 +317,12 @@ def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
             records.append(
                 OverlapRecord(p - 1, p, mu, mu, None, m / (d * dm), 1, m / (d * dm), dm * dm)
             )
+    trace = d * d - 1
     for b in second_ideal_blocks(p, d):
-        mu, nu = b.mu, b.nu
-        t_h = np.array([[float(_trace_rho_sub_with_H(mu, nu, a, ap, d)) for ap in b.alphas] for a in b.alphas])
-        diag = b.diagonalizer @ t_h @ b.diagonalizer.T
-        for beta in b.kept_modes():
-            overlap = diag[beta - 1, beta - 1] / (d * b.eigenvalues[beta - 1])
-            trace = d * d - 1
+        for beta, lam in enumerate(b.pencil, 1):
+            overlap = lam / d
             records.append(
-                OverlapRecord(p - 1, p - 1, mu, nu, beta, overlap, trace, overlap / trace, dim_irrep(mu) * dim_irrep(nu))
+                OverlapRecord(p - 1, p - 1, b.mu, b.nu, beta, overlap, trace, overlap / trace, dim_irrep(b.mu) * dim_irrep(b.nu))
             )
     return tuple(records)
 

@@ -294,3 +294,19 @@ def test_verify_all_suites_at_desk_scale():
     assert [c["name"] for c in doc["checks"]] == CHECK_NAMES_3_3
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     report("CLI verify --suite all at (3,3)", doc["passed"], f"{len(doc['checks'])} checks" + (f"; failed: {failed}" if failed else ""))
+
+
+def test_verify_all_suites_at_4_3():
+    """The first configuration with a nonsingular B of size 2 whose T does not commute with it.
+
+    The units and the spectra read one interior basis, the generalized
+    eigenvectors of (T, B), so the units are eigenoperators of rho(3) and
+    the analytic level-3 spectrum is the brute one.
+    """
+    result = run_cli(["--p", "4", "--d", "3", "verify", "--suite", "all"])
+    assert result.exit_code == 0, result.stderr
+    checks = {c["name"]: c for c in json.loads(result.output)["checks"]}
+    for name in ("eigen_operator_property", "block_structure_off_diagonal_zero", "analytic_matches_brute_level_3"):
+        assert checks[name]["passed"], checks[name]
+    assert all(c["passed"] for c in checks.values())
+    report("CLI verify --suite all at (4,3)", True, f"{len(checks)} checks")

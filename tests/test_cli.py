@@ -60,6 +60,15 @@ def test_bmatrix_det_p4():
     assert doc["determinant"] == "5/16"
 
 
+def test_bmatrix_without_a_common_removal_is_empty():
+    """(3) and (1,1,1) share no one-box removal: B is 0 x 0, with determinant 1 and an empty basis."""
+    result = run(["--p", "3", "--d", "3", "bmatrix", "--mu", "3", "--nu", "1,1,1"])
+    assert result.exit_code == 0, result.stderr
+    doc = json.loads(result.output)
+    assert doc["alphas"] == doc["entries"] == doc["eigenvalues"] == doc["diagonalizer"] == []
+    assert (doc["determinant"], doc["nullity"], doc["singular"]) == ("1", 0, False)
+
+
 def test_bmatrix_wrong_size_is_usage_error():
     result = run(["--p", "3", "--d", "3", "bmatrix", "--mu", "2,2"])
     assert result.exit_code == 2
@@ -248,6 +257,51 @@ def test_unknown_option_before_the_command_is_named(args, named):
     result = run(args)
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr == f"usage error: unrecognized arguments: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "fmt,command",
+    [
+        ("mm", ["dims"]),
+        ("mm", ["spectrum"]),
+        ("mm", ["spectrum", "--method", "brute", "--level", "1"]),
+        ("mm", ["units"]),
+        ("csv", ["verify", "--suite", "partitions"]),
+        ("mm", ["verify", "--suite", "partitions"]),
+    ],
+    ids=" ".join,
+)
+def test_a_format_the_command_does_not_print_is_refused(fmt, command):
+    """Each command prints only the formats of ``cli.FORMATS``; any other request is one usage error, before any work."""
+    result = run(["--p", "2", "--d", "2", "--format", fmt, *command])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith("usage error: ") and len(result.stderr.splitlines()) == 1
+    assert f"not --format {fmt}" in result.stderr
+
+
+def test_every_format_the_table_offers_is_printed():
+    from walledbrauer.cli import FORMATS
+
+    commands = {
+        "dims": ["dims"],
+        "bmatrix": ["bmatrix", "--mu", "1,1"],
+        "spectrum": ["spectrum"],
+        "units": ["units"],
+        "units --dump": ["units", "--dump"],
+        "verify": ["verify", "--suite", "partitions"],
+    }
+    assert set(commands) == set(FORMATS)
+    for name, fmts in FORMATS.items():
+        for fmt in fmts:
+            result = run(["--p", "2", "--d", "2", "--format", fmt, *commands[name]])
+            assert result.exit_code == 0, (name, fmt)
+            first = result.stdout.splitlines()[0]
+            if fmt == "json":
+                json.loads(result.stdout)
+            elif fmt == "mm":
+                assert first == "%%MatrixMarket matrix coordinate real general", (name, fmt)
+            else:
+                assert "," in first and not first.startswith("{"), (name, fmt)
 
 
 def test_global_options_take_attached_values():

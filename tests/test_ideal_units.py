@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from walledbrauer.ideal_units import (
     UnitSystem,
     ab_general,
     b_entry,
+    exact_ldl,
     second_ideal_blocks,
     singularity_condition,
     sub_row_labels,
@@ -311,6 +313,10 @@ def test_B_matrix_fixture_21():
     assert not b.singular
     diag = b.diagonalizer @ b.entry_float() @ b.diagonalizer.T
     assert np.max(np.abs(diag - np.diag(b.eigenvalues))) <= 1e-12
+    # the pencil (T, B): Lambda = d(d^2 - 1) times the level-2 eigenvalues (5 -/+ sqrt 5)/12
+    assert np.max(np.abs(b.pencil - 2 * (5 + np.array([-1, 1]) * np.sqrt(5)))) <= 1e-12
+    assert np.max(np.abs(b.modes @ b.entry_float() @ b.modes.T - np.eye(2))) <= 1e-12
+    assert b.rank == 2 and b.kernel.shape == (0, 2)
 
 
 def test_B_matrix_rectangular_case():
@@ -359,6 +365,71 @@ def test_determinant_symmetric_polynomial_identity():
                         esp[deg] += x * esp[deg - 1]
                 predicted = (esp[k] - esp[k - 1]) * Fraction(m, d * (d * d - 1)) ** k
                 assert B_matrix(mu, mu, d).det == predicted
+
+
+def test_exact_ldl_rank_and_determinant_against_reference():
+    """On symmetric positive semidefinite integer matrices A A^T: L^(-1) B L^(-T) = D exactly, rank and det from the pivots, exact kernel."""
+    rng = np.random.default_rng(404)
+    for k in (1, 2, 3, 4):
+        for r in range(k + 1):
+            ints = rng.integers(-4, 5, size=(k, r))
+            gram = ints @ ints.T
+            rows = [[Fraction(int(v)) for v in row] for row in gram]
+            inverse, pivots = exact_ldl(rows)
+            assert all(inverse[i][i] == 1 and not any(inverse[i][i + 1 :]) for i in range(k))
+            reduced = [[sum(inverse[i][m] * rows[m][n] * inverse[j][n] for m in range(k) for n in range(k)) for j in range(k)] for i in range(k)]
+            assert reduced == [[pivots[i] if i == j else 0 for j in range(k)] for i in range(k)]
+            assert sum(1 for v in pivots if v) == np.linalg.matrix_rank(gram.astype(float))
+            assert abs(float(math.prod(pivots)) - np.linalg.det(gram.astype(float))) <= 1e-6
+            for j in (j for j in range(k) if not pivots[j]):
+                x = inverse[j]
+                assert all(sum(v * xv for v, xv in zip(row, x)) == 0 for row in rows)
+    # a zero pivot before a nonzero one eliminates nothing
+    inverse, pivots = exact_ldl([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])
+    assert pivots == [0, 1] and inverse == [[1, 0], [0, 1]]
+    assert exact_ldl([[Fraction(4), Fraction(2)], [Fraction(2), Fraction(5)]]) == ([[1, 0], [Fraction(-1, 2), 1]], [4, 4])
+    assert exact_ldl([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])[1] == [1, 0]
+    assert exact_ldl([]) == ([], [])
+    with pytest.raises(ValueError):
+        exact_ldl([[Fraction(1), Fraction(2)]])
+    with pytest.raises(ValueError):
+        exact_ldl([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((0, 1), (1, 0)), ((1, 0), (0, -1)), ((1, 2), (2, 1)), ((1, 1, 0), (1, 1, 1), (0, 1, 1))],
+    ids=["zero-pivot-nonzero-column", "negative-pivot", "indefinite", "zero-pivot-later"],
+)
+def test_exact_ldl_refuses_a_matrix_that_is_not_positive_semidefinite(rows):
+    with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+        exact_ldl([[Fraction(v) for v in row] for row in rows])
+
+
+def test_pencil_is_canonical_where_B_is_degenerate():
+    """At (14,12), mu = (4,4,3,2,1), B has the double eigenvalue 9225216, so its own eigenbasis is not unique.
+
+    The pencil (T, B) has four distinct values there, so its basis is.  Both
+    residuals are sums of k = 4 products of entries rounded once to double,
+    so they are a few eps (2.2e-16) times the norms of the matrices they
+    read: for X^T B X - 1 that of B times |w~|^2 = |X|^2 (X^T B X = 1 bounds
+    |X|^2 by 1 / the smallest eigenvalue of B on its range), and for
+    T w~ - Lambda B w~ that of T and of Lambda B, times |w~|.  Both read
+    below 1e-16 of that scale; 1e-12 leaves room for other BLAS orderings.
+    """
+    mu, d = partition(4, 4, 3, 2, 1), 12
+    b = B_matrix(mu, mu, d)
+    dense = b.entry_float()
+    t = np.array([[float(ideal_units.t_entry(mu, mu, a, ap, d)) for ap in b.alphas] for a in b.alphas])
+    eig = np.linalg.eigvalsh(dense)
+    assert b.size == b.rank == 4 and np.allclose(eig[2:], 9225216, rtol=1e-12, atol=0)
+    gaps = np.diff(b.pencil) / b.pencil[1:]
+    assert np.all(gaps > 1e-4), b.pencil
+    w = b.modes.T
+    scale = np.linalg.norm(dense) * np.linalg.norm(w) ** 2
+    assert np.linalg.norm(w.T @ dense @ w - np.eye(4)) <= 1e-12 * scale
+    residual = t @ w - (dense @ w) * b.pencil
+    assert np.linalg.norm(residual) <= 1e-12 * (np.linalg.norm(t) + np.max(b.pencil) * np.linalg.norm(dense)) * np.linalg.norm(w)
 
 
 # ----------------------------------------------------------------------------
@@ -443,16 +514,23 @@ def test_G_top_diagonal_units_are_rank_one_idempotents():
 
 
 def test_G_sub_zero_mode_rejected():
-    ones = partition(1, 1, 1)
+    """beta runs over 1..rank(B): above it there is no unit, at a fully, a partly and a non-singular block."""
+    ones, m21 = partition(1, 1, 1), partition(2, 1)
     with pytest.raises(ZeroMultiplicityError):
         G_sub(ones, ones, ones, ones, 1, 1, 1, 1, 1, 1, 3, 3)
+    for d, rank in ((2, 1), (3, 2)):
+        assert B_matrix(m21, m21, d).rank == rank
+        G_sub(m21, m21, m21, m21, 1, 1, 1, 1, rank, rank, 3, d)
+        for beta, betap in ((rank + 1, 1), (1, rank + 1)):
+            with pytest.raises(ZeroMultiplicityError):
+                G_sub(m21, m21, m21, m21, 1, 1, 1, 1, beta, betap, 3, d)
 
 
 def test_G_sub_composition_and_cross_block():
     p, d = 3, 3
     mu = partition(2, 1)
     b = B_matrix(mu, mu, d)
-    kept = b.kept_modes()
+    kept = range(1, b.rank + 1)
     units = {}
     for i, j, ip, jp in itertools.product((1, 2), repeat=4):
         for b1 in kept:
@@ -470,7 +548,7 @@ def test_G_sub_composition_and_cross_block():
 
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 3), (4, 2)])
 def test_unit_systems_match_the_paper_definitions(p, d):
-    """Every unit of both systems against F_top / sqrt(m m') and sum w w' H / (d sqrt(lambda lambda'))."""
+    """Every unit of both systems against F_top / sqrt(m m') and sum w~ w~' H / d, w~ the rows of ``BMatrix.modes``."""
     dim = d ** (2 * p)
     top = unit_system(p, d, p)
     for a, (mu, i, j) in enumerate(top.labels):
@@ -486,12 +564,11 @@ def test_unit_systems_match_the_paper_definitions(p, d):
         for c, (mup, nup, ip, jp, betap) in enumerate(sub.labels):
             bp = B_matrix(mup, nup, d)
             expected = FactoredOperator.zero(dim)
-            for w, alpha in zip(b.diagonalizer[beta - 1], b.alphas):
-                for wp, alphap in zip(bp.diagonalizer[betap - 1], bp.alphas):
+            for w, alpha in zip(b.modes[beta - 1], b.alphas):
+                for wp, alphap in zip(bp.modes[betap - 1], bp.alphas):
                     h = H_operator(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
                     expected = expected + (w * wp) * h
-            scale = 1.0 / (d * np.sqrt(b.eigenvalues[beta - 1] * bp.eigenvalues[betap - 1]))
-            assert unit_operator(GUnit(sub, a, c)).distance(scale * expected) <= 1e-12
+            assert unit_operator(GUnit(sub, a, c)).distance((1.0 / d) * expected) <= 1e-12
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (3, 5)])
@@ -632,10 +709,10 @@ def test_wall_pack_is_the_dense_wall_factor_gathered(p, d):
     """Column by column, the packed wall factor has the bits of the dense definition gathered into its sector blocks.
 
     Every block (mu, nu) of the second ideal, at its first indices, for each
-    row of its B diagonalizer and each indicator of a common removal.
+    row of its pencil basis and kernel and each indicator of a common removal.
     """
     for b in second_ideal_blocks(p, d):
-        for w in [*b.diagonalizer, *(ideal_units._indicator(b.mu, b.nu, alpha) for alpha in b.alphas)]:
+        for w in [*b.modes, *b.kernel, *(ideal_units._indicator(b.mu, b.nu, alpha) for alpha in b.alphas)]:
             dense = _wall_factor(b.mu, b.nu, 1, 1, w, p, d)
             assert np.array_equal(ideal_units._wall_pack(b.mu, b.nu, 1, 1, w, p, d), _sector_pack(dense, p, d, p - 1))
 
@@ -660,6 +737,9 @@ def test_cached_arrays_are_read_only():
         _adjacent_generator(partition(2, 1), 1),
         B_matrix(partition(2, 1), partition(2, 1), 3).eigenvalues,
         B_matrix(partition(2, 1), partition(2, 1), 3).diagonalizer,
+        B_matrix(partition(2, 1), partition(2, 1), 3).modes,
+        B_matrix(partition(2, 1), partition(2, 1), 3).pencil,
+        B_matrix(partition(2, 1), partition(2, 1), 2).kernel,
     ]
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -677,21 +757,18 @@ def test_G_sub_diagonal_trace_is_d_squared_minus_one():
 
 
 def test_H_reconstruction_from_G_sub():
+    """B nonsingular: W~^T B W~ = 1 inverts W~, so H = d (B W~) G (B W~)^T, with the columns of W~ the modes w~."""
     p, d = 3, 3
     mu = partition(2, 1)
     b = B_matrix(mu, mu, d)
     alphas = b.alphas
+    bw = b.entry_float() @ b.modes.T
     for a1_idx, a1 in enumerate(alphas):
         for a2_idx, a2 in enumerate(alphas):
             acc = FactoredOperator.zero(d ** (2 * p))
-            for b1 in b.kept_modes():
-                for b2 in b.kept_modes():
-                    w = (
-                        d
-                        * np.sqrt(b.eigenvalues[b1 - 1] * b.eigenvalues[b2 - 1])
-                        * b.diagonalizer[b1 - 1, a1_idx]
-                        * b.diagonalizer[b2 - 1, a2_idx]
-                    )
+            for b1 in range(1, b.rank + 1):
+                for b2 in range(1, b.rank + 1):
+                    w = d * bw[a1_idx, b1 - 1] * bw[a2_idx, b2 - 1]
                     acc = acc + w * unit_operator(G_sub(mu, mu, mu, mu, 1, 2, 1, 2, b1, b2, p, d))
             target = H_operator(mu, mu, mu, mu, 1, 2, 1, 2, a1, a2, p, d)
             assert acc.distance(target) <= 1e-9
@@ -790,21 +867,21 @@ def test_reduction_suite_passes(p, d):
         b = B_matrix(mu, mu, d)
         assert mu in schur_weyl_partitions(p, d) and (b.size, b.nullity) == (size, 1)
     if (p, d) == (3, 3):
-        assert B_matrix(partition(1, 1, 1), partition(1, 1, 1), d).kept_modes() == ()
-        assert B_matrix(partition(2, 1), partition(2, 1), d).kept_modes() == (1, 2)
+        assert B_matrix(partition(1, 1, 1), partition(1, 1, 1), d).rank == 0
+        assert B_matrix(partition(2, 1), partition(2, 1), d).rank == 2
     results = run_suite("reduction", p, d)
     assert [r.name for r in results] == ["reduction_keeps_rank", "reduced_units_composition"]
     assert all(r.passed for r in results), results
 
 
 def test_reduction_fails_when_a_zero_mode_does_not_vanish(monkeypatch):
-    """Label a kept eigenvector of the nonsingular (2,1) block a zero mode: its generators do not vanish."""
+    """Plant a kept mode w~ of the nonsingular (2,1) block among its kernel rows: its generators do not vanish."""
     real = checks.B_matrix
 
     def mislabelled(mu, nu, d):
         b = real(mu, nu, d)
         if mu == nu == partition(2, 1):
-            return BMatrix(b.mu, b.nu, b.d, b.alphas, b.entries, b.det, b.eigenvalues, b.diagonalizer, b.nullity, (1,), b.singular, b.vanishing)
+            return BMatrix(b.mu, b.nu, b.d, b.alphas, b.entries, b.det, b.modes, b.pencil, b.modes[:1], b.vanishing)
         return b
 
     monkeypatch.setattr(checks, "B_matrix", mislabelled)
@@ -914,16 +991,16 @@ def test_V_top_reconstruction_from_units(p, d):
 
 
 def test_singular_block_participates_after_reduction():
-    """At d = p - 1 = 2 the two-row-shape block is singular; its zero mode
-    must be dropped from the unit labels while the survivor composes."""
+    """At d = p - 1 = 2 the two-row-shape block is singular; its kernel gets
+    no unit label, and its one mode, beta = 1, composes."""
     p, d = 3, 2
     mu = partition(2, 1)
     b = B_matrix(mu, mu, d)
     assert b.entries == ((Fraction(1), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(1, 9)))
-    assert b.singular and b.nullity == 1 and b.kept_modes() == (2,)
+    assert b.singular and b.nullity == 1 and b.rank == 1
     assert singularity_condition(mu, d)
     labels = sub_row_labels(p, d)
-    assert all(beta == 2 for (m, n, i, j, beta) in labels if (m, n) == (mu, mu))
+    assert all(beta == 1 for (m, n, i, j, beta) in labels if (m, n) == (mu, mu))
     units = {}
     for row in labels:
         for col in labels:
