@@ -39,7 +39,6 @@ _EXPORTS = {
             "symgroup",
             (
                 "Permutation",
-                "PrirIndex",
                 "enumerate_group",
                 "prir_map",
                 "restriction_block_check",

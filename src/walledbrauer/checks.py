@@ -342,7 +342,7 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
     _check_dim(d, 2 * p)  # the desk-scale bound: the label pairs grow as (sum of d_mu^2)^2
     phi = np.eye(d).ravel()
     shapes = schur_weyl_partitions(p, d)
-    cores = {}  # (rm, cm, rn, cn) -> (K, exact (a, b))
+    cores = {}  # (mu, nu, rm, cm, rn, cn) -> (K, exact (a, b)); a label (alpha, i_alpha) names no shape
     exact_ok = True
     trace_worst = 0.0
     for mu in shapes:
@@ -351,24 +351,24 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
             for (i, rm), (j, cm) in itertools.product(enumerate(prir_map(mu), 1), repeat=2):
                 a_mat = mx.left_side_matrix(mu, i, j, d)
                 for (k, rn), (l, cn) in itertools.product(enumerate(prir_map(nu), 1), repeat=2):
-                    args = (mu, nu, (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha), (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d)
-                    a, b = ab_general(*args)
-                    same = mu == nu and args[2] == args[4] and args[3] == args[5]
+                    key = (mu, nu, rm, cm, rn, cn)
+                    a, b = ab_general(*key, d)
+                    same = mu == nu and rm == rn and cm == cn
                     exact_ok &= a * d + b == (Fraction(multiplicity(mu, d), d) if same else 0)
                     core = _sandwich_core(a_mat, mx.right_side_matrix(nu, k, l, d), p, d)
                     trace_worst = max(
                         trace_worst,
-                        abs(float(phi @ core @ phi) - float(trace_with_V_top(*args))),
-                        abs(float(np.trace(core)) - float(trace_with_V_sub(*args))),
+                        abs(float(phi @ core @ phi) - float(trace_with_V_top(*key, d))),
+                        abs(float(np.trace(core)) - float(trace_with_V_sub(*key, d))),
                     )
-                    cores[rm, cm, rn, cn] = core, a, b
+                    cores[key] = core, a, b
     rng = random.Random(5)
     worst = 0.0
     for _ in range(50):
         mu = shapes[rng.randrange(len(shapes))]
         nu = shapes[rng.randrange(len(shapes))]
         pm_mu, pm_nu = prir_map(mu), prir_map(nu)
-        key = (pm_mu[rng.randrange(len(pm_mu))], pm_mu[rng.randrange(len(pm_mu))])
+        key = (mu, nu, pm_mu[rng.randrange(len(pm_mu))], pm_mu[rng.randrange(len(pm_mu))])
         key += (pm_nu[rng.randrange(len(pm_nu))], pm_nu[rng.randrange(len(pm_nu))])
         core, a, b = cores[key]
         res = np.max(np.abs(core - float(a) * np.outer(phi, phi) - float(b) * np.eye(d * d)))
@@ -533,11 +533,7 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
     """
     trace_tol = 1e-10
     tol = 1e-9
-    analytic = {
-        (rec.ideal, rec.mu, rec.nu, rec.interior): rec
-        for rec in spectra.analytic_overlaps(p, d)
-        if rec.rho_level == p - 1
-    }
+    analytic = {(r.ideal, r.mu, r.nu, r.interior): r.value for r in spectra.analytic_overlaps(p, d, p - 1)}
     top, sub = unit_system(p, d, p), unit_system(p, d, p - 1)
 
     def applied(system, level):
@@ -547,7 +543,7 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
     eigen = off_diagonal = 0.0
     for system, key in ((top, lambda r: (p, r[0], r[0], None)), (sub, lambda r: (p - 1, r[0], r[1], r[4]))):
         rho_q = applied(system, p - 1)
-        lam = np.array([analytic[key(label)].eigenvalue for label in system.labels])[:, None, None]
+        lam = np.array([analytic[key(label)] for label in system.labels])[:, None, None]
         squares = np.zeros(system.size)
         for s, core, block in zip(system.sectors, system.cores, system.sector_bases):
             rq = rho_q[s].reshape(block.shape[1], system.size, -1).transpose(1, 0, 2)

@@ -260,19 +260,15 @@ def _fig_layout(p: int, d: int, level: int) -> str:
     from .spectra import analytic_overlaps
 
     lines = [f"block layout of the twirled generator, level {level}, p={p}, d={d}"]
-    recs = [r for r in analytic_overlaps(p, d) if r.rho_level == level]
-    top = [r for r in recs if r.ideal == p]
-    sub = [r for r in recs if r.ideal == p - 1]
-    lines.append(f"  ideal {p} (rank-one units):")
-    for r in top:
-        lines.append(
-            f"    [{r.mu} x {r.nu}]  {r.unit_count} diagonal units   eigenvalue {r.eigenvalue:.4f} x{r.eigen_multiplicity}"
-        )
-    if sub:
-        lines.append(f"  ideal {p - 1} (units of trace {d * d - 1}):")
-        for r in sub:
+    rows = analytic_overlaps(p, d, level)
+    for ideal, head in ((p, "rank-one units"), (p - 1, f"units of trace {d * d - 1}")):
+        block = [r for r in rows if r.ideal == ideal]
+        if block:  # the top ideal always has rows; the second only at level p - 1
+            lines.append(f"  ideal {ideal} ({head}):")
+        for r in block:
+            mode = "" if r.interior is None else f" interior mode {r.interior}"
             lines.append(
-                f"    [{r.mu} x {r.nu}] interior mode {r.interior}  {r.unit_count} diagonal units   eigenvalue {r.eigenvalue:.4f} x{r.eigen_multiplicity}"
+                f"    [{r.mu} x {r.nu}]{mode}  {dim_irrep(r.mu) * dim_irrep(r.nu)} diagonal units   eigenvalue {r.value:.4f} x{r.multiplicity}"
             )
     lines.append("  off-diagonal blocks between different label pairs vanish")
     return "\n".join(lines)

@@ -332,8 +332,15 @@ class BMatrix(Frozen):
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """B's own eigenvalues, ascending; for display: the units read ``modes``."""
-        return _frozen(np.linalg.eigvalsh(self.entry_float()))
+        """B's own eigenvalues, ascending; for display: the units read ``modes``.
+
+        The exact LDL^T shows B positive semidefinite with nullity zero
+        eigenvalues, so the smallest nullity of them are exact zeros, not
+        the signed rounding that eigvalsh returns for them.
+        """
+        values = np.linalg.eigvalsh(self.entry_float())
+        values[: self.nullity] = 0.0
+        return _frozen(values)
 
     @property
     def diagonalizer(self) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .partitions import Partition, add_box, dim_irrep, multiplicity, enumerate_partitions
-from .symgroup import PrirIndex, enumerate_group, prir_position, young_orthogonal_rep
+from .symgroup import enumerate_group, prir_position, young_orthogonal_rep
 from .tensorspace import (
     DenseOperator,
     _digit_reversal,
@@ -60,15 +60,6 @@ def _unit_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
 def E_unit(mu: Partition, i: int, j: int, d: int) -> DenseOperator:
     """The natural-representation unit E^mu_ij on p = |mu| registers; zero when m_mu = 0."""
     return DenseOperator(d, mu.total, _unit_matrix(mu, i, j, d))
-
-
-def E_unit_prir(mu: Partition, row: PrirIndex, col: PrirIndex, d: int) -> DenseOperator:
-    """E^mu with row and column given as subgroup-adapted labels."""
-    if row.mu != mu or col.mu != mu:
-        raise ValueError("PRIR labels must belong to mu")
-    i = prir_position(mu, row.alpha, row.i_alpha)
-    j = prir_position(mu, col.alpha, col.i_alpha)
-    return E_unit(mu, i, j, d)
 
 
 @lru_cache(maxsize=None)
@@ -130,19 +121,19 @@ def branching_expand(alpha: Partition, i: int, j: int, p: int, d: int) -> DenseO
     return lhs
 
 
-def partial_trace_E(mu: Partition, row: PrirIndex, col: PrirIndex, d: int) -> DenseOperator:
-    """Trace the last register out of E^mu and check the closed form.
+def partial_trace_E(mu: Partition, row: tuple[Partition, int], col: tuple[Partition, int], d: int) -> DenseOperator:
+    """Trace the last register out of E^mu, row and column given as (alpha, i_alpha) labels, and check the closed form.
 
     tr_p E^mu_{i_alpha j_alpha'} = (m_mu / m_alpha) E^alpha_{i j} delta_{alpha alpha'}.
     """
-    traced = partial_trace(E_unit_prir(mu, row, col, d), [mu.total])
-    if row.alpha != col.alpha:
+    (alpha, i), (alphap, j) = row, col
+    traced = partial_trace(E_unit(mu, prir_position(mu, alpha, i), prir_position(mu, alphap, j), d), [mu.total])
+    if alpha != alphap:
         expected = DenseOperator.zeros(d, mu.total - 1)
     else:
         m_mu = multiplicity(mu, d)
-        m_a = multiplicity(row.alpha, d)
-        small = E_unit(row.alpha, row.i_alpha, col.i_alpha, d)
-        expected = (m_mu / m_a) * small if m_a else DenseOperator.zeros(d, mu.total - 1)
+        m_a = multiplicity(alpha, d)
+        expected = (m_mu / m_a) * E_unit(alpha, i, j, d) if m_a else DenseOperator.zeros(d, mu.total - 1)
     if traced.distance(expected) > COMPARE_TOL:
         raise ArithmeticError(f"partial-trace identity failed for {mu}: {traced.distance(expected)}")
     return traced

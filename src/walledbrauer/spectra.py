@@ -22,10 +22,12 @@ ideals.  Their nonzero eigenvalues come out analytically: at the top ideal
 from multiplicities and dimensions alone, and at the second ideal as the
 generalized eigenvalues Lambda of the small pencil (T, B) of each block,
 the one interior basis its units are built on (``ideal_units.BMatrix``).
-They can be cross-checked against the brute spectra; both paths are exposed
-through :func:`spectrum_table`.  Only the analytic half reads the second ideal, so
-it imports ``ideal_units`` where it runs, and the brute half loads none of
-the unit construction.
+Each analytic family (ideal, mu, nu, beta) is one ``SpectrumRow``, the
+row type of the brute spectra too, which leave its labels empty; both
+paths are exposed through :func:`spectrum_table`, and the families, zero
+ones included, through :func:`analytic_overlaps`.  Only the analytic half
+reads the second ideal, so it imports ``ideal_units`` where it runs, and
+the brute half loads none of the unit construction.
 """
 
 from __future__ import annotations
@@ -265,25 +267,6 @@ def rho_eigenvalues(level: int, p: int, d: int) -> np.ndarray:
 # analytic overlaps
 
 
-class OverlapRecord(Frozen):
-    """One analytic matrix element family of a twirled generator."""
-
-    __slots__ = ("rho_level", "ideal", "mu", "nu", "interior", "overlap", "unit_trace", "eigenvalue", "unit_count")
-    rho_level: int
-    ideal: int
-    mu: Partition
-    nu: Partition
-    interior: int | None  # beta, 1-based: the generalized eigenmode of (T, B^{mu nu}) its units read
-    overlap: float  # tr(rho G) per diagonal unit
-    unit_trace: int  # 1 for the rank-one top units, d^2 - 1 for the second ideal's
-    eigenvalue: float
-    unit_count: int
-
-    @property
-    def eigen_multiplicity(self) -> int:
-        return self.unit_count * self.unit_trace
-
-
 def analytic_levels(p: int, d: int) -> tuple[int, ...]:
     """The levels whose rho the analytic path covers: p, and p - 1 where the second ideal exists."""
     from .ideal_units import has_second_ideal
@@ -291,40 +274,34 @@ def analytic_levels(p: int, d: int) -> tuple[int, ...]:
     return (p, p - 1) if has_second_ideal(p, d) else (p,)
 
 
-def analytic_overlaps(p: int, d: int) -> tuple[OverlapRecord, ...]:
-    """All nonzero analytic overlaps of rho(p) and rho(p-1) with diagonal units.
+def analytic_overlaps(p: int, d: int, level: int) -> tuple[SpectrumRow, ...]:
+    """Every analytic eigenvalue family (ideal, mu, nu, beta) of rho(level), zero ones included.
 
-    Top-ideal units are rank one, so overlap and eigenvalue coincide; the
-    second-ideal unit of mode beta has overlap Lambda_beta / d, with Lambda
-    the generalized eigenvalues of (T, B) (``BMatrix.pencil``), and trace
-    d^2 - 1, which the eigenvalue divides out.
-    Units of the second ideal do not appear for rho(p): that overlap is zero.
-    Without a second ideal only the rho(p) records are returned.
+    A diagonal unit of the top ideal is rank one, so its overlap tr(rho G)
+    is its eigenvalue: m_mu / d_mu for rho(p) and m_mu / (d d_mu) for
+    rho(p-1), on d_mu^2 units.  The second-ideal unit of mode beta has
+    overlap Lambda_beta / d, with Lambda the generalized eigenvalues of
+    (T, B) (``BMatrix.pencil``), and trace d^2 - 1, which the eigenvalue
+    divides out; its family holds d_mu d_nu units.  rho(p) annihilates the
+    second ideal, so its families are those of the top ideal alone.
     """
-    from .ideal_units import has_second_ideal, second_ideal_blocks
+    from .ideal_units import second_ideal_blocks
 
+    if level not in analytic_levels(p, d):
+        covered = "level p or p-1 with p >= 2" if d > 1 else "level p only at d = 1"
+        raise ParameterError(f"the analytic path covers {covered}, got p = {p}, level = {level}")
     if p < 1:
         raise ValueError("p must be >= 1")
     _check_exact_cells(f"the analytic spectra at (p,d)=({p},{d})", p, count_partitions(p, d, stop=MAX_EXACT_CELLS // p))
-    second = has_second_ideal(p, d)
-    records = []
+    rows = []
     for mu in schur_weyl_partitions(p, d):
         m, dm = multiplicity(mu, d), dim_irrep(mu)
-        records.append(
-            OverlapRecord(p, p, mu, mu, None, m / dm, 1, m / dm, dm * dm)
-        )
-        if second:
-            records.append(
-                OverlapRecord(p - 1, p, mu, mu, None, m / (d * dm), 1, m / (d * dm), dm * dm)
-            )
+        rows.append(SpectrumRow(m / dm if level == p else m / (d * dm), dm * dm, p, mu, mu, None))
     trace = d * d - 1
-    for b in second_ideal_blocks(p, d):
-        for beta, lam in enumerate(b.pencil, 1):
-            overlap = lam / d
-            records.append(
-                OverlapRecord(p - 1, p - 1, b.mu, b.nu, beta, overlap, trace, overlap / trace, dim_irrep(b.mu) * dim_irrep(b.nu))
-            )
-    return tuple(records)
+    for b in second_ideal_blocks(p, d) if level == p - 1 else ():
+        units = dim_irrep(b.mu) * dim_irrep(b.nu)
+        rows.extend(SpectrumRow(lam / d / trace, units * trace, p - 1, b.mu, b.nu, beta) for beta, lam in enumerate(b.pencil, 1))
+    return tuple(rows)
 
 
 # ----------------------------------------------------------------------------
@@ -398,14 +375,7 @@ def spectrum_table(p: int, d: int, level: int, method: str = "analytic") -> Spec
     and bins them at BIN_TOL = 1e-6.
     """
     if method == "analytic":
-        if level not in analytic_levels(p, d):
-            covered = "level p or p-1 with p >= 2" if d > 1 else "level p only at d = 1"
-            raise ParameterError(f"the analytic path covers {covered}, got p = {p}, level = {level}")
-        rows = tuple(
-            SpectrumRow(rec.eigenvalue, rec.eigen_multiplicity, rec.ideal, rec.mu, rec.nu, rec.interior)
-            for rec in analytic_overlaps(p, d)
-            if rec.rho_level == level and abs(rec.eigenvalue) > BIN_TOL
-        )
+        rows = tuple(r for r in analytic_overlaps(p, d, level) if abs(r.value) > BIN_TOL)
         kernel = d ** (2 * p) - sum(r.multiplicity for r in rows)
         return SpectrumTable(p, d, level, "analytic", rows, kernel)
     if method == "brute":

@@ -8,6 +8,12 @@ construction.  The tableau order makes the basis adapted to the subgroup
 fixing the last point: for sigma with sigma(p) = p the matrix is block
 diagonal over the shapes alpha obtained by deleting the box holding p.
 Each irrep matrix is a cached, read-only ndarray.
+
+A basis index of mu has one label, the plain pair (alpha, i_alpha) of its
+block and its 1-based index inside the block; mu is known from context.
+``prir_position`` maps a pair to its position through the block offsets,
+and ``prir_map`` lists the pairs of all d_mu positions, for the desk-scale
+suites and the tests only.
 """
 
 from __future__ import annotations
@@ -143,43 +149,19 @@ def young_orthogonal_rep(mu: Partition, sigma: Permutation) -> np.ndarray:
     return m
 
 
-class PrirIndex(Frozen):
-    """Subgroup-adapted label (mu, alpha, i_alpha) of a basis index of mu."""
-
-    __slots__ = ("mu", "alpha", "i_alpha")
-    mu: Partition
-    alpha: Partition
-    i_alpha: int  # 1-based index inside the alpha block
-
-    def __init__(self, mu: Partition, alpha: Partition, i_alpha: int):
-        if alpha not in remove_box(mu):
-            raise ValueError(f"{alpha} is not mu minus a box for mu = {mu}")
-        if not 1 <= i_alpha <= dim_irrep(alpha):
-            raise ValueError(f"i_alpha out of range for {alpha}")
-        super().__init__(mu, alpha, i_alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.mu, self.alpha, self.i_alpha) == (other.mu, other.alpha, other.i_alpha)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mu, self.alpha, self.i_alpha))
-
-
 @lru_cache(maxsize=None)
-def prir_map(mu: Partition) -> tuple[PrirIndex, ...]:
-    """The triple (mu, alpha, i_alpha) for each basis index of mu, in order.
+def prir_map(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The subgroup-adapted label (alpha, i_alpha) of each basis index of mu, in order.
 
-    Indices with equal alpha are consecutive because the tableau enumeration
-    is grouped by the shape left after deleting the box holding p.
+    alpha is mu minus the box holding p, and i_alpha the 1-based index
+    inside the alpha block.  Indices with equal alpha are consecutive
+    because the tableau enumeration is grouped by the shape left after
+    deleting the box holding p.  The tuple lists d_mu labels; the sandwich
+    lemma reads labels without it.
     """
     if mu.total < 2:
         raise ValueError("PRIR labels need |mu| >= 2")
-    out = []
-    for alpha in remove_box(mu):
-        for i_alpha in range(1, dim_irrep(alpha) + 1):
-            out.append(PrirIndex(mu, alpha, i_alpha))
+    out = [(alpha, i_alpha) for alpha in remove_box(mu) for i_alpha in range(1, dim_irrep(alpha) + 1)]
     if len(out) != dim_irrep(mu):
         raise ArithmeticError(f"the blocks of {mu} hold {len(out)} indices, not d_mu = {dim_irrep(mu)}")
     return tuple(out)
@@ -198,9 +180,12 @@ def prir_block_offsets(mu: Partition) -> MappingProxyType[Partition, int]:
 
 def prir_position(mu: Partition, alpha: Partition, i_alpha: int) -> int:
     """Global 1-based basis index of the PRIR label (mu, alpha, i_alpha)."""
+    offsets = prir_block_offsets(mu)
+    if alpha not in offsets:
+        raise ValueError(f"{alpha} is not mu minus a box for mu = {mu}")
     if not 1 <= i_alpha <= dim_irrep(alpha):
         raise ValueError(f"i_alpha out of range for {alpha}")
-    return prir_block_offsets(mu)[alpha] + i_alpha
+    return offsets[alpha] + i_alpha
 
 
 # sigma fixing p factors into s_1..s_{p-2} alone, the same factors as its

@@ -162,11 +162,7 @@ def test_criterion_6_eigen_operator_property():
     p, d = 3, 3
     rho_sub = rho(p - 1, p, d).matrix
     rho_top = rho(p, p, d).matrix
-    analytic = {
-        (rec.ideal, rec.mu, rec.nu, rec.interior): rec.eigenvalue
-        for rec in analytic_overlaps(p, d)
-        if rec.rho_level == p - 1
-    }
+    analytic = {(r.ideal, r.mu, r.nu, r.interior): r.value for r in analytic_overlaps(p, d, p - 1)}
     worst = 0.0
     for (mu, i, j) in top_row_labels(p, d):
         unit = G_top(mu, i, j, mu, i, j, p, d)

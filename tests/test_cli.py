@@ -95,6 +95,68 @@ def test_spectrum_fig_layout():
     assert "off-diagonal blocks" in result.output
 
 
+FIG7_TEXT = {
+    (3, 3, 3): """\
+block layout of the twirled generator, level 3, p=3, d=3
+  ideal 3 (rank-one units):
+    [(3) x (3)]  1 diagonal units   eigenvalue 10.0000 x1
+    [(2,1) x (2,1)]  4 diagonal units   eigenvalue 4.0000 x4
+    [(1,1,1) x (1,1,1)]  1 diagonal units   eigenvalue 1.0000 x1
+  off-diagonal blocks between different label pairs vanish
+""",
+    (3, 3, 2): """\
+block layout of the twirled generator, level 2, p=3, d=3
+  ideal 3 (rank-one units):
+    [(3) x (3)]  1 diagonal units   eigenvalue 3.3333 x1
+    [(2,1) x (2,1)]  4 diagonal units   eigenvalue 1.3333 x4
+    [(1,1,1) x (1,1,1)]  1 diagonal units   eigenvalue 0.3333 x1
+  ideal 2 (units of trace 8):
+    [(3) x (3)] interior mode 1  1 diagonal units   eigenvalue 1.6667 x8
+    [(3) x (2,1)] interior mode 1  2 diagonal units   eigenvalue 0.8333 x16
+    [(2,1) x (3)] interior mode 1  2 diagonal units   eigenvalue 0.8333 x16
+    [(2,1) x (2,1)] interior mode 1  4 diagonal units   eigenvalue 0.2303 x32
+    [(2,1) x (2,1)] interior mode 2  4 diagonal units   eigenvalue 0.6030 x32
+    [(2,1) x (1,1,1)] interior mode 1  2 diagonal units   eigenvalue 0.1667 x16
+    [(1,1,1) x (2,1)] interior mode 1  2 diagonal units   eigenvalue 0.1667 x16
+  off-diagonal blocks between different label pairs vanish
+""",
+    (4, 3, 3): """\
+block layout of the twirled generator, level 3, p=4, d=3
+  ideal 4 (rank-one units):
+    [(4) x (4)]  1 diagonal units   eigenvalue 5.0000 x1
+    [(3,1) x (3,1)]  9 diagonal units   eigenvalue 1.6667 x9
+    [(2,2) x (2,2)]  4 diagonal units   eigenvalue 1.0000 x4
+    [(2,1,1) x (2,1,1)]  9 diagonal units   eigenvalue 0.3333 x9
+  ideal 3 (units of trace 8):
+    [(4) x (4)] interior mode 1  1 diagonal units   eigenvalue 2.1875 x8
+    [(4) x (3,1)] interior mode 1  3 diagonal units   eigenvalue 0.9375 x24
+    [(3,1) x (4)] interior mode 1  3 diagonal units   eigenvalue 0.9375 x24
+    [(3,1) x (3,1)] interior mode 1  9 diagonal units   eigenvalue 0.2202 x72
+    [(3,1) x (3,1)] interior mode 2  9 diagonal units   eigenvalue 0.6652 x72
+    [(3,1) x (2,2)] interior mode 1  6 diagonal units   eigenvalue 0.4688 x48
+    [(3,1) x (2,1,1)] interior mode 1  9 diagonal units   eigenvalue 0.1562 x72
+    [(2,2) x (3,1)] interior mode 1  6 diagonal units   eigenvalue 0.4688 x48
+    [(2,2) x (2,2)] interior mode 1  4 diagonal units   eigenvalue 0.1562 x32
+    [(2,2) x (2,1,1)] interior mode 1  6 diagonal units   eigenvalue 0.0938 x48
+    [(2,1,1) x (3,1)] interior mode 1  9 diagonal units   eigenvalue 0.1562 x72
+    [(2,1,1) x (2,2)] interior mode 1  6 diagonal units   eigenvalue 0.0938 x48
+    [(2,1,1) x (2,1,1)] interior mode 1  9 diagonal units   eigenvalue 0.1146 x72
+  off-diagonal blocks between different label pairs vanish
+""",
+}
+
+
+@pytest.mark.parametrize("p,d,level", sorted(FIG7_TEXT))
+def test_spectrum_fig7_text_is_pinned(p, d, level):
+    """The whole --fig7 layout, every family line, precedes the unchanged JSON document."""
+    result = run(["--p", str(p), "--d", str(d), "spectrum", "--level", str(level), "--fig7"])
+    assert result.exit_code == 0
+    text = FIG7_TEXT[p, d, level]
+    assert result.output.startswith(text)
+    plain = run(["--p", str(p), "--d", str(d), "spectrum", "--level", str(level)])
+    assert result.output[len(text):] == plain.output
+
+
 def test_spectrum_analytic_level_guard():
     result = run(["--p", "3", "--d", "3", "spectrum", "--level", "1"])
     assert result.exit_code == 2
@@ -545,7 +607,7 @@ def test_value_types_keep_their_dataclass_behaviour():
     assert hash(mu) == hash(((2, 1),)) and hash(Permutation((2, 1, 3))) == hash(((2, 1, 3),))
     assert repr(mu) == "Partition(parts=(2, 1))" and repr(Permutation((2, 1, 3))) == "Permutation(images=(2, 1, 3))"
     assert repr(StandardTableau(((1, 2), (3,)))) == "StandardTableau(rows=((1, 2), (3,)))"
-    assert repr(prir_map(mu)[0]) == "PrirIndex(mu=Partition(parts=(2, 1)), alpha=Partition(parts=(1, 1)), i_alpha=1)"
+    assert prir_map(mu)[0] == (Partition((1, 1)), 1)  # a label is a plain pair, not a value type
     assert repr(CheckResult("x", True, 0.0, 1e-9)) == "CheckResult(name='x', passed=True, residual=0.0, tolerance=1e-09, detail='')"
     assert repr(GUnit(unit_system(2, 2, 2), 0, 1)) == "GUnit(row=0, col=1)"
     assert sorted([Partition((1, 1)), Partition((3,)), mu, Partition((2,))]) == [
@@ -557,11 +619,10 @@ def test_value_types_keep_their_dataclass_behaviour():
         mu,
         StandardTableau(((1, 2), (3,))),
         Permutation((2, 1, 3)),
-        prir_map(mu)[0],
         B_matrix(mu, mu, 3),
         unit_system(2, 2, 2),
         GUnit(unit_system(2, 2, 2), 0, 1),
-        analytic_overlaps(2, 2)[0],
+        analytic_overlaps(2, 2, 1)[-1],
         spectrum_table(2, 2, 1).rows[0],
         spectrum_table(2, 2, 1),
         CheckResult("x", True, 0.0, 1e-9),

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -190,25 +191,11 @@ def test_proposition_top_sandwich():
 
 
 def test_ab_identity_exact():
+    """a d + b = [same unit] m_mu / d over every label pair, checked by the coefficients suite."""
     for p, d in ((3, 3), (3, 2), (4, 2)):
-        for mu in schur_weyl_partitions(p, d):
-            for nu in schur_weyl_partitions(p, d):
-                for rm in prir_map(mu):
-                    for cm in prir_map(mu):
-                        for rn in prir_map(nu):
-                            for cn in prir_map(nu):
-                                a, b = ab_general(
-                                    mu, nu,
-                                    (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha),
-                                    (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d,
-                                )
-                                same = (
-                                    mu == nu
-                                    and (rm.alpha, rm.i_alpha) == (rn.alpha, rn.i_alpha)
-                                    and (cm.alpha, cm.i_alpha) == (cn.alpha, cn.i_alpha)
-                                )
-                                expected = Fraction(multiplicity(mu, d), d) if same else Fraction(0)
-                                assert a * d + b == expected
+        results = {r.name: r for r in run_suite("coefficients", p, d)}
+        assert results["ad_plus_b_exact"].passed
+        assert all(r.passed for r in results.values()), (p, d)
 
 
 def test_b_entry_fixture():
@@ -224,26 +211,13 @@ def test_trace_rules_exhaustive(p, d):
     vpm1 = factored_V(p, p - 1, d)
     for mu in schur_weyl_partitions(p, d):
         for nu in schur_weyl_partitions(p, d):
-            for rm in prir_map(mu):
-                for cm in prir_map(mu):
-                    for rn in prir_map(nu):
-                        for cn in prir_map(nu):
-                            x = embedded_pair(
-                                mu,
-                                prir_position(mu, rm.alpha, rm.i_alpha),
-                                prir_position(mu, cm.alpha, cm.i_alpha),
-                                nu,
-                                prir_position(nu, rn.alpha, rn.i_alpha),
-                                prir_position(nu, cn.alpha, cn.i_alpha),
-                                d,
-                            )
-                            args = (
-                                mu, nu,
-                                (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha),
-                                (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d,
-                            )
-                            assert abs(float(np.sum((x @ vp) * vp)) - float(trace_with_V_top(*args))) <= 1e-10
-                            assert abs(float(np.sum((x @ vpm1) * vpm1)) - float(trace_with_V_sub(*args))) <= 1e-10
+            for rm, cm, rn, cn in itertools.product(prir_map(mu), prir_map(mu), prir_map(nu), prir_map(nu)):
+                x = embedded_pair(
+                    mu, prir_position(mu, *rm), prir_position(mu, *cm), nu, prir_position(nu, *rn), prir_position(nu, *cn), d
+                )
+                args = (mu, nu, rm, cm, rn, cn, d)
+                assert abs(float(np.sum((x @ vp) * vp)) - float(trace_with_V_top(*args))) <= 1e-10
+                assert abs(float(np.sum((x @ vpm1) * vpm1)) - float(trace_with_V_sub(*args))) <= 1e-10
 
 
 @pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
@@ -278,22 +252,12 @@ def test_sandwich_decomposition_least_squares_oracle():
         rm, cm = pm_mu[rng.integers(len(pm_mu))], pm_mu[rng.integers(len(pm_mu))]
         rn, cn = pm_nu[rng.integers(len(pm_nu))], pm_nu[rng.integers(len(pm_nu))]
         x = embedded_pair(
-            mu,
-            prir_position(mu, rm.alpha, rm.i_alpha),
-            prir_position(mu, cm.alpha, cm.i_alpha),
-            nu,
-            prir_position(nu, rn.alpha, rn.i_alpha),
-            prir_position(nu, cn.alpha, cn.i_alpha),
-            d,
+            mu, prir_position(mu, *rm), prir_position(mu, *cm), nu, prir_position(nu, *rn), prir_position(nu, *cn), d
         )
         sandwiched = vpm1 @ x @ vpm1
         fitted = np.linalg.solve(gram, [np.sum(sandwiched * vp), np.sum(sandwiched * vpm1)])
         assert np.max(np.abs(sandwiched - fitted[0] * vp - fitted[1] * vpm1)) <= 1e-10
-        a, b = ab_general(
-            mu, nu,
-            (rm.alpha, rm.i_alpha), (cm.alpha, cm.i_alpha),
-            (rn.alpha, rn.i_alpha), (cn.alpha, cn.i_alpha), d,
-        )
+        a, b = ab_general(mu, nu, rm, cm, rn, cn, d)
         assert abs(fitted[0] - float(a)) <= 1e-10
         assert abs(fitted[1] - float(b)) <= 1e-10
 
@@ -347,6 +311,41 @@ def test_singularity_condition_agrees_with_determinant_everywhere():
                     continue
                 assert (b.det == 0) == singularity_condition(mu, d)
                 assert b.singular == singularity_condition(mu, d)
+
+
+def test_kernel_eigenvalues_of_a_singular_B_print_as_exact_zeros():
+    """The exact LDL^T shows B positive semidefinite with nullity zero eigenvalues, which print as 0, not as signed rounding."""
+    b = B_matrix(partition(2, 1), partition(2, 1), 2)  # eigvalsh alone gives -1.39e-17 here
+    assert b.nullity == 1 and b.eigenvalues[0] == 0.0 and not np.signbit(b.eigenvalues[0])
+    assert b.eigenvalues[1] > 0
+    vanishing = B_matrix(partition(1, 1, 1), partition(1, 1, 1), 2)
+    assert vanishing.vanishing and vanishing.nullity == vanishing.size
+    assert np.array_equal(vanishing.eigenvalues, np.zeros(vanishing.size))
+    assert not np.signbit(vanishing.eigenvalues).any()
+    doc = json.loads(run_cli(["--p", "3", "--d", "2", "bmatrix", "--mu", "2,1"]).output)
+    assert doc["eigenvalues"] == [0.0, 1.11111111111] and doc["nullity"] == 1
+    for p in range(2, 9):
+        for d in range(2, 6):
+            for mu in schur_weyl_partitions(p, d):
+                b = B_matrix(mu, mu, d)
+                assert not np.any(b.eigenvalues[: b.nullity]) and np.all(b.eigenvalues[b.nullity :] > 0), (mu, d)
+
+
+def test_the_analytic_path_lists_no_basis(monkeypatch):
+    """B^{mu mu} reads (alpha, i_alpha) labels and never lists mu's basis, whose d_mu passes 1e8 at (20,6)."""
+
+    def refuse(mu):
+        raise AssertionError(f"prir_map({mu}) would list d_mu = {dim_irrep(mu)} labels")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("walledbrauer") and hasattr(module, "prir_map"):
+            monkeypatch.setattr(module, "prir_map", refuse)
+    p, d = 20, 6
+    big = [mu for mu in schur_weyl_partitions(p, d) if dim_irrep(mu) > 10**8]
+    assert big
+    for mu in big:
+        b = B_matrix.__wrapped__(mu, mu, d)  # uncached, so every entry is formed here
+        assert b.alphas == remove_box(mu) and b.rank + b.nullity == b.size
 
 
 def test_determinant_symmetric_polynomial_identity():

@@ -7,7 +7,6 @@ import pytest
 from walledbrauer import matrix_units
 from walledbrauer.matrix_units import (
     E_unit,
-    E_unit_prir,
     branching_expand,
     completeness_defect,
     embed_left,
@@ -28,6 +27,7 @@ from walledbrauer.symgroup import Permutation, enumerate_group, prir_map, young_
 from walledbrauer.tensorspace import (
     DenseOperator,
     V_generator,
+    partial_trace,
     permutation_operator,
 )
 
@@ -224,8 +224,9 @@ def test_partial_trace_E_exhaustive_p3():
 
 
 def test_prir_unit_indexing():
+    """partial_trace_E reads the unit at the positions of its (alpha, i_alpha) labels."""
     mu = partition(2, 1)
     labels = prir_map(mu)
-    direct = E_unit(mu, 1, 2, 3)
-    via_prir = E_unit_prir(mu, labels[0], labels[1], 3)
+    direct = partial_trace(E_unit(mu, 1, 2, 3), [3])
+    via_prir = partial_trace_E(mu, labels[0], labels[1], 3)
     assert direct.distance(via_prir) == 0

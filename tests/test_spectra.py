@@ -298,23 +298,20 @@ def test_spectrum_table_trace_consistency():
 
 
 def test_analytic_overlap_values_p3():
-    records = {
-        (rec.rho_level, rec.ideal, rec.mu, rec.nu, rec.interior): rec
-        for rec in analytic_overlaps(3, 3)
-    }
+    records = {(level, r.ideal, r.mu, r.nu, r.interior): r for level in (3, 2) for r in analytic_overlaps(3, 3, level)}
     m3, m21, ones = partition(3), partition(2, 1), partition(1, 1, 1)
-    # top-ideal overlaps of the level-3 twirl: m_mu / d_mu
-    assert abs(records[(3, 3, m3, m3, None)].overlap - 10.0) <= 1e-12
-    assert abs(records[(3, 3, m21, m21, None)].overlap - 4.0) <= 1e-12
+    # top-ideal overlaps of the level-3 twirl, their eigenvalues: m_mu / d_mu
+    assert abs(records[(3, 3, m3, m3, None)].value - 10.0) <= 1e-12
+    assert abs(records[(3, 3, m21, m21, None)].value - 4.0) <= 1e-12
     # level-2 twirl against top units: m_mu / (d d_mu)
-    assert abs(records[(2, 3, m3, m3, None)].eigenvalue - 10.0 / 3.0) <= 1e-12
-    assert abs(records[(2, 3, ones, ones, None)].eigenvalue - 1.0 / 3.0) <= 1e-12
+    assert abs(records[(2, 3, m3, m3, None)].value - 10.0 / 3.0) <= 1e-12
+    assert abs(records[(2, 3, ones, ones, None)].value - 1.0 / 3.0) <= 1e-12
     # second-ideal eigenvalues of the (2,1)(2,1) block: (5 -/+ sqrt 5)/12
-    assert abs(records[(2, 2, m21, m21, 1)].eigenvalue - (5 - np.sqrt(5)) / 12) <= 1e-12
-    assert abs(records[(2, 2, m21, m21, 2)].eigenvalue - (5 + np.sqrt(5)) / 12) <= 1e-12
+    assert abs(records[(2, 2, m21, m21, 1)].value - (5 - np.sqrt(5)) / 12) <= 1e-12
+    assert abs(records[(2, 2, m21, m21, 2)].value - (5 + np.sqrt(5)) / 12) <= 1e-12
     # mixed-label blocks: 1.3333/8 and 6.6667/8
-    assert abs(records[(2, 2, m21, ones, 1)].eigenvalue - 1.0 / 6.0) <= 1e-12
-    assert abs(records[(2, 2, m3, m21, 1)].eigenvalue - 5.0 / 6.0) <= 1e-12
+    assert abs(records[(2, 2, m21, ones, 1)].value - 1.0 / 6.0) <= 1e-12
+    assert abs(records[(2, 2, m3, m21, 1)].value - 5.0 / 6.0) <= 1e-12
     # the would-be (1^3)(1^3) unit is discarded
     assert (2, 2, ones, ones, 1) not in records
 
@@ -344,11 +341,7 @@ def test_printed_table_values_p3_d3():
 def test_eigen_operator_property_small():
     p, d = 2, 2
     rho_sub = rho(p - 1, p, d).matrix
-    analytic = {
-        (rec.ideal, rec.mu, rec.nu, rec.interior): rec.eigenvalue
-        for rec in analytic_overlaps(p, d)
-        if rec.rho_level == p - 1
-    }
+    analytic = {(r.ideal, r.mu, r.nu, r.interior): r.value for r in analytic_overlaps(p, d, p - 1)}
     for (mu, i, j) in top_row_labels(p, d):
         unit = G_top(mu, i, j, mu, i, j, p, d)
         lam = analytic[(p, mu, mu, None)]
@@ -461,9 +454,10 @@ def test_kernel_accounting():
 @pytest.mark.parametrize("p,d", [(30, 3), (40, 2)])
 def test_analytic_multiplicities_are_exact(p, d):
     # dim_irrep products pass 2^53 here, where a float multiplicity would round
-    for rec in analytic_overlaps(p, d):
-        unit_trace = 1 if rec.ideal == p else d * d - 1
-        assert rec.eigen_multiplicity == dim_irrep(rec.mu) * dim_irrep(rec.nu) * unit_trace
+    for level in (p, p - 1):
+        for row in analytic_overlaps(p, d, level):
+            unit_trace = 1 if row.ideal == p else d * d - 1
+            assert row.multiplicity == dim_irrep(row.mu) * dim_irrep(row.nu) * unit_trace
 
 
 def _refusal_peak(p: int, d: int, level: int, reason: str) -> int:

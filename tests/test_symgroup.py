@@ -96,11 +96,11 @@ def test_yor_orthogonality_relation(p):
 
 def test_prir_map_examples():
     labels = prir_map(partition(2, 1))
-    assert [(ix.alpha.parts, ix.i_alpha) for ix in labels] == [((1, 1), 1), ((2,), 1)]
+    assert labels == ((partition(1, 1), 1), (partition(2), 1))
     labels = prir_map(partition(4))
-    assert all(ix.alpha == partition(3) for ix in labels)
+    assert all(alpha == partition(3) for alpha, _ in labels)
     labels = prir_map(partition(2, 2))
-    assert [(ix.alpha.parts, ix.i_alpha) for ix in labels] == [((2, 1), 1), ((2, 1), 2)]
+    assert labels == ((partition(2, 1), 1), (partition(2, 1), 2))
 
 
 def test_prir_map_raises_when_its_blocks_miss_d_mu(monkeypatch):
@@ -115,15 +115,23 @@ def test_prir_blocks_contiguous():
         for mu in enumerate_partitions(p):
             labels = prir_map(mu)
             seen = []
-            for ix in labels:
-                if not seen or seen[-1] != ix.alpha:
-                    seen.append(ix.alpha)
+            for alpha, _ in labels:
+                if not seen or seen[-1] != alpha:
+                    seen.append(alpha)
             assert len(seen) == len(set(seen))
             assert tuple(seen) == remove_box(mu)
-            for ix, pos in zip(labels, range(1, len(labels) + 1)):
-                assert prir_position(mu, ix.alpha, ix.i_alpha) == pos
+            for pos, label in enumerate(labels, 1):
+                assert prir_position(mu, *label) == pos
             for alpha in remove_box(mu):
-                assert labels[prir_position(mu, alpha, 1) - 1].i_alpha == 1
+                assert labels[prir_position(mu, alpha, 1) - 1] == (alpha, 1)
+
+
+def test_prir_position_refuses_a_label_of_another_shape():
+    """A label is a plain pair, so the shape it is read against validates it."""
+    with pytest.raises(ValueError, match="not mu minus a box"):
+        prir_position(partition(2, 1), partition(3), 1)
+    with pytest.raises(ValueError, match="i_alpha out of range"):
+        prir_position(partition(2, 1), partition(2), 2)
 
 
 def test_restriction_block_check():
