@@ -25,7 +25,6 @@ _EXPORTS = {
                 "StandardTableau",
                 "add_box",
                 "common_removals",
-                "count_semistandard_tableaux",
                 "dim_irrep",
                 "enumerate_partitions",
                 "enumerate_standard_tableaux",
@@ -41,7 +40,6 @@ _EXPORTS = {
                 "Permutation",
                 "enumerate_group",
                 "prir_map",
-                "restriction_block_check",
                 "young_orthogonal_rep",
             ),
         ),
@@ -50,12 +48,10 @@ _EXPORTS = {
             (
                 "DenseOperator",
                 "V_generator",
-                "V_outer_pair",
                 "embed_operator",
                 "partial_trace",
                 "partial_transpose",
                 "permutation_operator",
-                "sandwich_reduce",
             ),
         ),
         (
@@ -71,14 +67,13 @@ _EXPORTS = {
                 "G_sub",
                 "G_top",
                 "ab_general",
-                "has_second_ideal",
                 "second_ideal_blocks",
                 "UnitSystem",
                 "singularity_condition",
                 "unit_system",
             ),
         ),
-        ("spectra", ("SpectrumTable", "analytic_levels", "analytic_overlaps", "rho_apply", "rho_eigenvalues", "spectrum_table")),
+        ("spectra", ("SpectrumTable", "analytic_overlaps", "rho_apply", "rho_eigenvalues", "spectrum_table")),
     )
     for name in names
 }

@@ -82,17 +82,6 @@ class CheckResult(Frozen):
     detail: str
     _defaults = ("",)
 
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-        }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
 
 def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckResult:
     return CheckResult(name, residual <= tol, float(residual), tol, detail)
@@ -697,6 +686,7 @@ def suite_reduction(p: int, d: int) -> list[CheckResult]:
     read off a QR of the left factor.
     """
     tol = 1e-9
+    _check_dim(d, 2 * p)  # before the layout, which labels all d^(2p) basis indices
     metric = _wall_diagonal(d)
     _, rows, cols, _ = _sector_layout(p, d, p - 1)
     zero_worst = worst = 0.0
@@ -739,6 +729,8 @@ NEEDS_SECOND_IDEAL = {"coefficients", "composition", "generators", "eigenoperato
 def run_suite(name: str, p: int, d: int) -> list[CheckResult]:
     second_ideal = has_second_ideal(p, d)
     if name == "all":
+        if second_ideal:
+            _check_dim(d, 2 * p)  # the bound of the second-ideal suites, before the desk-scale suites run
         results = []
         for key in SUITES:
             if key in NEEDS_SECOND_IDEAL and not second_ideal:

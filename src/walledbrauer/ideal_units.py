@@ -358,7 +358,7 @@ def B_matrix(mu: Partition, nu: Partition, d: int) -> BMatrix:
     integer condition.
     """
     alphas = common_removals(mu, nu)
-    _check_exact_cells(f"B^({mu},{nu}) at d = {d}", mu.total, len({mu, nu, *alphas}))
+    _check_exact_cells(mu.total, len({mu, nu, *alphas}), "B^({},{}) at d = {}", mu, nu, d)
     k = len(alphas)
     entries = tuple(
         tuple(b_entry(mu, nu, a, ap, d) for ap in alphas) for a in alphas
@@ -405,16 +405,6 @@ def second_ideal_blocks(p: int, d: int) -> list[BMatrix]:
 # discarded ones are rounding noise, below 4e-15 of the kept ones up to
 # (p,d) = (4,3).  The threshold sits far from both.
 BASIS_RTOL = 1e-8
-
-
-def _sub_factor(mu: Partition, nu: Partition, i: int, j: int, beta: int, p: int, d: int) -> np.ndarray:
-    """W(w~_beta) / sqrt(d) as packed sector blocks, with w~_beta row beta of ``B_matrix(mu, nu, d).modes``.
-
-    W(w) D W'(w')^T = sum over (alpha, alpha') of w_a w'_a' H_{alpha alpha'}.
-    """
-    out = _wall_pack(mu, nu, i, j, B_matrix(mu, nu, d).modes[beta - 1], p, d)
-    out /= math.sqrt(d)
-    return out
 
 
 def _column_sectors(p: int, d: int, ideal: int) -> np.ndarray:
@@ -610,6 +600,7 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     give it.  Its rank must be the same for every label, and the ranks of
     the sectors must sum to r.
     """
+    _check_dim(d, 2 * p)  # before the labels, whose count grows past any bound on the work
     if ideal == p:
         labels = top_row_labels(p, d)
         diag, rank = np.ones(1), 1
@@ -621,13 +612,15 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
         labels = sub_row_labels(p, d)
         diag, rank = _wall_diagonal(d), d * d - 1
 
-        def factor(*label):
-            return _sub_factor(*label, p, d)
+        def factor(mu, nu, i, j, beta):
+            # W(w~_beta) / sqrt(d); W(w) D W'(w')^T = sum over (alpha, alpha') of w_a w'_a' H_{alpha alpha'}
+            out = _wall_pack(mu, nu, i, j, B_matrix(mu, nu, d).modes[beta - 1], p, d)
+            out /= math.sqrt(d)
+            return out
 
     else:
         raise ValueError(f"ideal must be p = {p} or p - 1 = {p - 1}, got {ideal}")
     n = len(labels)
-    _check_dim(d, 2 * p)
     if n == 0:
         return UnitSystem(ideal, p, d, (), (), (), (), (), _frozen(np.zeros(0)))
     sectors, rows, cols, places = _sector_layout(p, d, ideal)
@@ -662,7 +655,10 @@ class GUnit(Frozen):
     """An irreducible matrix unit of the top ideal (p) or the second ideal (p-1).
 
     Entry (row, col) of its :class:`UnitSystem`, read off the shared bases
-    and the core; ``to_dense`` forms the d^(2p) x d^(2p) operator.
+    and the core; ``to_dense`` forms the d^(2p) x d^(2p) operator.  Its
+    labels are ``system.labels[row]`` and ``system.labels[col]``: (mu, i, j)
+    in the top ideal, (mu, nu, i, j, beta) in the second, with beta a
+    generalized eigenmode of (T, B) (``BMatrix.modes``).
     """
 
     __slots__ = ("system", "row", "col")
@@ -672,33 +668,6 @@ class GUnit(Frozen):
 
     def __repr__(self) -> str:
         return f"GUnit(row={self.row!r}, col={self.col!r})"  # the system's arrays left out
-
-    @property
-    def ideal(self) -> int:
-        return self.system.ideal
-
-    @property
-    def row_key(self):
-        return self.system.labels[self.row]
-
-    @property
-    def col_key(self):
-        return self.system.labels[self.col]
-
-    @property
-    def labels(self) -> tuple[Partition, ...]:
-        n = 1 if self.ideal == self.system.p else 2
-        return self.row_key[:n] + self.col_key[:n]
-
-    @property
-    def indices(self) -> tuple[int, int, int, int]:
-        n = 1 if self.ideal == self.system.p else 2
-        return self.row_key[n : n + 2] + self.col_key[n : n + 2]
-
-    @property
-    def interior(self) -> tuple[int, int] | None:
-        """Interior labels (beta, beta') for ideal p-1: the generalized eigenmodes of (T, B), ``BMatrix.modes``."""
-        return None if self.ideal == self.system.p else (self.row_key[4], self.col_key[4])
 
     def core(self) -> np.ndarray:
         """M_ac as an r x r array, its sector blocks placed on the diagonal; a new array on every call."""

@@ -203,11 +203,11 @@ def count_partitions(p: int, rows: int | None = None, stop: int | None = None) -
     return counts[p]
 
 
-def _check_exact_cells(what: str, p: int, shapes: int) -> None:
-    """Refuse exact products over ``shapes`` shapes of p cells each past MAX_EXACT_CELLS cells."""
+def _check_exact_cells(p: int, shapes: int, what: str, *args) -> None:
+    """Refuse exact products over ``shapes`` shapes of p cells each past MAX_EXACT_CELLS cells, naming ``what.format(*args)``."""
     if shapes * p > MAX_EXACT_CELLS:
         raise ResourceLimitError(
-            f"{what}: exact products over at least {shapes} shapes of {p} cells exceed MAX_EXACT_CELLS = {MAX_EXACT_CELLS}"
+            f"{what.format(*args)}: exact products over at least {shapes} shapes of {p} cells exceed MAX_EXACT_CELLS = {MAX_EXACT_CELLS}"
         )
 
 
@@ -319,15 +319,6 @@ class StandardTableau(Frozen):
         rows[ik - 1][jk - 1] = k + 1
         rows[il - 1][jl - 1] = k
         return StandardTableau(tuple(tuple(r) for r in rows))
-
-    def is_standard(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if j + 1 < len(row) and row[j + 1] <= v:
-                    return False
-                if i + 1 < len(self.rows) and j < len(self.rows[i + 1]) and self.rows[i + 1][j] <= v:
-                    return False
-        return True
 
 
 @lru_cache(maxsize=None)

@@ -292,7 +292,7 @@ def analytic_overlaps(p: int, d: int, level: int) -> tuple[SpectrumRow, ...]:
         raise ParameterError(f"the analytic path covers {covered}, got p = {p}, level = {level}")
     if p < 1:
         raise ValueError("p must be >= 1")
-    _check_exact_cells(f"the analytic spectra at (p,d)=({p},{d})", p, count_partitions(p, d, stop=MAX_EXACT_CELLS // p))
+    _check_exact_cells(p, count_partitions(p, d, stop=MAX_EXACT_CELLS // p), "the analytic spectra at (p,d)=({},{})", p, d)
     rows = []
     for mu in schur_weyl_partitions(p, d):
         m, dm = multiplicity(mu, d), dim_irrep(mu)
@@ -339,11 +339,11 @@ class SpectrumTable(Frozen):
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.rows)
 
-    def merged(self, tol: float = BIN_TOL) -> list[tuple[float, int]]:
-        """Rows merged by eigenvalue (within tol), sorted ascending."""
+    def merged(self) -> list[tuple[float, int]]:
+        """Rows merged by eigenvalue (within BIN_TOL), sorted ascending."""
         out: list[tuple[float, int]] = []
         for row in sorted(self.rows, key=lambda r: r.value):
-            if out and abs(out[-1][0] - row.value) <= tol:
+            if out and abs(out[-1][0] - row.value) <= BIN_TOL:
                 prev_v, prev_m = out[-1]
                 weight = prev_m + row.multiplicity
                 out[-1] = ((prev_v * prev_m + row.value * row.multiplicity) / weight, weight)
@@ -360,9 +360,6 @@ class SpectrumTable(Frozen):
         if any(mx != my for (_, mx), (_, my) in zip(a, b)):
             return math.inf
         return float(max((abs(x - y) for (x, _), (y, _) in zip(a, b)), default=0.0))
-
-    def matches(self, other: "SpectrumTable", tol: float) -> bool:
-        return self.distance(other) <= tol
 
 
 def spectrum_table(p: int, d: int, level: int, method: str = "analytic") -> SpectrumTable:

@@ -74,9 +74,6 @@ class Permutation(Frozen):
             out[v - 1] = k
         return Permutation(tuple(out))
 
-    def fixes(self, k: int) -> bool:
-        return self.images[k - 1] == k
-
 
 def identity(p: int) -> Permutation:
     return Permutation(tuple(range(1, p + 1)))
@@ -128,10 +125,8 @@ def _adjacent_generator(mu: Partition, k: int) -> np.ndarray:
     for i, t in enumerate(tableaux):
         r = t.content_of(k + 1) - t.content_of(k)
         m[i, i] = 1.0 / r
-        swapped = t.swap_adjacent(k)
-        if swapped.is_standard():
-            j = index[swapped]
-            m[i, j] = math.sqrt(1.0 - 1.0 / r**2)
+        if abs(r) > 1:  # |r| = 1: k and k+1 share a row or a column, and swapping them leaves no standard tableau
+            m[i, index[t.swap_adjacent(k)]] = math.sqrt(1.0 - 1.0 / r**2)
     m.flags.writeable = False  # cached: no caller may change what later callers get
     return m
 
@@ -203,7 +198,7 @@ def restriction_block_check(mu: Partition, sigma: Permutation) -> bool:
     equal to phi^alpha of sigma restricted to S_{p-1}, to RESTRICTION_TOL.
     """
     p = mu.total
-    if not sigma.fixes(p):
+    if sigma(p) != p:
         raise ValueError("sigma must fix p")
     big = young_orthogonal_rep(mu, sigma)
     restricted = Permutation(sigma.images[: p - 1])

@@ -19,8 +19,9 @@ Every partially transposed permutation conserves the U (x) conj(U) weight
 of a basis index (its letter counts left of the wall minus those right of
 it); ``_weight_sectors`` labels the indices by that weight, for the brute
 spectra and for sums of factored terms that are compared sector by sector.
-The dense operators, ``V_generator`` and ``V_outer_pair`` among them, are
-the oracles the factored forms are tested against.
+The dense operators, ``V_generator`` among them, are the oracles the
+factored forms are tested against; the dense outer-pair generator is the
+tests' oracle ``tests/oracles.V_outer_pair``.
 """
 
 from __future__ import annotations
@@ -344,17 +345,6 @@ def _sandwich_core(a: np.ndarray, b: np.ndarray, p: int, d: int) -> np.ndarray:
     rev = _digit_reversal(d, p - 1)
     b4 = b.reshape(dk, d, dk, d)[rev][:, :, rev]
     return np.einsum("asbt,sctd->acbd", a.reshape(d, dk, d, dk), b4).reshape(d * d, d * d)
-
-
-def V_outer_pair(p: int, d: int) -> DenseOperator:
-    """The two-register ideal generator placed on the outermost pair (1, 2p), as a dense operator.
-
-    This is the element whose products satisfy V^(p-1) V = V^(p) and
-    V^(p) V = d V^(p); the innermost-pair V_generator(p, 1, d) does not.
-    The dense oracle of :func:`factored_outer_pair`.
-    """
-    base = permutation_operator(transposition(2 * p, 1, 2 * p), d, 2 * p)
-    return partial_transpose(base, [2 * p])
 
 
 def sandwich_reduce(x: DenseOperator) -> DenseOperator:

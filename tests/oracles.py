@@ -1,4 +1,4 @@
-"""The S_p units as dense permutation sums, the paper's spanning families F and H, the dense wall product and wall factor, the units as factored operators, the per-pair composition residual, the dense twirled generator, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
+"""The S_p units as dense permutation sums, the paper's spanning families F and H, the dense wall product and wall factor, the units as factored operators, the per-pair composition residual, the dense outer-pair and twirled generators, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, the wall factor and
@@ -31,8 +31,15 @@ from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
 from walledbrauer.partitions import Partition, common_removals, dim_irrep, multiplicity
 from walledbrauer.spectra import _check_twirl_work, _orbit_size, _orbit_sum
-from walledbrauer.symgroup import Permutation, enumerate_group, prir_position, young_orthogonal_rep
-from walledbrauer.tensorspace import DenseOperator, _digit_reversal, _frozen, _weight_sectors, permutation_operator
+from walledbrauer.symgroup import Permutation, enumerate_group, prir_position, transposition, young_orthogonal_rep
+from walledbrauer.tensorspace import (
+    DenseOperator,
+    _digit_reversal,
+    _frozen,
+    _weight_sectors,
+    partial_transpose,
+    permutation_operator,
+)
 
 
 @dataclass(frozen=True)
@@ -235,6 +242,17 @@ def composition_worst_by_pairs(system) -> float:
                 squares += np.sum(res**2, axis=(2, 3))
             worst = max(worst, float(np.sqrt(squares).max()))
     return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
+
+
+def V_outer_pair(p: int, d: int) -> DenseOperator:
+    """The two-register ideal generator placed on the outermost pair (1, 2p), as a dense operator.
+
+    This is the element whose products satisfy V^(p-1) V = V^(p) and
+    V^(p) V = d V^(p); the innermost-pair V_generator(p, 1, d) does not.
+    The dense oracle of ``tensorspace.factored_outer_pair``.
+    """
+    base = permutation_operator(transposition(2 * p, 1, 2 * p), d, 2 * p)
+    return partial_transpose(base, [2 * p])
 
 
 @lru_cache(maxsize=None)

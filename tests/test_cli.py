@@ -197,6 +197,17 @@ def test_reduction_keeps_the_hilbert_guard():
     assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
 
 
+def test_verify_all_refuses_before_the_desk_scale_suites(monkeypatch):
+    # projector_completeness builds dense S_3 units at the full d: 281 MiB at (3,12) before the refusal
+    def unbuilt(*args):
+        raise AssertionError("a dense S_p unit was built before the d^(2p) bound was checked")
+
+    monkeypatch.setattr("walledbrauer.matrix_units.young_projector", unbuilt)
+    result = run(["--p", "3", "--d", "12", "verify"])
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
+
+
 def test_twirl_guard_exit_code():
     # the orbit of 35 280 matchings of V^(6) would scatter 5.8e8 entries
     result = run(["--p", "7", "--d", "2", "spectrum", "--method", "brute"])
@@ -213,8 +224,9 @@ def test_verify_sweep_keeps_the_cli_contract(p, d):
 
 # past the twirl's work bound at (7,2) and (5,4), and the block bound at (5,3);
 # past the shape bounds of dims (966 467 partitions of 60) and of the analytic
-# spectra (5 604 shapes at (30,30)); and S_40 at d = 1, whose 80 registers
-# numpy's unravel_index could not take
+# spectra (5 604 shapes at (30,30)); S_40 at d = 1, whose 80 registers
+# numpy's unravel_index could not take; and units past d^(2p) <= 2^14, whose
+# labels at (20,6) alone would number above 6e16
 GUARD_CASES = (
     ["--p", "7", "--d", "2", "spectrum", "--method", "brute"],
     ["--p", "5", "--d", "3", "spectrum", "--method", "brute"],
@@ -222,6 +234,7 @@ GUARD_CASES = (
     ["--p", "60", "--d", "2", "dims"],
     ["--p", "30", "--d", "30", "spectrum"],
     ["--p", "40", "--d", "1", "units"],
+    ["--p", "20", "--d", "6", "units"],
     ["--p", "2000", "--d", "2", "spectrum"],
     ["--p", "100000", "--d", "1", "spectrum", "--level", "100000"],
     ["--p", "100000", "--d", "2", "bmatrix", "--mu", "99999,1"],
@@ -578,8 +591,9 @@ def test_import_graph_follows_the_command():
     unit_side = ["walledbrauer.ideal_units", "walledbrauer.matrix_units", "walledbrauer.lowrank", "walledbrauer.checks", "fractions"]
     brute = _imported_after([["spectrum", "--method", "brute"]], ["walledbrauer.spectra", *unit_side])
     assert brute == [True] + [False] * len(unit_side)
-    units = _imported_after([["units"]], ["walledbrauer.ideal_units", "walledbrauer.spectra", "walledbrauer.checks"])
-    assert units == [True, False, False]
+    for command in (["units"], ["bmatrix", "--mu", "2"]):
+        loaded = _imported_after([command], ["walledbrauer.ideal_units", "walledbrauer.lowrank", "walledbrauer.spectra", "walledbrauer.checks"])
+        assert loaded == [True, False, False, False], command
 
 
 def test_no_command_generates_code_at_import():

@@ -10,7 +10,7 @@ import pytest
 
 from walledbrauer import checks, ideal_units
 from walledbrauer.checks import run_suite
-from walledbrauer.errors import ZeroMultiplicityError
+from walledbrauer.errors import ResourceLimitError, ZeroMultiplicityError
 from walledbrauer.ideal_units import (
     BMatrix,
     B_matrix,
@@ -535,7 +535,7 @@ def test_G_sub_composition_and_cross_block():
         for b1 in kept:
             for b2 in kept:
                 u = G_sub(mu, mu, mu, mu, i, j, ip, jp, b1, b2, p, d)
-                units[(u.row_key, u.col_key)] = u
+                units[(u.system.labels[u.row], u.system.labels[u.col])] = u
     for (ra, ca), ua in units.items():
         for (rb, cb), ub in units.items():
             prod = unit_operator(ua) @ unit_operator(ub)
@@ -1004,7 +1004,7 @@ def test_singular_block_participates_after_reduction():
     for row in labels:
         for col in labels:
             u = G_sub(row[0], row[1], col[0], col[1], row[2], row[3], col[2], col[3], row[4], col[4], p, d)
-            units[(u.row_key, u.col_key)] = u
+            units[(u.system.labels[u.row], u.system.labels[u.col])] = u
     for (ra, ca), ua in units.items():
         for (rb, cb), ub in units.items():
             prod = unit_operator(ua) @ unit_operator(ub)
@@ -1100,3 +1100,23 @@ def test_V_sub_expansion_fails_on_a_dropped_term(monkeypatch, p, d, terms):
     check = _V_sub_check(p, d)
     assert check.name == f"V_sub_from_H_terms_{terms}_terms"
     assert not check.passed
+
+
+def _unreached(*args):
+    raise AssertionError("work ran before the d^(2p) bound was checked")
+
+
+def test_unit_system_refuses_before_it_lists_labels(monkeypatch):
+    # the label count grows with the Catalan numbers: at (14,2) listing them took 1.9 s and 268 MiB
+    monkeypatch.setattr(ideal_units, "top_row_labels", _unreached)
+    monkeypatch.setattr(ideal_units, "sub_row_labels", _unreached)
+    for ideal in (14, 13):
+        with pytest.raises(ResourceLimitError):
+            unit_system.__wrapped__(14, 2, ideal)
+
+
+def test_reduction_refuses_before_the_sector_layout(monkeypatch):
+    # the layout labels all d^(2p) basis indices, through a (2p, d^(2p)) digit table
+    monkeypatch.setattr(checks, "_sector_layout", _unreached)
+    with pytest.raises(ResourceLimitError):
+        run_suite("reduction", 6, 3)

@@ -36,6 +36,13 @@ def brute_count_syt(shape: tuple[int, ...]) -> int:
     return count((0,) * len(shape))
 
 
+def is_standard(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Entries increase along each row and down each column."""
+    return all(a < b for row in rows for a, b in zip(row, row[1:])) and all(
+        upper[j] < lower[j] for upper, lower in zip(rows, rows[1:]) for j in range(len(lower))
+    )
+
+
 def test_enumerate_partitions_order_and_counts():
     assert [m.parts for m in enumerate_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
     assert len(enumerate_partitions(4)) == 5
@@ -60,7 +67,7 @@ def test_dim_irrep_matches_tableau_enumeration_up_to_p6():
         for mu in enumerate_partitions(p):
             tableaux = enumerate_standard_tableaux(mu)
             assert len(tableaux) == dim_irrep(mu) == brute_count_syt(mu.parts)
-            assert all(t.is_standard() for t in tableaux)
+            assert all(is_standard(t.rows) for t in tableaux)
             assert len(set(tableaux)) == len(tableaux)
 
 
