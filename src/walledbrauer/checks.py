@@ -370,43 +370,30 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
 
 
 def _composition_worst(system) -> float:
-    """Worst Frobenius residual of G_ab G_b'c = delta_bb' G_ac over all unit pairs.
+    """Worst Frobenius residual of G_ab G_b'c = delta_bb' G_ac over all n^4 label quadruples, formed on the seeds.
 
     On cores, G_ab G_b'c - delta G_ac = Q_a (M_ab X_bb' M_b'c - delta M_ac) Q_c^T
     with X_bb' = Q_b^T Q_b', and the orthonormal Q_a, Q_c keep the Frobenius
-    norm.  M and X are block diagonal over the weight sectors and stored as
-    their blocks, so the residual is too, and its squared Frobenius norm is
-    the sum of its blocks' squared norms.  The pairs split on b = b':
-
-    * b = b': M_ab X_bb M_bc - M_ac is formed exactly, for all (b, c) of
-      one row label a in one contraction per sector rank (the sectors of
-      one rank r_s stacked), so the loop runs over a only;
-    * b != b': ||M_ab X_bb' M_b'c||_F <= ||M_ab||_2 ||X_bb'||_F ||M_b'c||_2,
-      bounded once by s^2 max ||X_bb'||_F with s the largest spectral norm
-      of a core, the largest of its sector blocks', and ||X_bb'||_F summed
-      over the sectors.  The cores of a unit system are orthogonal to
-      rounding, so the bound is the exact value to O(eps) relative.
-
-    Units have spectral norm 1, so the distance of each unit from its
-    projection onto the bases enters the residual of a product at most three
-    times (to first order); it is added on.
+    norm.  Q_b is its seed's moved by A_b = E^mu_{i1} (x) E^nu_{j1}, and
+    A_b^T A_b' is the identity on the seed range if b and b' have the same
+    shapes and indices, and zero if not, so the seeds carry all n^2 x n^2
+    pairs.  One contraction per row seed and sector block forms every seed
+    quadruple exactly; the squared norms of the blocks add up.  To first
+    order, the distance of each unit from its projection onto the bases
+    enters the residual of a product at most three times, and so do the
+    moves A_a, A_b^T A_b' and A_c, off their exact forms by at most the
+    relation residual on each wall side (``UnitSystem.move_residual``).
     """
-    n = system.size
-    by_rank = {}
-    for m, x in zip(system.cores, system.overlaps):
-        by_rank.setdefault(m.shape[2], []).append((m, np.einsum("bbij->bij", x)))
-    stacks = [(np.stack([m for m, _ in group]), np.stack([xd for _, xd in group])) for group in by_rank.values()]
+    n = len(system.seed_labels)
     worst = 0.0
     for a in range(n):
-        squares = np.zeros((n, n))
-        for m, xd in stacks:  # m: (sectors, n, n, r_s, r_s), xd: (sectors, n, r_s, r_s)
-            res = (m[:, a] @ xd)[:, :, None] @ m - m[:, a][:, None]  # [k, b, c]: M_ab X_bb M_bc - M_ac
-            squares += np.sum(res**2, axis=(0, 3, 4))
+        squares = np.zeros((n, n, n))
+        for m, x in zip(system.cores, system.overlaps):  # m, x: (n, n, r_s, r_s)
+            res = (m[a][:, None] @ x)[:, :, None] @ m  # [t, t', u]: M_at X_tt' M_t'u
+            res[np.arange(n), np.arange(n)] -= m[a]
+            squares += np.sum(res**2, axis=(3, 4))
         worst = max(worst, float(np.sqrt(squares).max(initial=0.0)))
-    off = np.sqrt(sum(np.sum(x**2, axis=(2, 3)) for x in system.overlaps)) * (1.0 - np.eye(n))  # ||X_bb'||_F, b != b'
-    s = max((float(np.linalg.norm(m, 2, axis=(2, 3)).max()) for m in system.cores), default=0.0)
-    worst = max(worst, float(s**2 * np.max(off, initial=0.0)))
-    return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
+    return worst + 3.0 * float(system.projection_residual.max(initial=0.0)) + 6.0 * system.move_residual
 
 
 def suite_composition(p: int, d: int) -> list[CheckResult]:
@@ -489,41 +476,46 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
 
     V^(p) = l l^T is the sum of sqrt(m_mu m_nu) G_top over the diagonal labels
     (mu, i, i) and (nu, j, j), that is Q C Q^T with C the weighted 1 x 1
-    cores.  The top unit system, like l, lies in the weight-zero sector
-    alone (its build raises on a factor entry off it), so its one sector
-    block is compared with that block of l l^T; the system's projection
-    residual is reported if larger.  V^(p-1) is the sum of the H operators
-    and the top-ideal terms: ``_V_sub_expansion`` checks it as two summed
-    factors, one product per sector.
+    cores and Q the labels' bases (``UnitSystem.basis``).  The top unit
+    system, like l, lies in the weight-zero sector alone (its build raises
+    on a factor entry off it), so that block is compared with that of
+    l l^T; the system's projection residual is reported if larger.
+    V^(p-1) is the sum of the H operators and the top-ideal terms:
+    ``_V_sub_expansion`` checks it as two summed factors, one product per
+    sector.
     """
     tol = 1e-9
     top = unit_system(p, d, p)
-    (rows,), (block,) = top.sector_rows, top.sector_bases
+    (rows,) = top.sector_rows
     l = factored_V(p, p, d)[rows]
     diag = [a for a, (_, i, j) in enumerate(top.labels) if i == j]
     w = np.sqrt([multiplicity(top.labels[a][0], d) for a in diag])
-    core = top.cores[0][np.ix_(diag, diag)][:, :, 0, 0] * np.outer(w, w)
-    res = max(_block_residual(block[diag, :, 0].T, core, l), float(top.projection_residual.max()))
+    seeds = top.seed_of[diag]
+    core = top.cores[0][np.ix_(seeds, seeds)][:, :, 0, 0] * np.outer(w, w)
+    f = np.stack([top.basis(a)[rows, 0] for a in diag], axis=1)
+    res = max(_block_residual(f, core, l), float(top.projection_residual.max()))
     terms, residual = _V_sub_expansion(p, d)
     return [_result("V_top_from_units", res, tol), _result(f"V_sub_from_H_terms_{terms}_terms", residual, tol)]
 
 
 def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
-    """The units as eigenoperators of rho(p-1) and rho(p), with each twirl applied matrix-free, one sector block at a time.
+    """The units as eigenoperators of rho(p-1) and rho(p), checked on the seeds, with each twirl applied matrix-free, one sector block at a time.
 
+    rho(k) commutes with the moves E^mu_{i1} (x) E^nu_{j1}, so each check on
+    the seed units holds for every unit of their orbits.
     ``spectra.rho_apply`` forms rho(k) Q_s for the sector blocks Q_s of the
-    unit systems, so no array of d^(2p) rows is built.  (rho - lambda) G_aa
-    = (rho Q_a - lambda Q_a) M_aa Q_a^T, and with M_aa block diagonal over
+    seeds, so no array of d^(2p) rows is built.  (rho - lambda) G_ss
+    = (rho Q_s - lambda Q_s) M_ss Q_s^T, and with M_ss block diagonal over
     the sectors its squared Frobenius norm is the sum over the sectors of
-    ||(rho Q_as - lambda Q_as) M_aa,ss||_F^2.  The trace of rho(p-1) is the
+    ||(rho Q_sk - lambda Q_sk) M_ss,kk||_F^2.  The trace of rho(p-1) is the
     exact orbit count: the mean of |A_pi|, the number of diagonal 1s of
     V_pi, over the C(p,k)^2 k! matchings pi of the orbit, summed over those
-    the enumerator yields.
+    the enumerator yields.  The unit systems check d^(2p) first.
     """
     trace_tol = 1e-10
     tol = 1e-9
-    analytic = {(r.ideal, r.mu, r.nu, r.interior): r.value for r in spectra.analytic_overlaps(p, d, p - 1)}
     top, sub = unit_system(p, d, p), unit_system(p, d, p - 1)
+    analytic = {(r.ideal, r.mu, r.nu, r.interior): r.value for r in spectra.analytic_overlaps(p, d, p - 1)}
 
     def applied(system, level):
         return spectra.rho_apply(level, p, d, {s: _flat(b) for s, b in zip(system.sectors, system.sector_bases)})
@@ -532,10 +524,11 @@ def suite_eigenoperators(p: int, d: int) -> list[CheckResult]:
     eigen = off_diagonal = 0.0
     for system, key in ((top, lambda r: (p, r[0], r[0], None)), (sub, lambda r: (p - 1, r[0], r[1], r[4]))):
         rho_q = applied(system, p - 1)
-        lam = np.array([analytic[key(label)] for label in system.labels])[:, None, None]
-        squares = np.zeros(system.size)
+        n = len(system.seed_labels)
+        lam = np.array([analytic[key(label)] for label in system.seed_labels])[:, None, None]
+        squares = np.zeros(n)
         for s, core, block in zip(system.sectors, system.cores, system.sector_bases):
-            rq = rho_q[s].reshape(block.shape[1], system.size, -1).transpose(1, 0, 2)
+            rq = rho_q[s].reshape(block.shape[1], n, -1).transpose(1, 0, 2)
             m = np.einsum("aaij->aij", core)
             squares += np.sum(((rq - lam * block) @ m) ** 2, axis=(1, 2))
         eigen = max(eigen, float(np.sqrt(squares).max()))

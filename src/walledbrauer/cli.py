@@ -184,14 +184,15 @@ def bmatrix(p: int, d: int, fmt: str, mu: str, nu: str | None):
 
 
 def _check_dump(p: int, d: int, ideals: list[int]) -> None:
-    """Refuse a dump of more than MAX_DUMP_ENTRIES entries, counted from the labels alone."""
-    from .ideal_units import sub_row_labels, top_row_labels
+    """Refuse a dump of more than MAX_DUMP_ENTRIES entries before any unit is built, and before any label is listed if one unit is too many."""
+    from .ideal_units import has_second_ideal, sub_row_labels, top_row_labels
 
-    labels = {p: top_row_labels, p - 1: sub_row_labels}
-    entries = sum(len(labels[k](p, d)) ** 2 for k in ideals) * d ** (4 * p)
-    if entries > MAX_DUMP_ENTRIES:
+    units = int(p in ideals or has_second_ideal(p, d))  # a lower bound: the top ideal always holds a unit, the second one where it exists
+    if units and d ** (4 * p) <= MAX_DUMP_ENTRIES:  # each unit prints d^(4p) entries; the labels grow past any bound on the work
+        units = sum(len({p: top_row_labels, p - 1: sub_row_labels}[k](p, d)) ** 2 for k in ideals)
+    if units * d ** (4 * p) > MAX_DUMP_ENTRIES:
         raise ResourceLimitError(
-            f"units --dump at (p,d)=({p},{d}) prints {entries} operator entries, above the bound {MAX_DUMP_ENTRIES}"
+            f"units --dump at (p,d)=({p},{d}) prints at least {units * d ** (4 * p)} operator entries, above the bound {MAX_DUMP_ENTRIES}"
         )
 
 
@@ -253,14 +254,12 @@ def _emit_json_dump(p: int, d: int, records: list[dict], ops: list[GUnit]):
     print("]}")
 
 
-def _fig_layout(p: int, d: int, level: int) -> str:
-    """Text rendering of the block-diagonal layout of the twirled generator."""
-    from .spectra import analytic_overlaps
-
+def _fig_layout(table) -> str:
+    """Text rendering of the block-diagonal layout of the twirled generator, from the families of its analytic table."""
+    p, d, level = table.p, table.d, table.level
     lines = [f"block layout of the twirled generator, level {level}, p={p}, d={d}"]
-    rows = analytic_overlaps(p, d, level)
     for ideal, head in ((p, "rank-one units"), (p - 1, f"units of trace {d * d - 1}")):
-        block = [r for r in rows if r.ideal == ideal]
+        block = [r for r in table.rows if r.ideal == ideal]
         if block:  # the top ideal always has rows; the second only at level p - 1
             lines.append(f"  ideal {ideal} ({head}):")
         for r in block:
@@ -282,7 +281,7 @@ def spectrum(p: int, d: int, fmt: str, level: int | None, method: str, fig7: boo
         raise ParameterError(f"level must lie in 0..{p}")
     table = spectrum_table(p, d, level, method)
     if fig7 and level in analytic_levels(p, d):
-        print(_fig_layout(p, d, level))
+        print(_fig_layout(table if method == "analytic" else spectrum_table(p, d, level, "analytic")))
     rows = [
         {
             "value": f12(r.value),

@@ -9,15 +9,14 @@ Objects built here, all on 2p registers:
   basis of the second ideal (``BMatrix.modes``).
   ``second_ideal_blocks`` is the one enumerator of the blocks (mu, nu) of
   the second ideal, the shape pairs with a common one-box removal.
-* Unit systems: the orthonormal units G(p) and G(p-1) of each ideal.  Every
-  unit in one row label of an ideal shares its range, and every unit in one
-  column label its co-range, so a system stores one orthonormal basis Q_r
-  per label and an r x r core M_rc per unit, G_rc = Q_r M_rc Q_c^T, with
-  r = 1 (top ideal) or d^2 - 1 (second ideal).  The units commute with
-  U^(x)p (x) conj(U)^(x)p, so each Q_r is stored as its blocks on the
-  U (x) conj(U) weight sectors it touches, and the cores, block diagonal
-  over them, as their sector blocks.  ``G_top`` and ``G_sub`` look single
-  units up in the cached systems.
+* Unit systems: the orthonormal units G(p) and G(p-1) of each ideal,
+  G_ac = Q_a M_ac Q_c^T with one orthonormal basis Q_a per label and an
+  r x r core per unit, r = 1 (top ideal) or d^2 - 1 (second ideal).  They
+  are group-adapted to C[S_p] x C[S_p]: each is its seeds' unit, the labels
+  with indices (1, 1), moved by E^mu_{i1} (x) E^nu_{j1}, so a system stores
+  the seeds alone, each seed basis as its blocks on the U (x) conj(U)
+  weight sectors it touches and the cores as their sector blocks.
+  ``G_top`` and ``G_sub`` look single units up in the cached systems.
 * One packer, ``_pack_columns``, through which every consumer of a unit
   factor reads its sector blocks.  It takes the factor one column at a
   time, and writes each column's sector rows straight into its block, so
@@ -488,46 +487,57 @@ def _gram_blocks(gram: np.ndarray, n: int) -> np.ndarray:
     return gram.reshape(n, r, n, r).transpose(0, 2, 1, 3)
 
 
+def _sides(label: tuple) -> tuple[Partition, Partition, int, int]:
+    """(mu, nu, i, j) of a label (mu, nu, i, j, beta) of the second ideal, or of a label (mu, i, j) of the top one, with nu = mu."""
+    n = len(label) // 2  # shapes per label
+    return label[0], label[n - 1], label[n], label[n + 1]
+
+
+def _seed(label: tuple) -> tuple:
+    n = len(label) // 2  # the label with its indices (i, j) set to (1, 1)
+    return label[:n] + (1, 1) + label[n + 2 :]
+
+
 class UnitSystem(Frozen):
-    """Every irreducible matrix unit of one ideal at (p, d), on shared bases stored per weight sector.
+    """Every irreducible matrix unit of one ideal at (p, d), stored as the units of its seeds, per weight sector.
 
-    Unit (a, c) is ``G_ac = Q_a M_ac Q_c^T``.  Q_a (d^(2p) x r, orthonormal
-    columns) spans the range of every unit in row a, and M_ac is the r x r
-    core, with r = 1 for the top ideal and d^2 - 1 for the second.
-    The column labels are the row labels and G_ca = G_ac^T, so the co-range
-    basis P_c of column c is Q_c.
+    Unit (a, c) is ``G_ac = Q_a M_ac Q_c^T``: Q_a (d^(2p) x r, orthonormal
+    columns) spans the range of every unit in row a and, as G_ca = G_ac^T,
+    the co-range of every unit in column a; M_ac is the r x r core, with
+    r = 1 for the top ideal and d^2 - 1 for the second.  The seed of the
+    label (mu, nu, i, j, beta) is (mu, nu, 1, 1, beta), and that of the top
+    label (mu, i, j) is (mu, 1, 1); ``seed_of[a]`` numbers a's seed s among
+    ``seed_labels``.  Q_a = (E^mu_{i1} (x) E^nu_{j1}) Q_s (``basis``), an
+    isometry on the range of Q_s, as E_{1i} E_{i'1} = delta_ii' E_11, and
+    M_ac = M_st for the seeds s, t of a, c.  Only the seeds are stored.
 
-    The units lie in the walled Brauer algebra, which commutes with
-    U^(x)p (x) conj(U)^(x)p, so each Q_a is a sum of U (x) conj(U) weight
-    sectors: for the second ideal one column in each weight e_a - e_b and
-    d - 1 in weight 0, for the top ideal one column in weight 0.  Only those
-    blocks are stored: the k-th sector, ``sectors[k]`` (numbered as in
-    ``tensorspace._weight_sectors``), holds the rows ``sector_rows[k]`` of
-    every Q_a as ``sector_bases[k]`` (n, n_s, r_s), the columns
-    ``slices[k]`` of r.  The cores M_ac and the overlaps X_ac = Q_a^T Q_c are
-    block diagonal over the sectors, so only their blocks are stored:
-    ``cores[k]`` and ``overlaps[k]`` are (n, n, r_s, r_s), n^2 sum_s r_s^2
-    floats in all, and no (n, n, r, r) array is formed.
-    ``projection_residual[a]`` is the largest Frobenius
-    distance, over the units of row a, between the unit as its factors give
-    it and the projection ``Q_a M_ac Q_c^T``.  No factor entry lies off the
-    stored sectors: the build raises on one (``_pack_columns``).
-    All arrays are read-only.
+    The units commute with U^(x)p (x) conj(U)^(x)p, so each Q_s is a sum of
+    U (x) conj(U) weight sectors: for the second ideal one column in each
+    weight e_a - e_b and d - 1 in weight 0, for the top ideal one column in
+    weight 0.  Sector k, ``sectors[k]`` (``tensorspace._weight_sectors``),
+    holds the rows ``sector_rows[k]`` and the columns ``slices[k]`` of every
+    seed basis as ``sector_bases[k]`` (seeds, n_s, r_s), and the blocks of
+    the cores M_st and the overlaps X_st = Q_s^T Q_t, ``cores[k]`` and
+    ``overlaps[k]`` (seeds, seeds, r_s, r_s).  ``projection_residual[s]`` is
+    the largest Frobenius distance, over the units of seed row s, between
+    the unit as its factors give it and ``Q_s M_st Q_t^T``.  The build raises
+    on a factor entry off the stored sectors.  All arrays are read-only.
     """
 
     __slots__ = (
-        "ideal", "p", "d", "labels", "sectors", "sector_rows", "sector_bases", "cores", "projection_residual",
+        "ideal", "p", "d", "labels", "seed_of", "sectors", "sector_rows", "sector_bases", "cores", "projection_residual",
         "__dict__",  # holds the cached properties
     )
     ideal: int
     p: int
     d: int
     labels: tuple
+    seed_of: np.ndarray  # (n,): the seed of each label
     sectors: tuple[int, ...]
     sector_rows: tuple[np.ndarray, ...]  # per sector: (n_s,)
-    sector_bases: tuple[np.ndarray, ...]  # per sector: (n, n_s, r_s)
-    cores: tuple[np.ndarray, ...]  # per sector: (n, n, r_s, r_s)
-    projection_residual: np.ndarray  # (n,)
+    sector_bases: tuple[np.ndarray, ...]  # per sector: (seeds, n_s, r_s)
+    cores: tuple[np.ndarray, ...]  # per sector: (seeds, seeds, r_s, r_s)
+    projection_residual: np.ndarray  # (seeds,)
 
     @property
     def size(self) -> int:
@@ -542,63 +552,89 @@ class UnitSystem(Frozen):
         return MappingProxyType({label: a for a, label in enumerate(self.labels)})
 
     @cached_property
+    def seed_labels(self) -> tuple:
+        return tuple(dict.fromkeys(map(_seed, self.labels)))
+
+    @cached_property
     def slices(self) -> tuple[slice, ...]:
         """The columns of each sector block within the r columns of a basis."""
         ranks = [block.shape[2] for block in self.sector_bases]
         return tuple(slice(int(e) - r, int(e)) for e, r in zip(np.cumsum(ranks), ranks))
 
     def basis(self, a: int) -> np.ndarray:
-        """Q_a as a d^(2p) x r array, its sector blocks scattered into zeros; a new array on every call."""
-        out = np.zeros((self.d ** (2 * self.p), self.rank))
+        """Q_a as a new d^(2p) x r array: its seed's sector blocks scattered into zeros and, unless a is a seed, moved.
+
+        Read as a (d^p, d^p, r) array, the left word is moved by E^mu_{i1} and the right one by E^nu_{j1}.
+        """
+        dp = self.d**self.p
+        out = np.zeros((dp * dp, self.rank))
         for rows, sl, block in zip(self.sector_rows, self.slices, self.sector_bases):
-            out[rows, sl] = block[a]
-        return out
+            out[rows, sl] = block[self.seed_of[a]]
+        mu, nu, i, j = _sides(self.labels[a])
+        if (i, j) == (1, 1):
+            return out
+        out = left_side_matrix(mu, i, 1, self.d) @ out.reshape(dp, -1)
+        return (right_side_matrix(nu, j, 1, self.d) @ out.reshape(dp, dp, -1)).reshape(dp * dp, -1)
+
+    @cached_property
+    def move_residual(self) -> float:
+        """max ||E_{i1}^T E_{i'1} - delta_ii' E_11||_F over the shapes of each wall side, E as ``basis`` reads it."""
+        worst = 0.0
+        for side, k in ((left_side_matrix, 0), (right_side_matrix, 1)):
+            for mu in dict.fromkeys(_sides(label)[k] for label in self.seed_labels):
+                e = np.stack([side(mu, i, 1, self.d) for i in range(1, dim_irrep(mu) + 1)])
+                for i, move in enumerate(e):
+                    rel = move.T @ e  # [i']: E_{i1}^T E_{i'1}
+                    rel[i] -= e[0]
+                    worst = max(worst, float(np.linalg.norm(rel, axis=(1, 2)).max()))
+        return worst
 
     @cached_property
     def overlaps(self) -> tuple[np.ndarray, ...]:
-        """X[a, c] = Q_a^T Q_c as its sector blocks, one (n, n, r_s, r_s) Gram array per sector."""
+        """X[s, t] = Q_s^T Q_t of the seeds as its sector blocks, one (seeds, seeds, r_s, r_s) Gram array per sector."""
         out = []
         for block in self.sector_bases:
             flat = _flat(block)
-            out.append(_frozen(_gram_blocks(flat.T @ flat, self.size)))
+            out.append(_frozen(_gram_blocks(flat.T @ flat, len(block))))
         return tuple(out)
 
     @cached_property
     def traces(self) -> np.ndarray:
-        """(n, n) array of tr G_ac = tr(M_ac X_ca), one contraction made once; read-only."""
-        out = np.zeros((self.size, self.size))
+        """(seeds,) array of tr G_ss = tr(M_ss X_ss), the trace of every diagonal unit of seed s; read-only."""
+        out = np.zeros(len(self.seed_labels))
         for core, overlap in zip(self.cores, self.overlaps):
-            out += np.einsum("acij,caji->ac", core, overlap)
+            out += np.einsum("ssij,ssji->s", core, overlap)
         return _frozen(out)
 
     def traces_with(self, applied: dict) -> np.ndarray:
-        """(n, n) array of tr(rho G_ac) = tr(M_ac Q_c^T rho Q_a), given applied[s] = rho Q_s per sector.
+        """(seeds, seeds) array of tr(rho G_st) = tr(M_st Q_t^T rho Q_s), given applied[k] = rho Q_k per sector.
 
-        Q_s is ``_flat`` of the block of sector s; rho must conserve the weight.
+        Q_k is ``_flat`` of the block of sector k; rho must conserve the weight.
         """
-        out = np.zeros((self.size, self.size))
+        n = len(self.seed_labels)
+        out = np.zeros((n, n))
         for s, core, block in zip(self.sectors, self.cores, self.sector_bases):
-            out += np.einsum("acij,caji->ac", core, _gram_blocks(_flat(block).T @ applied[s], self.size))
+            out += np.einsum("acij,caji->ac", core, _gram_blocks(_flat(block).T @ applied[s], n))
         return out
 
 
 @lru_cache(maxsize=None)
 def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
-    """All units of ideal p (top) or p - 1 (second) at (p, d), built per weight sector.
+    """All units of ideal p (top) or p - 1 (second) at (p, d), built on the seeds alone, per weight sector.
 
-    The units are G_rc = W_r D W_c^T s_r s_c with D = (1) and
-    s_r = 1/sqrt(m_mu) for the top ideal, and the wall factor W_r = W(w~_beta),
-    D = ``_wall_diagonal(d)`` and s_r = 1/sqrt(d) for the second.
-    Each label's factor is formed one column at a time, each column packed
+    The seed units are G_st = W_s D W_t^T c_s c_t with D = (1) and
+    c_s = 1/sqrt(m_mu) for the top ideal, and the wall factor W_s = W(w~_beta),
+    D = ``_wall_diagonal(d)`` and c_s = 1/sqrt(d) for the second.
+    Each seed's factor is formed one column at a time, each column packed
     into its weight-sector block (``_pack_columns``, which raises
     ArithmeticError on a nonzero entry off the column's sector) and
     dropped, so one column is the only array of d^(2p) entries.  Then, per
-    sector and batched over the labels, with W_r the sector block:
-    W_r = Q0_r R0_r, and the range of
-    row r over all columns is Q0_r times the range of R0_r D
-    [R0_1^T .. R0_n^T]; one QR of the stacked R0 and one small SVD per label
-    give it.  Its rank must be the same for every label, and the ranks of
-    the sectors must sum to r.
+    sector and batched over the seeds, with W_s the sector block:
+    W_s = Q0_s R0_s, and the range of row s over all columns is Q0_s times
+    the range of R0_s D [R0_1^T .. R0_n^T] (a moved factor has its seed's
+    co-range); one QR of the stacked R0 and one small SVD per seed give it.
+    Its rank must be the same for every seed, and the ranks of the sectors
+    must sum to r.
     """
     _check_dim(d, 2 * p)  # before the labels, whose count grows past any bound on the work
     if ideal == p:
@@ -620,13 +656,15 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
 
     else:
         raise ValueError(f"ideal must be p = {p} or p - 1 = {p - 1}, got {ideal}")
-    n = len(labels)
+    orbits = {}  # seed label -> its number
+    seed_of = _frozen(np.array([orbits.setdefault(_seed(label), len(orbits)) for label in labels], dtype=np.intp))
+    n = len(orbits)
     if n == 0:
-        return UnitSystem(ideal, p, d, (), (), (), (), (), _frozen(np.zeros(0)))
+        return UnitSystem(ideal, p, d, (), seed_of, (), (), (), (), _frozen(np.zeros(0)))
     sectors, rows, cols, places = _sector_layout(p, d, ideal)
     packed = np.empty((n, sum(r.size for r, _ in places)))
-    for a, label in enumerate(labels):
-        packed[a] = factor(*label)
+    for s, label in enumerate(orbits):
+        packed[s] = factor(*label)
     blocks, cores = [], []
     squares = np.zeros((n, n))
     for s, c_s, f in zip(sectors, cols, _sector_blocks(packed, rows, cols)):
@@ -635,9 +673,9 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
         u, sv, _ = np.linalg.svd((r0 * diag[c_s]) @ stacked.T)
         kept = set(np.count_nonzero(sv > BASIS_RTOL * sv[:, :1], axis=1).tolist())
         if len(kept) != 1:
-            raise ArithmeticError(f"sector {s} ranks {sorted(kept)} differ across the labels of ideal {ideal} at (p,d)=({p},{d})")
+            raise ArithmeticError(f"sector {s} ranks {sorted(kept)} differ across the seeds of ideal {ideal} at (p,d)=({p},{d})")
         u = u[:, :, : kept.pop()]
-        y = u.transpose(0, 2, 1) @ r0  # Q_a^T W_a in the Q0_a coordinates
+        y = u.transpose(0, 2, 1) @ r0  # Q_s^T W_s in the Q0_s coordinates
         core = np.einsum("aik,k,cjk->acij", y, diag[c_s], y)
         full = np.einsum("aik,k,cjk->acij", r0, diag[c_s], r0)
         projected = (u[:, None] @ core) @ u.transpose(0, 2, 1)[None]
@@ -648,15 +686,15 @@ def unit_system(p: int, d: int, ideal: int) -> UnitSystem:
     if sum(ranks) != rank:
         raise ArithmeticError(f"sector ranks {ranks} do not sum to {rank} for ideal {ideal} at (p,d)=({p},{d})")
     residual = np.sqrt(squares).max(axis=1)
-    return UnitSystem(ideal, p, d, tuple(labels), sectors, rows, tuple(blocks), tuple(cores), _frozen(residual))
+    return UnitSystem(ideal, p, d, tuple(labels), seed_of, sectors, rows, tuple(blocks), tuple(cores), _frozen(residual))
 
 
 class GUnit(Frozen):
     """An irreducible matrix unit of the top ideal (p) or the second ideal (p-1).
 
-    Entry (row, col) of its :class:`UnitSystem`, read off the shared bases
-    and the core; ``to_dense`` forms the d^(2p) x d^(2p) operator.  Its
-    labels are ``system.labels[row]`` and ``system.labels[col]``: (mu, i, j)
+    Entry (row, col) of its :class:`UnitSystem`, read off the labels' bases
+    and their seeds' core; ``to_dense`` forms the d^(2p) x d^(2p) operator.
+    Its labels are ``system.labels[row]`` and ``system.labels[col]``: (mu, i, j)
     in the top ideal, (mu, nu, i, j, beta) in the second, with beta a
     generalized eigenmode of (T, B) (``BMatrix.modes``).
     """
@@ -670,21 +708,22 @@ class GUnit(Frozen):
         return f"GUnit(row={self.row!r}, col={self.col!r})"  # the system's arrays left out
 
     def core(self) -> np.ndarray:
-        """M_ac as an r x r array, its sector blocks placed on the diagonal; a new array on every call."""
+        """M_ac, the core of the seeds of a and c, as an r x r array, its sector blocks placed on the diagonal; a new array on every call."""
         s = self.system
         out = np.zeros((s.rank, s.rank))
         for sl, core in zip(s.slices, s.cores):
-            out[sl, sl] = core[self.row, self.col]
+            out[sl, sl] = core[s.seed_of[self.row], s.seed_of[self.col]]
         return out
 
     def to_dense(self) -> np.ndarray:
-        """G_ac = (Q_a M_ac) Q_c^T, with Q_a, M_ac and Q_c scattered from their sector blocks."""
+        """G_ac = (Q_a M_ac) Q_c^T, with Q_a and Q_c moved from their seeds (``UnitSystem.basis``)."""
         s = self.system
         return (s.basis(self.row) @ self.core()) @ s.basis(self.col).T
 
     def trace(self) -> float:
-        """tr(Q_a M_ac Q_c^T) = tr(M_ac Q_c^T Q_a), read off the system's trace table."""
-        return float(self.system.traces[self.row, self.col])
+        """tr G_ac = delta_ac tr G_aa, as for any matrix units, so exactly 0.0 off the diagonal; tr G_aa is its seed's."""
+        s = self.system
+        return float(s.traces[s.seed_of[self.row]]) if self.row == self.col else 0.0
 
 
 def _lookup(system: UnitSystem, row, col) -> GUnit:

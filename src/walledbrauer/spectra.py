@@ -24,8 +24,8 @@ generalized eigenvalues Lambda of the small pencil (T, B) of each block,
 the one interior basis its units are built on (``ideal_units.BMatrix``).
 Each analytic family (ideal, mu, nu, beta) is one ``SpectrumRow``, the
 row type of the brute spectra too, which leave its labels empty; both
-paths are exposed through :func:`spectrum_table`, and the families, zero
-ones included, through :func:`analytic_overlaps`.  Only the analytic half
+paths are exposed through :func:`spectrum_table`, and the families
+through :func:`analytic_overlaps`.  Only the analytic half
 reads the second ideal, so it imports ``ideal_units`` where it runs, and
 the brute half loads none of the unit construction.
 """
@@ -275,7 +275,7 @@ def analytic_levels(p: int, d: int) -> tuple[int, ...]:
 
 
 def analytic_overlaps(p: int, d: int, level: int) -> tuple[SpectrumRow, ...]:
-    """Every analytic eigenvalue family (ideal, mu, nu, beta) of rho(level), zero ones included.
+    """Every analytic eigenvalue family (ideal, mu, nu, beta) of rho(level); none is zero, as m_mu > 0 and Lambda > 0.
 
     A diagonal unit of the top ideal is rank one, so its overlap tr(rho G)
     is its eigenvalue: m_mu / d_mu for rho(p) and m_mu / (d d_mu) for
@@ -365,14 +365,14 @@ class SpectrumTable(Frozen):
 def spectrum_table(p: int, d: int, level: int, method: str = "analytic") -> SpectrumTable:
     """Nonzero spectrum of rho(level) on 2p registers.
 
-    The analytic path covers the levels of :func:`analytic_levels`; the
-    brute path takes the eigenvalues of :func:`rho_eigenvalues`, one dense
+    The analytic path covers the levels of :func:`analytic_levels` and keeps
+    every family; the brute path takes the eigenvalues of :func:`rho_eigenvalues`, one dense
     block per dominant weight sector, for any 0 <= level <= p within its two bounds
     (MAX_TWIRL_ENTRIES on the work, MAX_BLOCK_ENTRIES on the block storage),
     and bins them at BIN_TOL = 1e-6.
     """
     if method == "analytic":
-        rows = tuple(r for r in analytic_overlaps(p, d, level) if abs(r.value) > BIN_TOL)
+        rows = analytic_overlaps(p, d, level)
         kernel = d ** (2 * p) - sum(r.multiplicity for r in rows)
         return SpectrumTable(p, d, level, "analytic", rows, kernel)
     if method == "brute":

@@ -224,24 +224,25 @@ def unit_operator(unit: GUnit, m: np.ndarray | None = None) -> FactoredOperator:
 
 
 def composition_worst_by_pairs(system) -> float:
-    """``checks._composition_worst`` term pair by term pair: every (a, b, b', c) formed exactly.
+    """``checks._composition_worst`` seed pair by seed pair: every (s, t, t', u) formed by a loop over (s, t).
 
-    ||M_ab X_bb' M_b'c - delta_bb' M_ac||_F over all quadruples of labels,
-    with X_bb' = Q_b^T Q_b', its square summed over the sector blocks of M
-    and X, plus three times the largest projection residual; the library
-    bounds the b != b' pairs instead of forming them.
+    ||M_st X_tt' M_t'u - delta_tt' M_su||_F over all quadruples of seeds,
+    with X_tt' = Q_t^T Q_t', its square summed over the sector blocks of M
+    and X, plus three times the largest projection residual and six times
+    the move residual; the library forms every (t, t', u) of one row seed
+    in one contraction.
     """
-    n = system.size
+    n = len(system.seed_labels)
     worst = 0.0
     for a in range(n):
         for b in range(n):
             squares = np.zeros((n, n))
             for m, x in zip(system.cores, system.overlaps):
-                res = (m[a, b] @ x[b])[:, None] @ m  # [b', c]: M_ab X_bb' M_b'c, one sector block
+                res = (m[a, b] @ x[b])[:, None] @ m  # [t', u]: M_st X_tt' M_t'u, one sector block
                 res[b] -= m[a]
                 squares += np.sum(res**2, axis=(2, 3))
             worst = max(worst, float(np.sqrt(squares).max()))
-    return worst + 3.0 * float(system.projection_residual.max(initial=0.0))
+    return worst + 3.0 * float(system.projection_residual.max(initial=0.0)) + 6.0 * system.move_residual
 
 
 def V_outer_pair(p: int, d: int) -> DenseOperator:

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from importlib.metadata import packages_distributions
 from pathlib import Path
 
@@ -477,6 +478,51 @@ def test_units_dump_guard(monkeypatch):
         assert result.exit_code == 3 and result.stdout == "", args
         assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
         assert str(MAX_DUMP_ENTRIES) in result.stderr
+
+
+def test_units_dump_refuses_before_it_lists_labels(monkeypatch):
+    """One unit at (14,2) prints 2^56 entries, so the dump is refused without listing a label; a dump of no unit is printed."""
+
+    def unlisted(*args):
+        raise AssertionError("the labels were listed before the dump was refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("walledbrauer.ideal_units.top_row_labels", unlisted)
+        patch.setattr("walledbrauer.ideal_units.sub_row_labels", unlisted)
+        start = time.perf_counter()
+        result = run(["--p", "14", "--d", "2", "units", "--dump"])
+        assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
+    empty = run(["--p", "1", "--d", "40", "units", "--dump", "--ideal", "sub"])
+    assert empty.exit_code == 0 and json.loads(empty.output)["units"] == []
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
+def test_units_off_diagonal_traces_are_exact_zeros(p, d):
+    """tr G_ac = delta_ac tr G_aa: every off-diagonal unit prints 0.0, and 0.000000 in csv, never rounding noise."""
+    g = ["--p", str(p), "--d", str(d)]
+    units = json.loads(run(g + ["units"]).output)["units"]
+    lines = run(g + ["--format", "csv", "units"]).output.splitlines()[1:]
+    assert len(lines) == len(units)
+    off = 0
+    for u, line in zip(units, lines):
+        diagonal = u["labels"][: len(u["labels"]) // 2] == u["labels"][len(u["labels"]) // 2 :]
+        diagonal &= u["indices"][:2] == u["indices"][2:] and (u["interior"] is None or u["interior"][0] == u["interior"][1])
+        if not diagonal:
+            off += 1
+            assert u["trace"] == 0.0 and line.endswith(",0.000000"), (u, line)
+    assert off > 0
+
+
+def test_eigenoperators_refuse_before_the_analytic_families(monkeypatch):
+    def unformed(*args):
+        raise AssertionError("the analytic families were formed before the d^(2p) bound was checked")
+
+    monkeypatch.setattr("walledbrauer.spectra.analytic_overlaps", unformed)
+    result = run(["--p", "20", "--d", "6", "verify", "--suite", "eigenoperators"])
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
 
 
 def test_readme_examples_run():

@@ -579,7 +579,7 @@ def test_composition_worst_matches_the_per_pair_oracle(p, d):
 
 def _with_blocks(s, sector_bases, cores):
     """A new unit system with ``s``'s fields but the given sector bases and cores."""
-    return UnitSystem(s.ideal, s.p, s.d, s.labels, s.sectors, s.sector_rows, sector_bases, cores, s.projection_residual)
+    return UnitSystem(s.ideal, s.p, s.d, s.labels, s.seed_of, s.sectors, s.sector_rows, sector_bases, cores, s.projection_residual)
 
 
 def _tilt_basis(system):
@@ -599,7 +599,7 @@ def _shift_core_entry(system):
 @pytest.mark.parametrize("plant", [_tilt_basis, _shift_core_entry])
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 3)])
 def test_composition_fails_on_a_planted_defect(monkeypatch, plant, p, d):
-    """The tilt reaches only the b != b' bound, the shifted core entry the b = b' terms."""
+    """The tilt reaches the seed quadruples with t != t' through X_01, the shifted core entry those with t = t'."""
     planted = {ideal: plant(unit_system(p, d, ideal)) for ideal in (p, p - 1)}
     monkeypatch.setattr(checks, "unit_system", lambda pq, dq, ideal: planted[ideal])
     results = run_suite("composition", p, d)
@@ -607,6 +607,67 @@ def test_composition_fails_on_a_planted_defect(monkeypatch, plant, p, d):
     for result, ideal in zip(results, (p, p - 1)):
         assert not result.passed, result
         assert result.residual >= composition_worst_by_pairs(planted[ideal]) * (1 - 1e-12)
+
+
+def _own_units(system):
+    """Each label's G_aa from its own factor (``_top_factor`` or ``_wall_pack`` at its (i, j)), as its weight-sector blocks W_k D_k W_k^T."""
+    p, d = system.p, system.d
+    _, rows, cols, _ = ideal_units._sector_layout(p, d, system.ideal)
+    out = []
+    for label in system.labels:
+        if system.ideal == p:
+            mu, i, j = label
+            factor = ideal_units._pack_columns(ideal_units._top_factor(mu, i, j, p, d).T, p, d, p) / np.sqrt(multiplicity(mu, d))
+            metric = np.ones(1)
+        else:
+            mu, nu, i, j, beta = label
+            factor = ideal_units._wall_pack(mu, nu, i, j, B_matrix(mu, nu, d).modes[beta - 1], p, d) / np.sqrt(d)
+            metric = ideal_units._wall_diagonal(d)
+        blocks = ideal_units._sector_blocks(factor, rows, cols)
+        out.append([(w * metric[c]) @ w.T for w, c in zip(blocks, cols)])
+    return out
+
+
+def _adaptation_worst(system, own) -> float:
+    """Largest ||G_aa - own G_aa||_F / ||own G_aa||_F over the labels, G_aa read off the basis moved from a's seed."""
+    worst = 0.0
+    for a, blocks in enumerate(own):
+        q, m = system.basis(a), GUnit(system, a, a).core()
+        moved = [q[rows, sl] @ m[sl, sl] @ q[rows, sl].T for rows, sl in zip(system.sector_rows, system.slices)]
+        diff = math.sqrt(sum(np.sum((x - y) ** 2) for x, y in zip(moved, blocks)))
+        worst = max(worst, diff / math.sqrt(sum(np.sum(y**2) for y in blocks)))
+    return worst
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (3, 4), (4, 3)])
+def test_units_are_their_seeds_moved_by_the_group_action(p, d):
+    """Group adaptation: each label's own factor gives the unit G_aa that its seed, moved by E^mu_{i1} (x) E^nu_{j1}, gives."""
+    for ideal in (p, p - 1):
+        system = unit_system(p, d, ideal)
+        assert len(system.seed_labels) < system.size
+        assert _adaptation_worst(system, _own_units(system)) <= 1e-12
+
+
+def test_a_planted_move_fails_composition_and_adaptation(monkeypatch):
+    """E^mu_21 as the moves read it, one entry off by 1e-6 relative: the seeds are untouched, the moved units are not."""
+    p, d, mu = 3, 3, partition(2, 1)
+    own = {ideal: _own_units(unit_system(p, d, ideal)) for ideal in (p, p - 1)}
+    clean = ideal_units.left_side_matrix
+
+    def planted(shape, i, j, dq):
+        out = clean(shape, i, j, dq)
+        if (shape, i, j) == (mu, 2, 1):
+            k = np.unravel_index(np.argmax(np.abs(out)), out.shape)
+            out[k] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(ideal_units, "left_side_matrix", planted)
+    monkeypatch.setattr(checks, "unit_system", unit_system.__wrapped__)
+    results = run_suite("composition", p, d)
+    assert [r.name[:6] for r in results] == ["G_top_", "G_sub_"]
+    assert not any(r.passed for r in results), results
+    for ideal in (p, p - 1):
+        assert _adaptation_worst(unit_system.__wrapped__(p, d, ideal), own[ideal]) > 1e-9
 
 
 def test_unit_system_build_peaks_at_q0_plus_the_bases():
@@ -636,7 +697,7 @@ def test_cores_are_stored_as_their_sector_blocks(p, d):
     """n^2 sum_s r_s^2 floats per system, with the sector ranks summing to r; the dense (n, n, r, r) would take n^2 r^2."""
     for ideal in (p, p - 1):
         system = unit_system(p, d, ideal)
-        n, ranks = system.size, [block.shape[2] for block in system.sector_bases]
+        n, ranks = len(system.seed_labels), [block.shape[2] for block in system.sector_bases]
         assert sum(ranks) == system.rank == (1 if ideal == p else d * d - 1)
         assert [core.shape for core in system.cores] == [(n, n, r, r) for r in ranks]
         assert sum(core.nbytes for core in system.cores) == 8 * n * n * sum(r * r for r in ranks)

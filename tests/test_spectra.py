@@ -460,6 +460,17 @@ def test_analytic_multiplicities_are_exact(p, d):
             assert row.multiplicity == dim_irrep(row.mu) * dim_irrep(row.nu) * unit_trace
 
 
+@pytest.mark.parametrize("level", [21, 22])
+def test_analytic_table_keeps_every_family(level):
+    """At (22,3) 131 families of level 21 and 5 of level 22 lie below 1e-6; the table keeps them, and the trace identity holds."""
+    p, d = 22, 3
+    table = spectrum_table(p, d, level, "analytic")
+    assert len(table.rows) == len(analytic_overlaps(p, d, level)) == {21: 386, 22: 52}[level]
+    total = math.fsum(r.value * r.multiplicity for r in table.rows)
+    assert abs(total - d ** (2 * p - level)) <= 1e-12 * d ** (2 * p - level)
+    assert table.kernel_dim + table.total_multiplicity() == d ** (2 * p)
+
+
 def _refusal_peak(p: int, d: int, level: int, reason: str) -> int:
     """Peak traced allocation of a refused brute spectrum, whose refusal must name ``reason``."""
     tracemalloc.start()
