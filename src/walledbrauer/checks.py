@@ -3,8 +3,8 @@
 Each suite returns a list of check results with the worst observed residual,
 so the CLI can emit a machine-readable report and a pass/fail exit code.
 ``suite_generators`` expands V^(p-1) in the constructed basis as two summed
-factors, the wall factors S and the top columns T, and forms
-(S D S^T + T T^T) / d once per weight sector, whatever the term count.
+factors, the wall factors S and the top columns T, and compares
+(S D S^T + T T^T) / d, factored, once per weight sector, whatever the term count.
 """
 
 from __future__ import annotations
@@ -320,48 +320,50 @@ def suite_matrix_units(p: int, d: int) -> list[CheckResult]:
 def suite_coefficients(p: int, d: int) -> list[CheckResult]:
     """The V^(p-1) sandwich identity of every wall product X = A (x) B, on its core.
 
-    One pass over the label pairs forms K = L^T X L from A and B alone
-    (``tensorspace._sandwich_core``), without the dense X or X L
-    (``tensorspace.sandwich_reduce`` states why the core carries the whole
-    identity): tr K and phi^T K phi, with phi = vec(1_d), are the traces of
-    X against V^(p-1) and V^(p), and max|K - a phi phi^T - b 1| is the
-    max-abs residual of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1).
+    One contraction per shape pair forms the cores K = L^T X L of all its
+    label pairs from the units alone (``tensorspace._sandwich_core``),
+    without the dense X or X L (``tensorspace.sandwich_reduce`` states why
+    the core carries the whole identity): tr K and phi^T K phi, with
+    phi = vec(1_d), are the traces of X against V^(p-1) and V^(p), and
+    max|K - a phi phi^T - b 1| is the max-abs residual of V^(p-1) X V^(p-1) = a V^(p) + b V^(p-1).
     """
     tol = 1e-10
-    _check_dim(d, 2 * p)  # the desk-scale bound: the label pairs grow as (sum of d_mu^2)^2
+    # the units of every shape are cached, sum of d_mu^2 matrices of d^(2p) floats; a shape
+    # pair lays them out again, (d_mu^2 + d_nu^2) d^(2p) floats, and forms d_mu^2 d_nu^2 cores of d^4
+    _check_dim(d, 2 * p)
     phi = np.eye(d).ravel()
     shapes = schur_weyl_partitions(p, d)
-    cores = {}  # (mu, nu, rm, cm, rn, cn) -> (K, exact (a, b)); a label (alpha, i_alpha) names no shape
-    exact_ok = True
-    trace_worst = 0.0
-    for mu in shapes:
-        for nu in shapes:
-            # prir_map lists the basis indices of a shape in order, so index i is position i
-            for (i, rm), (j, cm) in itertools.product(enumerate(prir_map(mu), 1), repeat=2):
-                a_mat = mx.left_side_matrix(mu, i, j, d)
-                for (k, rn), (l, cn) in itertools.product(enumerate(prir_map(nu), 1), repeat=2):
-                    key = (mu, nu, rm, cm, rn, cn)
-                    a, b = ab_general(*key, d)
-                    same = mu == nu and rm == rn and cm == cn
-                    exact_ok &= a * d + b == (Fraction(multiplicity(mu, d), d) if same else 0)
-                    core = _sandwich_core(a_mat, mx.right_side_matrix(nu, k, l, d), p, d)
-                    trace_worst = max(
-                        trace_worst,
-                        abs(float(phi @ core @ phi) - float(trace_with_V_top(*key, d))),
-                        abs(float(np.trace(core)) - float(trace_with_V_sub(*key, d))),
-                    )
-                    cores[key] = core, a, b
+    # one stack per shape, in natural register order for either wall side, and its label pairs in
+    # the same row-major order: prir_map lists the basis indices in order, so index i is position i
+    pairs = {mu: list(itertools.product(range(1, dim_irrep(mu) + 1), repeat=2)) for mu in shapes}
+    units = {mu: [mx.right_side_matrix(mu, i, j, d) for i, j in pairs[mu]] for mu in shapes}
+    labels = {mu: list(itertools.product(prir_map(mu), repeat=2)) for mu in shapes}
     rng = random.Random(5)
-    worst = 0.0
+    sampled = {}  # (mu, nu) -> places (x, y) of the sampled label pairs
     for _ in range(50):
-        mu = shapes[rng.randrange(len(shapes))]
-        nu = shapes[rng.randrange(len(shapes))]
-        pm_mu, pm_nu = prir_map(mu), prir_map(nu)
-        key = (mu, nu, pm_mu[rng.randrange(len(pm_mu))], pm_mu[rng.randrange(len(pm_mu))])
-        key += (pm_nu[rng.randrange(len(pm_nu))], pm_nu[rng.randrange(len(pm_nu))])
-        core, a, b = cores[key]
-        res = np.max(np.abs(core - float(a) * np.outer(phi, phi) - float(b) * np.eye(d * d)))
-        worst = max(worst, float(res))
+        mu, nu = shapes[rng.randrange(len(shapes))], shapes[rng.randrange(len(shapes))]
+        m, n = dim_irrep(mu), dim_irrep(nu)
+        x = rng.randrange(m) * m + rng.randrange(m)
+        sampled.setdefault((mu, nu), []).append((x, rng.randrange(n) * n + rng.randrange(n)))
+    exact_ok = True
+    trace_worst = worst = 0.0
+    for mu, nu in itertools.product(shapes, repeat=2):
+        cores = _sandwich_core(units[mu], units[nu], p, d)
+        rules = np.zeros((4, *cores.shape[:2]))  # tr X V^(p), tr X V^(p-1) and the exact (a, b), as floats
+        for (x, (rm, cm)), (y, (rn, cn)) in itertools.product(enumerate(labels[mu]), enumerate(labels[nu])):
+            key = (mu, nu, rm, cm, rn, cn, d)
+            a, b = ab_general(*key)
+            same = mu == nu and rm == rn and cm == cn
+            exact_ok &= a * d + b == (Fraction(multiplicity(mu, d), d) if same else 0)
+            rules[:, x, y] = trace_with_V_top(*key), trace_with_V_sub(*key), a, b
+        trace_worst = max(
+            trace_worst,
+            float(np.max(np.abs(cores @ phi @ phi - rules[0]))),
+            float(np.max(np.abs(np.trace(cores, axis1=2, axis2=3) - rules[1]))),
+        )
+        for x, y in sampled.get((mu, nu), ()):
+            res = cores[x, y] - rules[2, x, y] * np.outer(phi, phi) - rules[3, x, y] * np.eye(d * d)
+            worst = max(worst, float(np.max(np.abs(res))))
     return [
         _bool_result("ad_plus_b_exact", exact_ok),
         _result("sandwich_decomposition_50_random", worst, tol),
@@ -405,28 +407,18 @@ def suite_composition(p: int, d: int) -> list[CheckResult]:
     return out
 
 
-# The n_s x n_s blocks of one weight sector are compared a chunk of rows at a
-# time, each chunk of the two blocks at most this many entries (2 MiB each);
-# whole, the weight-0 blocks are 2.4 MB each at (3,5) and 59 MB at (4,4).
-RESIDUAL_CHUNK_ENTRIES = 2**18
+def _block_norm(blocks) -> float:
+    """Frobenius norm of a block-diagonal operator, given as one FactoredOperator per block."""
+    return math.sqrt(sum(block.frobenius_norm() ** 2 for block in blocks))
 
 
-def _block_residual(f: np.ndarray, core: np.ndarray, l: np.ndarray) -> float:
-    """max|f core f^T - l l^T| on the rows of one weight sector, over chunks of rows.
-
-    Each chunk is (f core) f^T - l l^T on its rows, the products in the order
-    of the whole block's, so each entry is formed by the same sums.
-    """
-    step = max(1, RESIDUAL_CHUNK_ENTRIES // f.shape[0])
-    worst = 0.0
-    for start in range(0, f.shape[0], step):
-        rows = slice(start, start + step)
-        worst = max(worst, float(np.max(np.abs((f[rows] @ core) @ f.T - l[rows] @ l.T))))
-    return worst
+def _difference(f: np.ndarray, core: np.ndarray, l: np.ndarray) -> FactoredOperator:
+    """f core f^T - l l^T on the rows of one weight sector, as the factored [f core | -l] [f | l]^T."""
+    return FactoredOperator(np.hstack([f @ core, -l]), np.hstack([f, l]).T)
 
 
 def _V_sub_expansion(p: int, d: int) -> tuple[int, float]:
-    """The term count of the V^(p-1) expansion and its max-abs residual against V^(p-1) = L L^T.
+    """The term count of the V^(p-1) expansion and its Frobenius residual against V^(p-1) = L L^T.
 
     The expansion sums, over every pair of labels (alpha, i_alpha, mu, mu'),
     alpha a one-box-smaller shape and mu, mu' additions to it, the H operator
@@ -439,13 +431,14 @@ def _V_sub_expansion(p: int, d: int) -> tuple[int, float]:
 
     Each column of S, like each column of L, lies in one weight sector, and
     T in weight 0, so both products are block diagonal and nonzero only on
-    the blocks of those sectors, and the max-abs residual of the
-    d^(2p) x d^(2p) difference is that of the blocks.  S and T are summed
+    the blocks of those sectors, and the squared Frobenius norm of the
+    d^(2p) x d^(2p) difference sums those of the blocks.  S and T are summed
     as their sector blocks, each term formed one column at a time and
     packed as it is formed (``ideal_units._pack_columns``, which raises on
     an entry off them), so no factor of d^(2p) rows is formed but the
-    cached L.  Each block is F_s C_s F_s^T with F_s = S_s, or [S_s | T] on
-    weight 0, and C_s the matching entries of diag(D, 1) / d.
+    cached L.  Each block is F_s C_s F_s^T - L_s L_s^T, held as
+    [F_s C_s | -L_s] [F_s | L_s]^T with F_s = S_s, or [S_s | T] on weight 0,
+    and C_s the matching entries of diag(D, 1) / d.
     """
     L = factored_V(p, p - 1, d)
     sectors, rows, cols, places = _sector_layout(p, d, p - 1)
@@ -463,12 +456,12 @@ def _V_sub_expansion(p: int, d: int) -> tuple[int, float]:
                 tops += 1
     diag = np.append(_wall_diagonal(d), 1.0) / d
     (t,) = _sector_blocks(T, top_rows, top_cols)
-    worst = 0.0
+    blocks = []
     for s, r, c, f in zip(sectors, rows, cols, _sector_blocks(S, rows, cols)):
         if s == zero:
             f, c = np.hstack([f, t]), np.append(c, d * d + 1)
-        worst = max(worst, _block_residual(f, np.diag(diag[c]), L[r]))
-    return walls**2 + tops**2, worst
+        blocks.append(_difference(f, np.diag(diag[c]), L[r]))
+    return walls**2 + tops**2, _block_norm(blocks)
 
 
 def suite_generators(p: int, d: int) -> list[CheckResult]:
@@ -478,11 +471,11 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
     (mu, i, i) and (nu, j, j), that is Q C Q^T with C the weighted 1 x 1
     cores and Q the labels' bases (``UnitSystem.basis``).  The top unit
     system, like l, lies in the weight-zero sector alone (its build raises
-    on a factor entry off it), so that block is compared with that of
-    l l^T; the system's projection residual is reported if larger.
-    V^(p-1) is the sum of the H operators and the top-ideal terms:
-    ``_V_sub_expansion`` checks it as two summed factors, one product per
-    sector.
+    on a factor entry off it), so the Frobenius norm of that block of
+    Q C Q^T - l l^T, held factored, is the residual; the system's projection
+    residual is reported if larger.  V^(p-1) is the sum of the H operators
+    and the top-ideal terms: ``_V_sub_expansion`` checks it as two summed
+    factors, one factored difference per sector.
     """
     tol = 1e-9
     top = unit_system(p, d, p)
@@ -493,7 +486,7 @@ def suite_generators(p: int, d: int) -> list[CheckResult]:
     seeds = top.seed_of[diag]
     core = top.cores[0][np.ix_(seeds, seeds)][:, :, 0, 0] * np.outer(w, w)
     f = np.stack([top.basis(a)[rows, 0] for a in diag], axis=1)
-    res = max(_block_residual(f, core, l), float(top.projection_residual.max()))
+    res = max(_difference(f, core, l).frobenius_norm(), float(top.projection_residual.max()))
     terms, residual = _V_sub_expansion(p, d)
     return [_result("V_top_from_units", res, tol), _result(f"V_sub_from_H_terms_{terms}_terms", residual, tol)]
 
@@ -651,11 +644,6 @@ def suite_table1(p: int, d: int) -> list[CheckResult]:
 # (5,2), the H generators have norm up to 25, and a unit-length kernel row,
 # paired with itself or with a mode w~, leaves rounding noise below 7e-15.
 DISCARD_ATOL = 1e-9
-
-
-def _block_norm(blocks) -> float:
-    """Frobenius norm of a block-diagonal operator, given as one FactoredOperator per block."""
-    return math.sqrt(sum(block.frobenius_norm() ** 2 for block in blocks))
 
 
 def suite_reduction(p: int, d: int) -> list[CheckResult]:

@@ -40,7 +40,7 @@ its rows would enter vanish.
 ``checks.suite_generators`` reassembles V^(p-1) from the same factors: the
 sum of the H terms and the top-ideal terms is (S D S^T + T T^T) / d, with S
 the sum of the wall factors and T the sum of the top columns, checked by
-one product per U (x) conj(U) weight sector.
+one factored difference per U (x) conj(U) weight sector.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ shared bases and r x r cores, both stored as one block per weight sector
 (``ideal_units.UnitSystem``).  It is left for ``checks.suite_reduction``,
 which composes the reduced generators of each diagonal block one
 weight sector at a time, each sector block a FactoredOperator on factors of
-that sector's rows, and for the tests' dense-definition oracles.  The
+that sector's rows; for ``checks.suite_generators``, which holds each
+sector's difference from V^(p) or V^(p-1) as one and reads its Frobenius
+norm; and for the tests' dense-definition oracles.  The
 benchmark's tracer wraps the class's methods by name and reads
 ``rank_bound`` after every ``frobenius_norm`` call, so those names stay.
 """

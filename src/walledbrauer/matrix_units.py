@@ -27,6 +27,7 @@ from .partitions import Partition, add_box, dim_irrep, multiplicity, enumerate_p
 from .symgroup import enumerate_group, prir_position, young_orthogonal_rep
 from .tensorspace import (
     DenseOperator,
+    _check_dense,
     _digit_reversal,
     _frozen,
     embed_operator,
@@ -43,7 +44,7 @@ def _unit_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:
     if not (1 <= i <= dmu and 1 <= j <= dmu):
         raise IndexError(f"unit indices ({i},{j}) out of range 1..{dmu}")
     p = mu.total
-    dim = d**p
+    dim = _check_dense(d, p)
     if multiplicity(mu, d) == 0:
         return _frozen(np.zeros((dim, dim)))
     scale = dmu / math.factorial(p)
@@ -65,11 +66,11 @@ def E_unit(mu: Partition, i: int, j: int, d: int) -> DenseOperator:
 @lru_cache(maxsize=None)
 def young_projector(mu: Partition, d: int) -> DenseOperator:
     """P_mu = sum_i E^mu_ii; zero when the irrep does not appear at this d."""
-    p = mu.total
-    out = np.zeros((d**p, d**p))
+    dim = _check_dense(d, mu.total)
+    out = np.zeros((dim, dim))
     for i in range(1, dim_irrep(mu) + 1):
         out += _unit_matrix(mu, i, i, d)
-    return DenseOperator(d, p, _frozen(out))
+    return DenseOperator(d, mu.total, _frozen(out))
 
 
 def left_side_matrix(mu: Partition, i: int, j: int, d: int) -> np.ndarray:

@@ -50,7 +50,7 @@ from .partitions import (
     multiplicity,
     schur_weyl_partitions,
 )
-from .tensorspace import _digit_table, _frozen, _weight_sectors
+from .tensorspace import MAX_BLOCK_ENTRIES, _digit_table, _frozen, _weight_sectors
 
 BIN_TOL = 1e-6
 
@@ -63,12 +63,6 @@ BIN_TOL = 1e-6
 # 35 280 * 16 384 = 5.8e8, and d = 1 beyond p = 7.
 MAX_TWIRL_ENTRIES = 2**26
 PASS_FLOOR = 2**12
-
-# The dominant weight sectors are stored as dense blocks, sum_s n_s^2 floats in
-# all.  2^24 floats (128 MiB) admit (3,6) at 1.2e6 and (4,4) at 1.3e7 (largest
-# block 2716^2, 59 MB; about 3 s and a 200 MiB peak per level), and refuse
-# (5,3) at 4.6e7, whose largest block alone takes 0.17 GB.
-MAX_BLOCK_ENTRIES = 2**24
 
 
 def _orbit_size(p: int, level: int) -> int:

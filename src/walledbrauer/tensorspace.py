@@ -3,7 +3,10 @@
 Register 1 is the most significant digit of the computational-basis index,
 and this convention is used consistently on both sides of the wall.  All
 constructions here are real; complex storage is accepted by
-:class:`DenseOperator` but nothing in this package produces it.
+:class:`DenseOperator` but nothing in this package produces it.  Every dense
+d^n x d^n array formed here or in ``matrix_units`` is refused before it is
+allocated when it would hold more than ``MAX_BLOCK_ENTRIES`` floats, the
+bound the brute spectra's blocks read too.
 
 The generators V^(k) also come factored: :func:`factored_V` returns the
 0/1 factor L of V^(k) = L L^T, and :func:`factored_outer_pair` the factor M
@@ -11,9 +14,9 @@ of the generator on the outermost pair, V = M M^T.  Each is a cached,
 read-only array, formed by ``_pair_factor`` from its register pairs.  A
 wall product (A (x) B) L reaches L only through the k paired registers
 (the generalized ping-pong identity), so no d^p x d^p matrix is multiplied
-into the whole of L: ``_sandwich_core`` contracts L^T (A (x) B) L from A and
-B over the paired digits, and ``_apply_top`` forms (A (x) 1) l, with
-V^(p) = l l^T, as a gather of A's columns.
+into the whole of L: ``_sandwich_core`` contracts L^T (A (x) B) L over the
+paired digits for all pairs of two stacks of units in one GEMM, and
+``_apply_top`` forms (A (x) 1) l, V^(p) = l l^T, as a gather of A's columns.
 
 Every partially transposed permutation conserves the U (x) conj(U) weight
 of a basis index (its letter counts left of the wall minus those right of
@@ -21,7 +24,8 @@ it); ``_weight_sectors`` labels the indices by that weight, for the brute
 spectra and for sums of factored terms that are compared sector by sector.
 The dense operators, ``V_generator`` among them, are the oracles the
 factored forms are tested against; the dense outer-pair generator is the
-tests' oracle ``tests/oracles.V_outer_pair``.
+tests' oracle ``tests/oracles.V_outer_pair``, and the per-pair sandwich
+contraction is ``tests/oracles.sandwich_core``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,14 @@ from .symgroup import Permutation, transposition
 
 MAX_HILBERT_DIM = 2**14
 
+# A dense d^n x d^n operator and the brute spectra's dominant sector blocks
+# hold at most this many floats each.  2^24 floats (128 MiB) admit d^n = 4096,
+# so (3,6) at 1.2e6 and (4,4) at 1.3e7 block entries (largest block 2716^2,
+# 59 MB; about 3 s and a 200 MiB peak per level); they refuse (5,3) at 4.6e7,
+# whose largest block alone takes 0.17 GB, and the 8000 x 8000 units (512 MB
+# each) of ``matrix_units`` at d^n = 20^3.
+MAX_BLOCK_ENTRIES = 2**24
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark a cached array read-only, so that no caller can change what later callers get."""
@@ -49,6 +61,16 @@ def _check_dim(d: int, n: int) -> int:
     dim = d**n
     if dim > MAX_HILBERT_DIM:
         raise ResourceLimitError(f"d^n = {dim} exceeds the desk-scale bound {MAX_HILBERT_DIM}")
+    return dim
+
+
+def _check_dense(d: int, n: int) -> int:
+    """d^n, once a dense d^n x d^n array is within ``MAX_BLOCK_ENTRIES`` floats; called before it is allocated."""
+    dim = _check_dim(d, n)
+    if dim * dim > MAX_BLOCK_ENTRIES:
+        raise ResourceLimitError(
+            f"a dense operator on d^n = {dim} states holds {dim * dim} floats, above the bound {MAX_BLOCK_ENTRIES}"
+        )
     return dim
 
 
@@ -68,11 +90,11 @@ class DenseOperator:
 
     @classmethod
     def identity(cls, d: int, n: int) -> "DenseOperator":
-        return cls(d, n, np.eye(_check_dim(d, n)))
+        return cls(d, n, np.eye(_check_dense(d, n)))
 
     @classmethod
     def zeros(cls, d: int, n: int) -> "DenseOperator":
-        dim = _check_dim(d, n)
+        dim = _check_dense(d, n)
         return cls(d, n, np.zeros((dim, dim)))
 
     @property
@@ -173,6 +195,7 @@ def permutation_index(sigma: Permutation, d: int, n: int) -> np.ndarray:
 
 def permutation_operator(sigma: Permutation, d: int, n: int) -> DenseOperator:
     """The 0/1 matrix sending |v_1 .. v_n> to |v_{sigma^-1(1)} .. v_{sigma^-1(n)}>."""
+    _check_dense(d, n)
     rows = permutation_index(sigma, d, n)
     m = np.zeros((rows.size, rows.size))
     m[rows, np.arange(rows.size)] = 1.0
@@ -232,7 +255,7 @@ def embed_operator(x: DenseOperator, positions, n_total: int) -> DenseOperator:
         raise ValueError("positions must be distinct and match x.n")
     if any(v < 1 or v > n_total for v in positions):
         raise ValueError(f"positions out of range 1..{n_total}")
-    _check_dim(x.d, n_total)
+    _check_dense(x.d, n_total)
     rest = [v for v in range(1, n_total + 1) if v not in positions]
     big = np.kron(x.matrix, np.eye(x.d ** len(rest)))
     # big is ordered (positions..., rest...); relabel to 1..n_total
@@ -330,21 +353,28 @@ def _apply_top(a: np.ndarray, p: int, d: int) -> np.ndarray:
     return a[:, _digit_reversal(d, p)].reshape(d ** (2 * p), 1)
 
 
-def _sandwich_core(a: np.ndarray, b: np.ndarray, p: int, d: int) -> np.ndarray:
-    """The sandwich core K = L^T (a (x) b) L of a wall product, L = factored_V(p, p - 1, d), from a and b alone.
+def _sandwich_core(a, b, p: int, d: int) -> np.ndarray:
+    """The (m, n, d^2, d^2) sandwich cores K = L^T (A (x) B) L of two stacks of m and n units, L = factored_V(p, p - 1, d).
 
-    Column (f, g) of L reads the free registers 1 and 2p, and its rows pair
-    the digits s of registers 2..p with t = rev(s) of p+1..2p-1, so
+    Each unit E is d^p x d^p in natural register order; on the left wall it
+    is A = R E R, R the register reversal (``matrix_units.left_side_matrix``).
+    L's rows pair the digits s of registers 2..p with rev(s) of p+1..2p-1,
+    and its column (f, g) reads registers 1 and 2p, so the reversals cancel:
 
-        K[(f1, g1), (f2, g2)] = sum over s, t in [d]^(p-1) of a[(f1, s), (f2, t)] b[(rev s, g1), (rev t, g2)],
+        K[(f1, g1), (f2, g2)] = sum over s, t in [d]^(p-1) of E_a[(s, f1), (t, f2)] E_b[(s, g1), (t, g2)],
 
-    one contraction of the d^p x d^p matrices over the paired digits; the
-    d^(2p) x d^2 wall product (a (x) b) L is never formed.
+    one GEMM over the paired digits for all pairs; no (A (x) B) L is formed.
     """
     dk = d ** (p - 1)
-    rev = _digit_reversal(d, p - 1)
-    b4 = b.reshape(dk, d, dk, d)[rev][:, :, rev]
-    return np.einsum("asbt,sctd->acbd", a.reshape(d, dk, d, dk), b4).reshape(d * d, d * d)
+
+    def paired(units):  # [(x, f, f'), (s, t)] = E_x[(s, f), (t, f')]
+        out = np.empty((len(units), d, d, dk, dk))
+        for x, e in enumerate(units):
+            out[x] = e.reshape(dk, d, dk, d).transpose(1, 3, 0, 2)
+        return out.reshape(-1, dk * dk)
+
+    k = (paired(a) @ paired(b).T).reshape(len(a), d, d, len(b), d, d)
+    return k.transpose(0, 3, 1, 4, 2, 5).reshape(len(a), len(b), d * d, d * d)
 
 
 def sandwich_reduce(x: DenseOperator) -> DenseOperator:

@@ -1,4 +1,4 @@
-"""The S_p units as dense permutation sums, the paper's spanning families F and H, the dense wall product and wall factor, the units as factored operators, the per-pair composition residual, the dense outer-pair and twirled generators, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
+"""The S_p units as dense permutation sums, the paper's spanning families F and H, the dense wall product and wall factor, the per-pair sandwich core, the units as factored operators, the per-pair composition residual, the dense outer-pair and twirled generators, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, the wall factor and
@@ -125,6 +125,23 @@ def apply_pair(a: np.ndarray, b: np.ndarray, p: int, k: int, d: int) -> np.ndarr
     right = b.reshape(dp, dk, dn).transpose(1, 0, 2).reshape(dk, dp * dn)
     out = (left @ right).reshape(dp, dn, dp, dn).transpose(0, 2, 1, 3)
     return out.reshape(dp * dp, dn * dn)
+
+
+def sandwich_core(a: np.ndarray, b: np.ndarray, p: int, d: int) -> np.ndarray:
+    """The sandwich core K = L^T (a (x) b) L of one wall product, L = factored_V(p, p - 1, d), a on registers 1..p.
+
+    Column (f, g) of L reads the free registers 1 and 2p, and its rows pair
+    the digits s of registers 2..p with t = rev(s) of p+1..2p-1, so
+
+        K[(f1, g1), (f2, g2)] = sum over s, t in [d]^(p-1) of a[(f1, s), (f2, t)] b[(rev s, g1), (rev t, g2)],
+
+    one contraction per pair; the library contracts two stacks of units at
+    once (``tensorspace._sandwich_core``), with the reversal cancelled.
+    """
+    dk = d ** (p - 1)
+    rev = _digit_reversal(d, p - 1)
+    b4 = b.reshape(dk, d, dk, d)[rev][:, :, rev]
+    return np.einsum("asbt,sctd->acbd", a.reshape(d, dk, d, dk), b4).reshape(d * d, d * d)
 
 
 def _wall_factor(mu: Partition, nu: Partition, i: int, j: int, w: np.ndarray, p: int, d: int) -> np.ndarray:

@@ -209,6 +209,17 @@ def test_verify_all_refuses_before_the_desk_scale_suites(monkeypatch):
     assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
 
 
+def test_dense_operators_are_refused_by_their_entries():
+    # 8000 x 8000 units (512 MB each) in completeness_defect at (3,20), and 8192 x 8192 projectors at p = 1,
+    # where no second ideal brings the d^(2p) bound; both d^n lie within MAX_HILBERT_DIM
+    for args in (["--p", "3", "--d", "20", "verify", "--suite", "matrix_units"], ["--p", "1", "--d", "8192", "verify", "--suite", "all"]):
+        start = time.perf_counter()
+        result = run(args)
+        assert time.perf_counter() - start < 1.0, args
+        assert result.exit_code == 3 and result.stdout == "", args
+        assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1, result.stderr
+
+
 def test_twirl_guard_exit_code():
     # the orbit of 35 280 matchings of V^(6) would scatter 5.8e8 entries
     result = run(["--p", "7", "--d", "2", "spectrum", "--method", "brute"])

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walledbrauer import checks, ideal_units, tensorspace
+from walledbrauer import checks, ideal_units, matrix_units, tensorspace
 from walledbrauer.errors import ResourceLimitError
+from walledbrauer.partitions import Partition
 from walledbrauer.symgroup import Permutation, enumerate_group, identity, transposition
 from walledbrauer.tensorspace import (
     DenseOperator,
@@ -62,6 +63,30 @@ def test_permutation_operator_action_convention():
 def test_resource_guard():
     with pytest.raises(ResourceLimitError):
         permutation_operator(identity(10), 4, 10)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DenseOperator.zeros(2, 13),
+        lambda: DenseOperator.identity(8192, 1),
+        lambda: permutation_operator(identity(13), 2, 13),
+        lambda: embed_operator(DenseOperator.identity(2, 1), [1], 13),
+        lambda: matrix_units._unit_matrix(Partition((1,)), 1, 1, 8192),
+        lambda: matrix_units.young_projector(Partition((1,)), 8192),
+    ],
+    ids=["zeros", "identity", "permutation_operator", "embed_operator", "_unit_matrix", "young_projector"],
+)
+def test_dense_operators_are_refused_before_allocation(build):
+    """d^n = 8192 is within MAX_HILBERT_DIM, but its d^n x d^n array would hold 2^26 floats, above MAX_BLOCK_ENTRIES."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="dense operator"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_digit_table_matches_unravel_index():
