@@ -371,6 +371,23 @@ def suite_coefficients(p: int, d: int) -> list[CheckResult]:
     ]
 
 
+def _composition(cores, overlaps) -> float:
+    """Worst ||M_ab X_bb' M_b'c - delta_bb' M_ac||_F over all index quadruples, M and X one (n, n, r_k, r_k) block per sector k.
+
+    One contraction per row a and sector forms every (b, b', c); the squared norms of the blocks add up.
+    """
+    n = len(cores[0])
+    worst = 0.0
+    for a in range(n):
+        squares = np.zeros((n, n, n))
+        for m, x in zip(cores, overlaps):  # m, x: (n, n, r_k, r_k)
+            res = (m[a][:, None] @ x)[:, :, None] @ m  # [b, b', c]: M_ab X_bb' M_b'c
+            res[np.arange(n), np.arange(n)] -= m[a]
+            squares += np.sum(res**2, axis=(3, 4))
+        worst = max(worst, float(np.sqrt(squares).max(initial=0.0)))
+    return worst
+
+
 def _composition_worst(system) -> float:
     """Worst Frobenius residual of G_ab G_b'c = delta_bb' G_ac over all n^4 label quadruples, formed on the seeds.
 
@@ -379,22 +396,13 @@ def _composition_worst(system) -> float:
     norm.  Q_b is its seed's moved by A_b = E^mu_{i1} (x) E^nu_{j1}, and
     A_b^T A_b' is the identity on the seed range if b and b' have the same
     shapes and indices, and zero if not, so the seeds carry all n^2 x n^2
-    pairs.  One contraction per row seed and sector block forms every seed
-    quadruple exactly; the squared norms of the blocks add up.  To first
+    pairs, every seed quadruple formed exactly by ``_composition``.  To first
     order, the distance of each unit from its projection onto the bases
     enters the residual of a product at most three times, and so do the
     moves A_a, A_b^T A_b' and A_c, off their exact forms by at most the
     relation residual on each wall side (``UnitSystem.move_residual``).
     """
-    n = len(system.seed_labels)
-    worst = 0.0
-    for a in range(n):
-        squares = np.zeros((n, n, n))
-        for m, x in zip(system.cores, system.overlaps):  # m, x: (n, n, r_s, r_s)
-            res = (m[a][:, None] @ x)[:, :, None] @ m  # [t, t', u]: M_at X_tt' M_t'u
-            res[np.arange(n), np.arange(n)] -= m[a]
-            squares += np.sum(res**2, axis=(3, 4))
-        worst = max(worst, float(np.sqrt(squares).max(initial=0.0)))
+    worst = _composition(system.cores, system.overlaps)
     return worst + 3.0 * float(system.projection_residual.max(initial=0.0)) + 6.0 * system.move_residual
 
 
@@ -660,11 +668,11 @@ def suite_reduction(p: int, d: int) -> list[CheckResult]:
     diagonal over the sectors: each wall factor is formed one column at a
     time, each column written into its sector block W_s^k
     (``ideal_units._wall_pack``, which raises on an entry off them), so no
-    factor of d^(2p) rows is formed, and y_sr is held as one
-    FactoredOperator W_s^k D^k W_r^kT per sector, on (n_k, c_k) factors.
-    Products act block by block, and the squared Frobenius norm of a
-    block-diagonal operator is the sum of its blocks' squared norms, each
-    read off a QR of the left factor.
+    factor of d^(2p) rows is formed.  One QR per sector of the stacked
+    blocks, [W_1^k .. W_m^k] = Q^k [R_1^k .. R_m^k], gives every y_sr^k
+    = Q^k (R_s^k D^k R_r^kT) Q^kT in the one orthonormal basis Q^k, so its
+    core R_s^k D^k R_r^kT keeps the Frobenius norm, the cores compose as
+    the blocks do, and the overlaps of ``_composition`` are identities.
     """
     tol = 1e-9
     _check_dim(d, 2 * p)  # before the layout, which labels all d^(2p) basis indices
@@ -673,17 +681,18 @@ def suite_reduction(p: int, d: int) -> list[CheckResult]:
     zero_worst = worst = 0.0
     for mu in schur_weyl_partitions(p, d):
         bm = B_matrix(mu, mu, d)
-        walls = [_sector_blocks(_wall_pack(mu, mu, 1, 1, w, p, d), rows, cols) for w in (*bm.modes, *bm.kernel)]
-        units = {}
-        for s, r in itertools.product(range(len(walls)), repeat=2):
-            y = [FactoredOperator(ws * metric[c], wr.T).compress() for ws, wr, c in zip(walls[s], walls[r], cols)]
-            if max(s, r) >= bm.rank:
-                zero_worst = max(zero_worst, _block_norm(y))
-            else:
-                units[s, r] = [block * (1.0 / d) for block in y]
-        for (s, r), (s2, r2) in itertools.product(units, repeat=2):
-            prod = [a @ b for a, b in zip(units[s, r], units[s2, r2])]
-            worst = max(worst, _block_norm([a - b for a, b in zip(prod, units[s, r2])] if r == s2 else prod))
+        walls = np.stack([_wall_pack(mu, mu, 1, 1, w, p, d) for w in (*bm.modes, *bm.kernel)])
+        m, k = len(walls), bm.rank
+        squares, units = np.zeros((m, m)), []
+        for block, c in zip(_sector_blocks(walls, rows, cols), cols):  # block: (m, n_k, c_k)
+            r = np.linalg.qr(np.hstack(block), mode="r")
+            r = r.reshape(len(r), m, c.size).transpose(1, 0, 2)  # [s]: R_s^k
+            y = (r * metric[c])[:, None] @ r.transpose(0, 2, 1)  # [s, r]: R_s^k D^k R_r^kT
+            squares += np.sum(y**2, axis=(2, 3))
+            units.append(y[:k, :k] / d)
+        squares[:k, :k] = 0.0  # the pairs of two modes are units, not discarded
+        zero_worst = max(zero_worst, math.sqrt(squares.max(initial=0.0)))
+        worst = max(worst, _composition(units, [np.broadcast_to(np.eye(u.shape[-1]), u.shape) for u in units]))
     ok = zero_worst <= DISCARD_ATOL
     detail = "" if ok else f"a zero-mode generator has norm {zero_worst:.3e}"
     return [_bool_result("reduction_keeps_rank", ok, detail), _result("reduced_units_composition", worst, tol)]

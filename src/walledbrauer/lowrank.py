@@ -3,27 +3,20 @@
 A :class:`FactoredOperator` is a square operator carried as thin factors
 L @ R, so that products and Frobenius distances cost O(dim * rank^2)
 instead of O(dim^3), and a sum of factored terms is a concatenation of
-factors, compressed once rather than term by term.  The library's objects
-do not use it: the generators V^(k) are their bare 0/1 factors
-(``tensorspace.factored_V``), and each ideal's units are one unit system of
-shared bases and r x r cores, both stored as one block per weight sector
-(``ideal_units.UnitSystem``).  It is left for ``checks.suite_reduction``,
-which composes the reduced generators of each diagonal block one
-weight sector at a time, each sector block a FactoredOperator on factors of
-that sector's rows; for ``checks.suite_generators``, which holds each
-sector's difference from V^(p) or V^(p-1) as one and reads its Frobenius
-norm; and for the tests' dense-definition oracles.  The
-benchmark's tracer wraps the class's methods by name and reads
-``rank_bound`` after every ``frobenius_norm`` call, so those names stay.
+factors.  The library's objects do not use it: the generators V^(k) are
+their bare 0/1 factors (``tensorspace.factored_V``), and each ideal's
+units are one unit system of shared bases and r x r cores, both stored as
+one block per weight sector (``ideal_units.UnitSystem``).  It is left for
+``checks.suite_generators``, which holds each sector's difference from
+V^(p) or V^(p-1) as one and reads its Frobenius norm, and for the tests'
+dense-definition oracles.  The benchmark's tracer wraps the class's
+methods by name and reads ``rank_bound`` after every ``frobenius_norm``
+call, so those names stay.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Relative to the largest singular value: below it, a singular value of an
-# exact-rank sum is rounding noise, and compress drops it.
-COMPRESS_RTOL = 1e-13
 
 
 class FactoredOperator:
@@ -84,18 +77,3 @@ class FactoredOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.L @ self.R
-
-    def compress(self) -> "FactoredOperator":
-        """Trim the factor rank by a small SVD, relative to the top singular value."""
-        if self.rank_bound == 0:
-            return self
-        ql, rl = np.linalg.qr(self.L)
-        qr_, rr = np.linalg.qr(self.R.T)
-        u, s, vt = np.linalg.svd(rl @ rr.T)
-        if s.size == 0 or s[0] == 0.0:
-            return FactoredOperator.zero(self.dim)
-        keep = s > COMPRESS_RTOL * s[0]
-        u = u[:, keep] * s[keep]
-        vt = vt[keep]
-        return FactoredOperator(ql @ u, vt @ qr_.T)
-

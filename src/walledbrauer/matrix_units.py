@@ -141,8 +141,11 @@ def partial_trace_E(mu: Partition, row: tuple[Partition, int], col: tuple[Partit
 
 
 def completeness_defect(p: int, d: int) -> float:
-    """Max-abs deviation of sum_mu P_mu from the identity."""
-    total = DenseOperator.zeros(d, p)
+    """Max-abs deviation of sum_mu P_mu from the identity, every E^mu_ii added into one running sum."""
+    dim = _check_dense(d, p)
+    total = np.zeros((dim, dim))
     for mu in enumerate_partitions(p):
-        total = total + young_projector(mu, d)
-    return total.distance(DenseOperator.identity(d, p))
+        for i in range(1, dim_irrep(mu) + 1):
+            total += _unit_matrix(mu, i, i, d)
+    total.flat[:: dim + 1] -= 1.0
+    return float(np.max(np.abs(total, out=total)))

@@ -1,4 +1,4 @@
-"""The S_p units as dense permutation sums, the paper's spanning families F and H, the dense wall product and wall factor, the per-pair sandwich core, the units as factored operators, the per-pair composition residual, the dense outer-pair and twirled generators, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
+"""The S_p units as dense permutation sums, the paper's spanning families F and H, the dense wall product and wall factor, the per-pair sandwich core, the units as factored operators, the per-pair composition and reduction residuals, the dense outer-pair and twirled generators, the all-sector brute spectra, the register-by-register matching groups and the rational multiplicity product, for the tests.
 
 The library never forms F or H: it reads the units off the factors that
 these definitions share (``ideal_units._top_factor``, the wall factor and
@@ -21,15 +21,24 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from walledbrauer.cli import main
-from walledbrauer.ideal_units import GUnit, _indicator, _sector_layout, _top_factor, _wall_diagonal
+from walledbrauer.ideal_units import (
+    B_matrix,
+    GUnit,
+    _indicator,
+    _sector_blocks,
+    _sector_layout,
+    _top_factor,
+    _wall_diagonal,
+    _wall_pack,
+)
 from walledbrauer.lowrank import FactoredOperator
 from walledbrauer.matrix_units import left_side_matrix, right_side_matrix
-from walledbrauer.partitions import Partition, common_removals, dim_irrep, multiplicity
+from walledbrauer.partitions import Partition, common_removals, dim_irrep, multiplicity, schur_weyl_partitions
 from walledbrauer.spectra import _check_twirl_work, _orbit_size, _orbit_sum
 from walledbrauer.symgroup import Permutation, enumerate_group, prir_position, transposition, young_orthogonal_rep
 from walledbrauer.tensorspace import (
@@ -199,7 +208,7 @@ def _wall_pair(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d):
 
 
 def F_sub(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p: int, d: int) -> FactoredOperator:
-    """(E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1) (E^mup_{c_a',ip} (x) E^nup_{c_a',jp}), compressed.
+    """(E^mu_{i,r_a} (x) E^nu_{j,r_a}) V^(p-1) (E^mup_{c_a',ip} (x) E^nup_{c_a',jp}), on d^2 columns.
 
     The first d^2 columns of the wall factors W(e_alpha) and W'(e_alpha').
     The interior labels r_a and c_a' are the first index of blocks alpha
@@ -208,19 +217,18 @@ def F_sub(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p: int, d: int) -> Fact
     zero operator.
     """
     left, right = _wall_pair(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
-    return FactoredOperator(left[:, : d * d], right[:, : d * d].T).compress()
+    return FactoredOperator(left[:, : d * d], right[:, : d * d].T)
 
 
 @lru_cache(maxsize=None)
 def H_operator(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p: int, d: int) -> FactoredOperator:
     """d F_sub - F_top delta^{mu nu} delta^{mu' nu'}; spans the second ideal.  Its factors are read-only.
 
-    One compression of W(e_alpha) D against W'(e_alpha'): the raw pair
-    [d X | -t] [Y; t'^T], with X Y^T the uncompressed F_sub factors and
-    t t'^T the rank-one F_top.
+    W(e_alpha) D against W'(e_alpha'): the pair [d X | -t] [Y; t'^T], with
+    X Y^T the F_sub factors and t t'^T the rank-one F_top.
     """
     left, right = _wall_pair(mu, nu, mup, nup, i, j, ip, jp, alpha, alphap, p, d)
-    op = FactoredOperator(left * _wall_diagonal(d), right.T).compress()
+    op = FactoredOperator(left * _wall_diagonal(d), right.T)
     op.L.flags.writeable = op.R.flags.writeable = False
     return op
 
@@ -260,6 +268,39 @@ def composition_worst_by_pairs(system) -> float:
                 squares += np.sum(res**2, axis=(2, 3))
             worst = max(worst, float(np.sqrt(squares).max()))
     return worst + 3.0 * float(system.projection_residual.max(initial=0.0)) + 6.0 * system.move_residual
+
+
+def reduction_by_pairs(p: int, d: int, b_matrix=B_matrix) -> tuple[float, float]:
+    """``checks.suite_reduction``'s two residuals, pair by pair on factored operators: (largest kernel norm, composition).
+
+    Every y_sr = W(w_s) D W(w_r)^T of a diagonal block is one
+    FactoredOperator per weight sector, on the sector blocks of the wall
+    factors, and every product and difference of the units y_sr / d is
+    formed as one, its Frobenius norm read off a QR of its left factor; the
+    library takes one QR of the stacked blocks per sector.  ``b_matrix``
+    stands in for ``B_matrix``, so a planted pencil basis reaches both.
+    """
+    metric = _wall_diagonal(d)
+    _, rows, cols, _ = _sector_layout(p, d, p - 1)
+
+    def norm(blocks):
+        return math.sqrt(sum(block.frobenius_norm() ** 2 for block in blocks))
+
+    zero_worst = worst = 0.0
+    for mu in schur_weyl_partitions(p, d):
+        bm = b_matrix(mu, mu, d)
+        walls = [_sector_blocks(_wall_pack(mu, mu, 1, 1, w, p, d), rows, cols) for w in (*bm.modes, *bm.kernel)]
+        units = {}
+        for s, r in product(range(len(walls)), repeat=2):
+            y = [FactoredOperator(ws * metric[c], wr.T) for ws, wr, c in zip(walls[s], walls[r], cols)]
+            if max(s, r) >= bm.rank:
+                zero_worst = max(zero_worst, norm(y))
+            else:
+                units[s, r] = [block * (1.0 / d) for block in y]
+        for (s, r), (s2, r2) in product(units, repeat=2):
+            prod = [a @ b for a, b in zip(units[s, r], units[s2, r2])]
+            worst = max(worst, norm([a - b for a, b in zip(prod, units[s, r2])] if r == s2 else prod))
+    return zero_worst, worst
 
 
 def V_outer_pair(p: int, d: int) -> DenseOperator:

@@ -60,6 +60,7 @@ from oracles import (
     apply_pair,
     composition_worst_by_pairs,
     factored_trace,
+    reduction_by_pairs,
     rho,
     run_cli,
     sandwich_core,
@@ -131,7 +132,7 @@ def test_F_sub_empty_intersection_is_labelled_zero():
         partition(2), partition(2),
         3, 3,
     )
-    assert f.rank_bound == 0
+    assert f.frobenius_norm() == 0.0
 
 
 def wall_pair(mu, nu, i, j, alpha, d, interior=1):
@@ -1028,6 +1029,64 @@ def test_reduction_fails_on_a_zero_mode_entry_in_one_off_diagonal_sector(monkeyp
     keeps_rank, composition = run_suite("reduction", p, d)
     assert not keeps_rank.passed and "zero-mode generator" in keeps_rank.detail
     assert composition.passed
+
+
+REDUCTION_PLANTS = [pytest.param(3, 3, partition(2, 1), id="3-3"), pytest.param(4, 3, partition(3, 1), id="4-3")]
+
+
+def _planted_blocks(monkeypatch, shape, plant):
+    """Replace the B^{mu mu} that ``suite_reduction`` reads for mu = shape by ``plant(b)``; the planted lookup."""
+    real = checks.B_matrix
+
+    def planted(mu, nu, d):
+        b = real(mu, nu, d)
+        return plant(b) if mu == nu == shape else b
+
+    monkeypatch.setattr(checks, "B_matrix", planted)
+    return planted
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (4, 3)])
+def test_reduction_matches_the_per_pair_oracle_unplanted(p, d):
+    """Both read rounding noise.  The oracle's unbalanced products carry rounding of ||L|| ||R||: 1.35e-13 at (4,3)."""
+    keeps_rank, composition = run_suite("reduction", p, d)
+    zero, worst = reduction_by_pairs(p, d)
+    assert keeps_rank.passed and composition.passed
+    assert composition.residual < 1e-13
+    assert max(zero, worst) < 1e-12
+
+
+@pytest.mark.parametrize("p,d,shape", REDUCTION_PLANTS)
+def test_reduction_composition_matches_the_oracle_on_a_scaled_mode(monkeypatch, p, d, shape):
+    """A kept mode w~_1 scaled by 1 + 1e-6: the unit y_11 / d is off by about 2e-6 of itself, in both residuals."""
+
+    def scaled(b):
+        modes = b.modes.copy()
+        modes[0] *= 1.0 + 1e-6
+        return BMatrix(b.mu, b.nu, b.d, b.alphas, b.entries, b.det, modes, b.pencil, b.kernel, b.vanishing)
+
+    planted = _planted_blocks(monkeypatch, shape, scaled)
+    keeps_rank, composition = run_suite("reduction", p, d)
+    zero, worst = reduction_by_pairs(p, d, planted)
+    assert keeps_rank.passed and not composition.passed
+    assert worst > 1e-6 and composition.residual == pytest.approx(worst, rel=1e-6)
+
+
+@pytest.mark.parametrize("p,d,shape", REDUCTION_PLANTS)
+def test_reduction_keeps_rank_matches_the_oracle_on_a_relabelled_mode(monkeypatch, p, d, shape):
+    """The mode w~_1 moved to the kernel rows: its generators do not vanish, and the other mode still composes."""
+
+    def relabelled(b):
+        kernel = np.vstack([b.kernel, b.modes[:1]])
+        return BMatrix(b.mu, b.nu, b.d, b.alphas, b.entries, b.det, b.modes[1:], b.pencil[1:], kernel, b.vanishing)
+
+    planted = _planted_blocks(monkeypatch, shape, relabelled)
+    keeps_rank, composition = run_suite("reduction", p, d)
+    zero, worst = reduction_by_pairs(p, d, planted)
+    assert not keeps_rank.passed and composition.passed
+    assert zero > checks.DISCARD_ATOL
+    # the detail prints the norm to four significant digits
+    assert float(keeps_rank.detail.rsplit(" ", 1)[1]) == pytest.approx(zero, rel=1e-3)
 
 
 def test_reduction_stays_below_four_wall_factors():

@@ -25,12 +25,3 @@ def test_factored_distance_is_stable_for_near_equal_operators():
     b = FactoredOperator(left.copy(), right.copy())
     assert a.distance(b) <= 1e-12
 
-
-def test_compress_reduces_rank_without_changing_operator():
-    n = 30
-    base = FactoredOperator(rng.standard_normal((n, 2)), rng.standard_normal((2, n)))
-    padded = base + FactoredOperator.zero(n) + 0.0 * base
-    assert padded.rank_bound > 2
-    squeezed = padded.compress()
-    assert squeezed.rank_bound <= 2
-    assert squeezed.distance(base) <= 1e-10

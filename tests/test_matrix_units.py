@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -162,6 +163,25 @@ def test_young_projectors():
             prod = young_projector(mu, 3) @ young_projector(nu, 3)
             expected = young_projector(mu, 3) if mu == nu else DenseOperator.zeros(3, 3)
             assert prod.distance(expected) <= 1e-10
+
+
+def test_completeness_defect_holds_one_running_sum():
+    """A cold call at (3,8) adds each E^mu_ii into one sum: under 7 arrays of d^p x d^p floats at its peak.
+
+    The four diagonal units stay cached, and one is in its build (two
+    arrays); no projector, identity or difference array is formed.
+    """
+    p, d = 3, 8
+    matrix_units._unit_matrix.cache_clear()
+    young_projector.cache_clear()
+    tracemalloc.start()
+    try:
+        defect = completeness_defect(p, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect <= 1e-12
+    assert peak < 7 * d ** (2 * p) * 8, peak / (d ** (2 * p) * 8)
 
 
 def test_embed_left_identity_and_explicit_conjugation():
