@@ -56,7 +56,7 @@ _EXPORTS = {
         ),
         (
             "matrix_units",
-            ("E_unit", "branching_expand", "embed_left", "embed_right", "partial_trace_E", "young_projector"),
+            ("E_unit", "embed_left", "embed_right"),
         ),
         (
             "ideal_units",

@@ -6,14 +6,15 @@ standard-tableau basis of :func:`walledbrauer.partitions.enumerate_standard_tabl
 matrix is real orthogonal and the family is a group homomorphism by
 construction.  The tableau order makes the basis adapted to the subgroup
 fixing the last point: for sigma with sigma(p) = p the matrix is block
-diagonal over the shapes alpha obtained by deleting the box holding p.
-Each irrep matrix is a cached, read-only ndarray.
+diagonal over the shapes alpha obtained by deleting the box holding p
+(``checks.suite_representations`` checks it).  Each irrep matrix is a
+cached, read-only ndarray.
 
 A basis index of mu has one label, the plain pair (alpha, i_alpha) of its
 block and its 1-based index inside the block; mu is known from context.
 ``prir_position`` maps a pair to its position through the block offsets,
 and ``prir_map`` lists the pairs of all d_mu positions, for the desk-scale
-suites and the tests only.
+suites.
 """
 
 from __future__ import annotations
@@ -182,34 +183,3 @@ def prir_position(mu: Partition, alpha: Partition, i_alpha: int) -> int:
         raise ValueError(f"i_alpha out of range for {alpha}")
     return offsets[alpha] + i_alpha
 
-
-# sigma fixing p factors into s_1..s_{p-2} alone, the same factors as its
-# restriction, and their matrices are block diagonal with the smaller shapes'
-# generators as blocks; so both sides are the same products of entries of
-# magnitude <= 1, and only a BLAS that orders a sum differently could part
-# them, by a few ulps.  The largest deviation through S_6 is exactly 0.
-RESTRICTION_TOL = 1e-12
-
-
-def restriction_block_check(mu: Partition, sigma: Permutation) -> bool:
-    """Check the subgroup-adaptation property for a sigma fixing p.
-
-    phi^mu(sigma) must be block diagonal over the PRIR blocks, each block
-    equal to phi^alpha of sigma restricted to S_{p-1}, to RESTRICTION_TOL.
-    """
-    p = mu.total
-    if sigma(p) != p:
-        raise ValueError("sigma must fix p")
-    big = young_orthogonal_rep(mu, sigma)
-    restricted = Permutation(sigma.images[: p - 1])
-    pos = 0
-    blocks = []
-    for alpha in remove_box(mu):
-        da = dim_irrep(alpha)
-        small = young_orthogonal_rep(alpha, restricted)
-        blocks.append((pos, da, small))
-        pos += da
-    expected = np.zeros_like(big)
-    for pos, da, small in blocks:
-        expected[pos : pos + da, pos : pos + da] = small
-    return bool(np.max(np.abs(big - expected)) <= RESTRICTION_TOL)

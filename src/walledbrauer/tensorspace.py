@@ -353,28 +353,32 @@ def _apply_top(a: np.ndarray, p: int, d: int) -> np.ndarray:
     return a[:, _digit_reversal(d, p)].reshape(d ** (2 * p), 1)
 
 
-def _sandwich_core(a, b, p: int, d: int) -> np.ndarray:
+def _paired_stack(units, p: int, d: int) -> np.ndarray:
+    """A stack of m units, each d^p x d^p in natural register order, laid out as [x, f, f', s, t] = E_x[(s, f), (t, f')] for ``_sandwich_core``."""
+    dk = d ** (p - 1)
+    out = np.empty((len(units), d, d, dk, dk))
+    for x, e in enumerate(units):
+        out[x] = e.reshape(dk, d, dk, d).transpose(1, 3, 0, 2)
+    return out
+
+
+def _sandwich_core(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """The (m, n, d^2, d^2) sandwich cores K = L^T (A (x) B) L of two stacks of m and n units, L = factored_V(p, p - 1, d).
 
-    Each unit E is d^p x d^p in natural register order; on the left wall it
-    is A = R E R, R the register reversal (``matrix_units.left_side_matrix``).
-    L's rows pair the digits s of registers 2..p with rev(s) of p+1..2p-1,
-    and its column (f, g) reads registers 1 and 2p, so the reversals cancel:
+    Each stack is laid out by ``_paired_stack``, once per stack, whatever
+    the number of pairs it meets.  Each unit E is d^p x d^p in natural
+    register order; on the left wall it is A = R E R, R the register
+    reversal (``matrix_units.left_side_matrix``).  L's rows pair the digits
+    s of registers 2..p with rev(s) of p+1..2p-1, and its column (f, g)
+    reads registers 1 and 2p, so the reversals cancel:
 
         K[(f1, g1), (f2, g2)] = sum over s, t in [d]^(p-1) of E_a[(s, f1), (t, f2)] E_b[(s, g1), (t, g2)],
 
     one GEMM over the paired digits for all pairs; no (A (x) B) L is formed.
     """
-    dk = d ** (p - 1)
-
-    def paired(units):  # [(x, f, f'), (s, t)] = E_x[(s, f), (t, f')]
-        out = np.empty((len(units), d, d, dk, dk))
-        for x, e in enumerate(units):
-            out[x] = e.reshape(dk, d, dk, d).transpose(1, 3, 0, 2)
-        return out.reshape(-1, dk * dk)
-
-    k = (paired(a) @ paired(b).T).reshape(len(a), d, d, len(b), d, d)
-    return k.transpose(0, 3, 1, 4, 2, 5).reshape(len(a), len(b), d * d, d * d)
+    m, n = len(a), len(b)
+    k = (a.reshape(m * d * d, -1) @ b.reshape(n * d * d, -1).T).reshape(m, d, d, n, d, d)
+    return k.transpose(0, 3, 1, 4, 2, 5).reshape(m, n, d * d, d * d)
 
 
 def sandwich_reduce(x: DenseOperator) -> DenseOperator:

@@ -9,7 +9,8 @@ dense, as its definition reads (``_wall_factor``), and ``_sector_pack``
 gathers the blocks from it.  F and H stay the paper's definitions, as
 factored operators, and the units are compared against them.
 
-``run_cli`` runs the command line in-process for the tests.
+``run_cli`` runs the command line in-process for the tests, and
+``suite_results`` reads the checks of one ``verify`` suite by name.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
+from walledbrauer.checks import SUITES, CheckResult
 from walledbrauer.cli import main
 from walledbrauer.ideal_units import (
     B_matrix,
@@ -83,6 +85,11 @@ def run_cli(args: list[str]) -> CliResult:
             traceback.print_exc()
             code, exception = 1, exc
     return CliResult(code, out.getvalue(), err.getvalue(), exception)
+
+
+def suite_results(suite: str, p: int, d: int) -> dict[str, CheckResult]:
+    """The checks of ``checks.SUITES[suite]`` at (p, d), by name: a test of an invariant a suite states reads it here."""
+    return {r.name: r for r in SUITES[suite](p, d)}
 
 
 def unit_by_permutation_sum(mu: Partition, i: int, j: int, d: int) -> np.ndarray:

@@ -1,13 +1,18 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each."""
 
-import itertools
 import json
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from walledbrauer.checks import suite_coefficients, suite_composition, suite_generators, suite_partitions
+from walledbrauer.checks import (
+    suite_coefficients,
+    suite_composition,
+    suite_generators,
+    suite_partitions,
+    suite_representations,
+)
 from walledbrauer.ideal_units import (
     B_matrix,
     G_sub,
@@ -17,19 +22,11 @@ from walledbrauer.ideal_units import (
     top_row_labels,
 )
 from walledbrauer.partitions import (
-    dim_irrep,
     enumerate_partitions,
     multiplicity,
     partition,
 )
 from walledbrauer.spectra import analytic_overlaps, spectrum_table
-from walledbrauer.symgroup import (
-    RESTRICTION_TOL,
-    enumerate_group,
-    restriction_block_check,
-    transposition,
-    young_orthogonal_rep,
-)
 
 from oracles import factored_trace, rho, run_cli, unit_operator
 
@@ -194,24 +191,9 @@ def test_criterion_7_combinatorial_oracles():
 
 
 def test_criterion_8_representation_suite():
-    worst = 0.0
-    for p in range(2, 5):
-        group = enumerate_group(p)
-        for mu in enumerate_partitions(p):
-            mats = {s: young_orthogonal_rep(mu, s) for s in group}
-            n = dim_irrep(mu)
-            for m in mats.values():
-                worst = max(worst, float(np.max(np.abs(m.T @ m - np.eye(n)))))
-            for s, t in itertools.product(group, repeat=2):
-                worst = max(worst, float(np.max(np.abs(mats[s] @ mats[t] - mats[s * t]))))
-    ok = worst <= 1e-12
-    adapted = RESTRICTION_TOL <= 1e-12
-    for p in range(2, 5):
-        gens = [transposition(p, k, k + 1) for k in range(1, p - 1)]
-        for mu in enumerate_partitions(p):
-            for g in gens:
-                adapted &= restriction_block_check(mu, g)
-    ok &= adapted
+    results = [r for p in range(2, 5) for r in suite_representations(p, 3)]
+    worst = max(r.residual for r in results)
+    ok = all(r.passed and r.tolerance <= 1e-12 for r in results)
     report("criterion 8 (representation suite)", ok, f"worst {worst:.2e}")
 
 
@@ -222,44 +204,44 @@ def test_verify_command_runs_whole_suite():
     report("CLI verify --suite all at (2,2)", doc["passed"])
 
 
-CHECK_NAMES_2_3 = [
-    "hook_length_vs_tableau_count_p<=6",
-    "hook_content_vs_semistandard_count_p<=5_d<=4",
-    "schur_weyl_dimension_sum_p<=5_d<=4",
-    "add_remove_box_inverse_p<=5",
-    "orthogonality_S2",
-    "homomorphism_S2",
-    "orthogonality_relation_S2",
-    "subgroup_adaptation_p<=5",
-    "ping_pong_d<=4",
-    "generalized_ping_pong_p2_d2",
-    "sandwich_fact_p<=3",
-    "generator_products",
-    "sandwich_reduce_identity",
-    "unit_composition_and_trace_p<=3_d<=3",
-    "permutation_resolution_S3",
-    "projector_completeness",
-    "wall_embedding_identity_p2_d2",
-    "branching_and_partial_trace_forms",
-    "ad_plus_b_exact",
-    "sandwich_decomposition_50_random",
-    "trace_rules_exhaustive",
-    "G_top_all_pairs_4_units",
-    "G_sub_all_pairs_16_units",
-    "V_top_from_units",
-    "V_sub_from_H_terms_20_terms",
-    "eigen_operator_property",
-    "rho_top_annihilates_second_ideal",
-    "block_structure_off_diagonal_zero",
-    "twirl_trace_conservation",
-    "b_matrix_fixture_(2,1)_d3",
-    "appendix_examples_d3",
-    "integer_condition_vs_determinant_p<=6",
-    "determinant_symmetric_polynomial_identity",
-    "reduction_keeps_rank",
-    "reduced_units_composition",
-    "analytic_matches_brute_level_2",
-    "analytic_matches_brute_level_1",
+CHECK_NAMES_2_3 = [  # (name, tolerance): a bool check has tolerance 0.0
+    ("hook_length_vs_tableau_count_p<=6", 0.0),
+    ("hook_content_vs_semistandard_count_p<=5_d<=4", 0.0),
+    ("schur_weyl_dimension_sum_p<=5_d<=4", 0.0),
+    ("add_remove_box_inverse_p<=5", 0.0),
+    ("orthogonality_S2", 1e-12),
+    ("homomorphism_S2", 1e-12),
+    ("orthogonality_relation_S2", 1e-12),
+    ("subgroup_adaptation_p<=5", 0.0),
+    ("ping_pong_d<=4", 1e-12),
+    ("generalized_ping_pong_p2_d2", 1e-10),
+    ("sandwich_fact_p<=3", 1e-10),
+    ("generator_products", 1e-10),
+    ("sandwich_reduce_identity", 1e-10),
+    ("unit_composition_and_trace_p<=3_d<=3", 1e-10),
+    ("permutation_resolution_S3", 1e-10),
+    ("projector_completeness", 1e-10),
+    ("wall_embedding_identity_p2_d2", 1e-10),
+    ("branching_and_partial_trace_forms", 0.0),
+    ("ad_plus_b_exact", 0.0),
+    ("sandwich_decomposition_50_random", 1e-10),
+    ("trace_rules_exhaustive", 1e-10),
+    ("G_top_all_pairs_4_units", 1e-09),
+    ("G_sub_all_pairs_16_units", 1e-09),
+    ("V_top_from_units", 1e-09),
+    ("V_sub_from_H_terms_20_terms", 1e-09),
+    ("eigen_operator_property", 1e-09),
+    ("rho_top_annihilates_second_ideal", 1e-10),
+    ("block_structure_off_diagonal_zero", 1e-10),
+    ("twirl_trace_conservation", 1e-10),
+    ("b_matrix_fixture_(2,1)_d3", 0.0),
+    ("appendix_examples_d3", 0.0),
+    ("integer_condition_vs_determinant_p<=6", 0.0),
+    ("determinant_symmetric_polynomial_identity", 0.0),
+    ("reduction_keeps_rank", 0.0),
+    ("reduced_units_composition", 1e-09),
+    ("analytic_matches_brute_level_2", 1e-06),
+    ("analytic_matches_brute_level_1", 1e-06),
 ]
 RENAMED_AT_3_3 = {
     "orthogonality_S2": "orthogonality_S3",
@@ -271,23 +253,23 @@ RENAMED_AT_3_3 = {
     "analytic_matches_brute_level_2": "analytic_matches_brute_level_3",
     "analytic_matches_brute_level_1": "analytic_matches_brute_level_2",
 }
-CHECK_NAMES_3_3 = [RENAMED_AT_3_3.get(n, n) for n in CHECK_NAMES_2_3] + [
-    "printed_table_level_3",
-    "printed_table_level_2",
+CHECK_NAMES_3_3 = [(RENAMED_AT_3_3.get(n, n), tol) for n, tol in CHECK_NAMES_2_3] + [
+    ("printed_table_level_3", 0.0),
+    ("printed_table_level_2", 0.0),
 ]
 
 
 def test_verify_check_names_at_2_3():
     result = run_cli(["--p", "2", "--d", "3", "verify", "--suite", "all"])
     assert result.exit_code == 0
-    assert [c["name"] for c in json.loads(result.output)["checks"]] == CHECK_NAMES_2_3
+    assert [(c["name"], c["tolerance"]) for c in json.loads(result.output)["checks"]] == CHECK_NAMES_2_3
 
 
 def test_verify_all_suites_at_desk_scale():
     result = run_cli(["--p", "3", "--d", "3", "verify", "--suite", "all"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
-    assert [c["name"] for c in doc["checks"]] == CHECK_NAMES_3_3
+    assert [(c["name"], c["tolerance"]) for c in doc["checks"]] == CHECK_NAMES_3_3
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     report("CLI verify --suite all at (3,3)", doc["passed"], f"{len(doc['checks'])} checks" + (f"; failed: {failed}" if failed else ""))
 

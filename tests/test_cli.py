@@ -203,15 +203,15 @@ def test_verify_all_refuses_before_the_desk_scale_suites(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("a dense S_p unit was built before the d^(2p) bound was checked")
 
-    monkeypatch.setattr("walledbrauer.matrix_units.young_projector", unbuilt)
+    monkeypatch.setattr("walledbrauer.matrix_units._unit_matrix", unbuilt)
     result = run(["--p", "3", "--d", "12", "verify"])
     assert result.exit_code == 3 and result.stdout == ""
     assert result.stderr.startswith("resource guard: ") and len(result.stderr.splitlines()) == 1
 
 
 def test_dense_operators_are_refused_by_their_entries():
-    # 8000 x 8000 units (512 MB each) in completeness_defect at (3,20), and 8192 x 8192 projectors at p = 1,
-    # where no second ideal brings the d^(2p) bound; both d^n lie within MAX_HILBERT_DIM
+    # 8000 x 8000 units (512 MB each) in projector_completeness at (3,20), and its 8192 x 8192 running sum at
+    # p = 1, where no second ideal brings the d^(2p) bound; both d^n lie within MAX_HILBERT_DIM
     for args in (["--p", "3", "--d", "20", "verify", "--suite", "matrix_units"], ["--p", "1", "--d", "8192", "verify", "--suite", "all"]):
         start = time.perf_counter()
         result = run(args)

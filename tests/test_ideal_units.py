@@ -49,7 +49,7 @@ from walledbrauer.symgroup import (
     transposition,
     young_orthogonal_rep,
 )
-from walledbrauer.tensorspace import V_generator, _sandwich_core, _weight_sectors, factored_outer_pair, factored_V
+from walledbrauer.tensorspace import V_generator, _paired_stack, _sandwich_core, _weight_sectors, factored_outer_pair, factored_V
 
 from oracles import (
     F_sub,
@@ -222,10 +222,10 @@ def test_trace_rules_exhaustive(p, d):
                 assert abs(float(np.sum((x @ vpm1) * vpm1)) - float(trace_with_V_sub(*args))) <= 1e-10
 
 
-def _unit_stack(mu, d):
-    """The units E^mu_ij of one shape in natural register order, (i, j) row-major: the stack ``suite_coefficients`` contracts."""
+def _unit_stack(mu, p, d):
+    """The units E^mu_ij of one shape in natural register order, (i, j) row-major, laid out: the stack ``suite_coefficients`` contracts."""
     pairs = list(itertools.product(range(1, dim_irrep(mu) + 1), repeat=2))
-    return pairs, [right_side_matrix(mu, i, j, d) for i, j in pairs]
+    return pairs, _paired_stack([right_side_matrix(mu, i, j, d) for i, j in pairs], p, d)
 
 
 @pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
@@ -239,8 +239,8 @@ def test_sandwich_core_reassembles_the_dense_sandwich(p, d):
     L = factored_V(p, p - 1, d)
     vpm1 = V_generator(p, p - 1, d).matrix
     for mu, nu in itertools.product(schur_weyl_partitions(p, d), repeat=2):
-        (left, a_units), (right, b_units) = _unit_stack(mu, d), _unit_stack(nu, d)
-        cores = _sandwich_core(a_units, b_units, p, d)
+        (left, a_units), (right, b_units) = _unit_stack(mu, p, d), _unit_stack(nu, p, d)
+        cores = _sandwich_core(a_units, b_units, d)
         for (x, (rm, cm)), (y, (rn, cn)) in itertools.product(enumerate(left), enumerate(right)):
             a_mat, b_mat = left_side_matrix(mu, rm, cm, d), right_side_matrix(nu, rn, cn, d)
             assert np.max(np.abs(cores[x, y] - L.T @ apply_pair(a_mat, b_mat, p, p - 1, d))) <= 1e-14
@@ -256,8 +256,8 @@ def test_stacked_sandwich_cores_match_the_per_pair_contraction(p, d):
     """
     worst = scale = 0.0
     for mu, nu in itertools.product(schur_weyl_partitions(p, d), repeat=2):
-        (left, a_units), (right, b_units) = _unit_stack(mu, d), _unit_stack(nu, d)
-        cores = _sandwich_core(a_units, b_units, p, d)
+        (left, a_units), (right, b_units) = _unit_stack(mu, p, d), _unit_stack(nu, p, d)
+        cores = _sandwich_core(a_units, b_units, d)
         assert cores.shape == (len(left), len(right), d * d, d * d)
         expected = np.array([
             [sandwich_core(left_side_matrix(mu, *ij, d), right_side_matrix(nu, *kl, d), p, d) for kl in right] for ij in left
@@ -279,6 +279,20 @@ def test_coefficients_make_one_contraction_per_shape_pair(monkeypatch):
     assert all(r.passed for r in checks.suite_coefficients(p, d))
     assert len(calls) == len(schur_weyl_partitions(p, d)) ** 2
     assert sum(m * n for m, n in calls) == sum(dim_irrep(mu) ** 2 for mu in schur_weyl_partitions(p, d)) ** 2
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (4, 3)])
+def test_trace_rules_vanish_off_the_label_join(p, d):
+    """Each label pair where either trace rule is nonzero has the (row, col) of mu equal to that of nu.
+
+    ``suite_coefficients`` forms (a, b) and the rules on that join alone.
+    """
+    labels = {mu: list(itertools.product(prir_map(mu), repeat=2)) for mu in schur_weyl_partitions(p, d)}
+    for mu, nu in itertools.product(labels, repeat=2):
+        for (rm, cm), (rn, cn) in itertools.product(labels[mu], labels[nu]):
+            key = (mu, nu, rm, cm, rn, cn, d)
+            if trace_with_V_top(*key) or trace_with_V_sub(*key):
+                assert (rm, cm) == (rn, cn), key
 
 
 def test_sandwich_decomposition_least_squares_oracle():

@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 
 from walledbrauer import matrix_units
-from walledbrauer.matrix_units import (
-    E_unit,
-    branching_expand,
-    completeness_defect,
-    embed_left,
-    embed_right,
-    left_side_matrix,
-    partial_trace_E,
-    right_side_matrix,
-    young_projector,
-)
+from walledbrauer.matrix_units import E_unit, embed_left, embed_right, left_side_matrix, right_side_matrix
 from walledbrauer.partitions import (
     dim_irrep,
     enumerate_partitions,
@@ -24,7 +14,7 @@ from walledbrauer.partitions import (
     partition,
     schur_weyl_partitions,
 )
-from walledbrauer.symgroup import Permutation, enumerate_group, prir_map, young_orthogonal_rep
+from walledbrauer.symgroup import Permutation, enumerate_group, prir_map, prir_position, young_orthogonal_rep
 from walledbrauer.tensorspace import (
     DenseOperator,
     V_generator,
@@ -32,31 +22,27 @@ from walledbrauer.tensorspace import (
     permutation_operator,
 )
 
-from oracles import left_by_conjugation, unit_by_permutation_sum
+from oracles import left_by_conjugation, suite_results, unit_by_permutation_sum
 
 
-def all_units(p, d):
-    return [
-        (mu, i, j, E_unit(mu, i, j, d))
-        for mu in enumerate_partitions(p)
-        for i in range(1, dim_irrep(mu) + 1)
-        for j in range(1, dim_irrep(mu) + 1)
-    ]
+def planted(monkeypatch, key):
+    """Move one entry of the unit _unit_matrix(*key) by 1e-8, as every caller in the suites reads it."""
+    unit = matrix_units._unit_matrix
+
+    def perturbed(*args):
+        out = unit(*args)
+        if args == key:
+            out = out.copy()
+            out[0, 0] += 1e-8
+        return out
+
+    monkeypatch.setattr(matrix_units, "_unit_matrix", perturbed)
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_unit_composition_and_trace_rules(p, d):
-    units = all_units(p, d)
-    for mu, i, j, a in units:
-        expected_trace = multiplicity(mu, d) if i == j else 0
-        assert abs(a.trace() - expected_trace) <= 1e-10
-        for nu, k, l, b in units:
-            prod = a @ b
-            if mu == nu and j == k:
-                expected = E_unit(mu, i, l, d)
-            else:
-                expected = DenseOperator.zeros(d, p)
-            assert prod.distance(expected) <= 1e-10
+    """The suite at (p, d) composes every pair of units and reads every trace at (p, d) among others."""
+    assert suite_results("matrix_units", p, d)["unit_composition_and_trace_p<=3_d<=3"].residual <= 1e-10
 
 
 def test_symmetrizer_idempotent():
@@ -122,15 +108,8 @@ def test_unit_index_range():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_permutation_resolution(d):
-    """V_sigma = sum_mu sum_ij phi^mu_ij(sigma) E^mu_ij over S_3."""
-    for sigma in enumerate_group(3):
-        acc = DenseOperator.zeros(d, 3)
-        for mu in enumerate_partitions(3):
-            phi = young_orthogonal_rep(mu, sigma)
-            for i in range(1, dim_irrep(mu) + 1):
-                for j in range(1, dim_irrep(mu) + 1):
-                    acc = acc + phi[i - 1, j - 1] * E_unit(mu, i, j, d)
-        assert acc.distance(permutation_operator(sigma, d, 3)) <= 1e-10
+    """V_sigma = sum_mu sum_ij phi^mu_ij(sigma) E^mu_ij over S_3, at d = 2 and 3 whatever the suite's d."""
+    assert suite_results("matrix_units", 3, d)["permutation_resolution_S3"].residual <= 1e-10
 
 
 def test_action_rules_p3():
@@ -155,32 +134,26 @@ def test_action_rules_p3():
 
 
 def test_young_projectors():
-    assert completeness_defect(3, 3) <= 1e-12
-    assert abs(young_projector(partition(2, 1), 3).trace() - 16.0) <= 1e-10
-    assert not young_projector(partition(1, 1, 1), 2).matrix.any()
-    for mu in enumerate_partitions(3):
-        for nu in enumerate_partitions(3):
-            prod = young_projector(mu, 3) @ young_projector(nu, 3)
-            expected = young_projector(mu, 3) if mu == nu else DenseOperator.zeros(3, 3)
-            assert prod.distance(expected) <= 1e-10
+    """sum_mu sum_i E^mu_ii is the identity on 2 and on 3 registers."""
+    for p in (2, 3):
+        assert suite_results("matrix_units", p, 3)["projector_completeness"].residual <= 1e-12
 
 
 def test_completeness_defect_holds_one_running_sum():
-    """A cold call at (3,8) adds each E^mu_ii into one sum: under 7 arrays of d^p x d^p floats at its peak.
+    """The suite at (3,8) adds each E^mu_ii into one sum: under 7 arrays of d^p x d^p floats at its peak, cold.
 
     The four diagonal units stay cached, and one is in its build (two
     arrays); no projector, identity or difference array is formed.
     """
     p, d = 3, 8
     matrix_units._unit_matrix.cache_clear()
-    young_projector.cache_clear()
     tracemalloc.start()
     try:
-        defect = completeness_defect(p, d)
+        result = suite_results("matrix_units", p, d)["projector_completeness"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert defect <= 1e-12
+    assert result.residual <= 1e-12
     assert peak < 7 * d ** (2 * p) * 8, peak / (d ** (2 * p) * 8)
 
 
@@ -211,42 +184,42 @@ def test_wall_embedding_collapse_identity(p, d):
                 assert lhs.distance(rhs) <= 1e-10
 
 
-def test_branching_expand_cases():
-    branching_expand(partition(1), 1, 1, 2, 2)
-    branching_expand(partition(2), 1, 1, 3, 3)
-    branching_expand(partition(2, 1), 1, 2, 4, 2)
-    # projector form: summing the diagonal over alpha gives the identity
-    total = DenseOperator.zeros(3, 3)
-    for alpha in enumerate_partitions(2):
-        for i in range(1, dim_irrep(alpha) + 1):
-            total = total + branching_expand(alpha, i, i, 3, 3)
-    assert total.distance(DenseOperator.identity(3, 3)) <= 1e-10
+def test_branching_expand_cases(monkeypatch):
+    """E^alpha_ij (x) 1 is the one-box branching sum; one moved entry of a unit it reads fails the check."""
+    assert suite_results("matrix_units", 2, 2)["branching_and_partial_trace_forms"].passed
+    planted(monkeypatch, (partition(2, 1), 1, 2, 2))
+    result = suite_results("matrix_units", 2, 2)["branching_and_partial_trace_forms"]
+    assert not result.passed and result.detail == "residual 1.000e-08"
+
+
+def traced_unit(mu, row, col, d):
+    """tr_p of E^mu at the positions of the (alpha, i_alpha) labels row and col."""
+    return partial_trace(E_unit(mu, prir_position(mu, *row), prir_position(mu, *col), d), [mu.total])
 
 
 def test_partial_trace_E_closed_form():
     mu = partition(2, 1)
     labels = prir_map(mu)
     alpha_11, alpha_2 = labels[0], labels[1]
-    traced = partial_trace_E(mu, alpha_2, alpha_2, 3)
+    traced = traced_unit(mu, alpha_2, alpha_2, 3)
     assert traced.distance((8.0 / 6.0) * E_unit(partition(2), 1, 1, 3)) <= 1e-10
-    off = partial_trace_E(mu, alpha_11, alpha_2, 3)
+    off = traced_unit(mu, alpha_11, alpha_2, 3)
     assert np.max(np.abs(off.matrix)) <= 1e-12
     labels2 = prir_map(partition(2))
-    traced2 = partial_trace_E(partition(2), labels2[0], labels2[0], 2)
+    traced2 = traced_unit(partition(2), labels2[0], labels2[0], 2)
     assert traced2.distance(1.5 * E_unit(partition(1), 1, 1, 2)) <= 1e-10
 
 
-def test_partial_trace_E_exhaustive_p3():
-    for mu in enumerate_partitions(3):
-        for row in prir_map(mu):
-            for col in prir_map(mu):
-                partial_trace_E(mu, row, col, 3)  # raises on closed-form violation
+def test_partial_trace_E_exhaustive_p3(monkeypatch):
+    """Every label pair of every shape of 3 at d = 3 traces to its closed form; one moved entry fails the check."""
+    assert suite_results("matrix_units", 2, 2)["branching_and_partial_trace_forms"].passed
+    planted(monkeypatch, (partition(2, 1), 1, 2, 3))
+    result = suite_results("matrix_units", 2, 2)["branching_and_partial_trace_forms"]
+    assert not result.passed and result.detail == "residual 1.000e-08"
 
 
 def test_prir_unit_indexing():
-    """partial_trace_E reads the unit at the positions of its (alpha, i_alpha) labels."""
+    """A unit is read at the positions of its (alpha, i_alpha) labels."""
     mu = partition(2, 1)
     labels = prir_map(mu)
-    direct = partial_trace(E_unit(mu, 1, 2, 3), [3])
-    via_prir = partial_trace_E(mu, labels[0], labels[1], 3)
-    assert direct.distance(via_prir) == 0
+    assert traced_unit(mu, labels[0], labels[1], 3).distance(partial_trace(E_unit(mu, 1, 2, 3), [3])) == 0

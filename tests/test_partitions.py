@@ -15,7 +15,7 @@ from walledbrauer.partitions import (
     schur_weyl_partitions,
 )
 
-from oracles import multiplicity_by_fractions, run_cli
+from oracles import multiplicity_by_fractions, run_cli, suite_results
 
 
 def brute_count_syt(shape: tuple[int, ...]) -> int:
@@ -79,10 +79,7 @@ def test_multiplicity_examples():
 
 
 def test_multiplicity_matches_semistandard_enumeration():
-    for p in range(1, 6):
-        for d in range(1, 5):
-            for mu in enumerate_partitions(p):
-                assert multiplicity(mu, d) == count_semistandard_tableaux(mu, d)
+    assert suite_results("partitions", 1, 1)["hook_content_vs_semistandard_count_p<=5_d<=4"].passed
 
 
 def test_multiplicity_matches_the_rational_product():
@@ -116,10 +113,7 @@ def test_semistandard_single_box():
 
 
 def test_schur_weyl_dimension_sum():
-    for p in range(1, 6):
-        for d in range(1, 5):
-            total = sum(dim_irrep(mu) * multiplicity(mu, d) for mu in enumerate_partitions(p))
-            assert total == d**p
+    assert suite_results("partitions", 1, 1)["schur_weyl_dimension_sum_p<=5_d<=4"].passed
 
 
 def test_schur_weyl_dimension_sum_at_30_30():
@@ -143,10 +137,7 @@ def test_add_box_examples():
 
 
 def test_add_remove_are_mutually_inverse():
-    for p in range(1, 6):
-        for mu in enumerate_partitions(p):
-            assert all(mu in add_box(a) for a in remove_box(mu))
-            assert all(mu in remove_box(b) for b in add_box(mu))
+    assert suite_results("partitions", 1, 1)["add_remove_box_inverse_p<=5"].passed
 
 
 def test_common_removals():

@@ -1,11 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from walledbrauer import symgroup
+from walledbrauer import checks, symgroup
 from walledbrauer.errors import ResourceLimitError
-from walledbrauer.partitions import dim_irrep, enumerate_partitions, partition, remove_box
+from walledbrauer.partitions import enumerate_partitions, partition, remove_box
 from walledbrauer.symgroup import (
     Permutation,
     enumerate_group,
@@ -13,10 +11,11 @@ from walledbrauer.symgroup import (
     identity,
     prir_map,
     prir_position,
-    restriction_block_check,
     transposition,
     young_orthogonal_rep,
 )
+
+from oracles import suite_results
 
 
 def test_enumerate_group_sizes_and_order():
@@ -62,36 +61,14 @@ def test_yor_adjacent_transposition_is_diagonal_for_21():
 
 
 def test_yor_orthogonality_and_homomorphism_s4():
-    group = enumerate_group(4)
-    for mu in enumerate_partitions(4):
-        mats = {s: young_orthogonal_rep(mu, s) for s in group}
-        n = dim_irrep(mu)
-        for m in mats.values():
-            assert np.max(np.abs(m.T @ m - np.eye(n))) <= 1e-12
-        for s, t in itertools.product(group, repeat=2):
-            assert np.max(np.abs(mats[s] @ mats[t] - mats[s * t])) <= 1e-12
+    checks = suite_results("representations", 4, 2)
+    assert checks["orthogonality_S4"].residual <= 1e-12 and checks["homomorphism_S4"].residual <= 1e-12
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_yor_orthogonality_relation(p):
     """Great orthogonality: sum_sigma phi^a_ij(s^-1) phi^b_kl(s) = (p!/d_a) deltas."""
-    group = enumerate_group(p)
-    for alpha in enumerate_partitions(p):
-        for beta in enumerate_partitions(p):
-            da, db = dim_irrep(alpha), dim_irrep(beta)
-            acc = np.zeros((da, da, db, db))
-            for s in group:
-                acc += np.einsum(
-                    "ij,kl->ijkl",
-                    young_orthogonal_rep(alpha, s.inverse()),
-                    young_orthogonal_rep(beta, s),
-                )
-            expected = np.zeros_like(acc)
-            if alpha == beta:
-                for i in range(da):
-                    for j in range(da):
-                        expected[i, j, j, i] = len(group) / da
-            assert np.max(np.abs(acc - expected)) <= 1e-12
+    assert suite_results("representations", p, 2)[f"orthogonality_relation_S{p}"].residual <= 1e-12
 
 
 def test_prir_map_examples():
@@ -134,17 +111,15 @@ def test_prir_position_refuses_a_label_of_another_shape():
         prir_position(partition(2, 1), partition(2), 2)
 
 
-def test_restriction_block_check():
-    assert restriction_block_check(partition(2, 1), transposition(3, 1, 2))
-    assert restriction_block_check(partition(3, 1), Permutation((2, 3, 1, 4)))
-    assert restriction_block_check(partition(2, 2), identity(4))
-    with pytest.raises(ValueError):
-        restriction_block_check(partition(2, 1), Permutation((3, 2, 1)))
+def test_restriction_block_check(monkeypatch):
+    """One entry planted off the PRIR blocks of phi^(2,1)(s_1) fails the subgroup adaptation check."""
+    mu, s1 = partition(2, 1), transposition(3, 1, 2)
+    planted = young_orthogonal_rep(mu, s1).copy()
+    planted[0, 1] = 1e-9  # between the blocks of (1,1) and (2)
+    monkeypatch.setattr(checks, "young_orthogonal_rep", lambda nu, s: planted if (nu, s) == (mu, s1) else young_orthogonal_rep(nu, s))
+    result = suite_results("representations", 2, 2)["subgroup_adaptation_p<=5"]
+    assert not result.passed and result.detail == "block residual 1.000e-09"
 
 
 def test_restriction_block_check_all_generators_up_to_p5():
-    for p in range(2, 6):
-        gens = [transposition(p, k, k + 1) for k in range(1, p - 1)]
-        for mu in enumerate_partitions(p):
-            for g in gens:
-                assert restriction_block_check(mu, g)
+    assert suite_results("representations", 2, 2)["subgroup_adaptation_p<=5"].passed
